@@ -1,38 +1,27 @@
 """The calibration caches and the two reference experiments.
 
-success_pct, ari_mean and k_err_mean come from the paper's two reference
-experiments at the run's seed, whatever the workload: the two-cluster
-test sweep (Table 1) and iris/seeds clustering. The workload whose own
-ops are an experiment's inputs (tests for the sweep, datasets for the
-clustering) also compares the harness's figures with the library's
-run_test_benchmark or run_cluster_benchmark at the same seed, so the
-harness and the existing records cannot drift apart.
+success_pct comes from the paper's two-cluster test sweep (Table 1),
+run by the library's run_test_benchmark at the run's seed. On the tests
+workload, whose sigtest and AD ops are that sweep's samples, the rates of
+the timed ops are compared with the library's cell by cell. ari_mean and
+k_err_mean come from the workload's own clusterer ops; on tests those are
+the iris/seeds reference clustering, compared per dataset x method with
+run_cluster_benchmark at the same seed, so the harness and the existing
+records cannot drift apart.
 """
 
 import numpy as np
 
 from sigcluster import (
-    SigtestConfig,
-    anderson_darling,
     dip_reference_table,
-    dip_test,
-    ks_lilliefors,
     lilliefors_table,
     run_cluster_benchmark,
     run_test_benchmark,
-    sigtest,
 )
+from sigcluster.benchmark import DEFAULT_SEPARATIONS
 from sigcluster.sigtest import _frozen_bounds
 
-from execute import run_op
-from workloads import (
-    CLUSTER_KINDS,
-    REFERENCE_RUNS,
-    SWEEP_RUNS,
-    bundled_sets,
-    reference_ops,
-    sweep_samples,
-)
+from workloads import CLUSTER_KINDS, REFERENCE_RUNS, SWEEP_RUNS, bundled_sets
 
 # run_test_benchmark's names for the four tests the workloads time
 SWEEP_METHODS = {"sigtest": "sigtest1", "ad": "ad", "ks": "ks", "dip": "dip"}
@@ -61,45 +50,32 @@ def table_builds(before: dict, after: dict) -> int:
     return sum(after[t][1] - before[t][1] for t in TABLES)
 
 
-def warm_reject(kind: str, y) -> bool:
-    """The decision run_test_benchmark's success loops make: the same
-    seeds as the self-contained call, with the memoized tables."""
-    if kind == "sigtest":
-        return sigtest(y, SigtestConfig()).split
-    if kind == "ad":
-        return anderson_darling(y, 0.0001).reject_unimodal
-    if kind == "ks":
-        return ks_lilliefors(y, 0.05, reference=lilliefors_table(y.size)).reject_unimodal
-    return dip_test(y, 1000, reference=dip_reference_table(y.size, 1000)).reject_unimodal
+def sweep_success(seed: int, cells, problems: list) -> float:
+    """Mean rejection rate (%) over tests x separations of the sweep.
 
-
-def sweep_success(seed: int, problems: list, check_library: bool) -> float:
-    """Mean rejection rate (%) over tests x separations of the sweep,
-    optionally checked cell by cell against run_test_benchmark."""
-    samples = sweep_samples(seed)
-    rates = [100.0 * sum(warm_reject(kind, y) for y in ys) / SWEEP_RUNS
-             for kind in SWEEP_METHODS for ys in samples.values()]
-    if not check_library:
-        return float(np.mean(rates))
+    ``cells`` maps (kind, separation index) to the decisions of the
+    workload's own ops on that cell's samples; each cell that holds all
+    of its samples is checked against run_test_benchmark.
+    """
     records = run_test_benchmark(runs=SWEEP_RUNS, seed=seed,
-                                 methods=tuple(SWEEP_METHODS.values()),
-                                 timing_runs=0)
-    library = [r.success_rate for r in records]
-    if library != rates:
-        problems.append(f"sweep rates {rates} != run_test_benchmark {library}")
-    return float(np.mean(rates))
+                                 methods=tuple(SWEEP_METHODS.values()), timing_runs=0)
+    library = {(r.method, r.separation): r.success_rate for r in records}
+    for (kind, si), rejects in cells.items():
+        if len(rejects) != SWEEP_RUNS:
+            continue
+        sep = float(DEFAULT_SEPARATIONS[si])
+        rate = 100.0 * sum(rejects) / SWEEP_RUNS
+        if rate != library[SWEEP_METHODS[kind], sep]:
+            problems.append(f"{kind} at separation {sep}: rate {rate} != "
+                            f"run_test_benchmark {library[SWEEP_METHODS[kind], sep]}")
+    return float(np.mean(list(library.values())))
 
 
 def reference_quality(seed: int, pairs, problems: list):
-    """(ari_mean, k_err_mean) over the iris/seeds reference ops.
-
-    ``pairs`` are (op, outcome) for the reference ops of a workload that
-    times them; they are checked per dataset x method against
-    run_cluster_benchmark. With None the ops run here, unchecked.
-    """
+    """(ari_mean, k_err_mean) over the iris/seeds reference ops, checked
+    per dataset x method against run_cluster_benchmark. ``pairs`` are
+    (op, outcome) of those ops in run order."""
     sets = bundled_sets()
-    if pairs is None:
-        return _quality([run_op(op)[1] for op in reference_ops(seed, sets)])
     records = run_cluster_benchmark([d.name for d in sets], methods=CLUSTER_KINDS,
                                     runs=REFERENCE_RUNS, seed=seed)
     for rec in records:
@@ -110,10 +86,11 @@ def reference_quality(seed: int, pairs, problems: list):
         if (k_mean, ari_mean) != (rec.k_mean, rec.ari_mean):
             problems.append(f"{rec.dataset}/{rec.method}: k {k_mean} ari {ari_mean} != "
                             f"run_cluster_benchmark k {rec.k_mean} ari {rec.ari_mean}")
-    return _quality([o for _, o in pairs])
+    return quality([o for _, o in pairs])
 
 
-def _quality(outcomes):
+def quality(outcomes):
+    """(ari_mean, k_err_mean) over the clusterings of ``outcomes``."""
     aris = [a for o in outcomes for a in o.aris]
     errs = [abs(k - k_true) for o in outcomes for k, k_true in o.ks]
     return float(np.mean(aris)), float(np.mean(errs))

@@ -100,8 +100,8 @@ def clustering_rows(cluster_sets, seed: int) -> dict:
 
 
 def io_rows(workload: str, seed: int) -> dict:
-    """data_io loads the bundled sets (as the datasets workload and the
-    reference clustering do); synthetic generates one input of the
+    """data_io loads the bundled sets (as the tests workload does for its
+    reference clustering); synthetic generates one input of the
     workload's synthetic kind: a blob set, else a two-cluster sample."""
     manifests = [(bundled_manifest(n),) for n in ("iris", "seeds")]
     if workload == "blobs":

@@ -1,6 +1,6 @@
 """sigcluster benchmark: one closed-loop caller, one process.
 
-    python3 perfbench/run.py --workload {tests,datasets,blobs} --seed N \
+    python3 perfbench/run.py --workload {tests,blobs} --seed N \
         --seconds S --trace {0,1}
 
 Run from the root of a checkout; the library is imported from ./src and
@@ -16,9 +16,10 @@ nowhere else. The launcher pins BLAS to one thread before numpy loads.
      checked against the first warm-up's fingerprint, and no calibration
      table may be built in a chunk;
   2. a tracemalloc pass for peak_mb (dip-bound ops excluded);
-  3. the reference experiments behind success_pct, ari_mean and
-     k_err_mean, checked against run_test_benchmark and
-     run_cluster_benchmark.
+  3. success_pct from run_test_benchmark's sweep, and ari_mean (and
+     k_err_mean, kept in the record and the per-layer rows) from the
+     workload's own clusterer ops; on tests both are checked against
+     run_test_benchmark and run_cluster_benchmark.
 --trace 1 runs each op untraced and then traced, back to back, for
   --seconds, reports the per-layer metrics and writes the spans.
 
@@ -56,7 +57,7 @@ def import_library():
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", required=True, choices=("tests", "datasets", "blobs"))
+    parser.add_argument("--workload", required=True, choices=("tests", "blobs"))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)

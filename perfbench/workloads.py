@@ -1,4 +1,4 @@
-"""Seeded inputs and op lists of the three benchmark workloads.
+"""Seeded inputs and op lists of the two benchmark workloads.
 
 Every input is a pure function of the workload seed; the library only
 ever receives the generated arrays and datasets. An op is one call that
@@ -8,18 +8,16 @@ sample, or one clusterer run on one or more datasets.
 Workloads
 ---------
 tests     the paper's speed claim: 1-d two-cluster samples (N=200) with
-          separations cycling through DEFAULT_SEPARATIONS. Sigtest and AD
-          run on every sample, the self-contained KS (with its 10^4
-          replicate calibration) and dip (with its B=1000 bootstrap) on one
-          sample per separation. The clusterers run the iris/seeds
-          reference clustering (as in datasets), which every workload
-          needs for its quality metrics; clustering the 1-d samples instead
-          made the clusterer timings follow how many samples happened to
-          split, which moved them by 40% from seed to seed.
-datasets  bundled iris and seeds, clustered as run_cluster_benchmark does:
-          one op is one clusterer and one run seed clustering both sets.
-          The tests run on each set's root 2-means projection, one per run
-          seed (KS and dip on the first two of each set only).
+          separations cycling through DEFAULT_SEPARATIONS, exactly the
+          samples of run_test_benchmark's success sweep. Sigtest and AD run
+          on every sample, the self-contained KS (with its 10^4 replicate
+          calibration) and dip (with its B=1000 bootstrap) on one sample per
+          separation. The clusterers run the iris/seeds reference
+          clustering of run_cluster_benchmark: small clusters (every member
+          is a viewer), split-loop overhead and small-N tests on warm
+          tables. Clustering the 1-d samples instead made the clusterer
+          timings follow how many samples happened to split, which moved
+          them by 40% from seed to seed.
 blobs     five unit-variance Gaussian components, 200 points each, d=8,
           centres on a regular simplex with the typical spacing of
           N(0, 6^2 I) centres, rotated at random by the seed. The tests run
@@ -28,11 +26,15 @@ blobs     five unit-variance Gaussian components, 200 points each, d=8,
           dip on two components only).
 
 Sigtest and AD take microseconds to a millisecond, so every workload
-gives them many inputs; a median over one or two calls of that size is
-mostly timer and cache noise. The op list interleaves the kinds evenly,
-so each kind's samples spread over the whole run: on a shared machine the
-CPU slows by up to 1.6x for seconds to tens of seconds at a time, and
-samples bunched into one such stretch would all be slow.
+gives them many inputs; a figure from one or two calls of that size is
+mostly timer and cache noise. The op list runs each kind's ops back to
+back, as a caller looping over one test would: interleaved with the
+clusterers, whose arrays evict the caches, sigtest and AD ran up to 2x
+slower. The block of a workload's light ops (sigtest and AD; on tests
+also gmeans and gmeans+, 10 ms each on iris/seeds) recurs before each
+heavier kind, so each light op is timed at many moments of a run: on a
+shared host the CPU slows by 1.3-2x for fractions of a second to minutes
+at a time, and an op's fastest repetition needs a moment free of that.
 """
 
 from dataclasses import dataclass
@@ -61,9 +63,9 @@ TEST_KINDS = ("sigtest", "ad", "ks", "dip")
 CLUSTER_KINDS = ("gmeans", "gmeans+", "dipmeans", "dipmeans+")
 
 SWEEP_RUNS = 100        # two-cluster samples per separation (run_test_benchmark default)
-REFERENCE_RUNS = 5      # run seeds per clusterer on iris and seeds
+REFERENCE_RUNS = 10     # run seeds per clusterer on iris and seeds
 N_PER_CLUSTER = 100     # the paper's N = 200
-BLOB_SETS = 8           # blob sets for gmeans and gmeans+; the dipmeans pair runs on two
+BLOB_SETS = 16          # blob sets for gmeans and gmeans+; the dipmeans pair runs on two
 BLOB_COMPONENTS = 5
 # per component: n = 1000, a ROADMAP blob size. At n = 3000 one run took
 # 49-90 s here (three cold set-ups of classic dipmeans alone: 45-60 s),
@@ -92,6 +94,7 @@ class Op:
 
     kind: str
     inputs: tuple
+    cell: int | None = None   # sweep separation index of a tests-workload test op
 
     @property
     def is_test(self) -> bool:
@@ -104,6 +107,13 @@ class Workload:
     ops: tuple
     test_samples: tuple       # the workload's 1-d test inputs (layer rows use them)
     cluster_sets: tuple       # (dataset, k_true) pairs the clusterers see
+
+    @property
+    def first(self) -> list:
+        """For each position in ``ops``, the position of that op's first
+        occurrence (the block of light ops recurs within a pass)."""
+        seen = {}
+        return [seen.setdefault(id(op), i) for i, op in enumerate(self.ops)]
 
 
 def sweep_samples(seed: int, runs: int = SWEEP_RUNS):
@@ -163,21 +173,14 @@ def _cheap_and_calibrated(samples, calibrated):
 
 
 def _tests(seed):
-    sweep = sweep_samples(seed)
-    firsts = [samples[0] for samples in sweep.values()]
-    ops = _cheap_and_calibrated([y for ys in sweep.values() for y in ys], firsts)
+    sweep = list(sweep_samples(seed).values())
+    ops = [Op(kind, (ys[0],), si) for si, ys in enumerate(sweep) for kind in ("ks", "dip")]
+    ops += [Op(kind, (y,), si) for si, ys in enumerate(sweep) for y in ys
+            for kind in ("sigtest", "ad")]
     sets = bundled_sets()
     ops += reference_ops(seed, sets)
-    return tuple(ops), tuple(firsts), tuple((d, 3) for d in sets)
-
-
-def _datasets(seed):
-    sets = bundled_sets()
-    samples = tuple(root_projection(d, substream_seed(seed, 3000, i, r))
-                    for r in range(REFERENCE_RUNS) for i, d in enumerate(sets))
-    ops = list(reference_ops(seed, sets))
-    ops += _cheap_and_calibrated(samples, samples[:2 * len(sets)])
-    return tuple(ops), samples, tuple((d, 3) for d in sets)
+    light = ("sigtest", "ad", "gmeans", "gmeans+")
+    return tuple(ops), light, tuple(ys[0] for ys in sweep), tuple((d, 3) for d in sets)
 
 
 def _blobs(seed):
@@ -191,24 +194,19 @@ def _blobs(seed):
             for b, data in enumerate(sets) for kind in ("gmeans", "gmeans+")]
     ops += [Op(kind, ((data, BLOB_COMPONENTS, substream_seed(seed, 5001, b)),))
             for b, data in enumerate(sets[:2]) for kind in ("dipmeans", "dipmeans+")]
-    return tuple(ops), samples, tuple((d, BLOB_COMPONENTS) for d in sets)
-
-
-def interleave(ops):
-    """Order ops so that each kind's ops sit evenly along the list."""
-    by_kind = {}
-    for op in ops:
-        by_kind.setdefault(op.kind, []).append(op)
-    placed = [((j + 0.5) / len(group), k, op)
-              for k, group in enumerate(by_kind.values()) for j, op in enumerate(group)]
-    return tuple(op for _, _, op in sorted(placed, key=lambda t: t[:2]))
+    return tuple(ops), ("sigtest", "ad"), samples, tuple((d, BLOB_COMPONENTS) for d in sets)
 
 
 def build(name: str, seed: int) -> Workload:
     """Generate (or load) the workload's inputs and its fixed op list."""
-    builders = {"tests": _tests, "datasets": _datasets, "blobs": _blobs}
-    ops, samples, sets = builders[name](seed)
-    return Workload(name, interleave(ops), samples, sets)
+    builders = {"tests": _tests, "blobs": _blobs}
+    ops, light, samples, sets = builders[name](seed)
+    block = [op for kind in light for op in ops if op.kind == kind]
+    order = []
+    for kind in TEST_KINDS + CLUSTER_KINDS:
+        if kind not in light:
+            order += block + [op for op in ops if op.kind == kind]
+    return Workload(name, tuple(order), samples, sets)
 
 
 def call_test(kind: str, y):
