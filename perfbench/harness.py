@@ -15,6 +15,7 @@ import traceback
 import tracemalloc
 import warnings
 from contextlib import nullcontext
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy
@@ -22,6 +23,7 @@ import scipy
 
 import checks
 import layers
+import speed
 import workloads
 from execute import Tracer, run_op, run_op_traced
 
@@ -36,15 +38,17 @@ SETUP_REPS = 3
 # traced for both at 3000 points).
 PEAK_SKIP = ("dip", "dipmeans")
 
-# An op kind's time (<kind>.op_s or .op_us) is the mean, over the kind's
-# ops, of each op's fastest repetition in the timed passes. On a shared
-# host the CPU runs 1.3-2x slower for fractions of a second to minutes at
-# a time; an op's fastest repetition drops the slow stretches it can, and
-# the mean over ops keeps every input of the kind in the figure (a
-# clusterer's cost follows its split tree, which differs between inputs
-# and run seeds). ops_per_s is likewise the number of distinct ops over
-# the sum of their fastest repetitions. The record in .bench_out/ keeps
-# the pooled percentiles of all samples and the pass times.
+# An op kind's time (<kind>.op_s or .op_us) is the mean time of one of
+# its ops over the timed passes, adjusted to the reference host speed
+# (speed.py); every op runs equally often, so every input of the kind
+# counts (a clusterer's cost follows its split tree, which differs
+# between inputs and run seeds). ops_per_s is the number of ops over
+# their summed mean times. The mean, not an op's median or fastest
+# repetition: those jump between the host's two speeds when the share of
+# the run spent at each crosses a threshold, and spread more over ten
+# seeds. setup_s is adjusted in the same way, block by block of each
+# warm-up pass. The record in .bench_out/ keeps the raw figures, the
+# pooled percentiles of all samples and the pass times.
 E2E_UNITS = {
     "setup_s": "s", "ops_per_s": "1/s",
     "gmeans.op_s": "s", "gmeans_plus.op_s": "s",
@@ -118,12 +122,12 @@ def environment(seed: int) -> dict:
 
 
 def summary(per_op) -> dict:
-    """Of one kind's per-op repetition times: the op count, the mean of
-    the per-op fastest repetitions, and the pooled n, p10, median and the
-    highest of p90/p99/p99.9 that still has at least ten samples beyond it."""
-    best = statistics.fmean(min(ts) for ts in per_op)
+    """Of one kind's per-op repetition times: the op count, the mean, and
+    the pooled n, p10, median and the highest of p90/p99/p99.9 that still
+    has at least ten samples beyond it."""
     values = sorted(t for ts in per_op for t in ts)
-    out = {"ops": len(per_op), "best_mean": best, "n": len(values),
+    out = {"ops": len(per_op), "mean": statistics.fmean(map(statistics.fmean, per_op)),
+           "n": len(values),
            "p10": values[len(values) // 10], "p50": statistics.median(values)}
     for p in (99.9, 99.0, 90.0):
         if len(values) * (1 - p / 100) >= 10:
@@ -159,49 +163,81 @@ class Runner:
             return None
 
 
+@dataclass
+class Pass:
+    """One pass over the op list: its raw seconds, the same adjusted to
+    the reference host speed, the speed ratio of every probe taken, and
+    (op, seconds, ratio) for every op that succeeded."""
+
+    raw_s: float = 0.0
+    adjusted_s: float = 0.0
+    ratios: list = field(default_factory=list)
+    samples: list = field(default_factory=list)
+
+
+def run_pass(runner, step) -> Pass:
+    """Run every op once, block by block (a kind's share of a slice),
+    probing the host speed before the first block and after each one; an
+    op's ratio is the mean of the two probes around its block. ``step(i)``
+    runs op i and returns its seconds, or None if it failed."""
+    out = Pass(ratios=[speed.ratio()])
+    for start, end in runner.wl.blocks:
+        t0 = time.perf_counter()
+        times = [(i, step(i)) for i in range(start, end)]
+        elapsed = time.perf_counter() - t0
+        out.ratios.append(speed.ratio())
+        ratio = (out.ratios[-2] + out.ratios[-1]) / 2
+        out.samples += [(i, t, ratio) for i, t in times if t is not None]
+        out.raw_s += elapsed
+        out.adjusted_s += elapsed / ratio
+    return out
+
+
 def setup(runner, name, seed, count_warnings=False):
     """One cold set-up: clear the caches, build the inputs, run one
-    warm-up pass. Returns (runner, seconds, warnings caught). The first
-    set-up's outcomes are the reference every later pass is checked
-    against."""
+    warm-up pass. Returns (runner, raw seconds, adjusted seconds, the
+    first speed ratio, warnings caught). The first set-up's outcomes are
+    the reference every later pass is checked against."""
     checks.clear_caches()
     gc.collect()
     t0 = time.perf_counter()
     wl = workloads.build(name, seed)
+    build_s = time.perf_counter() - t0
     first = runner is None
     if first:
         runner = Runner(wl)
     else:
         runner.wl = wl
+    outs = [None] * len(wl.ops)
+
+    def step(i):
+        outs[i] = runner.call(i, run_op)
+        return outs[i][0] if outs[i] else None
+
     with warnings.catch_warnings(record=True) if count_warnings else nullcontext() as caught:
         if count_warnings:
             warnings.simplefilter("always")
-        outs = [runner.call(i, run_op) for i in range(len(wl.ops))]
-    seconds = time.perf_counter() - t0
+        warm = run_pass(runner, step)
     if first:
         runner.reference = [o[1] if o else None for o in outs]
-    return runner, seconds, caught or []
+    ratio = warm.ratios[0]
+    return (runner, build_s + warm.raw_s, build_s / ratio + warm.adjusted_s, ratio,
+            caught or [])
 
 
-def timed_loop(runner, seconds, step):
-    """Repeat the op list until ``seconds`` have passed and at least one
-    full pass is done; ``step(i)`` runs op i. Returns the full-pass times."""
-    n = len(runner.wl.ops)
+def timed_loop(runner, seconds, step) -> list:
+    """Repeat passes over the op list and stop at the pass boundary
+    nearest to ``seconds`` (after one pass at least), so every op is
+    timed equally often."""
     passes = []
     gc.collect()
     gc.disable()  # as timeit does: no collector pauses inside timed calls
     try:
-        t_loop = pass_start = time.perf_counter()
-        while True:
-            for i in range(n):
-                step(i)
-                if passes and time.perf_counter() - t_loop >= seconds:
-                    return passes
-            now = time.perf_counter()
-            passes.append(now - pass_start)
-            pass_start = now
-            if now - t_loop >= seconds:
-                return passes
+        t_loop = time.perf_counter()
+        while not passes or (time.perf_counter() - t_loop
+                             + statistics.fmean(p.raw_s for p in passes) / 2 < seconds):
+            passes.append(run_pass(runner, step))
+        return passes
     finally:
         gc.enable()
 
@@ -224,9 +260,7 @@ def peak_pass(runner, run_op) -> float:
 
 def quality(runner, seed, problems) -> dict:
     """success_pct, ari_mean and k_err_mean; see checks.py."""
-    first = runner.wl.first
-    pairs = [(op, o) for i, (op, o) in enumerate(zip(runner.wl.ops, runner.reference))
-             if first[i] == i and o is not None]
+    pairs = [(op, o) for op, o in zip(runner.wl.ops, runner.reference) if o is not None]
     cells = {}
     for op, o in pairs:
         if op.cell is not None and op.kind in ("sigtest", "ad"):
@@ -240,26 +274,44 @@ def quality(runner, seed, problems) -> dict:
     return {"success_pct": success, "ari_mean": ari_mean, "k_err_mean": k_err}
 
 
+def kind_times(runner, op_times, values, problems) -> dict:
+    """Add ops_per_s and every <kind>.op_s|op_us to ``values`` from the
+    per-op times; returns each kind's summary()."""
+    values["ops_per_s"] = len(op_times) / sum(statistics.fmean(ts) for ts in op_times if ts)
+    detail = {}
+    for kind in workloads.TEST_KINDS + workloads.CLUSTER_KINDS:
+        per_op = [ts for op, ts in zip(runner.wl.ops, op_times) if op.kind == kind and ts]
+        if not per_op:
+            problems.append(f"no successful {kind} op was timed")
+            continue
+        scale, unit = (1e6, "us") if kind in workloads.TEST_KINDS else (1.0, "s")
+        s = summary([[scale * t for t in ts] for ts in per_op])
+        name = f"{metric_prefix(kind)}.op_{unit}"
+        values[name] = s["mean"]
+        detail[name] = s
+    return detail
+
+
 def run_untraced(args, import_s):
-    """Set-ups and timed chunks alternate, so the timed samples spread
-    over the whole run rather than one stretch of it: this host slows by
-    up to 1.5x for tens of seconds at a time."""
-    runner, setup_times, passes, op_times = None, [], [], None
+    """Set-ups and timed chunks alternate, so set-up and timed samples
+    both spread over the whole run. Every time reported is adjusted to
+    the reference host speed (speed.py); the raw figures go to the
+    record."""
+    runner, setups, passes = None, [], []
     builds = timed_attempted = timed_failed = 0
-    reps = SETUP_REPS
 
     def step(i):
         res = runner.call(i, run_op)
-        if res is not None:
-            op_times[i].append(res[0])
+        return res[0] if res else None
 
-    for _ in range(reps):
-        runner, seconds, _ = setup(runner, args.workload, args.seed)
-        setup_times.append(seconds)
-        op_times = op_times or [[] for _ in runner.wl.ops]
+    for rep in range(SETUP_REPS):
+        runner, raw_s, adjusted_s, ratio, _ = setup(runner, args.workload, args.seed)
+        setups.append((raw_s, adjusted_s, ratio))
         after_setup = checks.cache_counts()
         attempted, failed = runner.attempted, runner.failed
-        passes += timed_loop(runner, args.seconds / reps, step)
+        # chunk k ends nearest to k/SETUP_REPS of --seconds of passes in all
+        target = args.seconds * (rep + 1) / SETUP_REPS - sum(p.raw_s for p in passes)
+        passes += timed_loop(runner, target, step)
         after_loop = checks.cache_counts()
         builds += checks.table_builds(after_setup, after_loop)
         timed_attempted += runner.attempted - attempted
@@ -270,36 +322,33 @@ def run_untraced(args, import_s):
     t0 = time.perf_counter()
     peak_mb = peak_pass(runner, run_op)
     t1 = time.perf_counter()
-    merged = {}  # first position of an op -> its times at every position
-    for i, j in enumerate(runner.wl.first):
-        merged.setdefault(j, []).extend(op_times[i])
-    values = {
-        "setup_s": import_s + statistics.median(setup_times),
-        "ops_per_s": len(merged) / sum(min(ts) for ts in merged.values() if ts),
-        "peak_mb": peak_mb,
-    }
-    detail = {}
-    for kind in workloads.TEST_KINDS + workloads.CLUSTER_KINDS:
-        per_op = [ts for j, ts in merged.items() if runner.wl.ops[j].kind == kind and ts]
-        if not per_op:
-            runner.problems.append(f"no successful {kind} op was timed")
-            continue
-        scale, unit = (1e6, "us") if kind in workloads.TEST_KINDS else (1.0, "s")
-        s = summary([[scale * t for t in ts] for ts in per_op])
-        name = f"{metric_prefix(kind)}.op_{unit}"
-        values[name] = s["best_mean"]
-        detail[name] = s
+    raw_times = [[] for _ in runner.wl.ops]
+    adjusted_times = [[] for _ in runner.wl.ops]
+    for p in passes:
+        for i, t, ratio in p.samples:
+            raw_times[i].append(t)
+            adjusted_times[i].append(t / ratio)
+    # the imports ran before the first probe: adjusted by that probe's ratio
+    values = {"setup_s": import_s / setups[0][2] + statistics.median(a for _, a, _ in setups),
+              "peak_mb": peak_mb}
+    detail = kind_times(runner, adjusted_times, values, runner.problems)
+    raw = {"setup_s": import_s + statistics.median(r for r, _, _ in setups)}
+    kind_times(runner, raw_times, raw, [])
     q = quality(runner, args.seed, runner.problems)
     values["success_pct"], values["ari_mean"] = q["success_pct"], q["ari_mean"]
+    ratios = [r for p in passes for r in p.ratios]
     extra = {
         "k_err_mean": q["k_err_mean"],
-        "setup": {"import_s": import_s, "repetitions_s": setup_times},
+        "raw": raw,
+        "speed_ratio": {"median": statistics.median(ratios), "min": min(ratios),
+                        "max": max(ratios), "probes": len(ratios)},
+        "setup": {"import_s": import_s, "repetitions_raw_adjusted_ratio": setups},
         "phases_s": {"peak_pass": t1 - t0, "quality": time.perf_counter() - t1},
-        "passes_s": passes,
+        "passes_raw_adjusted_s": [(p.raw_s, p.adjusted_s) for p in passes],
         "caches_after_setup": after_setup,
         "caches_after_timed": after_loop,
         "samples": detail,
-        "op_times": merged,
+        "op_times_raw": raw_times,
     }
     return runner, timed_attempted, timed_failed, values, E2E_UNITS, extra
 
@@ -316,10 +365,7 @@ def span_rows(runner, tracer, traced_times, untraced_times) -> dict:
             for k in workloads.TEST_KINDS + workloads.CLUSTER_KINDS}
     crit_s = rest_s = 0.0
     calls = viewer_calls = viewer_rejects = 0
-    first_at = runner.wl.first
     for op_id, runs in by_op.items():
-        if first_at[op_id] != op_id:
-            continue  # a recurrence of the light-op block: counted once
         op = runner.wl.ops[op_id]
         selfs, crits = [], []
         for parent, children in runs:
@@ -340,9 +386,8 @@ def span_rows(runner, tracer, traced_times, untraced_times) -> dict:
             if op.kind.startswith("dipmeans"):
                 viewer_calls += len(first)
                 viewer_rejects += sum(c.reject for c in first)
-    once = [i for i in traced_times if first_at[i] == i]
-    traced = sum(statistics.median(traced_times[i]) for i in once)
-    untraced = sum(statistics.median(untraced_times[i]) for i in once)
+    traced = sum(map(statistics.median, traced_times.values()))
+    untraced = sum(map(statistics.median, untraced_times.values()))
     rows.update({
         "clustering.criterion_calls": calls,
         "clustering.criterion_s": crit_s,
@@ -356,8 +401,9 @@ def span_rows(runner, tracer, traced_times, untraced_times) -> dict:
 
 def run_traced(args, import_s):
     """Each op runs untraced, then traced, back to back; the per-layer
-    rows come from the spans and from timing each layer's public calls."""
-    runner, _, caught = setup(None, args.workload, args.seed, count_warnings=True)
+    rows come from the spans and from timing each layer's public calls,
+    raw (not adjusted to the reference host speed)."""
+    runner, _, _, _, caught = setup(None, args.workload, args.seed, count_warnings=True)
     after_setup = checks.cache_counts()
     tracer = Tracer()
     traced_times, untraced_times, traced_outcomes = {}, {}, {}
@@ -369,6 +415,8 @@ def run_traced(args, import_s):
             untraced_times.setdefault(i, []).append(plain[0])
             traced_times.setdefault(i, []).append(traced[0])
             traced_outcomes[i] = traced[1]
+            return plain[0]
+        return None
 
     attempted_before, failed_before = runner.attempted, runner.failed
     timed_loop(runner, args.seconds, step)
@@ -428,10 +476,15 @@ def run(args, import_s: float) -> int:
         problems.append(f"metrics not measured: {missing}")
     for name in sorted(values):
         line = f"{name:<34} {values[name]:>14.6g} {units.get(name, '')}"
+        if name in extra.get("raw", {}):
+            line += f"  (raw {extra['raw'][name]:.6g})"
         s = extra.get("samples", {}).get(name)
         if s:
-            line += "  (" + ", ".join(f"{k}={v:.6g}" for k, v in s.items() if k != "best_mean") + ")"
+            line += "  (" + ", ".join(f"{k}={v:.6g}" for k, v in s.items() if k != "mean") + ")"
         print(line)
+    if "speed_ratio" in extra:
+        print("host speed ratio (probe time / reference): "
+              + ", ".join(f"{k} {v:.4g}" for k, v in extra["speed_ratio"].items()))
     for p in problems:
         print(f"PROBLEM: {p}", file=sys.stderr)
 

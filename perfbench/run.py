@@ -11,10 +11,13 @@ nowhere else. The launcher pins BLAS to one thread before numpy loads.
      set-up clears the calibration caches, loads and generates the
      inputs and runs one warm-up pass over the op list, which builds
      every KS or dip table the workload needs; setup_s is the import
-     time plus the median set-up. A chunk repeats the fixed op list for
-     --seconds / SETUP_REPS (at least one full pass). Every op is
-     checked against the first warm-up's fingerprint, and no calibration
-     table may be built in a chunk;
+     time plus the median set-up. A chunk repeats full passes over the
+     fixed op list for about --seconds / SETUP_REPS. Every op is checked
+     against the first warm-up's fingerprint, and no calibration table
+     may be built in a chunk. A pass runs the ops block by block, with a
+     probe of the host CPU's speed between blocks (speed.py), and every
+     time reported is divided by the probe's ratio to its full-speed
+     time around it: the time at the reference host's full speed;
   2. a tracemalloc pass for peak_mb (dip-bound ops excluded);
   3. success_pct from run_test_benchmark's sweep, and ari_mean (and
      k_err_mean, kept in the record and the per-layer rows) from the
@@ -24,8 +27,9 @@ nowhere else. The launcher pins BLAS to one thread before numpy loads.
   --seconds, reports the per-layer metrics and writes the spans.
 
 The last line of standard output is the JSON result. A full record with
-the environment, sample counts, percentiles and cache counts goes to
-.bench_out/ in the checkout.
+the environment, sample counts, percentiles, cache counts, the raw
+(unadjusted) times and the speed ratios goes to .bench_out/ in the
+checkout.
 """
 
 import time

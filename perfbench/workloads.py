@@ -27,14 +27,15 @@ blobs     five unit-variance Gaussian components, 200 points each, d=8,
 
 Sigtest and AD take microseconds to a millisecond, so every workload
 gives them many inputs; a figure from one or two calls of that size is
-mostly timer and cache noise. The op list runs each kind's ops back to
-back, as a caller looping over one test would: interleaved with the
-clusterers, whose arrays evict the caches, sigtest and AD ran up to 2x
-slower. The block of a workload's light ops (sigtest and AD; on tests
-also gmeans and gmeans+, 10 ms each on iris/seeds) recurs before each
-heavier kind, so each light op is timed at many moments of a run: on a
-shared host the CPU slows by 1.3-2x for fractions of a second to minutes
-at a time, and an op's fastest repetition needs a moment free of that.
+mostly timer and cache noise. The op list is cut into SLICES slices, each
+holding an equal share of every kind's ops, and runs each kind's share
+back to back, as a caller looping over one test would (interleaved one
+by one with the clusterers, whose arrays evict the caches, sigtest and
+AD ran up to 2x slower). So every kind is timed at SLICES moments of
+each pass: on a shared host the CPU slows by 1.3-2x for fractions of a
+second to minutes at a time, and a kind timed in one stretch of a pass
+follows whatever the host did then. A kind's share of a slice is a
+block; the harness probes the host speed between blocks (speed.py).
 """
 
 from dataclasses import dataclass
@@ -63,9 +64,17 @@ TEST_KINDS = ("sigtest", "ad", "ks", "dip")
 CLUSTER_KINDS = ("gmeans", "gmeans+", "dipmeans", "dipmeans+")
 
 SWEEP_RUNS = 100        # two-cluster samples per separation (run_test_benchmark default)
-REFERENCE_RUNS = 10     # run seeds per clusterer on iris and seeds
+REFERENCE_RUNS = 10     # run seeds per clusterer checked against run_cluster_benchmark
+# Run seeds per clusterer on iris and seeds. gmeans and gmeans+ take
+# about 8 ms an op; with 10 run seeds their (speed-adjusted) time spread
+# 0.11-0.14 over five workload seeds, with 40 0.04-0.07 over ten.
+RUN_SEEDS = {"gmeans": 40, "gmeans+": 40, "dipmeans": 10, "dipmeans+": 20}
 N_PER_CLUSTER = 100     # the paper's N = 200
-BLOB_SETS = 16          # blob sets for gmeans and gmeans+; the dipmeans pair runs on two
+BLOB_SETS = 32          # for gmeans and gmeans+ (gmeans+ spread 0.15 over five seeds with 16)
+# blob sets for the dipmeans pair: classic dipmeans takes about 1 s an
+# op (its time spread 0.11 over ten seeds with one set, 0.05-0.08 with
+# two), dipmeans+ 0.25 s (0.12 over five seeds with two sets)
+BLOB_DIPMEANS_SETS = {"dipmeans": 2, "dipmeans+": 4}
 BLOB_COMPONENTS = 5
 # per component: n = 1000, a ROADMAP blob size. At n = 3000 one run took
 # 49-90 s here (three cold set-ups of classic dipmeans alone: 45-60 s),
@@ -78,6 +87,7 @@ BLOB_DIM = 8
 # dipmeans+ time moved by +-15% from seed to seed. Equidistant centres
 # give every seed the same cluster sizes and keep the typical separation.
 BLOB_EDGE = 23.2
+SLICES = 5              # moments per pass at which every kind is timed
 
 
 def substream_seed(*parts) -> int:
@@ -107,13 +117,7 @@ class Workload:
     ops: tuple
     test_samples: tuple       # the workload's 1-d test inputs (layer rows use them)
     cluster_sets: tuple       # (dataset, k_true) pairs the clusterers see
-
-    @property
-    def first(self) -> list:
-        """For each position in ``ops``, the position of that op's first
-        occurrence (the block of light ops recurs within a pass)."""
-        seen = {}
-        return [seen.setdefault(id(op), i) for i, op in enumerate(self.ops)]
+    blocks: tuple             # (start, end) positions in ops of each kind's share of a slice
 
 
 def sweep_samples(seed: int, runs: int = SWEEP_RUNS):
@@ -134,14 +138,14 @@ def bundled_sets():
     return tuple(load_csv(bundled_manifest(name)) for name in ("iris", "seeds"))
 
 
-def reference_ops(seed: int, sets, runs: int = REFERENCE_RUNS):
+def reference_ops(seed: int, sets):
     """Clusterer ops over iris and seeds with run_cluster_benchmark's seeds:
     dataset di, method mi, run r uses substream_seed(seed, di, mi, r)."""
     return tuple(
         Op(kind, tuple((data, 3, substream_seed(seed, di, mi, r))
                        for di, data in enumerate(sets)))
-        for r in range(runs)
         for mi, kind in enumerate(CLUSTER_KINDS)
+        for r in range(RUN_SEEDS[kind])
     )
 
 
@@ -179,8 +183,7 @@ def _tests(seed):
             for kind in ("sigtest", "ad")]
     sets = bundled_sets()
     ops += reference_ops(seed, sets)
-    light = ("sigtest", "ad", "gmeans", "gmeans+")
-    return tuple(ops), light, tuple(ys[0] for ys in sweep), tuple((d, 3) for d in sets)
+    return tuple(ops), tuple(ys[0] for ys in sweep), tuple((d, 3) for d in sets)
 
 
 def _blobs(seed):
@@ -193,20 +196,24 @@ def _blobs(seed):
     ops += [Op(kind, ((data, BLOB_COMPONENTS, substream_seed(seed, 5000, b)),))
             for b, data in enumerate(sets) for kind in ("gmeans", "gmeans+")]
     ops += [Op(kind, ((data, BLOB_COMPONENTS, substream_seed(seed, 5001, b)),))
-            for b, data in enumerate(sets[:2]) for kind in ("dipmeans", "dipmeans+")]
-    return tuple(ops), ("sigtest", "ad"), samples, tuple((d, BLOB_COMPONENTS) for d in sets)
+            for kind, count in BLOB_DIPMEANS_SETS.items() for b, data in enumerate(sets[:count])]
+    return tuple(ops), samples, tuple((d, BLOB_COMPONENTS) for d in sets)
 
 
 def build(name: str, seed: int) -> Workload:
     """Generate (or load) the workload's inputs and its fixed op list."""
     builders = {"tests": _tests, "blobs": _blobs}
-    ops, light, samples, sets = builders[name](seed)
-    block = [op for kind in light for op in ops if op.kind == kind]
-    order = []
-    for kind in TEST_KINDS + CLUSTER_KINDS:
-        if kind not in light:
-            order += block + [op for op in ops if op.kind == kind]
-    return Workload(name, tuple(order), samples, sets)
+    ops, samples, sets = builders[name](seed)
+    by_kind = [[op for op in ops if op.kind == kind] for kind in TEST_KINDS + CLUSTER_KINDS]
+    order, blocks = [], []
+    for part in range(SLICES):
+        for group in by_kind:  # op j sits at the slice holding (j + 1/2) / len(group)
+            start = len(order)
+            order += [op for j, op in enumerate(group)
+                      if (2 * j + 1) * SLICES // (2 * len(group)) == part]
+            if len(order) > start:
+                blocks.append((start, len(order)))
+    return Workload(name, tuple(order), samples, sets, tuple(blocks))
 
 
 def call_test(kind: str, y):
