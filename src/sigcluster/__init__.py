@@ -43,13 +43,7 @@ from .clustering import (
     project_split,
     run_method,
 )
-from .core import (
-    OrderStatMoments,
-    half_normal_cdf,
-    normalize,
-    order_statistic_moments,
-    sorted_abs,
-)
+from .core import half_normal_cdf, normalize, sorted_abs
 from .data_io import (
     DatasetManifest,
     bundled_manifest,
@@ -60,7 +54,6 @@ from .data_io import (
 from .dataset import Dataset
 from .metrics import ari, vi
 from .sigtest import (
-    Signature,
     SignatureBounds,
     SignatureVariant,
     SigtestConfig,
@@ -78,16 +71,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AD_CRITICAL_VALUES", "ADCriterion", "BaselineDecision", "BaselineMethod",
     "BenchmarkRecord", "ClusteringResult", "Dataset", "DatasetManifest",
-    "DipViewerCriterion", "OrderStatMoments", "Signature", "SignatureBounds",
-    "SignatureVariant", "SigtestConfig", "SigtestCriterion", "SplitRecord",
-    "TestOutcome", "TwoClusterSpec", "anderson_darling",
-    "anderson_darling_statistic", "ari", "bundled_manifest", "compute_bounds",
-    "compute_signature", "count_violations", "dip_reference_dips",
-    "dip_reference_table", "dip_statistic", "dip_test", "dipmeans_family",
-    "format_cluster_table", "format_test_table", "gen_gaussian",
-    "gen_two_clusters", "gmeans_family", "half_normal_cdf", "kmeans",
-    "ks_lilliefors", "ks_statistic", "lilliefors_reference",
-    "lilliefors_table", "load_csv", "normalize", "order_statistic_moments",
+    "DipViewerCriterion", "SignatureBounds", "SignatureVariant",
+    "SigtestConfig", "SigtestCriterion", "SplitRecord", "TestOutcome",
+    "TwoClusterSpec", "anderson_darling", "anderson_darling_statistic", "ari",
+    "bundled_manifest", "compute_bounds", "compute_signature",
+    "count_violations", "dip_reference_dips", "dip_reference_table",
+    "dip_statistic", "dip_test", "dipmeans_family", "format_cluster_table",
+    "format_test_table", "gen_gaussian", "gen_two_clusters", "gmeans_family",
+    "half_normal_cdf", "kmeans", "ks_lilliefors", "ks_statistic",
+    "lilliefors_reference", "lilliefors_table", "load_csv", "normalize",
     "project_split", "read_results", "run_cluster_benchmark", "run_method",
     "run_test_benchmark", "signature_moments", "sigtest", "sorted_abs",
     "time_method", "vi", "write_results",

@@ -67,31 +67,40 @@ class BenchmarkRecord:
             raise ValueError("success_rate must lie in [0, 100]")
 
 
-def _sigtest_config(variant: SignatureVariant, gamma: float, threshold: float) -> SigtestConfig:
-    return SigtestConfig(gamma=gamma, threshold=threshold, variant=variant)
+def _make_test(method: str, gamma: float, threshold: float, alpha: float,
+               dip_B: int, seed: int = 0, reference_N: int | None = None):
+    """Return the call y -> (fields, split) of one of TEST_METHODS.
 
+    ``fields`` is what the test reports: {"C": ...} for sigtest1 and
+    sigtest2, {"statistic": ..., "p_value": ...} for ad, ks and dip.
+    ``split`` is True when the test rejects unimodality. ``alpha`` is the
+    level of ad or ks, ``dip_B`` and ``seed`` set the dip bootstrap. With
+    ``reference_N`` the KS and dip calls reuse the process-wide memoized
+    calibration tables for that sample size; decisions are identical
+    either way because the tables are seed-determined.
+    """
+    if method in ("sigtest1", "sigtest2"):
+        cfg = SigtestConfig(gamma, threshold, SignatureVariant(int(method[-1])))
 
-def _make_decider(method: str, N: int, gamma: float, threshold: float,
-                  alpha_ad: float, alpha_ks: float, dip_B: int,
-                  reuse_tables: bool):
-    """Return y -> bool ("not unimodal"). With reuse_tables the KS/dip
-    calibration tables are taken from the process-wide memoized copies;
-    decisions are identical either way because the seeds are fixed."""
-    if method == "sigtest1":
-        cfg = _sigtest_config(SignatureVariant.SIGNATURE1, gamma, threshold)
-        return lambda y: sigtest(y, cfg).split
-    if method == "sigtest2":
-        cfg = _sigtest_config(SignatureVariant.SIGNATURE2, gamma, threshold)
-        return lambda y: sigtest(y, cfg).split
+        def run_sigtest(y):
+            out = sigtest(y, cfg)
+            return {"C": out.C}, out.split
+        return run_sigtest
     if method == "ad":
-        return lambda y: anderson_darling(y, alpha_ad).reject_unimodal
-    if method == "ks":
-        ref = lilliefors_table(N) if reuse_tables else None
-        return lambda y: ks_lilliefors(y, alpha_ks, reference=ref).reject_unimodal
-    if method == "dip":
-        ref = dip_reference_table(N, dip_B) if reuse_tables else None
-        return lambda y: dip_test(y, dip_B, reference=ref).reject_unimodal
-    raise ValueError(f"unknown test method {method!r}; expected one of {TEST_METHODS}")
+        call = lambda y: anderson_darling(y, alpha)
+    elif method == "ks":
+        ks_ref = lilliefors_table(reference_N) if reference_N else None
+        call = lambda y: ks_lilliefors(y, alpha, reference=ks_ref)
+    elif method == "dip":
+        dip_ref = dip_reference_table(reference_N, dip_B, seed) if reference_N else None
+        call = lambda y: dip_test(y, dip_B, seed, reference=dip_ref)
+    else:
+        raise ValueError(f"unknown test method {method!r}; expected one of {TEST_METHODS}")
+
+    def run_baseline(y):
+        dec = call(y)
+        return {"statistic": dec.statistic, "p_value": dec.p_value}, dec.reject_unimodal
+    return run_baseline
 
 
 def time_method(func, inputs) -> float:
@@ -147,12 +156,11 @@ def run_test_benchmark(separations=DEFAULT_SEPARATIONS, runs: int = 100,
 
     records = []
     for method in methods:
-        fast = _make_decider(method, N, gamma, threshold, alpha_ad, alpha_ks,
-                             dip_B, reuse_tables=True)
-        cold = _make_decider(method, N, gamma, threshold, alpha_ad, alpha_ks,
-                             dip_B, reuse_tables=False)
+        alpha = alpha_ad if method == "ad" else alpha_ks
+        fast = _make_test(method, gamma, threshold, alpha, dip_B, reference_N=N)
+        cold = _make_test(method, gamma, threshold, alpha, dip_B)
         for si, sep in enumerate(separations):
-            successes = sum(fast(y) for y in data[sep])
+            successes = sum(fast(y)[1] for y in data[sep])
             timing_inputs = [
                 gen_two_clusters(TwoClusterSpec(
                     n_per_cluster=n_per_cluster, sigma=sigma, separation=sep,

@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import anderson_darling, dip_test, ks_lilliefors
 from .benchmark import (
     DEFAULT_SEPARATIONS,
     TEST_METHODS,
+    _make_test,
     format_cluster_table,
     format_test_table,
     run_cluster_benchmark,
@@ -34,7 +34,7 @@ from .clustering import METHOD_NAMES, project_split, run_method
 from .data_io import DatasetManifest, bundled_manifest, load_csv, write_results
 from .errors import SigclusterError
 from .metrics import ari, vi
-from .sigtest import SignatureVariant, SigtestConfig, sigtest
+from .sigtest import SignatureVariant, SigtestConfig
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -60,13 +60,6 @@ def _load_columns(path: str, delimiter: str):
     manifest = DatasetManifest(name=path, path=path, label_column=None,
                                delimiter=delimiter, has_header=has_header)
     return load_csv(manifest).rows
-
-
-def _sigtest_config(args) -> SigtestConfig:
-    variant = SignatureVariant.SIGNATURE2 if getattr(args, "variant", 1) == 2 \
-        else SignatureVariant.SIGNATURE1
-    return SigtestConfig(gamma=args.gamma, threshold=args.threshold,
-                         variant=variant)
 
 
 def cmd_test(args) -> int:
@@ -99,25 +92,9 @@ def cmd_test(args) -> int:
             "seed": args.seed,
         },
     }
-    if args.method in ("sigtest1", "sigtest2"):
-        cfg = SigtestConfig(
-            gamma=args.gamma, threshold=args.threshold,
-            variant=SignatureVariant.SIGNATURE2 if args.method == "sigtest2"
-            else SignatureVariant.SIGNATURE1,
-        )
-        out = sigtest(y, cfg)
-        report.update(C=out.C, split=int(out.split))
-        split = out.split
-    else:
-        if args.method == "ad":
-            dec = anderson_darling(y, alpha)
-        elif args.method == "ks":
-            dec = ks_lilliefors(y, alpha)
-        else:
-            dec = dip_test(y, bootstrap_B=args.bootstrap_b, seed=args.seed)
-        report.update(statistic=dec.statistic, p_value=dec.p_value,
-                      split=int(dec.reject_unimodal))
-        split = dec.reject_unimodal
+    fields, split = _make_test(args.method, args.gamma, args.threshold, alpha,
+                              args.bootstrap_b, args.seed)(y)
+    report.update(fields, split=int(split))
     report["decision"] = "split" if split else "unimodal"
     print(json.dumps(report, indent=2))
     return EXIT_SPLIT if split else EXIT_OK
@@ -140,8 +117,8 @@ def _manifest_from_args(token: str, args) -> DatasetManifest:
 def cmd_cluster(args) -> int:
     manifest = _manifest_from_args(args.input, args)
     data = load_csv(manifest)
-    result = run_method(args.method, data, seed=args.seed,
-                        sigtest_config=_sigtest_config(args))
+    config = SigtestConfig(args.gamma, args.threshold, SignatureVariant(args.variant))
+    result = run_method(args.method, data, seed=args.seed, sigtest_config=config)
     report = {
         "dataset": manifest.name,
         "method": args.method,
@@ -188,7 +165,8 @@ def cmd_bench_cluster(args) -> int:
     manifests = [_manifest_from_args(tok, args) for tok in args.datasets.split(",")]
     records = run_cluster_benchmark(
         manifests, methods=args.methods.split(","), runs=args.runs,
-        seed=args.seed, sigtest_config=_sigtest_config(args),
+        seed=args.seed,
+        sigtest_config=SigtestConfig(args.gamma, args.threshold, SignatureVariant(args.variant)),
     )
     standardized = {m.name: m.standardize for m in manifests}
     print(f"clustering benchmark: runs={args.runs} seed={args.seed} "

@@ -21,6 +21,7 @@ for estimating the number of clusters", NeurIPS 25.
 """
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,24 +40,20 @@ from .errors import (
 )
 from .sigtest import SigtestConfig, sigtest
 
-# Fraction of rejecting viewers above which dipmeans_family splits when
-# the viewer test is the signature test. Viewer decisions are strongly
-# correlated (they share one cloud), so under H0 the per-cluster fraction
-# is usually ~0 but occasionally excursions to ~0.13; genuinely
-# multimodal clusters land at >= 0.2 on the benchmark datasets. 0.15
-# separates the two regimes with margin on both sides.
-SIGTEST_VIEWER_FRACTION = 0.15
-
-# Classic dip-means convention: dip viewers at bootstrap level zero
-# almost never reject under H0, so 1% of viewers is already a signal.
-DIP_VIEWER_FRACTION = 0.01
-
 
 @dataclass(frozen=True)
 class SigtestCriterion:
     """Split when the signature test rejects (projection or viewer mode)."""
 
     config: SigtestConfig = SigtestConfig()
+
+    # Fraction of rejecting viewers above which dipmeans_family splits.
+    # Viewer decisions are strongly correlated (they share one cloud), so
+    # under H0 the per-cluster fraction is usually ~0 but occasionally
+    # excursions to ~0.13; genuinely multimodal clusters land at >= 0.2 on
+    # the benchmark datasets. 0.15 separates the two regimes with margin
+    # on both sides.
+    viewer_fraction: ClassVar[float] = 0.15
 
     @property
     def name(self) -> str:
@@ -95,8 +92,10 @@ class DipViewerCriterion:
     """Viewer test for dipmeans_family: dip at bootstrap level zero."""
 
     bootstrap_B: int = 1000
-    viewer_fraction: float = DIP_VIEWER_FRACTION
-    seed: int = 0
+
+    # Classic dip-means convention: dip viewers at bootstrap level zero
+    # almost never reject under H0, so 1% of viewers is already a signal.
+    viewer_fraction: ClassVar[float] = 0.01
 
     @property
     def name(self) -> str:
@@ -107,7 +106,7 @@ class DipViewerCriterion:
         return 8
 
     def test(self, y) -> tuple[float, bool]:
-        ref = dip_reference_table(len(y), self.bootstrap_B, self.seed)
+        ref = dip_reference_table(len(y), self.bootstrap_B)
         d = dip_statistic(y)
         return d, bool(np.all(ref < d))
 
@@ -322,35 +321,26 @@ def gmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult:
     return _split_loop(data, criterion, seed, evaluate)
 
 
-def dipmeans_family(data: Dataset, criterion, seed: int = 0,
-                    viewer_fraction: float | None = None,
-                    max_viewers: int = 100,
-                    viewer_cluster_cap: int = 500) -> ClusteringResult:
+def dipmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult:
     """Dip-means-style splitting: viewers test their distance vectors.
 
-    Every member of a cluster (or a seeded sample of ``max_viewers`` when
-    the cluster exceeds ``viewer_cluster_cap``) tests its distances to
-    the other members with the viewer criterion; the cluster is split via
-    2-means when the fraction of rejecting viewers exceeds
+    Every member of a cluster (or a seeded sample of 100 when the cluster
+    has more than 500 members) tests its distances to the other members
+    with the viewer criterion; the cluster is split via 2-means when the
+    fraction of rejecting viewers exceeds the criterion's calibrated
     ``viewer_fraction``. The logged statistic is that fraction.
 
-    ``criterion`` is SigtestCriterion (dip-means+) or DipViewerCriterion
-    (classic dip-means). The default viewer_fraction is the criterion's
-    calibrated convention: DIP_VIEWER_FRACTION (0.01) for dip viewers,
-    SIGTEST_VIEWER_FRACTION (0.15) for sigtest viewers.
+    ``criterion`` is SigtestCriterion (dip-means+, viewer_fraction 0.15)
+    or DipViewerCriterion (classic dip-means, viewer_fraction 0.01).
     """
-    if isinstance(criterion, DipViewerCriterion):
-        threshold = criterion.viewer_fraction if viewer_fraction is None else viewer_fraction
-    elif isinstance(criterion, SigtestCriterion):
-        threshold = SIGTEST_VIEWER_FRACTION if viewer_fraction is None else viewer_fraction
-    else:
+    if not isinstance(criterion, (SigtestCriterion, DipViewerCriterion)):
         raise TypeError("dipmeans_family takes SigtestCriterion or DipViewerCriterion")
 
     def evaluate(members, rng):
         m = members.shape[0]
         viewers = np.arange(m)
-        if m > viewer_cluster_cap:
-            viewers = rng.choice(m, size=max_viewers, replace=False)
+        if m > 500:
+            viewers = rng.choice(m, size=100, replace=False)
         dist = np.sqrt(((members[:, None, :] - members[None, :, :]) ** 2).sum(axis=2))
         rejecting = 0
         for v in viewers:
@@ -361,8 +351,7 @@ def dipmeans_family(data: Dataset, criterion, seed: int = 0,
                 reject = False  # equidistant viewer, nothing to test
             rejecting += reject
         fraction = rejecting / len(viewers)
-        decision = fraction > threshold
-        if not decision:
+        if fraction <= criterion.viewer_fraction:
             return fraction, False, None
         child_a, child_c = _two_means(members, rng)
         return fraction, True, (child_a, child_c)

@@ -5,19 +5,15 @@ from any number of threads. Samples are plain 1-d float arrays; the
 helpers validate shape and finiteness on entry.
 """
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 from scipy.special import erf
 
-from .errors import (
-    DegenerateInputError,
-    IndexOutOfRangeError,
-    NegativeInputError,
-    NonFiniteInputError,
-)
+from .errors import DegenerateInputError, NegativeInputError, NonFiniteInputError
 
 _SQRT2 = float(np.sqrt(2.0))
+_add_reduce = np.add.reduce  # same pairwise sum ndarray.mean uses, less dispatch
 
 
 def as_sample(values) -> np.ndarray:
@@ -34,35 +30,64 @@ def as_sample(values) -> np.ndarray:
     return y
 
 
+def _normalized(y: np.ndarray) -> np.ndarray:
+    """normalize() of a 1-d float64 array of at least two values.
+
+    NaN/Inf are only looked for when the mean comes out non-finite (a
+    finite mean is impossible with any present), so callers that skip
+    as_sample still get NonFiniteInputError.
+    """
+    N = y.size
+    mean = _add_reduce(y) / N
+    if not math.isfinite(mean):
+        as_sample(y)
+        raise DegenerateInputError("sample magnitude overflows: the mean is not finite")
+    d = y - mean
+    scale = math.sqrt(_add_reduce(d * d) / N)
+    if not math.isfinite(scale):
+        raise DegenerateInputError(
+            "sample magnitude overflows: the squared deviations exceed the float range")
+    # relative floor catches constant vectors whose mean subtraction
+    # leaves only rounding residue
+    if scale == 0.0 or scale < abs(mean) * 1e-13:
+        raise DegenerateInputError("zero spread: all values are equal")
+    d /= scale
+    return d
+
+
 def normalize(samples) -> np.ndarray:
     """Shift to mean 0 and scale to unit population standard deviation.
 
     The scale is sqrt(mean((y - ybar)^2)), i.e. the 1/N convention, so the
     output is a deterministic canonical form: normalize(a*y + b) equals
-    normalize(y) for any a > 0 and any b.
+    normalize(y) for any a > 0 and any b, as long as the squared
+    deviations stay within the float range.
 
     Raises
     ------
     DegenerateInputError
-        If fewer than two values, or all values equal.
+        If fewer than two values, all values equal, or the squared
+        deviations overflow.
     """
     y = as_sample(samples)
     if y.size < 2:
         raise DegenerateInputError("need at least two values to normalize")
-    mean = y.mean()
-    d = y - mean
-    scale = np.sqrt(np.mean(d * d))
-    # relative floor catches constant vectors whose mean subtraction
-    # leaves only rounding residue
-    if scale == 0.0 or not np.isfinite(scale) or scale < abs(mean) * 1e-13:
-        raise DegenerateInputError("zero spread: all values are equal")
-    return d / scale
+    return _normalized(y)
+
+
+def _sorted_abs(y: np.ndarray) -> np.ndarray:
+    a = np.abs(y)
+    a.sort(kind="stable")
+    return a
 
 
 def sorted_abs(samples) -> np.ndarray:
     """Absolute values sorted ascending (stable, so ties keep input order)."""
-    y = as_sample(samples)
-    return np.sort(np.abs(y), kind="stable")
+    return _sorted_abs(as_sample(samples))
+
+
+def _half_normal_cdf(t):
+    return erf(t / _SQRT2)
 
 
 def half_normal_cdf(t):
@@ -78,36 +103,7 @@ def half_normal_cdf(t):
     t_arr = np.asarray(t, dtype=np.float64)
     if np.any(t_arr < 0):
         raise NegativeInputError("half-normal CDF is defined for t >= 0")
-    out = erf(t_arr / _SQRT2)
+    out = _half_normal_cdf(t_arr)
     if np.isscalar(t) or t_arr.ndim == 0:
         return float(out)
     return out
-
-
-@dataclass(frozen=True)
-class OrderStatMoments:
-    """Mean level and variance of the n-th of N uniform order statistics.
-
-    ``p`` is the expected CDF level n/(N+1); ``var`` is the binomial-style
-    approximation p(1-p)/N, which is bounded by 1/(4N).
-    """
-
-    n: int
-    p: float
-    var: float
-
-
-def order_statistic_moments(n: int, N: int) -> OrderStatMoments:
-    """Moments of the n-th order statistic (in the probability domain).
-
-    Raises
-    ------
-    IndexOutOfRangeError
-        Unless 1 <= n <= N.
-    """
-    if not 1 <= n <= N:
-        raise IndexOutOfRangeError(f"n={n} outside [1, {N}]")
-    p = n / (N + 1.0)
-    # n*(N+1-n) keeps the value exactly symmetric under n <-> N+1-n
-    var = (n * (N + 1.0 - n)) / ((N + 1.0) * (N + 1.0) * N)
-    return OrderStatMoments(n=n, p=p, var=var)

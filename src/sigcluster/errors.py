@@ -11,15 +11,12 @@ class SigclusterError(Exception):
 
 
 class DegenerateInputError(SigclusterError, ValueError):
-    """Sample cannot be normalized: fewer than two values or zero spread."""
+    """Sample cannot be normalized: fewer than two values, zero spread, or a
+    magnitude whose squared deviations overflow."""
 
 
 class NegativeInputError(SigclusterError, ValueError):
     """Argument must be nonnegative."""
-
-
-class IndexOutOfRangeError(SigclusterError, ValueError):
-    """Order-statistic index n outside [1, N]."""
 
 
 class TooFewSamplesError(SigclusterError, ValueError):

@@ -23,18 +23,19 @@ Everything is deterministic and pure: no randomness, no shared state.
 """
 
 import enum
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf
 
-from .core import as_sample, half_normal_cdf, normalize, sorted_abs
-from .errors import DegenerateInputError, LengthMismatchError, TooFewSamplesError
-
-_SQRT2 = float(np.sqrt(2.0))
-_add_reduce = np.add.reduce  # same pairwise sum ndarray.mean uses, less dispatch
+from .core import (
+    _half_normal_cdf,
+    _normalized,
+    _sorted_abs,
+    as_sample,
+    half_normal_cdf,
+)
+from .errors import LengthMismatchError, TooFewSamplesError
 
 
 class SignatureVariant(enum.Enum):
@@ -65,17 +66,6 @@ class SigtestConfig:
             raise ValueError("threshold must lie in [0, 1]")
         if self.min_samples < 8:
             raise ValueError("min_samples must be at least 8")
-
-
-@dataclass(frozen=True)
-class Signature:
-    """A signature sequence in the probability domain (values in [0, 1])."""
-
-    values: np.ndarray
-    variant: SignatureVariant
-
-    def __len__(self):
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -128,18 +118,19 @@ def signature_moments(N: int, variant: SignatureVariant):
     return center, var
 
 
-def compute_signature(z, variant: SignatureVariant = SignatureVariant.SIGNATURE1) -> Signature:
-    """Build a signature from a sorted-absolute-normalized sample.
+def _running_mean(s: np.ndarray) -> np.ndarray:
+    return np.cumsum(s) / np.arange(1, s.size + 1)
+
+
+def compute_signature(z, variant: SignatureVariant = SignatureVariant.SIGNATURE1) -> np.ndarray:
+    """Signature of a sorted-absolute-normalized sample, as a float array.
 
     ``z`` must be the output of ``sorted_abs(normalize(y))``. Signature 1
     maps each z_n through the half-normal CDF; signature 2 is the running
-    mean of that sequence.
+    mean of that sequence. Values lie in [0, 1].
     """
-    z = as_sample(z)
-    s = np.asarray(half_normal_cdf(z), dtype=np.float64)
-    if variant is SignatureVariant.SIGNATURE2:
-        s = np.cumsum(s) / np.arange(1, len(s) + 1)
-    return Signature(values=s, variant=variant)
+    s = half_normal_cdf(as_sample(z))
+    return _running_mean(s) if variant is SignatureVariant.SIGNATURE2 else s
 
 
 def compute_bounds(N: int, config: SigtestConfig) -> SignatureBounds:
@@ -165,24 +156,29 @@ def compute_bounds(N: int, config: SigtestConfig) -> SignatureBounds:
     return SignatureBounds(upper=upper, lower=lower, gamma=config.gamma)
 
 
-def count_violations(signature: Signature, bounds: SignatureBounds):
-    """Count indices strictly outside the band.
+def _violations(s: np.ndarray, bounds: SignatureBounds):
+    flags = (s < bounds.lower) | (s > bounds.upper)
+    return float(np.count_nonzero(flags)) / s.size, flags
 
-    A violation is s_n < L(n) or s_n > U(n); touching a bound is not a
-    violation. Returns ``(C, flags)`` where C = mean(flags) exactly.
+
+def count_violations(signature, bounds: SignatureBounds):
+    """Count indices of a signature array strictly outside the band.
+
+    ``signature`` is the array ``compute_signature`` returns. A violation
+    is s_n < L(n) or s_n > U(n); touching a bound is not a violation.
+    Returns ``(C, flags)`` where C = mean(flags) exactly.
 
     Raises
     ------
     LengthMismatchError
         If signature and bounds differ in length.
     """
-    s = signature.values
+    s = np.asarray(signature, dtype=np.float64)
     if len(s) != len(bounds):
         raise LengthMismatchError(
             f"signature length {len(s)} != bounds length {len(bounds)}"
         )
-    flags = (s < bounds.lower) | (s > bounds.upper)
-    return float(np.count_nonzero(flags)) / len(s), flags
+    return _violations(s, bounds)
 
 
 @lru_cache(maxsize=128)
@@ -204,19 +200,23 @@ def sigtest(y, config: SigtestConfig = SigtestConfig()) -> TestOutcome:
     Pipeline: normalize -> sorted_abs -> compute_signature ->
     compute_bounds -> count_violations; split = (C > threshold).
     Deterministic, and invariant under permutation and affine maps
-    a*y + b (a != 0) of the input.
+    a*y + b (a != 0) of the input while the squared deviations of a*y
+    stay within the float range (for a sample of spread 1, |a| up to
+    about 1e154 / sqrt(N)); beyond that it raises DegenerateInputError.
 
-    The pipeline is inlined here with the band cached per (N, gamma,
-    variant); the arithmetic is identical to composing the module
-    operations (a test pins the outputs as exactly equal), it just skips
-    re-validating the sample at every stage.
+    The sample is validated once, then runs through the same stage
+    helpers as the public stage functions, with the band cached per
+    (N, gamma, variant); a test pins the outputs as exactly equal to
+    composing the public stages.
 
     Raises
     ------
     TooFewSamplesError
         If len(y) < config.min_samples.
     DegenerateInputError
-        If the sample has zero spread.
+        If the sample has zero spread or its squared deviations overflow.
+    NonFiniteInputError
+        If the sample contains NaN or infinity.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.size == 0:
@@ -226,23 +226,10 @@ def sigtest(y, config: SigtestConfig = SigtestConfig()) -> TestOutcome:
         raise TooFewSamplesError(
             f"N={N} below min_samples={config.min_samples}"
         )
-    mean = _add_reduce(y) / N
-    if not math.isfinite(mean):
-        # a finite mean is impossible with any NaN/Inf present, so only
-        # suspicious samples pay for the elementwise check
-        as_sample(y)
-        raise DegenerateInputError("sample magnitude overflows")
-    d = y - mean
-    scale = math.sqrt(_add_reduce(d * d) / N)
-    if scale == 0.0 or scale < abs(mean) * 1e-13:
-        raise DegenerateInputError("zero spread: all values are equal")
-    z = np.sort(np.abs(d / scale), kind="stable")
-    s = erf(z / _SQRT2)
+    s = _half_normal_cdf(_sorted_abs(_normalized(y)))
     if config.variant is SignatureVariant.SIGNATURE2:
-        s = np.cumsum(s) / np.arange(1, N + 1)
-    bounds = _frozen_bounds(N, config.gamma, config.variant)
-    flags = (s < bounds.lower) | (s > bounds.upper)
-    C = float(np.count_nonzero(flags)) / N
+        s = _running_mean(s)
+    C, flags = _violations(s, _frozen_bounds(N, config.gamma, config.variant))
     return TestOutcome(
         C=C,
         violations=flags,

@@ -3,14 +3,14 @@ import pytest
 from scipy.integrate import quad
 
 from sigcluster import (
+    SignatureVariant,
     half_normal_cdf,
     normalize,
-    order_statistic_moments,
+    signature_moments,
     sorted_abs,
 )
 from sigcluster.errors import (
     DegenerateInputError,
-    IndexOutOfRangeError,
     NegativeInputError,
     NonFiniteInputError,
 )
@@ -41,6 +41,12 @@ class TestNormalize:
             normalize([5.0, 5.0, 5.0])
         with pytest.raises(DegenerateInputError):
             normalize([1.0])
+
+    def test_overflow_is_typed_error(self):
+        # the squared deviations overflow although every value is finite
+        y = np.random.default_rng(3).normal(size=200) * 1e160
+        with pytest.raises(DegenerateInputError, match="overflow"):
+            normalize(y)
 
     def test_rejects_nan(self):
         with pytest.raises(NonFiniteInputError):
@@ -100,29 +106,32 @@ class TestHalfNormalCdf:
 
 
 class TestOrderStatMoments:
+    # signature 1's band moments are the uniform order-statistic moments
+    @staticmethod
+    def moments(n, N):
+        p, var = signature_moments(N, SignatureVariant.SIGNATURE1)
+        return p[n - 1], var[n - 1]
+
     def test_single_sample(self):
-        m = order_statistic_moments(1, 1)
-        assert m.p == 0.5 and m.var == 0.25
+        p, var = self.moments(1, 1)
+        assert p == 0.5 and var == 0.25
 
     def test_hand_cases(self):
-        m = order_statistic_moments(50, 99)
-        assert abs(m.p - 0.5) < 1e-15
-        assert abs(m.var - 0.0025252525) < 1e-9
-        m = order_statistic_moments(99, 99)
-        assert abs(m.p - 0.99) < 1e-15
-        assert abs(m.var - 0.0001) < 1e-12
-
-    def test_out_of_range(self):
-        for n, N in [(0, 5), (6, 5), (-1, 5)]:
-            with pytest.raises(IndexOutOfRangeError):
-                order_statistic_moments(n, N)
+        p, var = self.moments(50, 99)
+        assert abs(p - 0.5) < 1e-15
+        assert abs(var - 0.0025252525) < 1e-9
+        p, var = self.moments(99, 99)
+        assert abs(p - 0.99) < 1e-15
+        assert abs(var - 0.0001) < 1e-12
 
     def test_var_bound_symmetry_and_peak(self):
         N = 37
-        vs = [order_statistic_moments(n, N).var for n in range(1, N + 1)]
-        assert max(vs) <= 1.0 / (4 * N) + 1e-15
+        _, vs = signature_moments(N, SignatureVariant.SIGNATURE1)
+        assert vs.max() <= 1.0 / (4 * N) + 1e-15
+        # symmetric under n <-> N+1-n up to rounding: p(1-p) of 1-p is
+        # not bit-equal to that of p (max relative difference 1.1e-15)
         for n in range(1, N + 1):
-            assert vs[n - 1] == pytest.approx(vs[N - n], abs=0)
+            assert vs[n - 1] == pytest.approx(vs[N - n], rel=10 * np.finfo(float).eps, abs=0)
         assert np.argmax(vs) + 1 in ((N + 1) // 2, (N + 2) // 2)
 
 

@@ -45,19 +45,19 @@ class TestConfig:
 class TestComputeSignature:
     def test_zeros_map_to_zero(self):
         s = compute_signature(np.zeros(3), SIG1)
-        np.testing.assert_array_equal(s.values, [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(s, [0.0, 0.0, 0.0])
 
     def test_sig2_of_constant_sequence(self):
         # cumulative mean of a constant signature is the same constant
         z = np.full(5, 1.234)
         s1 = compute_signature(z, SIG1)
         s2 = compute_signature(z, SIG2)
-        np.testing.assert_allclose(s2.values, s1.values, atol=1e-15)
+        np.testing.assert_allclose(s2, s1, atol=1e-15)
 
     def test_sig2_is_cumulative_mean_of_sig1(self):
         z = sorted_abs(normalize(np.random.default_rng(8).normal(size=64)))
-        s1 = compute_signature(z, SIG1).values
-        s2 = compute_signature(z, SIG2).values
+        s1 = compute_signature(z, SIG1)
+        s2 = compute_signature(z, SIG2)
         np.testing.assert_allclose(
             s2, np.cumsum(s1) / np.arange(1, 65), atol=1e-15)
 
@@ -66,7 +66,7 @@ class TestComputeSignature:
             for seed in range(5):
                 z = sorted_abs(normalize(
                     np.random.default_rng([9, seed]).normal(size=100)))
-                v = compute_signature(z, variant).values
+                v = compute_signature(z, variant)
                 assert np.all(v >= 0) and np.all(v <= 1)
                 assert np.all(np.diff(v) >= -1e-15)
 
@@ -74,7 +74,7 @@ class TestComputeSignature:
         # signature of 1000 standard-normal draws stays near n/(N+1)
         N = 1000
         z = sorted_abs(normalize(np.random.default_rng(10).normal(size=N)))
-        s = compute_signature(z, SIG1).values
+        s = compute_signature(z, SIG1)
         p = np.arange(1, N + 1) / (N + 1.0)
         assert np.mean(np.abs(s - p)) < 0.03
 
@@ -144,43 +144,38 @@ class TestCountViolations:
         cfg = SigtestConfig()
         b = compute_bounds(50, cfg)
         center, _ = signature_moments(50, cfg.variant)
-        from sigcluster.sigtest import Signature
-        C, flags = count_violations(Signature(center, SIG1), b)
+        C, flags = count_violations(center, b)
         assert C == 0.0 and not flags.any()
 
     def test_everywhere_above(self):
-        from sigcluster.sigtest import Signature
         b = compute_bounds(50, SigtestConfig())
         interior = (b.upper < 1.0)
         sig = np.where(interior, np.minimum(b.upper + 0.01, 1.0), 2.0)
-        C, flags = count_violations(Signature(sig, SIG1), b)
+        C, flags = count_violations(sig, b)
         assert C == 1.0
 
     def test_exact_fraction(self):
-        from sigcluster.sigtest import Signature
         cfg = SigtestConfig(min_samples=8)
         b = compute_bounds(8, cfg)
         center, _ = signature_moments(8, cfg.variant)
         sig = center.copy()
         sig[2] = b.upper[2] + 0.005  # strictly outside
         sig[5] = b.lower[5] - 0.005
-        C, flags = count_violations(Signature(sig, SIG1), b)
+        C, flags = count_violations(sig, b)
         assert C == 2.0 / 8.0
         assert flags.sum() == 2
 
     def test_boundary_contact_is_not_violation(self):
-        from sigcluster.sigtest import Signature
         b = compute_bounds(20, SigtestConfig())
-        C, _ = count_violations(Signature(b.upper.copy(), SIG1), b)
+        C, _ = count_violations(b.upper.copy(), b)
         assert C == 0.0
-        C, _ = count_violations(Signature(b.lower.copy(), SIG1), b)
+        C, _ = count_violations(b.lower.copy(), b)
         assert C == 0.0
 
     def test_length_mismatch(self):
-        from sigcluster.sigtest import Signature
         b = compute_bounds(20, SigtestConfig())
         with pytest.raises(LengthMismatchError):
-            count_violations(Signature(np.zeros(10), SIG1), b)
+            count_violations(np.zeros(10), b)
 
 
 class TestSigtest:
@@ -220,6 +215,13 @@ class TestSigtest:
         with pytest.raises(TooFewSamplesError):
             sigtest(np.arange(7.0))
 
+    def test_overflow_is_typed_error(self):
+        # finite values whose squared deviations overflow: no verdict
+        y = np.random.default_rng(3).normal(size=200) * 1e160
+        for variant in (SIG1, SIG2):
+            with pytest.raises(DegenerateInputError, match="overflow"):
+                sigtest(y, SigtestConfig(variant=variant))
+
     def test_affine_and_permutation_invariance(self):
         rng = np.random.default_rng(15)
         y = two_clusters(2.2, seed=9)
@@ -254,8 +256,8 @@ class TestSigtest:
         for r in range(30):
             y = np.random.default_rng([17, r]).normal(size=120)
             z = sorted_abs(normalize(y))
-            s1 = compute_signature(z, SIG1).values
-            s2 = compute_signature(z, SIG2).values
+            s1 = compute_signature(z, SIG1)
+            s2 = compute_signature(z, SIG2)
             tv1 = np.abs(np.diff(s1)).sum()
             tv2 = np.abs(np.diff(s2)).sum()
             assert tv2 <= tv1 + 1e-12
@@ -269,8 +271,8 @@ class TestSigtest:
         assert splits <= 10
 
     def test_equals_composed_pipeline_exactly(self):
-        # sigtest inlines the pipeline with a cached band; its outputs
-        # must match composing the module operations bit for bit
+        # sigtest runs the stage helpers with a cached band; its outputs
+        # must match composing the public stage functions bit for bit
         for variant in (SIG1, SIG2):
             cfg = SigtestConfig(variant=variant)
             for r in range(20):
