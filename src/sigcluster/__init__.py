@@ -11,7 +11,6 @@ to estimate the number of clusters.
 from .baselines import (
     AD_CRITICAL_VALUES,
     BaselineDecision,
-    BaselineMethod,
     anderson_darling,
     anderson_darling_statistic,
     dip_reference_dips,
@@ -69,8 +68,8 @@ from .synthetic import TwoClusterSpec, gen_gaussian, gen_two_clusters
 __version__ = "0.1.0"
 
 __all__ = [
-    "AD_CRITICAL_VALUES", "ADCriterion", "BaselineDecision", "BaselineMethod",
-    "BenchmarkRecord", "ClusteringResult", "Dataset", "DatasetManifest",
+    "AD_CRITICAL_VALUES", "ADCriterion", "BaselineDecision", "BenchmarkRecord",
+    "ClusteringResult", "Dataset", "DatasetManifest",
     "DipViewerCriterion", "SignatureBounds", "SignatureVariant",
     "SigtestConfig", "SigtestCriterion", "SplitRecord", "TestOutcome",
     "TwoClusterSpec", "anderson_darling", "anderson_darling_statistic", "ari",

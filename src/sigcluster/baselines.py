@@ -2,8 +2,9 @@
 Kolmogorov-Smirnov, and Hartigan's dip.
 
 All three are shift/scale invariant (AD and KS estimate location/scale;
-the dip only depends on the shape of the empirical CDF). Each is pure
-given (input, seed), so calls may run concurrently.
+the dip only depends on the shape of the empirical CDF). Each is a pure
+function of its input: the KS and dip calibrations draw from fixed seeds,
+so calls may run concurrently.
 
 References
 ----------
@@ -15,7 +16,6 @@ Hartigan & Hartigan (1985), "The dip test of unimodality", Ann. Statist.
 13; Hartigan (1985), "Algorithm AS 217", Appl. Statist. 34.
 """
 
-import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,12 +25,6 @@ from scipy.special import ndtr
 
 from .core import as_sample
 from .errors import DegenerateInputError, TooFewSamplesError
-
-
-class BaselineMethod(enum.Enum):
-    AD = "anderson-darling"
-    KS = "ks-lilliefors"
-    DIP = "dip"
 
 
 @dataclass(frozen=True)
@@ -45,7 +39,6 @@ class BaselineDecision:
     statistic: float
     p_value: float | None
     reject_unimodal: bool
-    method: BaselineMethod
 
 
 # Critical values for the corrected AD statistic A*^2 against a normal
@@ -72,40 +65,39 @@ def anderson_darling_statistic(y) -> float:
     N = y.size
     if np.all(y == y[0]):
         raise DegenerateInputError("zero spread: all values are equal")
-    a2 = stats.anderson(y, dist="norm").statistic
+    a2 = stats.anderson(y, dist="norm", method="interpolate").statistic
     return float(a2 * (1.0 + 0.75 / N + 2.25 / N**2))
 
 
-def anderson_darling(y, alpha: float = 0.0001,
-                     critical_values: dict | None = None) -> BaselineDecision:
+def anderson_darling(y, alpha: float = 0.0001) -> BaselineDecision:
     """Anderson-Darling normality test with estimated parameters.
 
     Rejects when the small-sample-corrected statistic exceeds the critical
-    value for ``alpha``. The alpha -> critical value map is pluggable via
-    ``critical_values``; the built-in table covers the common levels plus
-    the 1e-4 splitting convention.
+    value of ``alpha`` in :data:`AD_CRITICAL_VALUES`, which covers the
+    common levels plus the 1e-4 splitting convention.
 
     Raises
     ------
     TooFewSamplesError
         If N < 8.
+    ValueError
+        If ``alpha`` has no entry in the critical-value table.
     DegenerateInputError
         If all values are equal.
     """
     y = as_sample(y)
     if y.size < 8:
         raise TooFewSamplesError(f"AD test needs N >= 8, got {y.size}")
-    table = AD_CRITICAL_VALUES if critical_values is None else critical_values
-    if alpha not in table:
+    if alpha not in AD_CRITICAL_VALUES:
         raise ValueError(
-            f"no critical value for alpha={alpha}; available: {sorted(table)}"
+            f"no critical value for alpha={alpha}; "
+            f"available: {sorted(AD_CRITICAL_VALUES)}"
         )
     stat = anderson_darling_statistic(y)
     return BaselineDecision(
         statistic=stat,
         p_value=None,
-        reject_unimodal=bool(stat > table[alpha]),
-        method=BaselineMethod.AD,
+        reject_unimodal=bool(stat > AD_CRITICAL_VALUES[alpha]),
     )
 
 
@@ -125,16 +117,16 @@ def ks_statistic(y) -> float:
     return float(max(d_plus, d_minus))
 
 
-def lilliefors_reference(N: int, replicates: int = 10_000,
-                         seed: int = 202_405) -> np.ndarray:
+def lilliefors_reference(N: int) -> np.ndarray:
     """Sorted Monte-Carlo reference distribution of the Lilliefors D.
 
-    ``replicates`` standard-normal samples of size N are drawn with a
-    fixed seed, each reduced to its D statistic. The result depends only
-    on (N, replicates, seed), so it doubles as a reproducible critical-
-    value table: the 1-alpha quantile is the level-alpha critical value.
+    10^4 standard-normal samples of size N are drawn with a fixed seed,
+    each reduced to its D statistic. The result depends only on N, so it
+    doubles as a reproducible critical-value table: the 1-alpha quantile
+    is the level-alpha critical value.
     """
-    rng = np.random.default_rng([seed, N, replicates])
+    replicates = 10_000
+    rng = np.random.default_rng([202_405, N, replicates])
     X = rng.standard_normal((replicates, N))
     X.sort(axis=1)
     m = X.mean(axis=1, keepdims=True)
@@ -147,21 +139,19 @@ def lilliefors_reference(N: int, replicates: int = 10_000,
 
 
 @lru_cache(maxsize=64)
-def lilliefors_table(N: int, replicates: int = 10_000,
-                     seed: int = 202_405) -> np.ndarray:
+def lilliefors_table(N: int) -> np.ndarray:
     """Memoized :func:`lilliefors_reference` for repeated testing at one N.
 
-    Because the reference is a pure function of (N, replicates, seed),
-    decisions made through this cache are identical to self-contained
-    calls; only the amortized cost differs.
+    Because the reference is a pure function of N, decisions made through
+    this cache are identical to self-contained calls; only the amortized
+    cost differs.
     """
-    ref = lilliefors_reference(N, replicates, seed)
+    ref = lilliefors_reference(N)
     ref.setflags(write=False)
     return ref
 
 
-def ks_lilliefors(y, alpha: float = 0.05, replicates: int = 10_000,
-                  seed: int = 202_405,
+def ks_lilliefors(y, alpha: float = 0.05,
                   reference: np.ndarray | None = None) -> BaselineDecision:
     """Lilliefors KS normality test, Monte-Carlo calibrated.
 
@@ -180,7 +170,7 @@ def ks_lilliefors(y, alpha: float = 0.05, replicates: int = 10_000,
     if y.size < 8:
         raise TooFewSamplesError(f"KS test needs N >= 8, got {y.size}")
     D = ks_statistic(y)
-    ref = lilliefors_reference(y.size, replicates, seed) if reference is None else reference
+    ref = lilliefors_reference(y.size) if reference is None else reference
     critical = float(np.quantile(ref, 1.0 - alpha))
     # p-value: share of reference D at least as extreme
     p = float((ref.size - np.searchsorted(ref, D, side="left")) / ref.size)
@@ -188,7 +178,6 @@ def ks_lilliefors(y, alpha: float = 0.05, replicates: int = 10_000,
         statistic=D,
         p_value=p,
         reject_unimodal=bool(D > critical),
-        method=BaselineMethod.KS,
     )
 
 
@@ -205,9 +194,14 @@ def dip_statistic(y) -> float:
         If N < 4.
     """
     y = as_sample(y)
+    if y.size < 4:
+        raise TooFewSamplesError(f"dip needs N >= 4, got {y.size}")
+    return _dip(y)
+
+
+def _dip(y: np.ndarray) -> float:
+    """dip_statistic of a validated sample, so dip_test checks it once."""
     n = y.size
-    if n < 4:
-        raise TooFewSamplesError(f"dip needs N >= 4, got {n}")
     x = np.sort(y).tolist()  # python floats: the index loops below run ~3x faster
     if x[0] == x[-1]:
         return 1.0 / (2 * n)
@@ -316,30 +310,34 @@ def dip_statistic(y) -> float:
     return dip / (2 * n)
 
 
-def dip_reference_dips(N: int, B: int = 1000, seed: int = 0) -> np.ndarray:
+def dip_reference_dips(N: int, B: int = 1000) -> np.ndarray:
     """Dip statistics of B uniform(0,1) samples of size N, fixed seed.
 
     This is the bootstrap null distribution used by :func:`dip_test`;
-    replicate b is drawn from the generator substream [seed, N, b], so
-    the set is reproducible and could be evaluated in parallel without
+    replicate b is drawn from the generator substream [0, N, b], so the
+    set is reproducible and could be evaluated in parallel without
     changing the result.
     """
     dips = np.empty(B)
     for b in range(B):
-        u = np.random.default_rng([seed, N, b]).uniform(size=N)
-        dips[b] = dip_statistic(u)
+        u = np.random.default_rng([0, N, b]).uniform(size=N)
+        dips[b] = _dip(u)
     return dips
 
 
 @lru_cache(maxsize=64)
-def dip_reference_table(N: int, B: int = 1000, seed: int = 0) -> np.ndarray:
-    """Memoized :func:`dip_reference_dips` (identical values, amortized)."""
-    ref = dip_reference_dips(N, B, seed)
+def dip_reference_table(N: int, B: int = 1000) -> np.ndarray:
+    """Memoized :func:`dip_reference_dips` (identical values, amortized).
+
+    The cache is keyed on the arguments as passed, so the library always
+    calls it positionally as ``(N, B)``.
+    """
+    ref = dip_reference_dips(N, B)
     ref.setflags(write=False)
     return ref
 
 
-def dip_test(y, bootstrap_B: int = 1000, seed: int = 0,
+def dip_test(y, bootstrap_B: int = 1000,
              reference: np.ndarray | None = None) -> BaselineDecision:
     """Dip test with a bootstrap p-value at "level zero".
 
@@ -359,12 +357,11 @@ def dip_test(y, bootstrap_B: int = 1000, seed: int = 0,
         raise TooFewSamplesError(f"dip test needs N >= 4, got {y.size}")
     if bootstrap_B < 100:
         raise TooFewSamplesError("bootstrap_B must be at least 100")
-    d = dip_statistic(y)
-    ref = dip_reference_dips(y.size, bootstrap_B, seed) if reference is None else reference
-    p = float(np.mean(ref >= d))
+    d = _dip(y)
+    ref = dip_reference_dips(y.size, bootstrap_B) if reference is None else reference
+    p = np.count_nonzero(ref >= d) / ref.size
     return BaselineDecision(
         statistic=d,
         p_value=p,
         reject_unimodal=bool(p == 0.0),
-        method=BaselineMethod.DIP,
     )

@@ -68,13 +68,13 @@ class BenchmarkRecord:
 
 
 def _make_test(method: str, gamma: float, threshold: float, alpha: float,
-               dip_B: int, seed: int = 0, reference_N: int | None = None):
+               dip_B: int, reference_N: int | None = None):
     """Return the call y -> (fields, split) of one of TEST_METHODS.
 
     ``fields`` is what the test reports: {"C": ...} for sigtest1 and
     sigtest2, {"statistic": ..., "p_value": ...} for ad, ks and dip.
     ``split`` is True when the test rejects unimodality. ``alpha`` is the
-    level of ad or ks, ``dip_B`` and ``seed`` set the dip bootstrap. With
+    level of ad or ks, ``dip_B`` the size of the dip bootstrap. With
     ``reference_N`` the KS and dip calls reuse the process-wide memoized
     calibration tables for that sample size; decisions are identical
     either way because the tables are seed-determined.
@@ -92,8 +92,8 @@ def _make_test(method: str, gamma: float, threshold: float, alpha: float,
         ks_ref = lilliefors_table(reference_N) if reference_N else None
         call = lambda y: ks_lilliefors(y, alpha, reference=ks_ref)
     elif method == "dip":
-        dip_ref = dip_reference_table(reference_N, dip_B, seed) if reference_N else None
-        call = lambda y: dip_test(y, dip_B, seed, reference=dip_ref)
+        dip_ref = dip_reference_table(reference_N, dip_B) if reference_N else None
+        call = lambda y: dip_test(y, dip_B, reference=dip_ref)
     else:
         raise ValueError(f"unknown test method {method!r}; expected one of {TEST_METHODS}")
 
@@ -128,46 +128,36 @@ def time_method(func, inputs) -> float:
 
 def run_test_benchmark(separations=DEFAULT_SEPARATIONS, runs: int = 100,
                        seed: int = 7, methods=TEST_METHODS,
-                       n_per_cluster: int = 100, sigma: float = 1.0,
                        gamma: float = 2.0, threshold: float = 0.4,
-                       alpha_ad: float = 0.0001, alpha_ks: float = 0.05,
-                       dip_B: int = 1000,
+                       alpha_ks: float = 0.05,
                        timing_runs: int = 10) -> list[BenchmarkRecord]:
     """Success rate and mean per-call time of each test on two-cluster data.
 
-    For every separation, ``runs`` fresh two-cluster samples (1-d,
-    n_per_cluster per side) are generated from substreams of ``seed`` and
-    shared across methods; success means the method rejects unimodality.
-    Timing uses ``timing_runs`` additional samples per cell and times the
-    self-contained method call (see module docstring).
+    For every separation, ``runs`` fresh two-cluster samples (1-d, the
+    TwoClusterSpec defaults of 100 points per side at unit sigma) are
+    generated from substreams of ``seed`` and shared across methods;
+    success means the method rejects unimodality. AD runs at level 1e-4,
+    the dip test with a B=1000 bootstrap. Timing uses ``timing_runs``
+    additional samples per cell and times the self-contained method call
+    (see module docstring).
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    N = 2 * n_per_cluster
-    data = {}
-    for si, sep in enumerate(separations):
-        data[sep] = [
-            gen_two_clusters(TwoClusterSpec(
-                n_per_cluster=n_per_cluster, sigma=sigma, separation=sep,
-                dimension=1, seed=_substream_seed(seed, si, r),
-            )).rows[:, 0]
-            for r in range(runs)
-        ]
+    N = 2 * TwoClusterSpec.n_per_cluster
+    data = {
+        sep: [_sweep_sample(sep, _substream_seed(seed, si, r)) for r in range(runs)]
+        for si, sep in enumerate(separations)
+    }
 
     records = []
     for method in methods:
-        alpha = alpha_ad if method == "ad" else alpha_ks
-        fast = _make_test(method, gamma, threshold, alpha, dip_B, reference_N=N)
-        cold = _make_test(method, gamma, threshold, alpha, dip_B)
+        alpha = 0.0001 if method == "ad" else alpha_ks
+        fast = _make_test(method, gamma, threshold, alpha, 1000, reference_N=N)
+        cold = _make_test(method, gamma, threshold, alpha, 1000)
         for si, sep in enumerate(separations):
             successes = sum(fast(y)[1] for y in data[sep])
-            timing_inputs = [
-                gen_two_clusters(TwoClusterSpec(
-                    n_per_cluster=n_per_cluster, sigma=sigma, separation=sep,
-                    dimension=1, seed=_substream_seed(seed, 1000 + si, r),
-                )).rows[:, 0]
-                for r in range(timing_runs)
-            ]
+            timing_inputs = [_sweep_sample(sep, _substream_seed(seed, 1000 + si, r))
+                             for r in range(timing_runs)]
             mean_t = time_method(cold, timing_inputs) if timing_runs else None
             records.append(BenchmarkRecord(
                 method=method, separation=float(sep),
@@ -175,6 +165,10 @@ def run_test_benchmark(separations=DEFAULT_SEPARATIONS, runs: int = 100,
                 mean_time_s=mean_t, runs=runs, seed=seed,
             ))
     return records
+
+
+def _sweep_sample(separation: float, seed: int) -> np.ndarray:
+    return gen_two_clusters(TwoClusterSpec(separation=separation, seed=seed)).rows[:, 0]
 
 
 def _substream_seed(*parts) -> int:

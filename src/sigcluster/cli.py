@@ -89,11 +89,10 @@ def cmd_test(args) -> int:
         "defaults": {
             "gamma": args.gamma, "threshold": args.threshold,
             "alpha": alpha, "bootstrap_B": args.bootstrap_b,
-            "seed": args.seed,
         },
     }
     fields, split = _make_test(args.method, args.gamma, args.threshold, alpha,
-                              args.bootstrap_b, args.seed)(y)
+                              args.bootstrap_b)(y)
     report.update(fields, split=int(split))
     report["decision"] = "split" if split else "unimodal"
     print(json.dumps(report, indent=2))
@@ -191,8 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="band half-width in std units (default 2)")
         p.add_argument("--threshold", type=float, default=0.4,
                        help="violation-fraction threshold (default 0.4)")
-        p.add_argument("--seed", type=int, default=7)
         p.add_argument("--delimiter", default=",")
+
+    def seeded_opts(p):
+        common_test_opts(p)
+        p.add_argument("--seed", type=int, default=7)
 
     p = sub.add_parser("test", help="unimodality test on a file of observations")
     p.add_argument("input", help="CSV of observations (single numeric column, "
@@ -201,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None,
                    help="significance for ad/ks (defaults: 1e-4 for ad, 0.05 for ks)")
     p.add_argument("--bootstrap-b", type=int, default=1000,
-                   help="dip bootstrap replicates (default 1000)")
+                   help="dip bootstrap replicates (default 1000, drawn from seed 0)")
     p.add_argument("--centroid1", help="comma-separated centroid for projection")
     p.add_argument("--centroid2", help="comma-separated centroid for projection")
     common_test_opts(p)
@@ -217,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--standardize", action="store_true",
                    help="standardize columns of external CSVs")
     p.add_argument("--output", default=None, help="output JSON filename")
-    common_test_opts(p)
+    seeded_opts(p)
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("bench-tests", help="two-cluster success-rate benchmark")
@@ -228,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing-runs", type=int, default=10)
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    common_test_opts(p)
+    seeded_opts(p)
     p.set_defaults(func=cmd_bench_tests)
 
     p = sub.add_parser("bench-cluster", help="k/VI/ARI benchmark on datasets")
@@ -241,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--standardize", action="store_true")
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    common_test_opts(p)
+    seeded_opts(p)
     p.set_defaults(func=cmd_bench_cluster)
 
     return parser

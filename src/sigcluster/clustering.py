@@ -25,12 +25,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .baselines import (
-    AD_CRITICAL_VALUES,
-    anderson_darling_statistic,
-    dip_reference_table,
-    dip_statistic,
-)
+from .baselines import anderson_darling, dip_reference_table, dip_test
 from .dataset import Dataset
 from .errors import (
     DegenerateInputError,
@@ -38,7 +33,7 @@ from .errors import (
     KTooLargeError,
     TooFewSamplesError,
 )
-from .sigtest import SigtestConfig, sigtest
+from .sigtest import MIN_SAMPLES, SigtestConfig, sigtest
 
 
 @dataclass(frozen=True)
@@ -59,10 +54,6 @@ class SigtestCriterion:
     def name(self) -> str:
         return f"sigtest{self.config.variant.value}"
 
-    @property
-    def min_samples(self) -> int:
-        return self.config.min_samples
-
     def test(self, y) -> tuple[float, bool]:
         out = sigtest(y, self.config)
         return out.C, out.split
@@ -78,13 +69,9 @@ class ADCriterion:
     def name(self) -> str:
         return "anderson-darling"
 
-    @property
-    def min_samples(self) -> int:
-        return 8
-
     def test(self, y) -> tuple[float, bool]:
-        stat = anderson_darling_statistic(y)
-        return stat, bool(stat > AD_CRITICAL_VALUES[self.alpha])
+        dec = anderson_darling(y, self.alpha)
+        return dec.statistic, dec.reject_unimodal
 
 
 @dataclass(frozen=True)
@@ -101,14 +88,10 @@ class DipViewerCriterion:
     def name(self) -> str:
         return "dip-viewer"
 
-    @property
-    def min_samples(self) -> int:
-        return 8
-
     def test(self, y) -> tuple[float, bool]:
         ref = dip_reference_table(len(y), self.bootstrap_B)
-        d = dip_statistic(y)
-        return d, bool(np.all(ref < d))
+        dec = dip_test(y, self.bootstrap_B, reference=ref)
+        return dec.statistic, dec.reject_unimodal
 
 
 @dataclass(frozen=True)
@@ -117,7 +100,7 @@ class SplitRecord:
 
     ``decision`` is the criterion's verdict; ``accepted`` is whether the
     split actually happened (a verdict can be vetoed when a child would
-    fall below min_samples). k at the end equals 1 + #accepted.
+    fall below MIN_SAMPLES). k at the end equals 1 + #accepted.
     """
 
     round: int
@@ -251,10 +234,9 @@ def _split_loop(data: Dataset, criterion, seed: int, evaluate_cluster):
     """Shared bisection loop: test each cluster, split accepted ones,
     globally refine, repeat until a full round makes no split."""
     X = data.rows
-    min_samples = criterion.min_samples
-    if X.shape[0] < 2 * min_samples:
+    if X.shape[0] < 2 * MIN_SAMPLES:
         raise TooFewSamplesError(
-            f"need at least {2 * min_samples} points, got {X.shape[0]}"
+            f"need at least {2 * MIN_SAMPLES} points, got {X.shape[0]}"
         )
     assignment = np.zeros(X.shape[0], dtype=np.int64)
     centroids = [X.mean(axis=0)]
@@ -264,7 +246,7 @@ def _split_loop(data: Dataset, criterion, seed: int, evaluate_cluster):
         grew = False
         for cid in range(k):
             members = np.flatnonzero(assignment == cid)
-            if members.size < 2 * min_samples:
+            if members.size < 2 * MIN_SAMPLES:
                 continue
             rng = np.random.default_rng([seed, round_no, cid])
             stat, decision, children = evaluate_cluster(X[members], rng)
@@ -272,7 +254,7 @@ def _split_loop(data: Dataset, criterion, seed: int, evaluate_cluster):
             if decision and children is not None:
                 child_a, child_centroids = children
                 sizes = np.bincount(child_a, minlength=2)
-                if sizes.min() >= min_samples:
+                if sizes.min() >= MIN_SAMPLES:
                     accepted = True
                     assignment[members[child_a == 1]] = k
                     centroids[cid] = child_centroids[0]
@@ -309,7 +291,7 @@ def gmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult:
 
     def evaluate(members, rng):
         child_a, child_c = _two_means(members, rng)
-        if np.bincount(child_a, minlength=2).min() < criterion.min_samples:
+        if np.bincount(child_a, minlength=2).min() < MIN_SAMPLES:
             return 0.0, False, None  # unviable bisection, not tested
         try:
             projection = project_split(members, child_c[0], child_c[1])

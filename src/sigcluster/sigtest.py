@@ -38,6 +38,12 @@ from .core import (
 from .errors import LengthMismatchError, TooFewSamplesError
 
 
+# Smallest sample the signature test decides on, and the smallest child
+# the splitting wrappers create: below 8 the band nearly covers [0, 1]
+# everywhere and the test says nothing.
+MIN_SAMPLES = 8
+
+
 class SignatureVariant(enum.Enum):
     SIGNATURE1 = 1
     SIGNATURE2 = 2
@@ -50,22 +56,18 @@ class SigtestConfig:
     gamma is the band half-width in standard deviations; threshold is the
     violation fraction above which the sample is declared non-unimodal.
     The defaults (gamma=2, threshold=0.4) target ~95% pointwise band
-    coverage. min_samples guards against bands so wide the test says
-    nothing; below 8 the band nearly covers [0, 1] everywhere.
+    coverage.
     """
 
     gamma: float = 2.0
     threshold: float = 0.4
     variant: SignatureVariant = SignatureVariant.SIGNATURE1
-    min_samples: int = 8
 
     def __post_init__(self):
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
-        if self.min_samples < 8:
-            raise ValueError("min_samples must be at least 8")
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,6 @@ class SignatureBounds:
 
     upper: np.ndarray
     lower: np.ndarray
-    gamma: float
 
     def __len__(self):
         return len(self.upper)
@@ -142,18 +143,18 @@ def compute_bounds(N: int, config: SigtestConfig) -> SignatureBounds:
     Raises
     ------
     TooFewSamplesError
-        If N < config.min_samples.
+        If N < MIN_SAMPLES.
     """
-    if N < config.min_samples:
+    if N < MIN_SAMPLES:
         raise TooFewSamplesError(
-            f"N={N} below min_samples={config.min_samples}; "
+            f"N={N} below MIN_SAMPLES={MIN_SAMPLES}; "
             "the band would be uninformative"
         )
     center, var = signature_moments(N, config.variant)
     halfwidth = config.gamma * np.sqrt(var)
     upper = np.minimum(center + halfwidth, 1.0)
     lower = np.maximum(center - halfwidth, 0.0)
-    return SignatureBounds(upper=upper, lower=lower, gamma=config.gamma)
+    return SignatureBounds(upper=upper, lower=lower)
 
 
 def _violations(s: np.ndarray, bounds: SignatureBounds):
@@ -212,7 +213,7 @@ def sigtest(y, config: SigtestConfig = SigtestConfig()) -> TestOutcome:
     Raises
     ------
     TooFewSamplesError
-        If len(y) < config.min_samples.
+        If len(y) < MIN_SAMPLES.
     DegenerateInputError
         If the sample has zero spread or its squared deviations overflow.
     NonFiniteInputError
@@ -222,10 +223,8 @@ def sigtest(y, config: SigtestConfig = SigtestConfig()) -> TestOutcome:
     if y.ndim != 1 or y.size == 0:
         y = as_sample(y)  # shape/empty errors with the standard messages
     N = y.size
-    if N < config.min_samples:
-        raise TooFewSamplesError(
-            f"N={N} below min_samples={config.min_samples}"
-        )
+    if N < MIN_SAMPLES:
+        raise TooFewSamplesError(f"N={N} below MIN_SAMPLES={MIN_SAMPLES}")
     s = _half_normal_cdf(_sorted_abs(_normalized(y)))
     if config.variant is SignatureVariant.SIGNATURE2:
         s = _running_mean(s)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -6,7 +8,6 @@ from scipy.stats import norm
 
 from sigcluster import (
     AD_CRITICAL_VALUES,
-    BaselineMethod,
     anderson_darling,
     anderson_darling_statistic,
     dip_reference_table,
@@ -132,17 +133,27 @@ class TestAndersonDarling:
         y = norm.ppf(np.arange(1, 101) / 101.0)
         dec = anderson_darling(y)
         assert not dec.reject_unimodal
-        assert dec.method is BaselineMethod.AD
+        assert dec.statistic == anderson_darling_statistic(y)
         assert dec.p_value is None
 
-    def test_critical_table_pluggable(self):
-        y = two_clusters(2.5)
+    def test_critical_table(self):
+        y = two_clusters(2.5, seed=2)  # A*^2 = 0.84: rejected at 0.05, not at 0.025
         strict = anderson_darling(y, alpha=0.0001)
         loose = anderson_darling(y, alpha=0.05)
         assert strict.statistic == loose.statistic
         assert AD_CRITICAL_VALUES[0.0001] == 1.8692
-        custom = anderson_darling(y, alpha=0.5, critical_values={0.5: 0.01})
-        assert custom.reject_unimodal
+        verdicts = {alpha: anderson_darling(y, alpha).reject_unimodal
+                    for alpha in AD_CRITICAL_VALUES}
+        assert verdicts == {alpha: strict.statistic > critical
+                            for alpha, critical in AD_CRITICAL_VALUES.items()}
+        assert set(verdicts.values()) == {True, False}
+        with pytest.raises(ValueError, match="available"):
+            anderson_darling(y, alpha=0.5)
+
+    def test_no_future_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            anderson_darling(two_clusters(2.5))
 
     def test_strongly_bimodal_rejected(self):
         rejections = sum(

@@ -6,6 +6,7 @@ import pytest
 
 from sigcluster import (
     bundled_manifest,
+    dip_reference_table,
     format_cluster_table,
     format_test_table,
     run_cluster_benchmark,
@@ -77,6 +78,13 @@ class TestRunTestBenchmark:
             rates = [r.success_rate for r in recs if r.method == method]
             for lo, hi in zip(rates, rates[1:]):
                 assert hi >= lo - 2.0, (method, rates)
+
+    def test_dip_table_shared_with_positional_callers(self):
+        # the sweep looks the table up as (N, B), the key other callers use
+        dip_reference_table.cache_clear()
+        run_test_benchmark(separations=(2.0,), runs=2, methods=("dip",), timing_runs=0)
+        dip_reference_table(200, 1000)
+        assert dip_reference_table.cache_info().misses == 1
 
     def test_format_table(self):
         recs = run_test_benchmark(separations=(2.0, 3.0), runs=4, seed=1,

@@ -5,7 +5,13 @@ import sys
 import numpy as np
 import pytest
 
-from sigcluster import read_results
+from sigcluster import (
+    TwoClusterSpec,
+    dip_reference_table,
+    dip_test,
+    gen_two_clusters,
+    read_results,
+)
 from sigcluster.cli import main
 
 
@@ -47,6 +53,21 @@ class TestTestCommand:
             code = main(["test", "--method", method, bimodal_csv])
             assert code == 3, method
             capsys.readouterr()
+
+    def test_dip_bootstrap_is_the_benchmark_one(self, tmp_path, capsys):
+        # a sample whose dip exceeds every seed-0 bootstrap dip; the
+        # benchmark's table rejects it, and so must the command
+        y = gen_two_clusters(TwoClusterSpec(separation=3.5, seed=10056)).rows[:, 0]
+        assert dip_test(y, reference=dip_reference_table(200, 1000)).reject_unimodal
+        p = tmp_path / "sep35.csv"
+        p.write_text("\n".join(f"{v}" for v in y) + "\n")
+        code = main(["test", "--method", "dip", str(p)])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 3 and report["p_value"] == 0.0
+        assert "seed" not in report["defaults"]
+
+    def test_seed_is_not_a_test_option(self, unimodal_csv, capsys):
+        assert main(["test", "--seed", "1", unimodal_csv]) == 2
 
     def test_missing_file_exit_1(self, capsys):
         code = main(["test", "/no/such/file.csv"])

@@ -5,9 +5,10 @@ from sigcluster import (
     ADCriterion,
     Dataset,
     DipViewerCriterion,
-    SigtestConfig,
     SigtestCriterion,
+    anderson_darling,
     ari,
+    dip_test,
     dipmeans_family,
     gen_gaussian,
     gmeans_family,
@@ -15,6 +16,7 @@ from sigcluster import (
     project_split,
 )
 from sigcluster.errors import IdenticalCentroidsError, KTooLargeError
+from sigcluster.sigtest import MIN_SAMPLES
 
 
 def blobs(centers, n_per, sigma, seed, d=2):
@@ -100,6 +102,23 @@ class TestProjectSplit:
             project_split(np.ones((4, 2)), np.array([1.0, 2.0]), np.array([1.0, 2.0]))
 
 
+class TestCriteria:
+    def test_ad_and_dip_criteria_equal_public_tests(self):
+        verdicts = set()
+        for sep in range(8):
+            rng = np.random.default_rng([91, sep])
+            y = np.concatenate([rng.normal(-sep / 2, 1, 30), rng.normal(sep / 2, 1, 30)])
+            ad, dip = anderson_darling(y), dip_test(y)  # self-contained calls
+            assert ADCriterion().test(y) == (ad.statistic, ad.reject_unimodal)
+            assert DipViewerCriterion().test(y) == (dip.statistic, dip.reject_unimodal)
+            verdicts |= {ad.reject_unimodal, dip.reject_unimodal}
+        assert verdicts == {True, False}
+
+    def test_ad_unknown_alpha_is_value_error(self):
+        with pytest.raises(ValueError, match="alpha=0.3"):
+            ADCriterion(alpha=0.3).test(np.random.default_rng(3).normal(size=50))
+
+
 class TestGmeansFamily:
     def test_single_gaussian_stays_whole(self):
         hits = 0
@@ -141,7 +160,7 @@ class TestGmeansFamily:
     def test_termination_bound(self):
         data = blobs([(0, 0), (5, 0), (0, 5), (5, 5), (10, 10)], 50, 0.5, seed=12)
         res = gmeans_family(data, SigtestCriterion(), seed=1)
-        assert res.k <= data.n // SigtestConfig().min_samples
+        assert res.k <= data.n // MIN_SAMPLES
         assert np.all(res.assignment >= 0) and np.all(res.assignment < res.k)
         assert all(np.any(res.assignment == j) for j in range(res.k))
 

@@ -2,7 +2,9 @@
 
 Every name that ``perfbench/`` and ``demos/`` import from sigcluster must
 resolve, and so must every entry of ``sigcluster.__all__``; the demos
-must run to completion.
+must run to completion. The criteria must stay subclassable the way
+``perfbench/execute.py`` wraps them, and the calibration tables callable
+in the forms its layer rows use.
 """
 
 import ast
@@ -10,11 +12,28 @@ import importlib
 import os
 import subprocess
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sigcluster
+from sigcluster import (
+    ADCriterion,
+    DipViewerCriterion,
+    SigtestConfig,
+    SigtestCriterion,
+    bundled_manifest,
+    dip_reference_dips,
+    dip_reference_table,
+    dipmeans_family,
+    gmeans_family,
+    lilliefors_reference,
+    lilliefors_table,
+    load_csv,
+    run_method,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
@@ -61,3 +80,56 @@ def test_demo_runs(demo, args, tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+class _Recording:
+    """Wraps each criterion call like perfbench's timing subclasses."""
+
+    def test(self, y):
+        stat, reject = super().test(y)
+        self.calls.append((self.name, bool(reject)))
+        return stat, reject
+
+
+@dataclass(frozen=True)
+class RecordingAD(_Recording, ADCriterion):
+    calls: list = field(default_factory=list, compare=False)
+
+
+@dataclass(frozen=True)
+class RecordingSigtest(_Recording, SigtestCriterion):
+    calls: list = field(default_factory=list, compare=False)
+
+
+@dataclass(frozen=True)
+class RecordingDipViewer(_Recording, DipViewerCriterion):
+    calls: list = field(default_factory=list, compare=False)
+
+
+@pytest.mark.parametrize("method, family, make", [
+    ("gmeans", gmeans_family, lambda: RecordingAD(calls=[])),
+    ("gmeans+", gmeans_family, lambda: RecordingSigtest(SigtestConfig(), calls=[])),
+    ("dipmeans", dipmeans_family, lambda: RecordingDipViewer(calls=[])),
+    ("dipmeans+", dipmeans_family, lambda: RecordingSigtest(SigtestConfig(), calls=[])),
+])
+def test_criterion_subclass_reproduces_run_method(method, family, make):
+    iris = load_csv(bundled_manifest("iris"))
+    criterion = make()
+    res = family(iris, criterion, 3)
+    ref = run_method(method, iris, seed=3)
+    np.testing.assert_array_equal(res.assignment, ref.assignment)
+    assert res.split_log == ref.split_log
+    assert {name for name, _ in criterion.calls} == {ref.split_log[0].criterion}
+
+
+def test_table_call_forms():
+    N = 20
+    for table in (lilliefors_table, dip_reference_table):
+        table.cache_clear()
+    np.testing.assert_array_equal(lilliefors_table(N), lilliefors_reference(N))
+    np.testing.assert_array_equal(dip_reference_table(N, 1000), dip_reference_dips(N, 1000))
+    lilliefors_table(N)
+    dip_reference_table(N, 1000)
+    for table in (lilliefors_table, dip_reference_table):
+        info = table.cache_info()
+        assert (info.hits, info.misses) == (1, 1)

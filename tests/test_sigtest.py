@@ -17,6 +17,7 @@ from sigcluster.errors import (
     LengthMismatchError,
     TooFewSamplesError,
 )
+from sigcluster.sigtest import MIN_SAMPLES
 
 SIG1 = SignatureVariant.SIGNATURE1
 SIG2 = SignatureVariant.SIGNATURE2
@@ -31,14 +32,15 @@ class TestConfig:
     def test_defaults(self):
         cfg = SigtestConfig()
         assert cfg.gamma == 2.0 and cfg.threshold == 0.4
-        assert cfg.variant is SIG1 and cfg.min_samples == 8
+        assert cfg.variant is SIG1 and MIN_SAMPLES == 8
+        assert sigtest(np.arange(float(MIN_SAMPLES)), cfg).N == MIN_SAMPLES
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SigtestConfig(gamma=0.0)
         with pytest.raises(ValueError):
             SigtestConfig(threshold=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # the minimum is fixed, not a knob
             SigtestConfig(min_samples=4)
 
 
@@ -155,7 +157,7 @@ class TestCountViolations:
         assert C == 1.0
 
     def test_exact_fraction(self):
-        cfg = SigtestConfig(min_samples=8)
+        cfg = SigtestConfig()
         b = compute_bounds(8, cfg)
         center, _ = signature_moments(8, cfg.variant)
         sig = center.copy()
@@ -191,7 +193,7 @@ class TestSigtest:
 
     def test_two_cluster_regimes_reach_reported_C_levels(self):
         # at 2 sigma the strongest runs reach C ~ 0.95; at 3 sigma C ~ 0.99
-        cs2 = [sigtest(two_clusters(2.0, seed=r), SigtestConfig(min_samples=8)).C
+        cs2 = [sigtest(two_clusters(2.0, seed=r), SigtestConfig()).C
                for r in range(100)]
         cs3 = [sigtest(two_clusters(3.0, seed=r)).C for r in range(100)]
         assert max(cs2) >= 0.5
