@@ -25,6 +25,7 @@ from scipy.special import ndtr
 
 from .core import as_sample
 from .errors import DegenerateInputError, TooFewSamplesError
+from .sigtest import MIN_SAMPLES
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,13 @@ AD_CRITICAL_VALUES = {
     0.0001: 1.8692,
 }
 
+# The one statement of each test default, read by the clustering
+# criteria, the benchmark and the command line: the AD splitting level,
+# the Lilliefors KS level and the number of uniform dip bootstrap samples.
+AD_ALPHA = 0.0001
+KS_ALPHA = 0.05
+DIP_BOOTSTRAP_B = 1000
+
 
 def anderson_darling_statistic(y) -> float:
     """Corrected statistic A*^2 = A^2 (1 + 0.75/N + 2.25/N^2).
@@ -69,7 +77,7 @@ def anderson_darling_statistic(y) -> float:
     return float(a2 * (1.0 + 0.75 / N + 2.25 / N**2))
 
 
-def anderson_darling(y, alpha: float = 0.0001) -> BaselineDecision:
+def anderson_darling(y, alpha: float = AD_ALPHA) -> BaselineDecision:
     """Anderson-Darling normality test with estimated parameters.
 
     Rejects when the small-sample-corrected statistic exceeds the critical
@@ -79,15 +87,15 @@ def anderson_darling(y, alpha: float = 0.0001) -> BaselineDecision:
     Raises
     ------
     TooFewSamplesError
-        If N < 8.
+        If N < MIN_SAMPLES.
     ValueError
         If ``alpha`` has no entry in the critical-value table.
     DegenerateInputError
         If all values are equal.
     """
     y = as_sample(y)
-    if y.size < 8:
-        raise TooFewSamplesError(f"AD test needs N >= 8, got {y.size}")
+    if y.size < MIN_SAMPLES:
+        raise TooFewSamplesError(f"AD test needs N >= {MIN_SAMPLES}, got {y.size}")
     if alpha not in AD_CRITICAL_VALUES:
         raise ValueError(
             f"no critical value for alpha={alpha}; "
@@ -151,7 +159,7 @@ def lilliefors_table(N: int) -> np.ndarray:
     return ref
 
 
-def ks_lilliefors(y, alpha: float = 0.05,
+def ks_lilliefors(y, alpha: float = KS_ALPHA,
                   reference: np.ndarray | None = None) -> BaselineDecision:
     """Lilliefors KS normality test, Monte-Carlo calibrated.
 
@@ -164,11 +172,11 @@ def ks_lilliefors(y, alpha: float = 0.05,
     Raises
     ------
     TooFewSamplesError
-        If N < 8.
+        If N < MIN_SAMPLES.
     """
     y = as_sample(y)
-    if y.size < 8:
-        raise TooFewSamplesError(f"KS test needs N >= 8, got {y.size}")
+    if y.size < MIN_SAMPLES:
+        raise TooFewSamplesError(f"KS test needs N >= {MIN_SAMPLES}, got {y.size}")
     D = ks_statistic(y)
     ref = lilliefors_reference(y.size) if reference is None else reference
     critical = float(np.quantile(ref, 1.0 - alpha))
@@ -310,7 +318,7 @@ def _dip(y: np.ndarray) -> float:
     return dip / (2 * n)
 
 
-def dip_reference_dips(N: int, B: int = 1000) -> np.ndarray:
+def dip_reference_dips(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
     """Dip statistics of B uniform(0,1) samples of size N, fixed seed.
 
     This is the bootstrap null distribution used by :func:`dip_test`;
@@ -326,7 +334,7 @@ def dip_reference_dips(N: int, B: int = 1000) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def dip_reference_table(N: int, B: int = 1000) -> np.ndarray:
+def dip_reference_table(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
     """Memoized :func:`dip_reference_dips` (identical values, amortized).
 
     The cache is keyed on the arguments as passed, so the library always
@@ -337,7 +345,7 @@ def dip_reference_table(N: int, B: int = 1000) -> np.ndarray:
     return ref
 
 
-def dip_test(y, bootstrap_B: int = 1000,
+def dip_test(y, bootstrap_B: int = DIP_BOOTSTRAP_B,
              reference: np.ndarray | None = None) -> BaselineDecision:
     """Dip test with a bootstrap p-value at "level zero".
 

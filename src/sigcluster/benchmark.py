@@ -15,11 +15,14 @@ bit-identical decisions at a fraction of the cost.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .baselines import (
+    AD_ALPHA,
+    DIP_BOOTSTRAP_B,
+    KS_ALPHA,
     anderson_darling,
     dip_reference_table,
     dip_test,
@@ -67,20 +70,28 @@ class BenchmarkRecord:
             raise ValueError("success_rate must lie in [0, 100]")
 
 
-def _make_test(method: str, gamma: float, threshold: float, alpha: float,
+def _alpha_for(method: str, alpha_ks: float = KS_ALPHA) -> float:
+    """The level a test runs at: AD_ALPHA for ad, ``alpha_ks`` otherwise
+    (only ks reads it)."""
+    return AD_ALPHA if method == "ad" else alpha_ks
+
+
+def _make_test(method: str, sigtest_config: SigtestConfig, alpha: float,
                dip_B: int, reference_N: int | None = None):
     """Return the call y -> (fields, split) of one of TEST_METHODS.
 
     ``fields`` is what the test reports: {"C": ...} for sigtest1 and
     sigtest2, {"statistic": ..., "p_value": ...} for ad, ks and dip.
-    ``split`` is True when the test rejects unimodality. ``alpha`` is the
-    level of ad or ks, ``dip_B`` the size of the dip bootstrap. With
-    ``reference_N`` the KS and dip calls reuse the process-wide memoized
-    calibration tables for that sample size; decisions are identical
-    either way because the tables are seed-determined.
+    ``split`` is True when the test rejects unimodality. sigtest1 and
+    sigtest2 run ``sigtest_config`` with the signature variant of their
+    name, ``alpha`` is the level of ad or ks, ``dip_B`` the size of the
+    dip bootstrap. With ``reference_N`` the KS and dip calls reuse the
+    process-wide memoized calibration tables for that sample size;
+    decisions are identical either way because the tables are
+    seed-determined.
     """
     if method in ("sigtest1", "sigtest2"):
-        cfg = SigtestConfig(gamma, threshold, SignatureVariant(int(method[-1])))
+        cfg = replace(sigtest_config, variant=SignatureVariant(int(method[-1])))
 
         def run_sigtest(y):
             out = sigtest(y, cfg)
@@ -128,18 +139,20 @@ def time_method(func, inputs) -> float:
 
 def run_test_benchmark(separations=DEFAULT_SEPARATIONS, runs: int = 100,
                        seed: int = 7, methods=TEST_METHODS,
-                       gamma: float = 2.0, threshold: float = 0.4,
-                       alpha_ks: float = 0.05,
+                       sigtest_config: SigtestConfig = SigtestConfig(),
+                       alpha_ks: float = KS_ALPHA,
                        timing_runs: int = 10) -> list[BenchmarkRecord]:
     """Success rate and mean per-call time of each test on two-cluster data.
 
     For every separation, ``runs`` fresh two-cluster samples (1-d, the
     TwoClusterSpec defaults of 100 points per side at unit sigma) are
     generated from substreams of ``seed`` and shared across methods;
-    success means the method rejects unimodality. AD runs at level 1e-4,
-    the dip test with a B=1000 bootstrap. Timing uses ``timing_runs``
-    additional samples per cell and times the self-contained method call
-    (see module docstring).
+    success means the method rejects unimodality. sigtest1 and sigtest2
+    take gamma and threshold from ``sigtest_config`` and the signature
+    variant from their name, AD runs at AD_ALPHA, KS at ``alpha_ks``, and
+    the dip test with a DIP_BOOTSTRAP_B bootstrap. Timing uses
+    ``timing_runs`` additional samples per cell and times the
+    self-contained method call (see module docstring).
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
@@ -151,9 +164,9 @@ def run_test_benchmark(separations=DEFAULT_SEPARATIONS, runs: int = 100,
 
     records = []
     for method in methods:
-        alpha = 0.0001 if method == "ad" else alpha_ks
-        fast = _make_test(method, gamma, threshold, alpha, 1000, reference_N=N)
-        cold = _make_test(method, gamma, threshold, alpha, 1000)
+        alpha = _alpha_for(method, alpha_ks)
+        fast = _make_test(method, sigtest_config, alpha, DIP_BOOTSTRAP_B, reference_N=N)
+        cold = _make_test(method, sigtest_config, alpha, DIP_BOOTSTRAP_B)
         for si, sep in enumerate(separations):
             successes = sum(fast(y)[1] for y in data[sep])
             timing_inputs = [_sweep_sample(sep, _substream_seed(seed, 1000 + si, r))

@@ -21,9 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .baselines import AD_ALPHA, DIP_BOOTSTRAP_B, KS_ALPHA
 from .benchmark import (
     DEFAULT_SEPARATIONS,
     TEST_METHODS,
+    _alpha_for,
     _make_test,
     format_cluster_table,
     format_test_table,
@@ -79,9 +81,7 @@ def cmd_test(args) -> int:
     else:
         y = rows[:, 0]
 
-    alpha = args.alpha
-    if alpha is None:
-        alpha = 0.0001 if args.method == "ad" else 0.05
+    alpha = _alpha_for(args.method) if args.alpha is None else args.alpha
     report = {
         "input": args.input,
         "method": args.method,
@@ -91,8 +91,8 @@ def cmd_test(args) -> int:
             "alpha": alpha, "bootstrap_B": args.bootstrap_b,
         },
     }
-    fields, split = _make_test(args.method, args.gamma, args.threshold, alpha,
-                              args.bootstrap_b)(y)
+    config = SigtestConfig(args.gamma, args.threshold)
+    fields, split = _make_test(args.method, config, alpha, args.bootstrap_b)(y)
     report.update(fields, split=int(split))
     report["decision"] = "split" if split else "unimodal"
     print(json.dumps(report, indent=2))
@@ -147,7 +147,7 @@ def cmd_bench_tests(args) -> int:
     separations = [float(s) for s in args.separations.split(",")]
     records = run_test_benchmark(
         separations=separations, runs=args.runs, seed=args.seed,
-        gamma=args.gamma, threshold=args.threshold,
+        sigtest_config=SigtestConfig(args.gamma, args.threshold),
         alpha_ks=args.alpha, timing_runs=args.timing_runs,
     )
     print(f"two-cluster test benchmark: runs={args.runs} seed={args.seed} "
@@ -185,15 +185,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_test_opts(p):
-        p.add_argument("--gamma", type=float, default=2.0,
-                       help="band half-width in std units (default 2)")
-        p.add_argument("--threshold", type=float, default=0.4,
-                       help="violation-fraction threshold (default 0.4)")
-        p.add_argument("--delimiter", default=",")
+    def common_test_opts(p, delimiter=True):
+        p.add_argument("--gamma", type=float, default=SigtestConfig.gamma,
+                       help=f"band half-width in std units (default {SigtestConfig.gamma:g})")
+        p.add_argument("--threshold", type=float, default=SigtestConfig.threshold,
+                       help=f"violation-fraction threshold (default {SigtestConfig.threshold:g})")
+        if delimiter:
+            p.add_argument("--delimiter", default=",")
 
-    def seeded_opts(p):
-        common_test_opts(p)
+    def seeded_opts(p, delimiter=True):
+        common_test_opts(p, delimiter)
         p.add_argument("--seed", type=int, default=7)
 
     p = sub.add_parser("test", help="unimodality test on a file of observations")
@@ -201,9 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  "or multi-column with --centroid1/--centroid2)")
     p.add_argument("--method", choices=TEST_METHODS, default="sigtest1")
     p.add_argument("--alpha", type=float, default=None,
-                   help="significance for ad/ks (defaults: 1e-4 for ad, 0.05 for ks)")
-    p.add_argument("--bootstrap-b", type=int, default=1000,
-                   help="dip bootstrap replicates (default 1000, drawn from seed 0)")
+                   help=f"significance for ad/ks (defaults: {AD_ALPHA:g} for ad, "
+                        f"{KS_ALPHA:g} for ks)")
+    p.add_argument("--bootstrap-b", type=int, default=DIP_BOOTSTRAP_B,
+                   help=f"dip bootstrap replicates (default {DIP_BOOTSTRAP_B}, drawn from seed 0)")
     p.add_argument("--centroid1", help="comma-separated centroid for projection")
     p.add_argument("--centroid2", help="comma-separated centroid for projection")
     common_test_opts(p)
@@ -225,12 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench-tests", help="two-cluster success-rate benchmark")
     p.add_argument("--separations", default=",".join(str(s) for s in DEFAULT_SEPARATIONS))
     p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--alpha", type=float, default=0.05,
-                   help="KS significance (default 0.05)")
+    p.add_argument("--alpha", type=float, default=KS_ALPHA,
+                   help=f"KS significance (default {KS_ALPHA:g})")
     p.add_argument("--timing-runs", type=int, default=10)
     p.add_argument("--output", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    seeded_opts(p)
+    seeded_opts(p, delimiter=False)
     p.set_defaults(func=cmd_bench_tests)
 
     p = sub.add_parser("bench-cluster", help="k/VI/ARI benchmark on datasets")

@@ -25,7 +25,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from .baselines import anderson_darling, dip_reference_table, dip_test
+from .baselines import (
+    AD_ALPHA,
+    DIP_BOOTSTRAP_B,
+    anderson_darling,
+    dip_reference_table,
+    dip_test,
+)
 from .dataset import Dataset
 from .errors import (
     DegenerateInputError,
@@ -63,7 +69,7 @@ class SigtestCriterion:
 class ADCriterion:
     """Split when Anderson-Darling rejects normality of the projection."""
 
-    alpha: float = 0.0001
+    alpha: float = AD_ALPHA
 
     @property
     def name(self) -> str:
@@ -78,7 +84,7 @@ class ADCriterion:
 class DipViewerCriterion:
     """Viewer test for dipmeans_family: dip at bootstrap level zero."""
 
-    bootstrap_B: int = 1000
+    bootstrap_B: int = DIP_BOOTSTRAP_B
 
     # Classic dip-means convention: dip viewers at bootstrap level zero
     # almost never reject under H0, so 1% of viewers is already a signal.
@@ -323,10 +329,10 @@ def dipmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult
         viewers = np.arange(m)
         if m > 500:
             viewers = rng.choice(m, size=100, replace=False)
-        dist = np.sqrt(((members[:, None, :] - members[None, :, :]) ** 2).sum(axis=2))
+        dist = np.sqrt(((members[viewers, None, :] - members[None, :, :]) ** 2).sum(axis=2))
         rejecting = 0
-        for v in viewers:
-            distances = np.delete(dist[v], v)
+        for row, v in zip(dist, viewers):
+            distances = np.delete(row, v)
             try:
                 _, reject = criterion.test(distances)
             except DegenerateInputError:

@@ -38,12 +38,13 @@ def _normalized(y: np.ndarray) -> np.ndarray:
     as_sample still get NonFiniteInputError.
     """
     N = y.size
-    mean = _add_reduce(y) / N
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows raise typed errors below
+        mean = _add_reduce(y) / N
+        d = y - mean
+        scale = math.sqrt(_add_reduce(d * d) / N)
     if not math.isfinite(mean):
         as_sample(y)
         raise DegenerateInputError("sample magnitude overflows: the mean is not finite")
-    d = y - mean
-    scale = math.sqrt(_add_reduce(d * d) / N)
     if not math.isfinite(scale):
         raise DegenerateInputError(
             "sample magnitude overflows: the squared deviations exceed the float range")

@@ -43,6 +43,7 @@ from sigcluster import (
     vi,
     write_results,
 )
+from sigcluster.baselines import DIP_BOOTSTRAP_B
 
 from test_baselines import dip_lp_oracle
 from test_metrics import ari_pair_counting_oracle
@@ -255,7 +256,7 @@ def projection_verdicts(y):
     the baselines at alpha=0.05."""
     ad = anderson_darling(y, alpha=0.05)
     ks = ks_lilliefors(y, alpha=0.05, reference=lilliefors_table(len(y)))
-    dip = dip_test(y, reference=dip_reference_table(len(y)))
+    dip = dip_test(y, reference=dip_reference_table(len(y), DIP_BOOTSTRAP_B))
     verdicts = {
         "AD A*2": (ad.statistic, ad.reject_unimodal),
         "KS p": (ks.p_value, ks.reject_unimodal),

@@ -17,6 +17,7 @@ from sigcluster import (
     ks_statistic,
     lilliefors_table,
 )
+from sigcluster.baselines import DIP_BOOTSTRAP_B
 from sigcluster.errors import DegenerateInputError, TooFewSamplesError
 
 
@@ -274,7 +275,7 @@ class TestDipStatistic:
 class TestDipTest:
     def test_uniform_calibration(self):
         # level-zero rule: essentially never rejects a true uniform
-        ref = dip_reference_table(200)
+        ref = dip_reference_table(200, DIP_BOOTSTRAP_B)
         rejections = sum(
             dip_test(np.random.default_rng([62, r]).uniform(size=200),
                      reference=ref).reject_unimodal
@@ -283,7 +284,7 @@ class TestDipTest:
 
     def test_strongly_bimodal_rejected(self):
         y = two_clusters(6.0, seed=2)
-        dec = dip_test(y, reference=dip_reference_table(len(y)))
+        dec = dip_test(y, reference=dip_reference_table(len(y), DIP_BOOTSTRAP_B))
         assert dec.reject_unimodal
         assert dec.p_value == 0.0
 

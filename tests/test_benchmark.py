@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from sigcluster import (
+    SignatureVariant,
+    SigtestConfig,
     bundled_manifest,
     dip_reference_table,
     format_cluster_table,
@@ -78,6 +80,18 @@ class TestRunTestBenchmark:
             rates = [r.success_rate for r in recs if r.method == method]
             for lo, hi in zip(rates, rates[1:]):
                 assert hi >= lo - 2.0, (method, rates)
+
+    def test_sigtest_config_sets_gamma_and_threshold(self):
+        # the config's gamma and threshold reach both sigtest methods; the
+        # variant always comes from the method name
+        kwargs = dict(separations=(3.0,), runs=10, seed=4,
+                      methods=("sigtest1", "sigtest2"), timing_runs=0)
+        default = run_test_benchmark(**kwargs)
+        assert [r.success_rate for r in default] != [0.0, 0.0]
+        never = run_test_benchmark(sigtest_config=SigtestConfig(threshold=1.0), **kwargs)
+        assert [r.success_rate for r in never] == [0.0, 0.0]
+        swapped = SigtestConfig(variant=SignatureVariant.SIGNATURE2)
+        assert run_test_benchmark(sigtest_config=swapped, **kwargs) == default
 
     def test_dip_table_shared_with_positional_callers(self):
         # the sweep looks the table up as (N, B), the key other callers use

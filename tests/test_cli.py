@@ -150,6 +150,11 @@ class TestBenchCommands:
         b = (tmp_path / "b.csv").read_text()
         assert a == b  # timing disabled: outputs byte-identical
 
+    def test_bench_tests_reads_no_file(self, capsys):
+        # bench-tests generates its samples, so it takes no --delimiter
+        assert main(["bench-tests", "--delimiter", ";"]) == 2
+        assert "--delimiter" in capsys.readouterr().err
+
     def test_bench_cluster_table(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SIGCLUSTER_OUT_DIR", str(tmp_path))
         code = main(["bench-cluster", "--datasets", "iris",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,19 @@ class TestDipmeansFamily:
         data = blobs([(0, 0), (40, 0)], 400, 1.0, seed=18)
         res = dipmeans_family(data, SigtestCriterion(), seed=0)
         assert res.k == 2
+
+    def test_sampled_viewers_bound_memory(self):
+        # 100 sampled viewers of 1200 points at d=8 need their own distance
+        # rows (100 x 1200 x 8 floats, 7.7 MB), not all 1200^2 x 8 (92 MB)
+        data = gen_gaussian(1200, dimension=8, seed=19)
+        tracemalloc.start()
+        try:
+            res = dipmeans_family(data, SigtestCriterion(), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.k == 1
+        assert peak < 24e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestBenchmarkDatasets:

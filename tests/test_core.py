@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -43,10 +45,21 @@ class TestNormalize:
             normalize([1.0])
 
     def test_overflow_is_typed_error(self):
-        # the squared deviations overflow although every value is finite
+        # the squared deviations overflow although every value is finite;
+        # typed error, and no numpy warning on the way to it
         y = np.random.default_rng(3).normal(size=200) * 1e160
-        with pytest.raises(DegenerateInputError, match="overflow"):
-            normalize(y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError, match="overflow"):
+                normalize(y)
+
+    def test_sum_overflow_is_typed_error(self):
+        # the sum overflows (and +inf meets -inf in the second sample)
+        for y in (np.full(200, 1.5e308), np.repeat([1.7e308, -1.7e308], 100)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DegenerateInputError, match="the mean is not finite"):
+                    normalize(y)
 
     def test_rejects_nan(self):
         with pytest.raises(NonFiniteInputError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -218,11 +220,14 @@ class TestSigtest:
             sigtest(np.arange(7.0))
 
     def test_overflow_is_typed_error(self):
-        # finite values whose squared deviations overflow: no verdict
+        # finite values whose squared deviations overflow: no verdict,
+        # and no numpy warning on the way to the typed error
         y = np.random.default_rng(3).normal(size=200) * 1e160
         for variant in (SIG1, SIG2):
-            with pytest.raises(DegenerateInputError, match="overflow"):
-                sigtest(y, SigtestConfig(variant=variant))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DegenerateInputError, match="overflow"):
+                    sigtest(y, SigtestConfig(variant=variant))
 
     def test_affine_and_permutation_invariance(self):
         rng = np.random.default_rng(15)
