@@ -62,6 +62,8 @@ AD_ALPHA = 0.0001
 KS_ALPHA = 0.05
 DIP_BOOTSTRAP_B = 1000
 
+_BLOCK_VALUES = 1 << 16  # values per lilliefors_reference block: ~1 MB with temporaries
+
 
 def anderson_darling_statistic(y) -> float:
     """Corrected statistic A*^2 = A^2 (1 + 0.75/N + 2.25/N^2).
@@ -109,20 +111,24 @@ def anderson_darling(y, alpha: float = AD_ALPHA) -> BaselineDecision:
     )
 
 
-def ks_statistic(y) -> float:
-    """Lilliefors D: sup distance between the empirical CDF and the
-    normal CDF with estimated mean and (ddof=1) standard deviation."""
-    y = as_sample(y)
-    x = np.sort(y)
-    N = x.size
-    s = x.std(ddof=1)
-    if s == 0.0:
-        raise DegenerateInputError("zero spread: all values are equal")
-    F = ndtr((x - x.mean()) / s)
+def _lilliefors_d(X: np.ndarray) -> np.ndarray:
+    """Lilliefors D of each ascending row of ``X``, overwriting ``X``: the sup
+    distance to the normal CDF with estimated mean and (ddof=1) std."""
+    N = X.shape[1]
+    s = X.std(axis=1, ddof=1, keepdims=True)
+    X -= X.mean(axis=1, keepdims=True)
+    X /= s
+    F = ndtr(X, out=X)
     i = np.arange(1, N + 1)
-    d_plus = (i / N - F).max()
-    d_minus = (F - (i - 1) / N).max()
-    return float(max(d_plus, d_minus))
+    return np.maximum((i / N - F).max(axis=1), (F - (i - 1) / N).max(axis=1))
+
+
+def ks_statistic(y) -> float:
+    """Lilliefors D of one sample; DegenerateInputError if all are equal."""
+    x = np.sort(as_sample(y))
+    if x[0] == x[-1]:
+        raise DegenerateInputError("zero spread: all values are equal")
+    return float(_lilliefors_d(x[None, :])[0])
 
 
 def lilliefors_reference(N: int) -> np.ndarray:
@@ -131,17 +137,16 @@ def lilliefors_reference(N: int) -> np.ndarray:
     10^4 standard-normal samples of size N are drawn with a fixed seed,
     each reduced to its D statistic. The result depends only on N, so it
     doubles as a reproducible critical-value table: the 1-alpha quantile
-    is the level-alpha critical value.
+    is the level-alpha critical value. Rows go in blocks: bounded memory.
     """
     replicates = 10_000
     rng = np.random.default_rng([202_405, N, replicates])
-    X = rng.standard_normal((replicates, N))
-    X.sort(axis=1)
-    m = X.mean(axis=1, keepdims=True)
-    s = X.std(axis=1, ddof=1, keepdims=True)
-    F = ndtr((X - m) / s)
-    i = np.arange(1, N + 1)
-    D = np.maximum((i / N - F).max(axis=1), (F - (i - 1) / N).max(axis=1))
+    rows = max(1, _BLOCK_VALUES // N)
+    D = np.empty(replicates)
+    for start in range(0, replicates, rows):
+        X = rng.standard_normal((min(rows, replicates - start), N))
+        X.sort(axis=1)
+        D[start:start + X.shape[0]] = _lilliefors_d(X)
     D.sort()
     return D
 

@@ -30,7 +30,7 @@ from .baselines import (
     lilliefors_table,
 )
 from .clustering import METHOD_NAMES, run_method
-from .data_io import DatasetManifest, load_csv
+from .data_io import bundled_manifest, load_csv
 from .metrics import ari, vi
 from .sigtest import SignatureVariant, SigtestConfig, sigtest
 from .synthetic import TwoClusterSpec, gen_two_clusters
@@ -202,12 +202,8 @@ def run_cluster_benchmark(manifests, methods=METHOD_NAMES, runs: int = 20,
     records = []
     for di, manifest in enumerate(manifests):
         if isinstance(manifest, str):
-            from .data_io import bundled_manifest
             manifest = bundled_manifest(manifest)
-        try:
-            data = load_csv(manifest)
-        except Exception as exc:
-            raise type(exc)(f"dataset {manifest.name!r}: {exc}") from exc
+        data = load_csv(manifest)
         for mi, method in enumerate(methods):
             ks, vis, aris, times = [], [], [], []
             for r in range(runs):

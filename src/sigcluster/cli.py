@@ -59,7 +59,7 @@ def _load_columns(path: str, delimiter: str):
         except ValueError:
             has_header = True
             break
-    manifest = DatasetManifest(name=path, path=path, label_column=None,
+    manifest = DatasetManifest(name=Path(path).stem, path=path, label_column=None,
                                delimiter=delimiter, has_header=has_header)
     return load_csv(manifest).rows
 

@@ -249,30 +249,27 @@ def _split_loop(data: Dataset, criterion, seed: int, evaluate_cluster):
     k = 1
     log = []
     for round_no in range(X.shape[0]):  # k strictly grows; bound is generous
-        grew = False
+        k_round = k
         for cid in range(k):
             members = np.flatnonzero(assignment == cid)
             if members.size < 2 * MIN_SAMPLES:
                 continue
             rng = np.random.default_rng([seed, round_no, cid])
             stat, decision, children = evaluate_cluster(X[members], rng)
-            accepted = False
-            if decision and children is not None:
+            accepted = bool(decision and
+                            np.bincount(children[0], minlength=2).min() >= MIN_SAMPLES)
+            if accepted:
                 child_a, child_centroids = children
-                sizes = np.bincount(child_a, minlength=2)
-                if sizes.min() >= MIN_SAMPLES:
-                    accepted = True
-                    assignment[members[child_a == 1]] = k
-                    centroids[cid] = child_centroids[0]
-                    centroids.append(child_centroids[1])
-                    k += 1
-                    grew = True
+                assignment[members[child_a == 1]] = k
+                centroids[cid] = child_centroids[0]
+                centroids.append(child_centroids[1])
+                k += 1
             log.append(SplitRecord(
                 round=round_no, cluster_id=cid, criterion=criterion.name,
                 statistic=float(stat), decision=bool(decision),
                 accepted=accepted, n=int(members.size),
             ))
-        if not grew:
+        if k == k_round:
             break
         assignment, refined = _refine(X, centroids)
         centroids = list(refined)
@@ -296,15 +293,12 @@ def gmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult:
         raise TypeError("gmeans_family takes SigtestCriterion or ADCriterion")
 
     def evaluate(members, rng):
-        child_a, child_c = _two_means(members, rng)
-        if np.bincount(child_a, minlength=2).min() < MIN_SAMPLES:
-            return 0.0, False, None  # unviable bisection, not tested
+        children = _two_means(members, rng)
         try:
-            projection = project_split(members, child_c[0], child_c[1])
-            stat, decision = criterion.test(projection)
+            stat, decision = criterion.test(project_split(members, *children[1]))
         except (IdenticalCentroidsError, DegenerateInputError):
             return 0.0, False, None  # no usable axis: duplicate-point cluster
-        return stat, decision, (child_a, child_c)
+        return stat, decision, children
 
     return _split_loop(data, criterion, seed, evaluate)
 
@@ -341,8 +335,7 @@ def dipmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult
         fraction = rejecting / len(viewers)
         if fraction <= criterion.viewer_fraction:
             return fraction, False, None
-        child_a, child_c = _two_means(members, rng)
-        return fraction, True, (child_a, child_c)
+        return fraction, True, _two_means(members, rng)
 
     return _split_loop(data, criterion, seed, evaluate)
 

@@ -55,8 +55,8 @@ class DatasetManifest:
 def load_csv(manifest: DatasetManifest) -> Dataset:
     """Parse the manifest's file into a Dataset.
 
-    Any unparseable numeric cell aborts the load with a ParseError naming
-    the 1-based row and column. Rows are kept in file order.
+    Errors name the dataset; an unparseable numeric cell raises a
+    ParseError with its 1-based row and column. Rows keep file order.
 
     Raises
     ------
@@ -65,21 +65,27 @@ def load_csv(manifest: DatasetManifest) -> Dataset:
     MissingLabelColumnError
         If the configured label column cannot be resolved.
     ParseError
-        On the first bad numeric cell.
+        On the first bad numeric cell, or if the file is not UTF-8 text.
     """
-    path = Path(manifest.path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=manifest.delimiter)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    where = f"dataset {manifest.name!r} ({manifest.path})"
+    try:
+        with open(manifest.path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh, delimiter=manifest.delimiter)
+            rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{where}: not UTF-8 text ({exc.reason})") from None
+    except OSError as exc:  # keeps its type, errno and filename
+        exc.strerror = f"dataset {manifest.name!r}: {exc.strerror}"
+        raise
 
     header = None
     if manifest.has_header:
         if not rows:
-            raise EmptyDatasetError(f"{path}: file is empty")
+            raise EmptyDatasetError(f"{where}: file is empty")
         header = [h.strip() for h in rows[0]]
         rows = rows[1:]
     if not rows:
-        raise EmptyDatasetError(f"{path}: no data rows")
+        raise EmptyDatasetError(f"{where}: no data rows")
 
     ncols = len(rows[0])
     label_idx = None
@@ -87,7 +93,7 @@ def load_csv(manifest: DatasetManifest) -> Dataset:
         if isinstance(manifest.label_column, str):
             if header is None or manifest.label_column not in header:
                 raise MissingLabelColumnError(
-                    f"{path}: no column named {manifest.label_column!r}"
+                    f"{where}: no column named {manifest.label_column!r}"
                 )
             label_idx = header.index(manifest.label_column)
         else:
@@ -96,7 +102,7 @@ def load_csv(manifest: DatasetManifest) -> Dataset:
                 label_idx += ncols
             if not 0 <= label_idx < ncols:
                 raise MissingLabelColumnError(
-                    f"{path}: label column index {manifest.label_column} "
+                    f"{where}: label column index {manifest.label_column} "
                     f"out of range for {ncols} columns"
                 )
 
@@ -105,7 +111,7 @@ def load_csv(manifest: DatasetManifest) -> Dataset:
     for r, row in enumerate(rows, start=2 if manifest.has_header else 1):
         if len(row) != ncols:
             raise ParseError(
-                f"{path}: row {r} has {len(row)} cells, expected {ncols}",
+                f"{where}: row {r} has {len(row)} cells, expected {ncols}",
                 row=r, column=None,
             )
         feat = []
@@ -117,7 +123,7 @@ def load_csv(manifest: DatasetManifest) -> Dataset:
                 feat.append(float(cell))
             except ValueError:
                 raise ParseError(
-                    f"{path}: cannot parse cell {cell.strip()!r} "
+                    f"{where}: cannot parse cell {cell.strip()!r} "
                     f"at row {r}, column {c + 1}",
                     row=r, column=c + 1,
                 ) from None

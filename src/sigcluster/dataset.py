@@ -1,6 +1,6 @@
 """The Dataset container shared by loaders, generators and clusterers."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +17,7 @@ from sigcluster import (
     dip_test,
     ks_lilliefors,
     ks_statistic,
+    lilliefors_reference,
     lilliefors_table,
 )
 from sigcluster.baselines import DIP_BOOTSTRAP_B
@@ -224,6 +227,35 @@ class TestKsLilliefors:
     def test_too_few(self):
         with pytest.raises(TooFewSamplesError):
             ks_lilliefors(np.arange(7.0))
+
+    @pytest.mark.parametrize("y", [np.full(200, 0.3), np.full(50, 7.7)])
+    def test_constant_sample_is_degenerate(self, y):
+        # the mean of 200 copies of 0.3 is not exactly 0.3, so the std is
+        # rounding residue, not spread; it once scored D = 0.84, a split
+        with pytest.raises(DegenerateInputError):
+            ks_statistic(y)
+        with pytest.raises(DegenerateInputError):
+            ks_lilliefors(y)
+
+    @pytest.mark.parametrize("N, digest", [
+        (8, "cf07a7aea6d200fb8ced73f45ab75dc9bb710db351fbadd79029d878549080fd"),
+        (200, "8c8c2a2d68caeed4559092f8f3d801ced3adba0106bc889a56e2dc055b5573b9"),
+    ])
+    def test_reference_bits_pinned(self, N, digest):
+        # the seeded table every KS decision is calibrated against
+        assert hashlib.sha256(lilliefors_reference(N).tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("N", [200, 1000])
+    def test_reference_memory_bounded(self, N):
+        # 10^4 x N draws reduced in blocks, not held at once (16 MB per
+        # 10^4 x 200 array of float64)
+        tracemalloc.start()
+        try:
+            lilliefors_reference(N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
 
 # ----------------------------------------------------------------------- dip

@@ -16,6 +16,7 @@ from sigcluster import (
     time_method,
 )
 from sigcluster.data_io import DatasetManifest
+from sigcluster.errors import ParseError
 
 
 def strip_timing(records):
@@ -138,6 +139,15 @@ class TestRunClusterBenchmark:
         with pytest.raises(OSError) as exc:
             run_cluster_benchmark([manifest], methods=("gmeans+",), runs=1, seed=0)
         assert "ghost" in str(exc.value)
+
+    def test_parse_error_names_dataset_keeps_cell(self, tmp_path):
+        p = tmp_path / "cells.csv"
+        p.write_text("a,b\n1.0,2.0\n3.0,oops\n")
+        manifest = DatasetManifest(name="sheet", path=str(p))
+        with pytest.raises(ParseError) as exc:
+            run_cluster_benchmark([manifest], methods=("gmeans+",), runs=1, seed=0)
+        assert (exc.value.row, exc.value.column) == (3, 2)
+        assert "'sheet'" in str(exc.value)
 
     def test_format_table(self):
         recs = run_cluster_benchmark(["iris"], methods=("gmeans+", "dipmeans+"),

@@ -78,6 +78,12 @@ class TestTestCommand:
         code = main(["test", "--method", "nope", unimodal_csv])
         assert code == 2
 
+    def test_ks_constant_column_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "constant.csv"
+        p.write_text("0.3\n" * 200)
+        assert main(["test", "--method", "ks", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("error: zero spread")
+
     def test_multicolumn_requires_centroids(self, tmp_path, capsys):
         p = tmp_path / "wide.csv"
         rng = np.random.default_rng(23)
@@ -165,6 +171,13 @@ class TestBenchCommands:
         recs = read_results(tmp_path / "bc.json")
         assert recs[0]["method"] == "gmeans+"
         assert recs[0]["dataset"] == "iris"
+
+    def test_bench_cluster_undecodable_file_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes("a,b\n1.0,2.0\n3.0,4.0 \u00b0C\n".encode("latin-1"))
+        assert main(["bench-cluster", "--datasets", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset 'latin1'") and "not UTF-8" in err
 
 
 def test_console_entry_point(tmp_path):

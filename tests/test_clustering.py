@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sigcluster import (
+    AD_CRITICAL_VALUES,
     ADCriterion,
     Dataset,
     DipViewerCriterion,
@@ -16,7 +17,9 @@ from sigcluster import (
     gmeans_family,
     kmeans,
     project_split,
+    run_method,
 )
+from sigcluster.baselines import AD_ALPHA
 from sigcluster.errors import IdenticalCentroidsError, KTooLargeError
 from sigcluster.sigtest import MIN_SAMPLES
 
@@ -249,6 +252,17 @@ class TestBenchmarkDatasets:
         for s in range(3):
             res = dipmeans_family(data, DipViewerCriterion(bootstrap_B=500), seed=s)
             assert res.k == 2
+
+    def test_unviable_bisection_is_tested_then_vetoed(self):
+        # round 1 bisects the 53-point setosa cluster into children one of
+        # which is below MIN_SAMPLES: the criterion's verdict is logged,
+        # and the split loop vetoes it
+        from sigcluster import bundled_manifest, load_csv
+        res = run_method("gmeans", load_csv(bundled_manifest("iris")), seed=1)
+        [rec] = [r for r in res.split_log if r.round == 1 and r.n == 53]
+        assert rec.statistic > AD_CRITICAL_VALUES[AD_ALPHA]
+        assert rec.decision and not rec.accepted
+        assert res.replayed_k() == res.k == 2
 
     def test_iris_ad_criterion_stops_at_two(self):
         from sigcluster import bundled_manifest, load_csv

@@ -4,7 +4,7 @@ Every name that ``perfbench/`` and ``demos/`` import from sigcluster must
 resolve, and so must every entry of ``sigcluster.__all__``; the demos
 must run to completion. The criteria must stay subclassable the way
 ``perfbench/execute.py`` wraps them, and the calibration tables callable
-in the forms its layer rows use.
+in the forms its layer rows use. No module imports a name it never uses.
 """
 
 import ast
@@ -60,6 +60,21 @@ def test_imported_names_resolve():
                for script, module, name in sigcluster_imports()
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, "names removed from sigcluster:\n" + "\n".join(missing)
+
+
+def test_modules_use_every_import():
+    # __init__.py is exempt: it imports to re-export
+    unused = []
+    for path in sorted((ROOT / "src" / "sigcluster").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{node.lineno}: {name}"
+                   for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for name in ((a.asname or a.name).split(".")[0] for a in node.names)
+                   if name not in used]
+    assert not unused, "imported but never used:\n" + "\n".join(unused)
 
 
 def test_all_entries_resolve():
