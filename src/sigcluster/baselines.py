@@ -23,8 +23,8 @@ import numpy as np
 from scipy import stats
 from scipy.special import ndtr
 
-from .core import as_sample
-from .errors import DegenerateInputError, TooFewSamplesError
+from .core import _normalized, as_sample
+from .errors import TooFewSamplesError
 from .sigtest import MIN_SAMPLES
 
 
@@ -73,8 +73,7 @@ def anderson_darling_statistic(y) -> float:
     """
     y = as_sample(y)
     N = y.size
-    if np.all(y == y[0]):
-        raise DegenerateInputError("zero spread: all values are equal")
+    _normalized(y)  # normalize's degenerate-input rule: zero spread or overflow
     a2 = stats.anderson(y, dist="norm", method="interpolate").statistic
     return float(a2 * (1.0 + 0.75 / N + 2.25 / N**2))
 
@@ -124,10 +123,11 @@ def _lilliefors_d(X: np.ndarray) -> np.ndarray:
 
 
 def ks_statistic(y) -> float:
-    """Lilliefors D of one sample; DegenerateInputError if all are equal."""
-    x = np.sort(as_sample(y))
-    if x[0] == x[-1]:
-        raise DegenerateInputError("zero spread: all values are equal")
+    """Lilliefors D of one sample; DegenerateInputError where normalize
+    would raise it (zero spread, or squared deviations that overflow)."""
+    x = as_sample(y)
+    _normalized(x)
+    x = np.sort(x)
     return float(_lilliefors_d(x[None, :])[0])
 
 

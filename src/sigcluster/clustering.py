@@ -39,7 +39,7 @@ from .errors import (
     KTooLargeError,
     TooFewSamplesError,
 )
-from .sigtest import MIN_SAMPLES, SigtestConfig, sigtest
+from .sigtest import MIN_SAMPLES, SigtestConfig, _signature_rows, sigtest
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,18 @@ class SigtestCriterion:
     def test(self, y) -> tuple[float, bool]:
         out = sigtest(y, self.config)
         return out.C, out.split
+
+    def test_rows(self, Y) -> tuple[np.ndarray, np.ndarray]:
+        """(C, split) of each row of a 2-d array, from one call of the
+        signature kernel that ``test`` runs on one row. A row ``test``
+        would refuse as degenerate (zero spread, or squared deviations
+        that overflow) gets C = NaN and does not reject."""
+        Y = np.ascontiguousarray(Y, dtype=np.float64)  # each row summed in sigtest's order
+        if Y.ndim != 2:
+            raise ValueError(f"expected a 2-d array of rows, got shape {Y.shape}")
+        C, _, ok = _signature_rows(Y, self.config)
+        C[~ok] = np.nan
+        return C, C > self.config.threshold
 
 
 @dataclass(frozen=True)
@@ -98,6 +110,12 @@ class DipViewerCriterion:
         ref = dip_reference_table(len(y), self.bootstrap_B)
         dec = dip_test(y, self.bootstrap_B, reference=ref)
         return dec.statistic, dec.reject_unimodal
+
+    def test_rows(self, Y) -> tuple[np.ndarray, np.ndarray]:
+        """``test`` of each row in turn: AS 217 is a sequential loop."""
+        results = [self.test(y) for y in Y]
+        return (np.array([stat for stat, _ in results]),
+                np.array([reject for _, reject in results], dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -308,7 +326,8 @@ def dipmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult
 
     Every member of a cluster (or a seeded sample of 100 when the cluster
     has more than 500 members) tests its distances to the other members
-    with the viewer criterion; the cluster is split via 2-means when the
+    with the viewer criterion, all viewers of a cluster in one
+    ``criterion.test_rows`` call; the cluster is split via 2-means when the
     fraction of rejecting viewers exceeds the criterion's calibrated
     ``viewer_fraction``. The logged statistic is that fraction.
 
@@ -324,15 +343,10 @@ def dipmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult
         if m > 500:
             viewers = rng.choice(m, size=100, replace=False)
         dist = np.sqrt(((members[viewers, None, :] - members[None, :, :]) ** 2).sum(axis=2))
-        rejecting = 0
-        for row, v in zip(dist, viewers):
-            distances = np.delete(row, v)
-            try:
-                _, reject = criterion.test(distances)
-            except DegenerateInputError:
-                reject = False  # equidistant viewer, nothing to test
-            rejecting += reject
-        fraction = rejecting / len(viewers)
+        others = np.ones(dist.shape, dtype=bool)
+        others[np.arange(len(viewers)), viewers] = False  # a viewer's distance to itself
+        _, rejects = criterion.test_rows(dist[others].reshape(len(viewers), m - 1))
+        fraction = np.count_nonzero(rejects) / len(viewers)
         if fraction <= criterion.viewer_fraction:
             return fraction, False, None
         return fraction, True, _two_means(members, rng)

@@ -30,30 +30,63 @@ def as_sample(values) -> np.ndarray:
     return y
 
 
-def _normalized(y: np.ndarray) -> np.ndarray:
-    """normalize() of a 1-d float64 array of at least two values.
+def _row_moments(Y: np.ndarray):
+    """Mean, deviations and population scale of each row (along the last
+    axis) of a float64 array; a 1-d array is one row. An overflow leaves
+    a non-finite mean or scale behind, without a warning."""
+    N = Y.shape[-1]
+    # Y.T puts the row axis last, so the per-row moments broadcast along
+    # it; a 1-d Y is its own transpose and meets plain scalars
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = _add_reduce(Y, -1) / N
+        D = (Y.T - mean).T
+        scale = np.sqrt(_add_reduce(D * D, -1) / N)
+    return mean, D, scale
 
-    NaN/Inf are only looked for when the mean comes out non-finite (a
-    finite mean is impossible with any present), so callers that skip
-    as_sample still get NonFiniteInputError.
+
+def _normalized_rows(Y: np.ndarray):
+    """normalize() of each row of a float64 array of at least two columns,
+    in one pass over the whole array; a 1-d array is one row.
+
+    Returns (Z, ok). A row that normalize would refuse (zero spread, or a
+    mean or squared deviations that overflow) has ok False and comes back
+    as zeros. NaN/Inf are only looked for when some mean comes out
+    non-finite (a finite mean is impossible with any present), and raise
+    NonFiniteInputError.
     """
-    N = y.size
-    with np.errstate(over="ignore", invalid="ignore"):  # overflows raise typed errors below
-        mean = _add_reduce(y) / N
-        d = y - mean
-        scale = math.sqrt(_add_reduce(d * d) / N)
+    mean, Z, scale = _row_moments(Y)
+    # NaN fails every comparison, so a non-finite moment fails too; the
+    # relative floor catches constant rows whose mean subtraction leaves
+    # only rounding residue
+    ok = (scale > 0.0) & (scale < np.inf) & (scale >= np.abs(mean) * 1e-13)
+    if np.count_nonzero(ok) < ok.size:
+        if not np.isfinite(mean).all() and not np.isfinite(Y).all():
+            raise NonFiniteInputError("sample contains NaN or infinite values")
+        Z[~ok] = 0.0
+        scale = np.where(ok, scale, 1.0)
+    ZT = Z.T
+    ZT /= scale
+    return Z, ok
+
+
+def _degenerate_error(y: np.ndarray) -> DegenerateInputError:
+    """Why _normalized_rows refuses the 1-d sample y, as the error to raise."""
+    mean, _, scale = _row_moments(y)
     if not math.isfinite(mean):
-        as_sample(y)
-        raise DegenerateInputError("sample magnitude overflows: the mean is not finite")
+        return DegenerateInputError("sample magnitude overflows: the mean is not finite")
     if not math.isfinite(scale):
-        raise DegenerateInputError(
+        return DegenerateInputError(
             "sample magnitude overflows: the squared deviations exceed the float range")
-    # relative floor catches constant vectors whose mean subtraction
-    # leaves only rounding residue
-    if scale == 0.0 or scale < abs(mean) * 1e-13:
-        raise DegenerateInputError("zero spread: all values are equal")
-    d /= scale
-    return d
+    return DegenerateInputError("zero spread: all values are equal")
+
+
+def _normalized(y: np.ndarray) -> np.ndarray:
+    """normalize() of a 1-d float64 array of at least two values: the
+    one-row case of _normalized_rows, raising where that refuses the row."""
+    z, ok = _normalized_rows(y)
+    if not ok:
+        raise _degenerate_error(y)
+    return z
 
 
 def normalize(samples) -> np.ndarray:
@@ -78,12 +111,12 @@ def normalize(samples) -> np.ndarray:
 
 def _sorted_abs(y: np.ndarray) -> np.ndarray:
     a = np.abs(y)
-    a.sort(kind="stable")
+    a.sort()  # along the last axis: each row of a 2-d array on its own
     return a
 
 
 def sorted_abs(samples) -> np.ndarray:
-    """Absolute values sorted ascending (stable, so ties keep input order)."""
+    """Absolute values sorted ascending."""
     return _sorted_abs(as_sample(samples))
 
 

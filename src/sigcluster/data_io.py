@@ -65,7 +65,9 @@ def load_csv(manifest: DatasetManifest) -> Dataset:
     MissingLabelColumnError
         If the configured label column cannot be resolved.
     ParseError
-        On the first bad numeric cell, or if the file is not UTF-8 text.
+        On the first bad numeric cell, if the file is not UTF-8 text, or
+        if the csv module cannot split a line (the message names its
+        1-based line number).
     """
     where = f"dataset {manifest.name!r} ({manifest.path})"
     try:
@@ -74,6 +76,8 @@ def load_csv(manifest: DatasetManifest) -> Dataset:
             rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     except UnicodeDecodeError as exc:
         raise ParseError(f"{where}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
+        raise ParseError(f"{where}: line {reader.line_num}: {exc}") from None
     except OSError as exc:  # keeps its type, errno and filename
         exc.strerror = f"dataset {manifest.name!r}: {exc.strerror}"
         raise

@@ -29,8 +29,10 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
+    _add_reduce,
+    _degenerate_error,
     _half_normal_cdf,
-    _normalized,
+    _normalized_rows,
     _sorted_abs,
     as_sample,
     half_normal_cdf,
@@ -120,7 +122,7 @@ def signature_moments(N: int, variant: SignatureVariant):
 
 
 def _running_mean(s: np.ndarray) -> np.ndarray:
-    return np.cumsum(s) / np.arange(1, s.size + 1)
+    return np.cumsum(s, axis=-1) / np.arange(1, s.shape[-1] + 1)
 
 
 def compute_signature(z, variant: SignatureVariant = SignatureVariant.SIGNATURE1) -> np.ndarray:
@@ -158,8 +160,9 @@ def compute_bounds(N: int, config: SigtestConfig) -> SignatureBounds:
 
 
 def _violations(s: np.ndarray, bounds: SignatureBounds):
+    """(C, flags) of a signature, or of each row of a 2-d array of them."""
     flags = (s < bounds.lower) | (s > bounds.upper)
-    return float(np.count_nonzero(flags)) / s.size, flags
+    return _add_reduce(flags, axis=-1, dtype=np.intp) / s.shape[-1], flags
 
 
 def count_violations(signature, bounds: SignatureBounds):
@@ -179,7 +182,8 @@ def count_violations(signature, bounds: SignatureBounds):
         raise LengthMismatchError(
             f"signature length {len(s)} != bounds length {len(bounds)}"
         )
-    return _violations(s, bounds)
+    C, flags = _violations(s, bounds)
+    return float(C), flags
 
 
 @lru_cache(maxsize=128)
@@ -195,6 +199,24 @@ def _frozen_bounds(N: int, gamma: float, variant: SignatureVariant):
     return b
 
 
+def _signature_rows(Y: np.ndarray, config: SigtestConfig):
+    """The signature test of each row (along the last axis) of a float64
+    array with at least MIN_SAMPLES columns; a 1-d array is one row. One
+    normalize, one sort, one erf map and one band compare cover the whole
+    array.
+
+    Returns (C, flags, ok); a row with ok False (zero spread, or squared
+    deviations that overflow) has no verdict, and its C and flags are
+    meaningless.
+    """
+    Z, ok = _normalized_rows(Y)
+    s = _half_normal_cdf(_sorted_abs(Z))
+    if config.variant is SignatureVariant.SIGNATURE2:
+        s = _running_mean(s)
+    C, flags = _violations(s, _frozen_bounds(Y.shape[-1], config.gamma, config.variant))
+    return C, flags, ok
+
+
 def sigtest(y, config: SigtestConfig = SigtestConfig()) -> TestOutcome:
     """Run the full signature test on a raw 1-d sample.
 
@@ -205,10 +227,10 @@ def sigtest(y, config: SigtestConfig = SigtestConfig()) -> TestOutcome:
     stay within the float range (for a sample of spread 1, |a| up to
     about 1e154 / sqrt(N)); beyond that it raises DegenerateInputError.
 
-    The sample is validated once, then runs through the same stage
-    helpers as the public stage functions, with the band cached per
-    (N, gamma, variant); a test pins the outputs as exactly equal to
-    composing the public stages.
+    The sample is validated once, then runs as the one-row case of the
+    row-batched kernel that ``SigtestCriterion.test_rows`` calls, with the
+    band cached per (N, gamma, variant); a test pins the outputs as
+    exactly equal to composing the public stage functions.
 
     Raises
     ------
@@ -225,10 +247,10 @@ def sigtest(y, config: SigtestConfig = SigtestConfig()) -> TestOutcome:
     N = y.size
     if N < MIN_SAMPLES:
         raise TooFewSamplesError(f"N={N} below MIN_SAMPLES={MIN_SAMPLES}")
-    s = _half_normal_cdf(_sorted_abs(_normalized(y)))
-    if config.variant is SignatureVariant.SIGNATURE2:
-        s = _running_mean(s)
-    C, flags = _violations(s, _frozen_bounds(N, config.gamma, config.variant))
+    C, flags, ok = _signature_rows(y, config)
+    if not ok:
+        raise _degenerate_error(y)
+    C = float(C)
     return TestOutcome(
         C=C,
         violations=flags,

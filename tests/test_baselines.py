@@ -304,6 +304,19 @@ class TestDipStatistic:
             dip_statistic(np.array([1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("test", [
+    anderson_darling, anderson_darling_statistic, ks_lilliefors, ks_statistic])
+def test_overflow_is_typed_error(test):
+    # finite values whose squared deviations overflow: the error sigtest
+    # raises, not a split verdict (once KS D = 0.5, AD A*^2 = 77.6), and
+    # no numpy warning on the way to it
+    y = np.random.default_rng(3).normal(size=200) * 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInputError, match="overflow"):
+            test(y)
+
+
 class TestDipTest:
     def test_uniform_calibration(self):
         # level-zero rule: essentially never rejects a true uniform

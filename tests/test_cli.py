@@ -179,6 +179,13 @@ class TestBenchCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: dataset 'latin1'") and "not UTF-8" in err
 
+    def test_bench_cluster_oversized_cell_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "big.csv"
+        p.write_text("a,b\n1,2\n3," + "4" * 140_000 + "\n5,6\n")
+        assert main(["bench-cluster", "--datasets", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset 'big'") and "line 3: field larger" in err
+
 
 def test_console_entry_point(tmp_path):
     y = np.random.default_rng(26).normal(size=100)

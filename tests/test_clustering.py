@@ -8,6 +8,8 @@ from sigcluster import (
     ADCriterion,
     Dataset,
     DipViewerCriterion,
+    SignatureVariant,
+    SigtestConfig,
     SigtestCriterion,
     anderson_darling,
     ari,
@@ -18,9 +20,16 @@ from sigcluster import (
     kmeans,
     project_split,
     run_method,
+    sigtest,
 )
 from sigcluster.baselines import AD_ALPHA
-from sigcluster.errors import IdenticalCentroidsError, KTooLargeError
+from sigcluster.clustering import _split_loop, _two_means
+from sigcluster.errors import (
+    DegenerateInputError,
+    IdenticalCentroidsError,
+    KTooLargeError,
+    TooFewSamplesError,
+)
 from sigcluster.sigtest import MIN_SAMPLES
 
 
@@ -271,3 +280,83 @@ class TestBenchmarkDatasets:
             res = gmeans_family(data, ADCriterion(), seed=s)
             assert res.k == 2
             assert ari(res.assignment, data.labels) > 0.5
+
+
+def _looped_dipmeans(data, criterion, seed):
+    """Reference dipmeans+ with a viewer loop: one np.delete and one
+    one-row sigtest per viewer, where dipmeans_family makes one batched
+    test_rows call per cluster."""
+    def evaluate(members, rng):
+        m = members.shape[0]
+        viewers = np.arange(m)
+        if m > 500:
+            viewers = rng.choice(m, size=100, replace=False)
+        dist = np.sqrt(((members[viewers, None, :] - members[None, :, :]) ** 2).sum(axis=2))
+        rejecting = 0
+        for row, v in zip(dist, viewers):
+            try:
+                rejecting += sigtest(np.delete(row, v), criterion.config).split
+            except DegenerateInputError:
+                pass
+        fraction = rejecting / len(viewers)
+        if fraction <= criterion.viewer_fraction:
+            return fraction, False, None
+        return fraction, True, _two_means(members, rng)
+
+    return _split_loop(data, criterion, seed, evaluate)
+
+
+class TestBatchedViewers:
+    # SigtestCriterion.test_rows runs the signature kernel once over all
+    # rows; it must equal the one-row sigtest of each row exactly
+    @pytest.mark.parametrize("variant", list(SignatureVariant))
+    @pytest.mark.parametrize("N", [8, 9, 199, 999])
+    def test_rows_equal_loop_of_sigtest(self, variant, N):
+        config = SigtestConfig(variant=variant)
+        rng = np.random.default_rng([80, N, variant.value])
+        Y = rng.normal(size=(10, N)) * rng.uniform(0.1, 5.0, (10, 1)) + rng.normal(size=(10, 1))
+        Y[1] = 3.3                                   # zero spread
+        Y[4] *= 1e160                                # squared deviations overflow
+        Y[6] = np.round(Y[6], 1)                     # many ties
+        Y[8] = rng.normal(size=N) + np.where(np.arange(N) % 2, 5.0, -5.0)  # bimodal
+        C, rejects = SigtestCriterion(config).test_rows(Y)
+        assert C.shape == rejects.shape == (10,)
+        for i, y in enumerate(Y):
+            if i in (1, 4):
+                with pytest.raises(DegenerateInputError):
+                    sigtest(y, config)
+                assert np.isnan(C[i]) and not rejects[i]
+                continue
+            out = sigtest(y, config)
+            assert C[i] == out.C
+            assert rejects[i] == out.split
+        if N >= 199:
+            assert rejects[8]
+        # a column-major copy gives the same rows, summed in the same order
+        C_f, rejects_f = SigtestCriterion(config).test_rows(np.asfortranarray(Y))
+        np.testing.assert_array_equal(C_f, C)
+        np.testing.assert_array_equal(rejects_f, rejects)
+
+    def test_rows_validates_shape(self):
+        criterion = SigtestCriterion()
+        with pytest.raises(ValueError):
+            criterion.test_rows(np.zeros(20))
+        with pytest.raises(TooFewSamplesError):
+            criterion.test_rows(np.ones((3, MIN_SAMPLES - 1)))
+
+    @pytest.mark.parametrize("variant", list(SignatureVariant))
+    def test_dipmeans_equals_viewer_loop(self, variant):
+        from sigcluster import bundled_manifest, load_csv
+        criterion = SigtestCriterion(SigtestConfig(variant=variant))
+        # five unit blobs on a regular simplex at d=8: the 1000-point root
+        # cluster takes the sampled-viewer path
+        simplex = 23.2 / np.sqrt(2.0) * np.eye(8)[:5]
+        sets = [load_csv(bundled_manifest("iris")), load_csv(bundled_manifest("seeds")),
+                blobs(simplex, 200, 1.0, seed=21, d=8)]
+        for data in sets:
+            for seed in (0, 1):
+                res = dipmeans_family(data, criterion, seed)
+                ref = _looped_dipmeans(data, criterion, seed)
+                np.testing.assert_array_equal(res.assignment, ref.assignment)
+                assert res.split_log == ref.split_log
+                assert res.k == ref.k > 1

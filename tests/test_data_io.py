@@ -61,6 +61,13 @@ class TestLoadCsv:
         assert exc.value.column == 2
         assert "abc" in str(exc.value)
 
+    def test_oversized_cell_names_line(self, tmp_path):
+        # a cell over the csv module's field size limit (131072 characters)
+        p = tmp_path / "big.csv"
+        p.write_text("a,b\n1,2\n3," + "4" * 140_000 + "\n5,6\n")
+        with pytest.raises(ParseError, match=r"^dataset 'big' \(.*\): line 3: field larger"):
+            load_csv(DatasetManifest(name="big", path=str(p)))
+
     def test_missing_label_column(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b\n1,2\n")

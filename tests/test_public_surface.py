@@ -98,12 +98,18 @@ def test_demo_runs(demo, args, tmp_path):
 
 
 class _Recording:
-    """Wraps each criterion call like perfbench's timing subclasses."""
+    """Wraps each criterion call like perfbench's timing subclasses: a
+    one-sample ``test`` and a batched ``test_rows`` alike."""
 
     def test(self, y):
         stat, reject = super().test(y)
-        self.calls.append((self.name, bool(reject)))
+        self.calls.append(("test", self.name, bool(reject)))
         return stat, reject
+
+    def test_rows(self, Y):
+        stats, rejects = super().test_rows(Y)
+        self.calls.append(("test_rows", self.name, int(np.count_nonzero(rejects))))
+        return stats, rejects
 
 
 @dataclass(frozen=True)
@@ -134,7 +140,14 @@ def test_criterion_subclass_reproduces_run_method(method, family, make):
     ref = run_method(method, iris, seed=3)
     np.testing.assert_array_equal(res.assignment, ref.assignment)
     assert res.split_log == ref.split_log
-    assert {name for name, _ in criterion.calls} == {ref.split_log[0].criterion}
+    assert {name for _, name, _ in criterion.calls} == {ref.split_log[0].criterion}
+    if family is dipmeans_family:
+        # every tested cluster's viewers go through one batched call
+        # (all 150 iris points are viewers), and its rejects make the
+        # logged viewer fraction
+        batches = [call for call in criterion.calls if call[0] == "test_rows"]
+        assert [r / rec.n for (_, _, r), rec in zip(batches, ref.split_log)] == \
+            [rec.statistic for rec in ref.split_log]
 
 
 def test_table_call_forms():
