@@ -16,15 +16,15 @@ Hartigan & Hartigan (1985), "The dip test of unimodality", Ann. Statist.
 13; Hartigan (1985), "Algorithm AS 217", Appl. Statist. 34.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
-from .core import _normalized, as_sample
-from .errors import TooFewSamplesError
+from .core import _add_reduce, _degenerate_error, _normalized, _row_moments, _spread_ok, as_sample
+from .errors import DegenerateInputError, TooFewSamplesError
 from .sigtest import MIN_SAMPLES
 
 
@@ -68,13 +68,35 @@ _BLOCK_VALUES = 1 << 16  # values per lilliefors_reference block: ~1 MB with tem
 def anderson_darling_statistic(y) -> float:
     """Corrected statistic A*^2 = A^2 (1 + 0.75/N + 2.25/N^2).
 
-    A^2 is computed against a normal with estimated mean and variance
-    (scipy's implementation of the case-4 statistic).
+    A^2 is Stephens' case-4 statistic against a normal with the sample
+    mean and (ddof=1) standard deviation, in closed form.
+
+    Raises
+    ------
+    DegenerateInputError
+        Where normalize would: zero spread, or squared deviations that
+        overflow.
     """
-    y = as_sample(y)
+    return _ad_statistic(as_sample(y))
+
+
+def _ad_statistic(y: np.ndarray) -> float:
+    """anderson_darling_statistic of a validated sample.
+
+    The arithmetic is scipy.stats.anderson's, step for step, so A*^2 is
+    the same bit for bit: the moments come from the unsorted sample (the
+    pairwise sums depend on the order), and norm's logcdf/logsf are
+    log_ndtr(w)/log_ndtr(-w).
+    """
     N = y.size
-    _normalized(y)  # normalize's degenerate-input rule: zero spread or overflow
-    a2 = stats.anderson(y, dist="norm", method="interpolate").statistic
+    mean, D, scale = _row_moments(y)
+    if not _spread_ok(mean, scale):
+        raise _degenerate_error(y)
+    s = math.sqrt(_add_reduce(D * D) / (N - 1))
+    w = np.sort(D)
+    w /= s
+    i = np.arange(1, N + 1)
+    a2 = -N - _add_reduce((2 * i - 1.0) / N * (log_ndtr(w) + log_ndtr(-w)[::-1]))
     return float(a2 * (1.0 + 0.75 / N + 2.25 / N**2))
 
 
@@ -102,7 +124,7 @@ def anderson_darling(y, alpha: float = AD_ALPHA) -> BaselineDecision:
             f"no critical value for alpha={alpha}; "
             f"available: {sorted(AD_CRITICAL_VALUES)}"
         )
-    stat = anderson_darling_statistic(y)
+    stat = _ad_statistic(y)
     return BaselineDecision(
         statistic=stat,
         p_value=None,
@@ -199,12 +221,15 @@ def dip_statistic(y) -> float:
     closest unimodal CDF (the fit splits each gap, hence the /(2N) scale).
 
     Uses the greatest-convex-minorant / least-concave-majorant algorithm
-    (AS 217). Always at least 1/(2N); at most ~1/4.
+    (AS 217). Always at least 1/(2N); at most ~1/4. Scale-free: no moment
+    is formed, so any finite sample with two distinct values has a dip.
 
     Raises
     ------
     TooFewSamplesError
         If N < 4.
+    DegenerateInputError
+        If all values are equal.
     """
     y = as_sample(y)
     if y.size < 4:
@@ -217,7 +242,7 @@ def _dip(y: np.ndarray) -> float:
     n = y.size
     x = np.sort(y).tolist()  # python floats: the index loops below run ~3x faster
     if x[0] == x[-1]:
-        return 1.0 / (2 * n)
+        raise DegenerateInputError("zero spread: all values are equal")
 
     # mn[j]: start of the greatest-convex-minorant segment ending at j
     mn = [0] * n
@@ -364,6 +389,8 @@ def dip_test(y, bootstrap_B: int = DIP_BOOTSTRAP_B,
     ------
     TooFewSamplesError
         If N < 4 or bootstrap_B < 100.
+    DegenerateInputError
+        If all values are equal.
     """
     y = as_sample(y)
     if y.size < 4:

@@ -112,10 +112,17 @@ class DipViewerCriterion:
         return dec.statistic, dec.reject_unimodal
 
     def test_rows(self, Y) -> tuple[np.ndarray, np.ndarray]:
-        """``test`` of each row in turn: AS 217 is a sequential loop."""
-        results = [self.test(y) for y in Y]
-        return (np.array([stat for stat, _ in results]),
-                np.array([reject for _, reject in results], dtype=bool))
+        """``test`` of each row in turn: AS 217 is a sequential loop. A row
+        ``test`` refuses as degenerate (all values equal) gets statistic
+        NaN and does not reject, as in SigtestCriterion.test_rows."""
+        stats = np.full(len(Y), np.nan)
+        rejects = np.zeros(len(Y), dtype=bool)
+        for i, y in enumerate(Y):
+            try:
+                stats[i], rejects[i] = self.test(y)
+            except DegenerateInputError:
+                pass
+        return stats, rejects
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,14 @@ def _row_moments(Y: np.ndarray):
     return mean, D, scale
 
 
+def _spread_ok(mean, scale):
+    """normalize's degenerate-input rule on _row_moments' mean and scale:
+    True where the row has a usable spread. NaN fails every comparison,
+    so a non-finite moment fails too; the relative floor catches constant
+    rows whose mean subtraction leaves only rounding residue."""
+    return (scale > 0.0) & (scale < np.inf) & (scale >= np.abs(mean) * 1e-13)
+
+
 def _normalized_rows(Y: np.ndarray):
     """normalize() of each row of a float64 array of at least two columns,
     in one pass over the whole array; a 1-d array is one row.
@@ -55,10 +63,7 @@ def _normalized_rows(Y: np.ndarray):
     NonFiniteInputError.
     """
     mean, Z, scale = _row_moments(Y)
-    # NaN fails every comparison, so a non-finite moment fails too; the
-    # relative floor catches constant rows whose mean subtraction leaves
-    # only rounding residue
-    ok = (scale > 0.0) & (scale < np.inf) & (scale >= np.abs(mean) * 1e-13)
+    ok = _spread_ok(mean, scale)
     if np.count_nonzero(ok) < ok.size:
         if not np.isfinite(mean).all() and not np.isfinite(Y).all():
             raise NonFiniteInputError("sample contains NaN or infinite values")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 from scipy.special import log_ndtr, ndtr
-from scipy.stats import norm
+from scipy.stats import anderson, norm
 
 from sigcluster import (
     AD_CRITICAL_VALUES,
@@ -131,6 +131,21 @@ class TestAndersonDarling:
             y = np.random.default_rng([56, seed]).normal(2.0, 3.0, size=150)
             assert anderson_darling_statistic(y) == pytest.approx(
                 ad_statistic_oracle(y), rel=1e-10)
+
+    @pytest.mark.parametrize("N", [8, 9, 37, 200, 999, 3000])
+    @pytest.mark.parametrize("kind", ["normal", "heavy", "tied", "shifted"])
+    def test_statistic_equals_scipy_exactly(self, N, kind):
+        # the closed form repeats scipy's arithmetic step for step, so the
+        # statistic, and with it every verdict, is the same bit for bit
+        rng = np.random.default_rng([57, N, len(kind)])
+        y = {"normal": lambda: rng.normal(size=N),
+             "heavy": lambda: rng.standard_t(2, size=N),
+             "tied": lambda: np.round(rng.normal(size=N), 1),
+             "shifted": lambda: rng.normal(size=N) * 1e-3 + 1e3}[kind]()
+        expected = anderson(y, dist="norm", method="interpolate").statistic * (
+            1 + 0.75 / N + 2.25 / N**2)
+        assert anderson_darling_statistic(y) == expected
+        assert anderson_darling(y).statistic == expected
 
     def test_exact_quantile_sequence_accepted(self):
         # the most normal-looking sample possible: N(0,1) quantiles
@@ -302,6 +317,23 @@ class TestDipStatistic:
     def test_too_few(self):
         with pytest.raises(TooFewSamplesError):
             dip_statistic(np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("y", [np.full(200, 0.3), np.full(50, 7.7), np.zeros(4)])
+    def test_constant_sample_is_degenerate(self, y):
+        # once scored 1/(2N), p = 1: a silent "unimodal"
+        with pytest.raises(DegenerateInputError, match="zero spread"):
+            dip_statistic(y)
+        with pytest.raises(DegenerateInputError, match="zero spread"):
+            dip_test(y, bootstrap_B=100)
+
+    def test_no_overflow_refusal(self):
+        # the dip forms no moment, so a sample whose squared deviations
+        # overflow (refused by AD, KS and sigtest) keeps its dip
+        y = np.random.default_rng(3).normal(size=200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dip_statistic(y * 2.0**531) == dip_statistic(y)  # lossless scale
+            assert dip_statistic(y * 1e160) == pytest.approx(dip_statistic(y), rel=1e-12)
 
 
 @pytest.mark.parametrize("test", [

@@ -84,6 +84,14 @@ class TestTestCommand:
         assert main(["test", "--method", "ks", str(p)]) == 1
         assert capsys.readouterr().err.startswith("error: zero spread")
 
+    def test_dip_constant_column_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "constant.csv"
+        p.write_text("0.3\n" * 200)
+        assert main(["test", "--method", "dip", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: zero spread")
+        assert captured.out == ""
+
     def test_multicolumn_requires_centroids(self, tmp_path, capsys):
         p = tmp_path / "wide.csv"
         rng = np.random.default_rng(23)

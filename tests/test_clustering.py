@@ -128,6 +128,20 @@ class TestCriteria:
             verdicts |= {ad.reject_unimodal, dip.reject_unimodal}
         assert verdicts == {True, False}
 
+    def test_dip_viewer_rows_refuse_constant_row(self):
+        # a constant row gets NaN and no reject, as in SigtestCriterion
+        rng = np.random.default_rng(92)
+        Y = np.vstack([rng.normal(size=60), np.full(60, 2.5),
+                       np.concatenate([rng.normal(-4, 1, 30), rng.normal(4, 1, 30)])])
+        criterion = DipViewerCriterion(bootstrap_B=200)
+        stats, rejects = criterion.test_rows(Y)
+        with pytest.raises(DegenerateInputError):
+            criterion.test(Y[1])
+        assert np.isnan(stats[1]) and not rejects[1]
+        for i in (0, 2):
+            assert (stats[i], rejects[i]) == criterion.test(Y[i])
+        assert rejects.tolist() == [False, False, True]
+
     def test_ad_unknown_alpha_is_value_error(self):
         with pytest.raises(ValueError, match="alpha=0.3"):
             ADCriterion(alpha=0.3).test(np.random.default_rng(3).normal(size=50))

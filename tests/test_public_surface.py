@@ -4,7 +4,8 @@ Every name that ``perfbench/`` and ``demos/`` import from sigcluster must
 resolve, and so must every entry of ``sigcluster.__all__``; the demos
 must run to completion. The criteria must stay subclassable the way
 ``perfbench/execute.py`` wraps them, and the calibration tables callable
-in the forms its layer rows use. No module imports a name it never uses.
+in the forms its layer rows use. No module imports a name it never uses,
+and importing the package leaves ``scipy.stats`` unloaded.
 """
 
 import ast
@@ -82,17 +83,33 @@ def test_all_entries_resolve():
     assert not missing
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats costs most of a second to import and the package uses
+    # none of it: Anderson-Darling is computed in closed form
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sigcluster; print('scipy.stats' in sys.modules)"],
+        env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("demo, args", [
     ("01_signature_test.py", []),
     ("02_test_benchmark.py", ["--fast"]),
     ("03_cluster_estimation.py", []),
 ])
 def test_demo_runs(demo, args, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo), *args],
-                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          cwd=tmp_path, env=_src_env(), capture_output=True, text=True,
                           timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
 
