@@ -4,7 +4,10 @@ Kolmogorov-Smirnov, and Hartigan's dip.
 All three are shift/scale invariant (AD and KS estimate location/scale;
 the dip only depends on the shape of the empirical CDF). Each is a pure
 function of its input: the KS and dip calibrations draw from fixed seeds,
-so calls may run concurrently.
+so calls may run concurrently. Those calibrations are tabulated once per
+sample size (:func:`lilliefors_table`, :func:`dip_reference_table`), as
+Lilliefors (1967) and Hartigan & Hartigan (1985) tabulate critical
+values: the first test at an N builds its table, later ones look it up.
 
 References
 ----------
@@ -17,6 +20,7 @@ Hartigan & Hartigan (1985), "The dip test of unimodality", Ann. Statist.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -160,6 +164,8 @@ def lilliefors_reference(N: int) -> np.ndarray:
     each reduced to its D statistic. The result depends only on N, so it
     doubles as a reproducible critical-value table: the 1-alpha quantile
     is the level-alpha critical value. Rows go in blocks: bounded memory.
+    Each call draws anew; :func:`ks_lilliefors` reads it through
+    :func:`lilliefors_table`.
     """
     replicates = 10_000
     rng = np.random.default_rng([202_405, N, replicates])
@@ -175,44 +181,56 @@ def lilliefors_reference(N: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def lilliefors_table(N: int) -> np.ndarray:
-    """Memoized :func:`lilliefors_reference` for repeated testing at one N.
+    """Memoized :func:`lilliefors_reference`: the table every
+    :func:`ks_lilliefors` call at sample size N decides against.
 
-    Because the reference is a pure function of N, decisions made through
-    this cache are identical to self-contained calls; only the amortized
-    cost differs.
+    The reference is a pure function of N, so the cache changes only the
+    cost: the first test at an N builds the table, later ones reuse it.
     """
     ref = lilliefors_reference(N)
     ref.setflags(write=False)
     return ref
 
 
-def ks_lilliefors(y, alpha: float = KS_ALPHA,
-                  reference: np.ndarray | None = None) -> BaselineDecision:
+@lru_cache(maxsize=64)
+def _lilliefors_critical(N: int, alpha: float) -> float:
+    """The level-``alpha`` critical value of the Lilliefors D at N: the
+    1 - alpha quantile of :func:`lilliefors_table`."""
+    return float(np.quantile(lilliefors_table(N), 1.0 - alpha))
+
+
+def ks_lilliefors(y, alpha: float = KS_ALPHA) -> BaselineDecision:
     """Lilliefors KS normality test, Monte-Carlo calibrated.
 
-    By default each call generates its own fixed-seed reference
-    distribution, so the call is self-contained and deterministic. Pass
-    ``reference`` (e.g. from :func:`lilliefors_table`) to amortize the
-    calibration across many tests at the same N; the decision is
-    unchanged because the reference is seed-determined either way.
+    D is compared with the level-``alpha`` critical value of the seeded
+    reference distribution at the sample's N (:func:`lilliefors_table`),
+    and the p-value is the share of reference D at least as large. The
+    table and the critical value are computed once per N (and alpha) in
+    the process; being seed-determined, they make every call
+    deterministic.
 
     Raises
     ------
     TooFewSamplesError
         If N < MIN_SAMPLES.
+    ValueError
+        If ``alpha`` is not in (0, 1).
+    DegenerateInputError
+        If all values are equal, or the squared deviations overflow.
     """
     y = as_sample(y)
     if y.size < MIN_SAMPLES:
         raise TooFewSamplesError(f"KS test needs N >= {MIN_SAMPLES}, got {y.size}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"KS alpha must lie in (0, 1), got {alpha!r}")
     D = ks_statistic(y)
-    ref = lilliefors_reference(y.size) if reference is None else reference
-    critical = float(np.quantile(ref, 1.0 - alpha))
+    ref = lilliefors_table(y.size)
     # p-value: share of reference D at least as extreme
     p = float((ref.size - np.searchsorted(ref, D, side="left")) / ref.size)
     return BaselineDecision(
         statistic=D,
         p_value=p,
-        reject_unimodal=bool(D > critical),
+        reject_unimodal=bool(D > _lilliefors_critical(y.size, alpha)),
     )
 
 
@@ -351,9 +369,10 @@ def _dip(y: np.ndarray) -> float:
 def dip_reference_dips(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
     """Dip statistics of B uniform(0,1) samples of size N, fixed seed.
 
-    This is the bootstrap null distribution used by :func:`dip_test`;
-    replicate b is drawn from the generator substream [0, N, b], so the
-    set is reproducible and could be evaluated in parallel without
+    This is the bootstrap null distribution of :func:`dip_test`, which
+    reads it through :func:`dip_reference_table`; each call here draws
+    anew. Replicate b is drawn from the generator substream [0, N, b], so
+    the set is reproducible and could be evaluated in parallel without
     changing the result.
     """
     dips = np.empty(B)
@@ -365,7 +384,9 @@ def dip_reference_dips(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def dip_reference_table(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
-    """Memoized :func:`dip_reference_dips` (identical values, amortized).
+    """Memoized :func:`dip_reference_dips`: the table every
+    :func:`dip_test` call at sample size N and bootstrap size B decides
+    against (identical values; built once per (N, B) in the process).
 
     The cache is keyed on the arguments as passed, so the library always
     calls it positionally as ``(N, B)``.
@@ -375,31 +396,36 @@ def dip_reference_table(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
     return ref
 
 
-def dip_test(y, bootstrap_B: int = DIP_BOOTSTRAP_B,
-             reference: np.ndarray | None = None) -> BaselineDecision:
+def dip_test(y, bootstrap_B: int = DIP_BOOTSTRAP_B) -> BaselineDecision:
     """Dip test with a bootstrap p-value at "level zero".
 
     p-value = fraction of ``bootstrap_B`` uniform samples of the same size
     whose dip is at least the observed dip; unimodality is rejected only
-    when the observed dip exceeds every reference dip (p == 0). By default
-    the reference set is drawn fresh (fixed seed) inside the call; pass
-    ``reference`` to reuse a precomputed table with identical decisions.
+    when the observed dip exceeds every reference dip (p == 0). The
+    reference dips are the seeded :func:`dip_reference_table` at (N,
+    bootstrap_B), drawn once per pair in the process.
 
     Raises
     ------
     TooFewSamplesError
         If N < 4 or bootstrap_B < 100.
+    TypeError
+        If ``bootstrap_B`` is not an integer.
     DegenerateInputError
         If all values are equal.
     """
     y = as_sample(y)
     if y.size < 4:
         raise TooFewSamplesError(f"dip test needs N >= 4, got {y.size}")
-    if bootstrap_B < 100:
+    try:
+        B = operator.index(bootstrap_B)
+    except TypeError:
+        raise TypeError(f"bootstrap_B must be an integer, got {bootstrap_B!r}") from None
+    if B < 100:
         raise TooFewSamplesError("bootstrap_B must be at least 100")
     d = _dip(y)
-    ref = dip_reference_dips(y.size, bootstrap_B) if reference is None else reference
-    p = np.count_nonzero(ref >= d) / ref.size
+    ref = dip_reference_table(y.size, B)
+    p = float(np.count_nonzero(ref >= d) / ref.size)
     return BaselineDecision(
         statistic=d,
         p_value=p,

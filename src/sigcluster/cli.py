@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import AD_ALPHA, DIP_BOOTSTRAP_B, KS_ALPHA
+from .baselines import AD_ALPHA, DIP_BOOTSTRAP_B, KS_ALPHA, dip_reference_table, lilliefors_table
 from .benchmark import (
     DEFAULT_SEPARATIONS,
     TEST_METHODS,
@@ -36,7 +36,7 @@ from .clustering import METHOD_NAMES, project_split, run_method
 from .data_io import DatasetManifest, bundled_manifest, load_csv, write_results
 from .errors import SigclusterError
 from .metrics import ari, vi
-from .sigtest import SignatureVariant, SigtestConfig
+from .sigtest import SignatureVariant, SigtestConfig, _frozen_bounds
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -113,10 +113,32 @@ def _manifest_from_args(token: str, args) -> DatasetManifest:
                            standardize=args.standardize)
 
 
+# The memoized per-N calibrations a clustering run reads: the signature
+# band, the Lilliefors table and the dip bootstrap table.
+_CACHES = {
+    "frozen_bounds": _frozen_bounds,
+    "lilliefors_table": lilliefors_table,
+    "dip_reference_table": dip_reference_table,
+}
+
+
+def _cache_report(before: dict) -> dict:
+    """hits and misses of each of _CACHES since ``before`` (its
+    cache_info() snapshots), and its size now."""
+    report = {}
+    for name, fn in _CACHES.items():
+        info = fn.cache_info()
+        report[name] = {"hits": info.hits - before[name].hits,
+                        "misses": info.misses - before[name].misses,
+                        "currsize": info.currsize}
+    return report
+
+
 def cmd_cluster(args) -> int:
     manifest = _manifest_from_args(args.input, args)
     data = load_csv(manifest)
     config = SigtestConfig(args.gamma, args.threshold, SignatureVariant(args.variant))
+    before = {name: fn.cache_info() for name, fn in _CACHES.items()}
     result = run_method(args.method, data, seed=args.seed, sigtest_config=config)
     report = {
         "dataset": manifest.name,
@@ -133,6 +155,7 @@ def cmd_cluster(args) -> int:
     if data.labels is not None:
         report["vi"] = vi(result.assignment, data.labels)
         report["ari"] = ari(result.assignment, data.labels)
+    report["caches"] = _cache_report(before)
     out = _out_dir() / (args.output or f"{manifest.name}_{args.method}.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)

@@ -29,7 +29,6 @@ from .baselines import (
     AD_ALPHA,
     DIP_BOOTSTRAP_B,
     anderson_darling,
-    dip_reference_table,
     dip_test,
 )
 from .dataset import Dataset
@@ -107,8 +106,7 @@ class DipViewerCriterion:
         return "dip-viewer"
 
     def test(self, y) -> tuple[float, bool]:
-        ref = dip_reference_table(len(y), self.bootstrap_B)
-        dec = dip_test(y, self.bootstrap_B, reference=ref)
+        dec = dip_test(y, self.bootstrap_B)
         return dec.statistic, dec.reject_unimodal
 
     def test_rows(self, Y) -> tuple[np.ndarray, np.ndarray]:

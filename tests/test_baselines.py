@@ -10,17 +10,21 @@ from scipy.stats import anderson, norm
 
 from sigcluster import (
     AD_CRITICAL_VALUES,
+    Dataset,
+    DipViewerCriterion,
     anderson_darling,
     anderson_darling_statistic,
+    dip_reference_dips,
     dip_reference_table,
     dip_statistic,
     dip_test,
+    dipmeans_family,
     ks_lilliefors,
     ks_statistic,
     lilliefors_reference,
     lilliefors_table,
 )
-from sigcluster.baselines import DIP_BOOTSTRAP_B
+from sigcluster.baselines import _lilliefors_critical
 from sigcluster.errors import DegenerateInputError, TooFewSamplesError
 
 
@@ -211,37 +215,37 @@ class TestKsLilliefors:
     def test_near_perfect_fit_accepted(self):
         # sample at mid-step normal quantiles: ECDF hugs the fitted CDF
         y = norm.ppf((np.arange(1, 201) - 0.5) / 200.0)
-        dec = ks_lilliefors(y, reference=lilliefors_table(200))
+        dec = ks_lilliefors(y)
         assert dec.statistic < 0.012
         assert not dec.reject_unimodal
 
     def test_calibration_at_alpha_05(self):
         # rejection rate on true normal data: 5% +- 2 over 2000 runs
-        ref = lilliefors_table(100)
         rejections = sum(
-            ks_lilliefors(np.random.default_rng([58, r]).normal(size=100),
-                          reference=ref).reject_unimodal
+            ks_lilliefors(np.random.default_rng([58, r]).normal(size=100)).reject_unimodal
             for r in range(2000))
         assert 0.03 <= rejections / 2000 <= 0.07
 
-    def test_reference_reuse_matches_self_contained(self):
-        y = two_clusters(2.5, seed=5)
-        a = ks_lilliefors(y)
-        b = ks_lilliefors(y, reference=lilliefors_table(len(y)))
-        assert a.statistic == b.statistic
-        assert a.p_value == b.p_value
-        assert a.reject_unimodal == b.reject_unimodal
-
     def test_shift_scale_invariance_exact(self):
         y = two_clusters(2.2, seed=1)
-        base = ks_lilliefors(y, reference=lilliefors_table(len(y)))
-        out = ks_lilliefors(0.5 * y, reference=lilliefors_table(len(y)))
+        base = ks_lilliefors(y)
+        out = ks_lilliefors(0.5 * y)
         assert out.statistic == base.statistic
         assert out.reject_unimodal == base.reject_unimodal
 
     def test_too_few(self):
         with pytest.raises(TooFewSamplesError):
             ks_lilliefors(np.arange(7.0))
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, -0.05, float("nan")])
+    def test_alpha_outside_unit_interval(self, alpha):
+        # 1.5 once failed inside np.quantile, and 1.0 rejected every sample;
+        # the refusal comes before the critical-value memo
+        y = two_clusters(2.5, seed=5)
+        memo = _lilliefors_critical.cache_info()
+        with pytest.raises(ValueError, match=f"got {alpha!r}"):
+            ks_lilliefors(y, alpha)
+        assert _lilliefors_critical.cache_info() == memo
 
     @pytest.mark.parametrize("y", [np.full(200, 0.3), np.full(50, 7.7)])
     def test_constant_sample_is_degenerate(self, y):
@@ -352,29 +356,87 @@ def test_overflow_is_typed_error(test):
 class TestDipTest:
     def test_uniform_calibration(self):
         # level-zero rule: essentially never rejects a true uniform
-        ref = dip_reference_table(200, DIP_BOOTSTRAP_B)
         rejections = sum(
-            dip_test(np.random.default_rng([62, r]).uniform(size=200),
-                     reference=ref).reject_unimodal
+            dip_test(np.random.default_rng([62, r]).uniform(size=200)).reject_unimodal
             for r in range(100))
         assert rejections <= 5
 
     def test_strongly_bimodal_rejected(self):
         y = two_clusters(6.0, seed=2)
-        dec = dip_test(y, reference=dip_reference_table(len(y), DIP_BOOTSTRAP_B))
+        dec = dip_test(y)
         assert dec.reject_unimodal
         assert dec.p_value == 0.0
-
-    def test_reference_reuse_matches_self_contained(self):
-        y = two_clusters(3.0, seed=4)[:60]
-        a = dip_test(y, bootstrap_B=200)
-        b = dip_test(y, bootstrap_B=200, reference=dip_reference_table(len(y), 200))
-        assert a.statistic == b.statistic
-        assert a.p_value == b.p_value
-        assert a.reject_unimodal == b.reject_unimodal
+        assert type(dec.p_value) is float  # as KS reports it, not np.float64
 
     def test_errors(self):
         with pytest.raises(TooFewSamplesError):
             dip_test(np.array([1.0, 2.0, 3.0]))
         with pytest.raises(TooFewSamplesError):
             dip_test(np.arange(10.0), bootstrap_B=50)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_float_bootstrap_refused_cold_or_warm(self, warm):
+        # lru_cache keys (60, 100.0) and (60, 100) alike, so without the
+        # check the call would fail cold (inside numpy) but pass warm
+        y = two_clusters(3.0, seed=4)[:60]
+        dip_reference_table.cache_clear()
+        if warm:
+            dip_test(y, 100)
+        with pytest.raises(TypeError, match="bootstrap_B must be an integer, got 100.0"):
+            dip_test(y, 100.0)
+        assert dip_test(y, np.int64(100)) == dip_test(y, 100)
+
+
+# ------------------------------------------------------- calibration tables
+
+def test_decisions_match_fresh_tables():
+    # KS and dip decide against the memoized seeded tables; by hand from
+    # freshly drawn (uncached) ones every field comes out bit-identical
+    for N in (8, 9, 50, 200, 999):
+        y = two_clusters(2.5, n=N // 2, seed=N)
+        if N % 2:
+            y = np.append(y, 0.1)
+        ref = lilliefors_reference(N)
+        D = ks_statistic(y)
+        for alpha in (0.05, 0.01):
+            critical = float(np.quantile(ref, 1.0 - alpha))
+            assert _lilliefors_critical(N, alpha) == critical
+            dec = ks_lilliefors(y, alpha)
+            assert dec.statistic == D
+            assert dec.p_value == float((ref.size - np.searchsorted(ref, D, side="left")) / ref.size)
+            assert dec.reject_unimodal == (D > critical)
+        d = dip_statistic(y)
+        for B in (100, 1000):
+            dips = dip_reference_dips(N, B)
+            dec = dip_test(y, B)
+            assert dec.statistic == d
+            assert dec.p_value == np.count_nonzero(dips >= d) / B
+            assert dec.reject_unimodal == (dec.p_value == 0.0)
+
+
+def test_one_table_per_sample_size():
+    # the first test at an N builds its tables; a second test at that N,
+    # and a dip test at an N a clusterer has calibrated, build none
+    lilliefors_table.cache_clear()
+    dip_reference_table.cache_clear()
+    rng = np.random.default_rng(64)
+
+    def misses():
+        return lilliefors_table.cache_info().misses, dip_reference_table.cache_info().misses
+
+    ks_lilliefors(rng.normal(size=30))
+    dip_test(rng.normal(size=30), 100)
+    assert misses() == (1, 1)
+    ks_lilliefors(rng.normal(size=30))
+    dip_test(rng.normal(size=30), 100)
+    assert misses() == (1, 1)
+
+    # classic dip-means on one 41-point cloud: 41 viewers of 40 distances
+    res = dipmeans_family(Dataset(rng.normal(size=(41, 2))), DipViewerCriterion(100), 0)
+    assert res.split_log[0].n == 41
+    built = dip_reference_table.cache_info().misses
+    assert built == 2
+    hits = dip_reference_table.cache_info().hits
+    dip_test(rng.normal(size=40), 100)
+    assert dip_reference_table.cache_info().misses == built
+    assert dip_reference_table.cache_info().hits == hits + 1

@@ -58,7 +58,7 @@ class TestTestCommand:
         # a sample whose dip exceeds every seed-0 bootstrap dip; the
         # benchmark's table rejects it, and so must the command
         y = gen_two_clusters(TwoClusterSpec(separation=3.5, seed=10056)).rows[:, 0]
-        assert dip_test(y, reference=dip_reference_table(200, 1000)).reject_unimodal
+        assert dip_test(y, 1000).reject_unimodal
         p = tmp_path / "sep35.csv"
         p.write_text("\n".join(f"{v}" for v in y) + "\n")
         code = main(["test", "--method", "dip", str(p)])
@@ -136,6 +136,28 @@ class TestClusterCommand:
         summary = json.loads(out[:out.rindex("}") + 1])
         assert "ari" not in summary and "vi" not in summary
         assert summary["k"] == 2
+
+    def test_caches_count_the_tables_built(self, tmp_path, capsys, monkeypatch):
+        # classic dip-means: each viewer of an n-point cluster looks up the
+        # dip table at n - 1, built on the first lookup at that size
+        monkeypatch.setenv("SIGCLUSTER_OUT_DIR", str(tmp_path))
+        rng = np.random.default_rng(25)
+        rows = np.vstack([rng.normal(size=(50, 2)), rng.normal(size=(50, 2)) + 15])
+        p = tmp_path / "plain.csv"
+        p.write_text("\n".join(",".join(map(str, r)) for r in rows) + "\n")
+        dip_reference_table.cache_clear()
+        assert main(["cluster", str(p), "--method", "dipmeans"]) == 0
+        out = capsys.readouterr().out
+        summary = json.loads(out[:out.rindex("}") + 1])
+        full = json.loads((tmp_path / "plain_dipmeans.json").read_text())
+        assert summary["caches"] == full["caches"]
+        assert set(full["caches"]) == {"frozen_bounds", "lilliefors_table", "dip_reference_table"}
+        sizes = [rec["n"] - 1 for rec in full["split_log"]]
+        assert full["caches"]["dip_reference_table"] == {
+            "hits": sum(sizes) + len(sizes) - len(set(sizes)),
+            "misses": len(set(sizes)),
+            "currsize": len(set(sizes)),
+        }
 
     def test_unknown_method_exit_2(self, capsys):
         assert main(["cluster", "iris", "--method", "zmeans"]) == 2

@@ -122,7 +122,7 @@ class TestCriteria:
         for sep in range(8):
             rng = np.random.default_rng([91, sep])
             y = np.concatenate([rng.normal(-sep / 2, 1, 30), rng.normal(sep / 2, 1, 30)])
-            ad, dip = anderson_darling(y), dip_test(y)  # self-contained calls
+            ad, dip = anderson_darling(y), dip_test(y)
             assert ADCriterion().test(y) == (ad.statistic, ad.reject_unimodal)
             assert DipViewerCriterion().test(y) == (dip.statistic, dip.reject_unimodal)
             verdicts |= {ad.reject_unimodal, dip.reject_unimodal}
