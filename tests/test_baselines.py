@@ -226,6 +226,19 @@ class TestKsLilliefors:
             for r in range(2000))
         assert 0.03 <= rejections / 2000 <= 0.07
 
+    def test_reference_reuse_matches_self_contained(self):
+        # the default call reads the memoized table; a freshly drawn one is
+        # the same bits and gives the same decision
+        y = two_clusters(2.5, seed=5)
+        a = ks_lilliefors(y)
+        b = ks_lilliefors(y)
+        ref = lilliefors_reference(len(y))
+        assert np.array_equal(lilliefors_table(len(y)), ref)
+        assert a == b
+        assert a.statistic == ks_statistic(y)
+        assert a.p_value == float(np.count_nonzero(ref >= a.statistic) / ref.size)
+        assert a.reject_unimodal == (a.statistic > np.quantile(ref, 1.0 - 0.05))
+
     def test_shift_scale_invariance_exact(self):
         y = two_clusters(2.2, seed=1)
         base = ks_lilliefors(y)
@@ -367,6 +380,19 @@ class TestDipTest:
         assert dec.reject_unimodal
         assert dec.p_value == 0.0
         assert type(dec.p_value) is float  # as KS reports it, not np.float64
+
+    def test_reference_reuse_matches_self_contained(self):
+        # the default call reads the memoized table; freshly drawn bootstrap
+        # dips are the same bits and give the same decision
+        y = two_clusters(3.0, seed=4)[:60]
+        a = dip_test(y, bootstrap_B=200)
+        b = dip_test(y, bootstrap_B=200)
+        dips = dip_reference_dips(len(y), 200)
+        assert np.array_equal(dip_reference_table(len(y), 200), dips)
+        assert a == b
+        assert a.statistic == dip_statistic(y)
+        assert a.p_value == np.count_nonzero(dips >= a.statistic) / 200
+        assert a.reject_unimodal == (a.p_value == 0.0)
 
     def test_errors(self):
         with pytest.raises(TooFewSamplesError):
