@@ -66,7 +66,7 @@ AD_ALPHA = 0.0001
 KS_ALPHA = 0.05
 DIP_BOOTSTRAP_B = 1000
 
-_BLOCK_VALUES = 1 << 16  # values per lilliefors_reference block: ~1 MB with temporaries
+_BLOCK_VALUES = 1 << 16  # values per block of replicates or dip rows: ~1 MB with temporaries
 
 
 def anderson_darling_statistic(y) -> float:
@@ -240,14 +240,15 @@ def dip_statistic(y) -> float:
 
     Uses the greatest-convex-minorant / least-concave-majorant algorithm
     (AS 217). Always at least 1/(2N); at most ~1/4. Scale-free: no moment
-    is formed, so any finite sample with two distinct values has a dip.
+    is formed, so any finite sample with two distinct values has a dip,
+    as long as its range times N stays within the float range.
 
     Raises
     ------
     TooFewSamplesError
         If N < 4.
     DegenerateInputError
-        If all values are equal.
+        If all values are equal, or the range times N overflows.
     """
     y = as_sample(y)
     if y.size < 4:
@@ -256,11 +257,18 @@ def dip_statistic(y) -> float:
 
 
 def _dip(y: np.ndarray) -> float:
-    """dip_statistic of a validated sample, so dip_test checks it once."""
+    """dip_statistic of a validated sample, so dip_test checks it once.
+
+    The reference for :func:`_dip_rows`, which a test holds equal to it
+    row by row; one sample runs faster through this loop.
+    """
     n = y.size
     x = np.sort(y).tolist()  # python floats: the index loops below run ~3x faster
     if x[0] == x[-1]:
         raise DegenerateInputError("zero spread: all values are equal")
+    if not math.isfinite((x[-1] - x[0]) * n):
+        raise DegenerateInputError(
+            "sample range overflows: the range times N exceeds the float range")
 
     # mn[j]: start of the greatest-convex-minorant segment ending at j
     mn = [0] * n
@@ -366,19 +374,191 @@ def _dip(y: np.ndarray) -> float:
     return dip / (2 * n)
 
 
+def _spans(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The integers of every [start[i], stop[i]), concatenated in order."""
+    counts = stop - start
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(start - ends + counts, counts)
+
+
+def _peel(k: np.ndarray, v: np.ndarray, end: np.ndarray, upper: bool):
+    """Keys and values of the vertices of each row's greatest convex
+    minorant, or of its least concave majorant with ``upper``.
+
+    ``k`` holds the ascending keys row * n + index of each row's candidate
+    points, ``v`` their values and ``end`` marks each row's first and last
+    point. Every point that _dip's predicate finds not strictly convex
+    between its two neighbours is dropped at once, until none is. The
+    predicate is _dip's expression with its operands in the same order:
+    the majorant's products are the minorant's with both factors negated,
+    so the same bits.
+    """
+    while True:
+        dv = v[1:] - v[:-1]
+        dk = k[1:] - k[:-1]
+        lhs = dv[1:] * dk[:-1]
+        rhs = dv[:-1] * dk[1:]
+        keep = (rhs < lhs) if upper else (lhs < rhs)
+        keep |= end[1:-1]
+        if keep.all():
+            return k, v
+        sel = np.concatenate(([0], np.flatnonzero(keep) + 1, [k.size - 1]))
+        k, v, end = k[sel], v[sel], end[sel]
+
+
+def _chain_ends(k: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    end = np.zeros(k.size, dtype=bool)
+    end[np.searchsorted(k, low)] = True
+    end[np.searchsorted(k, high)] = True
+    return end
+
+
+def _dip_rows(X: np.ndarray) -> np.ndarray:
+    """_dip of each row of a 2-d float64 array, equal to it bit for bit;
+    NaN where _dip refuses the row (all values equal, or a range that
+    overflows). Rows go in blocks of about _BLOCK_VALUES values, so the
+    kernel's temporaries stay near a few megabytes at any N.
+    """
+    rows = max(1, _BLOCK_VALUES // X.shape[1])
+    return np.concatenate([_dip_block(X[start:start + rows])
+                           for start in range(0, len(X), rows)] or [np.empty(0)])
+
+
+def _dip_block(X: np.ndarray) -> np.ndarray:
+    """_dip_rows of one block: every unfinished row runs each AS 217 pass
+    together with the others.
+
+    A pass needs the minorant and majorant of x[low..high] only: low and
+    high are vertices of the previous pass's chains, so _dip's chain from
+    high stops at low and its chain from low stops at high. The distance
+    walk is a merge of the two vertex lists (index order, the minorant's
+    vertex first on ties) that stops before the first vertex both share,
+    after at least one step; it keeps the last largest distance (_dip's
+    ``dx >= d``), each distance in _dip's arithmetic. The dips of the
+    chosen fits are maxima over their segments' points, and _dip's two
+    stop rules end each row. A vertex of a chain stays a candidate for
+    the next pass's chain; of the other points, only those past the last
+    minorant vertex below the new high, or before the first majorant
+    vertex above the new low, can join it.
+    """
+    x = np.sort(X, axis=1)
+    R, n = x.shape
+    out = np.full(R, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = (x[:, 0] != x[:, -1]) & np.isfinite((x[:, -1] - x[:, 0]) * n)
+    rows = np.flatnonzero(ok)
+    xf = x.ravel()
+    low = rows * n                                 # every index below is a key row * n + i
+    high = low + (n - 1)
+    gk = lk = (low[:, None] + np.arange(n)).ravel()
+    dip = np.zeros(R)
+    odd = []
+    while rows.size:
+        gk, gv = _peel(gk, xf[gk], _chain_ends(gk, low, high), upper=False)
+        lk, lv = _peel(lk, xf[lk], _chain_ends(lk, low, high), upper=True)
+
+        # where the walk stops: the first shared vertex past low, or the
+        # second when the first is both chains' first vertex. In exact
+        # arithmetic only high is shared; rounding can share another
+        g0, l0 = np.searchsorted(gk, low), np.searchsorted(lk, low)
+        shared = gk[lk[np.searchsorted(lk, gk)] == gk]
+        first = gk[g0 + 1]
+        skip = (first == lk[l0 + 1]) & (first != high)
+        stop = shared[np.searchsorted(shared, low, "right") + skip]
+
+        # each minorant vertex g against the majorant segment [lb, le]
+        # around it, and each majorant vertex l against the minorant one
+        gi = _spans(g0 + 1, np.searchsorted(gk, stop))
+        g = gk[gi]
+        e = np.searchsorted(lk, g)
+        lb, le = lk[e - 1], lk[e]
+        li = _spans(l0 + 1, np.searchsorted(lk, stop))
+        l = lk[li]
+        f = np.searchsorted(gk, l, "right")
+        gb, ge = gk[f - 1], gk[f]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dx_g = (gv[gi] - lv[e - 1]) * (le - lb) / (lv[e] - lv[e - 1]) - (g - lb - 1)
+            dx_l = (l - gb + 1) - (lv[li] - gv[f - 1]) * (ge - gb) / (gv[f] - gv[f - 1])
+        order = np.concatenate((2 * g, 2 * l + 1))
+        o = np.argsort(order)
+        dx = np.concatenate((dx_g, dx_l))[o]
+        to_low = np.concatenate((g, gb))[o]
+        to_high = np.concatenate((le, l))[o]
+        ev_row = order[o] // (2 * n)
+        d = np.zeros(R)
+        np.fmax.at(d, ev_row, dx)
+        hit = np.flatnonzero(dx == d[ev_row])
+        last = np.full(R, -1)
+        np.maximum.at(last, ev_row[hit], hit)
+        last = last[rows]
+        moved = last >= 0
+        new_low, new_high = low.copy(), high.copy()
+        new_low[moved] = to_low[last[moved]]
+        new_high[moved] = to_high[last[moved]]
+        going = d[rows] >= dip[rows]
+
+        # the minorant's dip over (low, new_low], the majorant's over (new_high, high]
+        dip_l = np.zeros(R)
+        kk = _spans(low[going] + 1, new_low[going] + 1)
+        e = np.searchsorted(gk, kk)
+        jb, je, xb, xe = gk[e - 1], gk[e], gv[e - 1], gv[e]
+        s = (je - jb > 1) & (xe != xb)
+        kk, jb, je, xb, xe = kk[s], jb[s], je[s], xb[s], xe[s]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = (kk - jb + 1) - (xf[kk] - xb) * ((je - jb) / (xe - xb))
+        np.fmax.at(dip_l, kk // n, t)
+        dip_u = np.zeros(R)
+        kk = _spans(new_high[going] + 1, high[going] + 1)
+        e = np.searchsorted(lk, kk)
+        jb, je, xb, xe = lk[e - 1], lk[e], lv[e - 1], lv[e]
+        s = (je - jb > 1) & (xe != xb)
+        kk, jb, je, xb, xe = kk[s], jb[s], je[s], xb[s], xe[s]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = (xf[kk] - xb) * ((je - jb) / (xe - xb)) - (kk - jb - 1)
+        np.fmax.at(dip_u, kk // n, t)
+        r = rows[going]
+        dip[r] = np.maximum(np.maximum(dip[r], dip_l[r]), np.maximum(dip_u[r], 1.0))
+
+        going &= (new_low != low) | (new_high != high)
+        # a fit can shrink to one point only through a shared vertex other
+        # than high; _dip then reads stale chain entries, so the row is
+        # left to _dip
+        collapsed = going & (new_low >= new_high)
+        odd.extend(rows[collapsed])
+        going &= ~collapsed
+        done = rows[~going]
+        out[done] = dip[done] / (2 * n)
+        rows, low, high = rows[going], new_low[going], new_high[going]
+        if not rows.size:
+            break
+        a = np.searchsorted(gk, low)
+        z = np.searchsorted(gk, high, "right") - 1
+        gk = np.sort(np.concatenate((gk[_spans(a, z + 1)], _spans(gk[z] + 1, high + 1))))
+        a = np.searchsorted(lk, low)
+        z = np.searchsorted(lk, high)
+        lk = np.sort(np.concatenate((_spans(low, lk[a]), lk[_spans(a, z + 1)])))
+    for i in odd:
+        out[i] = _dip(X[i])
+    return out
+
+
 def dip_reference_dips(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
     """Dip statistics of B uniform(0,1) samples of size N, fixed seed.
 
     This is the bootstrap null distribution of :func:`dip_test`, which
     reads it through :func:`dip_reference_table`; each call here draws
     anew. Replicate b is drawn from the generator substream [0, N, b], so
-    the set is reproducible and could be evaluated in parallel without
-    changing the result.
+    the set is reproducible and does not depend on how it is split up:
+    the replicates are stacked in blocks of about _BLOCK_VALUES values
+    (bounded memory) and each block goes through one :func:`_dip_rows`
+    call, equal to _dip on each replicate.
     """
+    rows = max(1, _BLOCK_VALUES // N)
     dips = np.empty(B)
-    for b in range(B):
-        u = np.random.default_rng([0, N, b]).uniform(size=N)
-        dips[b] = _dip(u)
+    for start in range(0, B, rows):
+        U = np.stack([np.random.default_rng([0, N, b]).uniform(size=N)
+                      for b in range(start, min(B, start + rows))])
+        dips[start:start + len(U)] = _dip_rows(U)
     return dips
 
 
@@ -394,6 +574,17 @@ def dip_reference_table(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
     ref = dip_reference_dips(N, B)
     ref.setflags(write=False)
     return ref
+
+
+def _bootstrap_size(bootstrap_B) -> int:
+    """``bootstrap_B`` as the integer a dip table is keyed on, checked."""
+    try:
+        B = operator.index(bootstrap_B)
+    except TypeError:
+        raise TypeError(f"bootstrap_B must be an integer, got {bootstrap_B!r}") from None
+    if B < 100:
+        raise TooFewSamplesError("bootstrap_B must be at least 100")
+    return B
 
 
 def dip_test(y, bootstrap_B: int = DIP_BOOTSTRAP_B) -> BaselineDecision:
@@ -412,17 +603,12 @@ def dip_test(y, bootstrap_B: int = DIP_BOOTSTRAP_B) -> BaselineDecision:
     TypeError
         If ``bootstrap_B`` is not an integer.
     DegenerateInputError
-        If all values are equal.
+        If all values are equal, or the range times N overflows.
     """
     y = as_sample(y)
     if y.size < 4:
         raise TooFewSamplesError(f"dip test needs N >= 4, got {y.size}")
-    try:
-        B = operator.index(bootstrap_B)
-    except TypeError:
-        raise TypeError(f"bootstrap_B must be an integer, got {bootstrap_B!r}") from None
-    if B < 100:
-        raise TooFewSamplesError("bootstrap_B must be at least 100")
+    B = _bootstrap_size(bootstrap_B)
     d = _dip(y)
     ref = dip_reference_table(y.size, B)
     p = float(np.count_nonzero(ref >= d) / ref.size)

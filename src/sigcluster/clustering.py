@@ -28,7 +28,10 @@ import numpy as np
 from .baselines import (
     AD_ALPHA,
     DIP_BOOTSTRAP_B,
+    _bootstrap_size,
+    _dip_rows,
     anderson_darling,
+    dip_reference_table,
     dip_test,
 )
 from .dataset import Dataset
@@ -36,6 +39,7 @@ from .errors import (
     DegenerateInputError,
     IdenticalCentroidsError,
     KTooLargeError,
+    NonFiniteInputError,
     TooFewSamplesError,
 )
 from .sigtest import MIN_SAMPLES, SigtestConfig, _signature_rows, sigtest
@@ -110,17 +114,25 @@ class DipViewerCriterion:
         return dec.statistic, dec.reject_unimodal
 
     def test_rows(self, Y) -> tuple[np.ndarray, np.ndarray]:
-        """``test`` of each row in turn: AS 217 is a sequential loop. A row
-        ``test`` refuses as degenerate (all values equal) gets statistic
-        NaN and does not reject, as in SigtestCriterion.test_rows."""
-        stats = np.full(len(Y), np.nan)
-        rejects = np.zeros(len(Y), dtype=bool)
-        for i, y in enumerate(Y):
-            try:
-                stats[i], rejects[i] = self.test(y)
-            except DegenerateInputError:
-                pass
-        return stats, rejects
+        """(dip, reject) of each row of a 2-d array, equal to ``test`` on
+        each row: one AS 217 kernel call over all rows (in blocks of bounded
+        memory) and one lookup of the dip table at the rows' N. A row
+        rejects where its dip exceeds every reference dip, which is
+        ``test``'s p == 0. A row ``test`` refuses as degenerate (all values
+        equal, or a range times N that overflows) gets dip NaN and does not
+        reject, as in SigtestCriterion.test_rows."""
+        Y = np.asarray(Y, dtype=np.float64)
+        if Y.ndim != 2:
+            raise ValueError(f"expected a 2-d array of rows, got shape {Y.shape}")
+        if Y.shape[1] < 4:
+            raise TooFewSamplesError(f"dip test needs N >= 4, got {Y.shape[1]}")
+        if not np.isfinite(Y).all():
+            raise NonFiniteInputError("sample contains NaN or infinite values")
+        B = _bootstrap_size(self.bootstrap_B)
+        if not len(Y):
+            return np.empty(0), np.zeros(0, dtype=bool)
+        dips = _dip_rows(Y)
+        return dips, dips > dip_reference_table(Y.shape[1], B).max()
 
 
 @dataclass(frozen=True)
@@ -163,11 +175,17 @@ def project_split(points, c1, c2) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        Unless both centroids have shape (d,), d the number of columns.
     IdenticalCentroidsError
         If c1 == c2 (axis undefined).
     """
     X = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    v = np.asarray(c1, dtype=np.float64) - np.asarray(c2, dtype=np.float64)
+    c1, c2 = np.asarray(c1, dtype=np.float64), np.asarray(c2, dtype=np.float64)
+    if c1.shape != (X.shape[1],) or c2.shape != (X.shape[1],):
+        raise ValueError(f"centroids must have shape ({X.shape[1]},) to project "
+                         f"{X.shape[1]}-column points, got {c1.shape} and {c2.shape}")
+    v = c1 - c2
     norm = np.linalg.norm(v)
     if norm == 0.0:
         raise IdenticalCentroidsError("child centroids coincide")

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.special import log_ndtr, ndtr
 from scipy.stats import anderson, norm
@@ -24,7 +26,7 @@ from sigcluster import (
     lilliefors_reference,
     lilliefors_table,
 )
-from sigcluster.baselines import _lilliefors_critical
+from sigcluster.baselines import _dip, _dip_rows, _lilliefors_critical
 from sigcluster.errors import DegenerateInputError, TooFewSamplesError
 
 
@@ -351,6 +353,68 @@ class TestDipStatistic:
             warnings.simplefilter("error")
             assert dip_statistic(y * 2.0**531) == dip_statistic(y)  # lossless scale
             assert dip_statistic(y * 1e160) == pytest.approx(dip_statistic(y), rel=1e-12)
+
+
+    def test_overflowing_range_refused(self):
+        # once dip 1/(2N), p = 1, "unimodal", where the same sample at
+        # +-1 has dip 0.25; the row kernel gives NaN
+        y = np.concatenate([np.full(30, -1.7e308), np.full(30, 1.7e308)])
+        assert dip_statistic(y / 1.7e308) == 0.25
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError, match="overflows"):
+                dip_statistic(y)
+            with pytest.raises(DegenerateInputError, match="overflows"):
+                dip_test(y, bootstrap_B=100)
+            assert np.isnan(_dip_rows(np.vstack([y, y / 1.7e308]))).tolist() == [True, False]
+
+
+def _dip_or_nan(y):
+    try:
+        return _dip(y)
+    except DegenerateInputError:
+        return np.nan
+
+
+@settings(max_examples=150, deadline=None)
+@given(N=st.integers(4, 300), rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["uniform", "integer", "rounded", "tied", "bimodal"]),
+       constant_row=st.booleans())
+def test_dip_rows_equal_dip(N, rows, seed, kind, constant_row):
+    # the row-batched kernel is AS 217 bit for bit on every row
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        Y = rng.uniform(size=(rows, N))
+    elif kind == "integer":
+        Y = rng.integers(0, rng.integers(2, 2 * N), size=(rows, N)).astype(float)
+    elif kind == "rounded":
+        Y = np.round(rng.normal(size=(rows, N)), int(rng.integers(0, 3)))
+    elif kind == "tied":
+        Y = rng.choice(rng.normal(size=3), size=(rows, N))
+    else:
+        Y = rng.normal(size=(rows, N)) + rng.choice([-1.0, 1.0], size=(rows, N)) * rng.uniform(1, 6)
+    if constant_row:
+        Y[-1] = Y[-1, 0]
+    got = _dip_rows(Y)
+    ref = np.array([_dip_or_nan(y) for y in Y])
+    np.testing.assert_array_equal(got, ref)
+
+
+def test_dip_rows_evenly_spaced_differs_in_last_bits():
+    # the one known difference: on nearly collinear points the kernel's
+    # hull peeling and _dip's hull stack compare different triples
+    y = 0.1 * np.arange(999)
+    assert _dip(y) == 5.005005005005574e-4
+    assert _dip_rows(y[None])[0] == 5.005005005005712e-4
+
+
+@pytest.mark.parametrize("N, B", [(4, 1000), (9, 1000), (52, 1000), (149, 1000), (200, 1000),
+                                  (999, 100)])
+def test_reference_dips_equal_scalar_loop(N, B):
+    # the table runs the row kernel over stacked replicates; each one is
+    # the dip of its own substream, as a loop of _dip draws it
+    dips = np.array([_dip(np.random.default_rng([0, N, b]).uniform(size=N)) for b in range(B)])
+    np.testing.assert_array_equal(dip_reference_dips(N, B), dips)
 
 
 @pytest.mark.parametrize("test", [

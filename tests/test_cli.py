@@ -101,6 +101,18 @@ class TestTestCommand:
         assert code == 2
         assert "1-d" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("centroids", [["--centroid1=1,2", "--centroid2=0"],
+                                           ["--centroid1=1,2,3", "--centroid2=0,0,0"]])
+    def test_centroid_shape_mismatch_exit_1(self, tmp_path, capsys, centroids):
+        # --centroid2 0 used to broadcast and give a verdict with exit 0
+        p = tmp_path / "wide.csv"
+        rows = np.random.default_rng(23).normal(size=(120, 2))
+        p.write_text("\n".join(",".join(map(str, r)) for r in rows) + "\n")
+        assert main(["test", str(p), *centroids]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: centroids must have shape (2,)")
+        assert captured.out == ""
+
     def test_multicolumn_with_projection(self, tmp_path, capsys):
         rng = np.random.default_rng(24)
         rows = np.vstack([rng.normal(size=(100, 2)) - [2, 0],
@@ -138,8 +150,9 @@ class TestClusterCommand:
         assert summary["k"] == 2
 
     def test_caches_count_the_tables_built(self, tmp_path, capsys, monkeypatch):
-        # classic dip-means: each viewer of an n-point cluster looks up the
-        # dip table at n - 1, built on the first lookup at that size
+        # classic dip-means: each tested n-point cluster looks up the dip
+        # table at n - 1 once for all its viewers, built on the first
+        # lookup at that size
         monkeypatch.setenv("SIGCLUSTER_OUT_DIR", str(tmp_path))
         rng = np.random.default_rng(25)
         rows = np.vstack([rng.normal(size=(50, 2)), rng.normal(size=(50, 2)) + 15])
@@ -154,7 +167,7 @@ class TestClusterCommand:
         assert set(full["caches"]) == {"frozen_bounds", "lilliefors_table", "dip_reference_table"}
         sizes = [rec["n"] - 1 for rec in full["split_log"]]
         assert full["caches"]["dip_reference_table"] == {
-            "hits": sum(sizes) + len(sizes) - len(set(sizes)),
+            "hits": len(sizes) - len(set(sizes)),
             "misses": len(set(sizes)),
             "currsize": len(set(sizes)),
         }

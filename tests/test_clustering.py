@@ -28,6 +28,7 @@ from sigcluster.errors import (
     DegenerateInputError,
     IdenticalCentroidsError,
     KTooLargeError,
+    NonFiniteInputError,
     TooFewSamplesError,
 )
 from sigcluster.sigtest import MIN_SAMPLES
@@ -114,6 +115,13 @@ class TestProjectSplit:
     def test_identical_centroids(self):
         with pytest.raises(IdenticalCentroidsError):
             project_split(np.ones((4, 2)), np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("c1, c2", [([1.0, 2.0], [0.0]), ([1.0, 2.0, 3.0], [0.0, 1.0, 2.0]),
+                                        ([1.0, 2.0], 0.0), ([[1.0, 2.0]], [0.0, 1.0])])
+    def test_centroid_shapes_checked(self, c1, c2):
+        # a centroid [0] used to broadcast against a 2-d one and project
+        with pytest.raises(ValueError, match=r"centroids must have shape \(2,\)"):
+            project_split(np.ones((4, 2)), c1, c2)
 
 
 class TestCriteria:
@@ -297,9 +305,9 @@ class TestBenchmarkDatasets:
 
 
 def _looped_dipmeans(data, criterion, seed):
-    """Reference dipmeans+ with a viewer loop: one np.delete and one
-    one-row sigtest per viewer, where dipmeans_family makes one batched
-    test_rows call per cluster."""
+    """Reference dipmeans with a viewer loop: one np.delete and one
+    one-sample criterion test per viewer, where dipmeans_family makes one
+    batched test_rows call per cluster."""
     def evaluate(members, rng):
         m = members.shape[0]
         viewers = np.arange(m)
@@ -309,7 +317,7 @@ def _looped_dipmeans(data, criterion, seed):
         rejecting = 0
         for row, v in zip(dist, viewers):
             try:
-                rejecting += sigtest(np.delete(row, v), criterion.config).split
+                rejecting += criterion.test(np.delete(row, v))[1]
             except DegenerateInputError:
                 pass
         fraction = rejecting / len(viewers)
@@ -352,25 +360,52 @@ class TestBatchedViewers:
         np.testing.assert_array_equal(rejects_f, rejects)
 
     def test_rows_validates_shape(self):
-        criterion = SigtestCriterion()
-        with pytest.raises(ValueError):
-            criterion.test_rows(np.zeros(20))
-        with pytest.raises(TooFewSamplesError):
-            criterion.test_rows(np.ones((3, MIN_SAMPLES - 1)))
+        Y = np.random.default_rng(93).normal(size=(3, 20))
+        Y[1, 4] = np.nan
+        for criterion, min_n in ((SigtestCriterion(), MIN_SAMPLES), (DipViewerCriterion(), 4)):
+            with pytest.raises(ValueError, match="expected a 2-d array of rows"):
+                criterion.test_rows(np.arange(20.0))
+            with pytest.raises(TooFewSamplesError):
+                criterion.test_rows(np.arange(3.0 * (min_n - 1)).reshape(3, min_n - 1))
+            with pytest.raises(NonFiniteInputError):
+                criterion.test_rows(Y)
+            stats, rejects = criterion.test_rows(np.empty((0, 20)))
+            assert stats.shape == rejects.shape == (0,)
 
-    @pytest.mark.parametrize("variant", list(SignatureVariant))
+    def test_dip_rows_check_bootstrap_as_dip_test(self):
+        Y = np.random.default_rng(94).normal(size=(2, 30))
+        for B, error in ((100.0, TypeError), (50, TooFewSamplesError)):
+            with pytest.raises(error):
+                dip_test(Y[0], B)
+            with pytest.raises(error):
+                DipViewerCriterion(B).test_rows(Y)
+
+    def test_dip_rows_refuse_overflowing_row(self):
+        y = np.concatenate([np.full(30, -1.7e308), np.full(30, 1.7e308)])
+        stats, rejects = DipViewerCriterion(bootstrap_B=100).test_rows(np.vstack([y, y / 1.7e308]))
+        assert np.isnan(stats[0]) and not rejects[0]
+        assert stats[1] == 0.25 and rejects[1]
+
+    # the dip criterion's entry (variant None) batches AS 217 as
+    # test_rows; the loop tests each viewer with test, as dip_test does
+    @pytest.mark.parametrize("variant", [*SignatureVariant, pytest.param(None, id="dip")])
     def test_dipmeans_equals_viewer_loop(self, variant):
         from sigcluster import bundled_manifest, load_csv
-        criterion = SigtestCriterion(SigtestConfig(variant=variant))
+        criterion = (DipViewerCriterion() if variant is None
+                     else SigtestCriterion(SigtestConfig(variant=variant)))
         # five unit blobs on a regular simplex at d=8: the 1000-point root
         # cluster takes the sampled-viewer path
         simplex = 23.2 / np.sqrt(2.0) * np.eye(8)[:5]
         sets = [load_csv(bundled_manifest("iris")), load_csv(bundled_manifest("seeds")),
                 blobs(simplex, 200, 1.0, seed=21, d=8)]
+        splits = []
         for data in sets:
             for seed in (0, 1):
                 res = dipmeans_family(data, criterion, seed)
                 ref = _looped_dipmeans(data, criterion, seed)
                 np.testing.assert_array_equal(res.assignment, ref.assignment)
                 assert res.split_log == ref.split_log
-                assert res.k == ref.k > 1
+                assert res.k == ref.k
+                splits.append(res.k > 1)
+        # classic dip-means keeps seeds whole: none of its viewers rejects
+        assert splits == [True, True, variant is not None, variant is not None, True, True]
