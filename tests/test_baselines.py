@@ -354,7 +354,6 @@ class TestDipStatistic:
             assert dip_statistic(y * 2.0**531) == dip_statistic(y)  # lossless scale
             assert dip_statistic(y * 1e160) == pytest.approx(dip_statistic(y), rel=1e-12)
 
-
     def test_overflowing_range_refused(self):
         # once dip 1/(2N), p = 1, "unimodal", where the same sample at
         # +-1 has dip 0.25; the row kernel gives NaN
