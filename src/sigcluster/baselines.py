@@ -414,10 +414,12 @@ def _chain_ends(k: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
 
 
 def _dip_rows(X: np.ndarray) -> np.ndarray:
-    """_dip of each row of a 2-d float64 array, equal to it bit for bit;
-    NaN where _dip refuses the row (all values equal, or a range that
-    overflows). Rows go in blocks of about _BLOCK_VALUES values, so the
-    kernel's temporaries stay near a few megabytes at any N.
+    """_dip of each row of a 2-d float64 array, equal to it bit for bit
+    except on nearly collinear points (an evenly spaced grid), where the
+    two can differ in the last bits; NaN where _dip refuses the row (all
+    values equal, or a range that overflows). Rows go in blocks of about
+    _BLOCK_VALUES values, so the kernel's temporaries stay near a few
+    megabytes at any N.
     """
     rows = max(1, _BLOCK_VALUES // X.shape[1])
     return np.concatenate([_dip_block(X[start:start + rows])

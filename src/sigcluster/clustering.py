@@ -114,9 +114,10 @@ class DipViewerCriterion:
         return dec.statistic, dec.reject_unimodal
 
     def test_rows(self, Y) -> tuple[np.ndarray, np.ndarray]:
-        """(dip, reject) of each row of a 2-d array, equal to ``test`` on
-        each row: one AS 217 kernel call over all rows (in blocks of bounded
-        memory) and one lookup of the dip table at the rows' N. A row
+        """(dip, reject) of each row of a 2-d array, as ``test`` gives them
+        on each row (see baselines._dip_rows for the one known difference):
+        one AS 217 kernel call over all rows (in blocks of bounded memory)
+        and one lookup of the dip table at the rows' N. A row
         rejects where its dip exceeds every reference dip, which is
         ``test``'s p == 0. A row ``test`` refuses as degenerate (all values
         equal, or a range times N that overflows) gets dip NaN and does not
