@@ -26,6 +26,7 @@ from typing import ClassVar
 import numpy as np
 
 from .baselines import (
+    _BLOCK_VALUES,
     AD_ALPHA,
     DIP_BOOTSTRAP_B,
     _bootstrap_size,
@@ -193,11 +194,46 @@ def project_split(points, c1, c2) -> np.ndarray:
     return X @ (v / norm)
 
 
+def _sq_dists(A, B) -> np.ndarray:
+    """Squared Euclidean distances between the rows of A (p x d) and of B
+    (q x d), equal bit for bit to ((A[:, None, :] - B[None]) ** 2).sum(axis=2)
+    on C-contiguous copies of A and B.
+
+    Rows of A go in blocks of about _BLOCK_VALUES differences. For d <= 8 a
+    block's differences are d planes of (rows x q), squared in place and
+    added in the order numpy's add.reduce takes over d contiguous values:
+    left to right below 8, and by the tree ((0+1)+(2+3))+((4+5)+(6+7)) at
+    8. From d = 9 on numpy adds with eight interleaved accumulators (and
+    halves runs of more than 128 values), and a block keeps the tensor
+    reduce, which is the faster of the two there.
+    """
+    A, B = np.ascontiguousarray(A), np.ascontiguousarray(B)
+    p, d = A.shape
+    out = np.empty((p, len(B)))
+    rows = max(1, _BLOCK_VALUES // max(1, len(B) * d))
+    for start in range(0, p, rows):
+        a, block = A[start:start + rows], out[start:start + rows]
+        if d > 8:
+            block[...] = ((a[:, None, :] - B[None]) ** 2).sum(axis=2)
+            continue
+        D = a.T[:, :, None] - B.T[:, None, :]
+        D *= D
+        if d == 8:
+            D[::2] += D[1::2]
+            D[::4] += D[2::4]
+            np.add(D[0], D[4], out=block)
+        else:
+            np.copyto(block, D[0])
+            for plane in D[1:]:
+                block += plane
+    return out
+
+
 def _kmeanspp_init(X, k, rng):
     n = X.shape[0]
     centroids = np.empty((k, X.shape[1]))
     centroids[0] = X[rng.integers(n)]
-    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
+    d2 = _sq_dists(X, centroids[:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -205,7 +241,7 @@ def _kmeanspp_init(X, k, rng):
         else:  # remaining points coincide with chosen centers
             idx = int(np.argmax(~_rows_in(X, centroids[:j])))
         centroids[j] = X[idx]
-        d2 = np.minimum(d2, ((X - centroids[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_dists(X, centroids[j:j + 1])[:, 0])
     return centroids
 
 
@@ -220,22 +256,27 @@ def _lloyd(X, centroids, max_iter: int = 300):
     """Lloyd iterations until the assignment stops changing.
 
     Empty clusters steal their nearest point so every cluster stays
-    non-empty. Returns (assignment, centroids, total cost).
+    non-empty. Returns (assignment, centroids, total cost), the cost from
+    the distances of the iteration that found the fixpoint.
     """
     k = centroids.shape[0]
     assignment = np.full(X.shape[0], -1, dtype=np.int64)
     for _ in range(max_iter):
-        d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        d2 = _sq_dists(X, centroids)
         new_assignment = d2.argmin(axis=1)
-        for j in range(k):
-            if not np.any(new_assignment == j):
-                new_assignment[d2[:, j].argmin()] = j
+        counts = np.bincount(new_assignment, minlength=k)
+        if not counts.all():
+            for j in range(k):
+                if not np.any(new_assignment == j):
+                    new_assignment[d2[:, j].argmin()] = j
+            counts = np.bincount(new_assignment, minlength=k)
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
         for j in range(k):
-            centroids[j] = X[assignment == j].mean(axis=0)
-    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            centroids[j] = X[assignment == j].sum(axis=0) / counts[j]
+    else:  # max_iter ran out: the centroids moved after the last distances
+        d2 = _sq_dists(X, centroids)
     cost = float(d2[np.arange(len(X)), assignment].sum())
     return assignment, centroids, cost
 
@@ -366,10 +407,10 @@ def dipmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult
         viewers = np.arange(m)
         if m > 500:
             viewers = rng.choice(m, size=100, replace=False)
-        dist = np.sqrt(((members[viewers, None, :] - members[None, :, :]) ** 2).sum(axis=2))
-        others = np.ones(dist.shape, dtype=bool)
+        others = np.ones((len(viewers), m), dtype=bool)
         others[np.arange(len(viewers)), viewers] = False  # a viewer's distance to itself
-        _, rejects = criterion.test_rows(dist[others].reshape(len(viewers), m - 1))
+        dist = np.sqrt(_sq_dists(members[viewers], members)[others])
+        _, rejects = criterion.test_rows(dist.reshape(len(viewers), m - 1))
         fraction = np.count_nonzero(rejects) / len(viewers)
         if fraction <= criterion.viewer_fraction:
             return fraction, False, None

@@ -22,8 +22,9 @@ from sigcluster import (
     run_method,
     sigtest,
 )
-from sigcluster.baselines import AD_ALPHA
-from sigcluster.clustering import _split_loop, _two_means
+from sigcluster import clustering
+from sigcluster.baselines import _BLOCK_VALUES, AD_ALPHA
+from sigcluster.clustering import _kmeanspp_init, _lloyd, _split_loop, _sq_dists, _two_means
 from sigcluster.errors import (
     DegenerateInputError,
     IdenticalCentroidsError,
@@ -84,6 +85,148 @@ class TestKmeans:
         data = gen_gaussian(5, seed=0)
         with pytest.raises(KTooLargeError):
             kmeans(data, 6)
+
+
+def _tensor_sq_dists(A, B):
+    return ((A[:, None, :] - B[None]) ** 2).sum(axis=2)
+
+
+class TestSqDists:
+    # _sq_dists sums each distance in numpy's own add.reduce order; if a
+    # numpy release changes that order, these fail instead of letting k-means
+    # and the viewer distances drift
+    @pytest.mark.parametrize("d", [*range(1, 10), 13, 16, 17, 32, 129, 300])
+    def test_equals_tensor_formula(self, d):
+        rng = np.random.default_rng([95, d])
+        scale = rng.uniform(0.01, 100.0, d)
+        B = rng.normal(size=(7, d)) * scale + rng.normal(size=d)
+        big = max(2, _BLOCK_VALUES // (len(B) * d)) * 2 + 3  # more than two blocks
+        for p in (1, 5, big):
+            A = rng.normal(size=(p, d)) * scale
+            np.testing.assert_array_equal(_sq_dists(A, B), _tensor_sq_dists(A, B))
+            np.testing.assert_array_equal(_sq_dists(A, B[:1]), _tensor_sq_dists(A, B[:1]))
+        q1 = rng.normal(size=(1, d))
+        np.testing.assert_array_equal(_sq_dists(q1, B), _tensor_sq_dists(q1, B))
+        # a transposed or strided B (and a strided A) gives the distances of
+        # its C-contiguous copy
+        wide = rng.normal(size=(2 * len(B), 2 * d))
+        for other in (np.asfortranarray(B), wide[::2, ::2], wide.T[::2, ::2].T):
+            expected = _tensor_sq_dists(A, np.ascontiguousarray(other))
+            np.testing.assert_array_equal(_sq_dists(A, other), expected)
+            np.testing.assert_array_equal(_sq_dists(np.asfortranarray(A), other), expected)
+
+    def test_empty_operands(self):
+        A, B = np.ones((3, 4)), np.ones((2, 4))
+        assert _sq_dists(A[:0], B).shape == (0, 2)
+        assert _sq_dists(A, B[:0]).shape == (3, 0)
+
+
+def _reference_kmeanspp_init(X, k, rng):
+    """k-means++ seeding as it was before _sq_dists: one (X - c)^2 row sum
+    per chosen centre."""
+    n = X.shape[0]
+    centroids = np.empty((k, X.shape[1]))
+    centroids[0] = X[rng.integers(n)]
+    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = rng.choice(n, p=d2 / total)
+        else:
+            idx = int(np.argmax(~clustering._rows_in(X, centroids[:j])))
+        centroids[j] = X[idx]
+        d2 = np.minimum(d2, ((X - centroids[j]) ** 2).sum(axis=1))
+    return centroids
+
+
+def _reference_lloyd(X, centroids, max_iter=300):
+    """Lloyd as it was before _sq_dists: the n x k x d tensor every
+    iteration, an any() per cluster for empties, mean() per centroid and the
+    cost from a fresh tensor."""
+    k = centroids.shape[0]
+    assignment = np.full(X.shape[0], -1, dtype=np.int64)
+    for _ in range(max_iter):
+        d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_assignment = d2.argmin(axis=1)
+        for j in range(k):
+            if not np.any(new_assignment == j):
+                new_assignment[d2[:, j].argmin()] = j
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+        for j in range(k):
+            centroids[j] = X[assignment == j].mean(axis=0)
+    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    cost = float(d2[np.arange(len(X)), assignment].sum())
+    return assignment, centroids, cost
+
+
+def _reference_two_means(X, rng, restarts=2):
+    best = None
+    for _ in range(restarts):
+        centroids = _reference_kmeanspp_init(X, 2, rng)
+        assignment, centroids, cost = _reference_lloyd(X, centroids)
+        if best is None or cost < best[2]:
+            best = (assignment, centroids, cost)
+    return best[0], best[1]
+
+
+def _assert_same_lloyd(got, ref):
+    np.testing.assert_array_equal(got[0], ref[0])
+    np.testing.assert_array_equal(got[1], ref[1])
+    assert np.float64(got[2]).tobytes() == np.float64(ref[2]).tobytes()
+
+
+class TestLloydEqualsReference:
+    # the blocked kernel, the bincount empty check, sum / count centroids
+    # and the cost reused from the last iteration leave every bit as it was
+    @pytest.mark.parametrize("n, d", [(150, 4), (210, 7), (200, 8), (1000, 8), (120, 9),
+                                      (90, 13), (60, 1)])
+    def test_two_means_and_lloyd(self, n, d):
+        rng = np.random.default_rng([96, n, d])
+        X = np.vstack([rng.normal(size=(n // 2, d)),
+                       rng.normal(size=(n - n // 2, d)) * 2.0 + rng.uniform(-3, 3, d)])
+        for seed in range(3):
+            got = _two_means(X, np.random.default_rng([seed, n]))
+            ref = _reference_two_means(X, np.random.default_rng([seed, n]))
+            np.testing.assert_array_equal(got[0], ref[0])
+            np.testing.assert_array_equal(got[1], ref[1])
+        for k in (3, 5):
+            init = _kmeanspp_init(X, k, np.random.default_rng([97, k]))
+            np.testing.assert_array_equal(
+                init, _reference_kmeanspp_init(X, k, np.random.default_rng([97, k])))
+            _assert_same_lloyd(_lloyd(X, init.copy()), _reference_lloyd(X, init.copy()))
+
+    def test_max_iter_exhausted(self):
+        rng = np.random.default_rng(98)
+        X = rng.normal(size=(400, 8))
+        init = _kmeanspp_init(X, 6, rng)
+        converged = _reference_lloyd(X, init.copy())
+        for max_iter in (0, 1, 2, 3):
+            got = _lloyd(X, init.copy(), max_iter)
+            ref = _reference_lloyd(X, init.copy(), max_iter)
+            _assert_same_lloyd(got, ref)
+            if max_iter:
+                assert got[2] != converged[2]  # stopped before the fixpoint
+
+    def test_duplicate_points_seed_and_steal(self, monkeypatch):
+        # two distinct points, k = 3: the third centre is taken by _rows_in
+        # (every point coincides with a chosen centre) and duplicates one, so
+        # Lloyd's first assignment leaves a cluster empty and it steals a point
+        calls = []
+        rows_in = clustering._rows_in
+        monkeypatch.setattr(clustering, "_rows_in",
+                            lambda X, C: calls.append(len(C)) or rows_in(X, C))
+        X = np.repeat(np.array([[0.0, 1.0, 2.0], [5.0, -1.0, 0.5]]), [7, 5], axis=0)
+        for seed in range(4):
+            init = _kmeanspp_init(X, 3, np.random.default_rng(seed))
+            np.testing.assert_array_equal(
+                init, _reference_kmeanspp_init(X, 3, np.random.default_rng(seed)))
+            assert np.bincount(_sq_dists(X, init).argmin(axis=1), minlength=3).min() == 0
+            got = _lloyd(X, init.copy())
+            _assert_same_lloyd(got, _reference_lloyd(X, init.copy()))
+            assert set(got[0].tolist()) == {0, 1, 2}
+        assert calls == [2] * 8  # once in each seeding, this one's and the reference's
 
 
 class TestProjectSplit:
@@ -252,10 +395,8 @@ class TestDipmeansFamily:
         res = dipmeans_family(data, SigtestCriterion(), seed=0)
         assert res.k == 2
 
-    def test_sampled_viewers_bound_memory(self):
-        # 100 sampled viewers of 1200 points at d=8 need their own distance
-        # rows (100 x 1200 x 8 floats, 7.7 MB), not all 1200^2 x 8 (92 MB)
-        data = gen_gaussian(1200, dimension=8, seed=19)
+    @staticmethod
+    def _peak_bytes(data):
         tracemalloc.start()
         try:
             res = dipmeans_family(data, SigtestCriterion(), seed=0)
@@ -263,7 +404,22 @@ class TestDipmeansFamily:
         finally:
             tracemalloc.stop()
         assert res.k == 1
-        assert peak < 24e6, f"peak {peak / 1e6:.1f} MB"
+        return peak
+
+    def test_sampled_viewers_bound_memory(self):
+        # 100 sampled viewers of 1200 points at d=8 keep their own distance
+        # rows (100 x 1200 floats, 0.96 MB), not all 1200^2 x 8 differences
+        # (92 MB); measured 5.0 MB
+        peak = self._peak_bytes(gen_gaussian(1200, dimension=8, seed=19))
+        assert peak < 7e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_all_viewers_bound_memory(self):
+        # 500 members are all viewers: the distances go through _sq_dists in
+        # row blocks, never as the 500 x 500 x 8 difference tensor (16 MB,
+        # an 18.1 MB peak); measured 10.3 MB, most of it the signature test
+        # on the 500 x 499 distance rows
+        peak = self._peak_bytes(gen_gaussian(500, dimension=8, seed=19))
+        assert peak < 13e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestBenchmarkDatasets:
