@@ -34,6 +34,7 @@ from .clustering import (
     ADCriterion,
     ClusteringResult,
     DipViewerCriterion,
+    KSCriterion,
     SigtestCriterion,
     SplitRecord,
     dipmeans_family,
@@ -70,7 +71,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AD_CRITICAL_VALUES", "ADCriterion", "BaselineDecision", "BenchmarkRecord",
     "ClusteringResult", "Dataset", "DatasetManifest",
-    "DipViewerCriterion", "SignatureBounds", "SignatureVariant",
+    "DipViewerCriterion", "KSCriterion", "SignatureBounds", "SignatureVariant",
     "SigtestConfig", "SigtestCriterion", "SplitRecord", "TestOutcome",
     "TwoClusterSpec", "anderson_darling", "anderson_darling_statistic", "ari",
     "bundled_manifest", "compute_bounds", "compute_signature",

@@ -16,25 +16,18 @@ build.
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import (
-    AD_ALPHA,
-    DIP_BOOTSTRAP_B,
-    KS_ALPHA,
-    anderson_darling,
-    dip_test,
-    ks_lilliefors,
-)
-from .clustering import METHOD_NAMES, run_method
+from .baselines import KS_ALPHA
+from .clustering import METHOD_NAMES, TEST_CRITERIA, KSCriterion, configured, run_method
 from .data_io import bundled_manifest, load_csv
 from .metrics import ari, vi
-from .sigtest import SignatureVariant, SigtestConfig, sigtest
+from .sigtest import SigtestConfig
 from .synthetic import TwoClusterSpec, gen_two_clusters
 
-TEST_METHODS = ("sigtest1", "sigtest2", "ad", "ks", "dip")
+TEST_METHODS = tuple(TEST_CRITERIA)
 DEFAULT_SEPARATIONS = (2.0, 2.25, 2.5, 2.8, 3.0)
 
 
@@ -67,45 +60,6 @@ class BenchmarkRecord:
             raise ValueError("runs must be at least 1")
         if self.success_rate is not None and not 0.0 <= self.success_rate <= 100.0:
             raise ValueError("success_rate must lie in [0, 100]")
-
-
-def _alpha_for(method: str, alpha_ks: float = KS_ALPHA) -> float:
-    """The level a test runs at: AD_ALPHA for ad, ``alpha_ks`` otherwise
-    (only ks reads it)."""
-    return AD_ALPHA if method == "ad" else alpha_ks
-
-
-def _make_test(method: str, sigtest_config: SigtestConfig, alpha: float,
-               dip_B: int):
-    """Return the call y -> (fields, split) of one of TEST_METHODS.
-
-    ``fields`` is what the test reports: {"C": ...} for sigtest1 and
-    sigtest2, {"statistic": ..., "p_value": ...} for ad, ks and dip.
-    ``split`` is True when the test rejects unimodality. sigtest1 and
-    sigtest2 run ``sigtest_config`` with the signature variant of their
-    name, ``alpha`` is the level of ad or ks, ``dip_B`` the size of the
-    dip bootstrap.
-    """
-    if method in ("sigtest1", "sigtest2"):
-        cfg = replace(sigtest_config, variant=SignatureVariant(int(method[-1])))
-
-        def run_sigtest(y):
-            out = sigtest(y, cfg)
-            return {"C": out.C}, out.split
-        return run_sigtest
-    if method == "ad":
-        call = lambda y: anderson_darling(y, alpha)
-    elif method == "ks":
-        call = lambda y: ks_lilliefors(y, alpha)
-    elif method == "dip":
-        call = lambda y: dip_test(y, dip_B)
-    else:
-        raise ValueError(f"unknown test method {method!r}; expected one of {TEST_METHODS}")
-
-    def run_baseline(y):
-        dec = call(y)
-        return {"statistic": dec.statistic, "p_value": dec.p_value}, dec.reject_unimodal
-    return run_baseline
 
 
 def time_method(func, inputs) -> float:
@@ -141,12 +95,14 @@ def run_test_benchmark(separations=DEFAULT_SEPARATIONS, runs: int = 100,
     For every separation, ``runs`` fresh two-cluster samples (1-d, the
     TwoClusterSpec defaults of 100 points per side at unit sigma) are
     generated from substreams of ``seed`` and shared across methods;
-    success means the method rejects unimodality. sigtest1 and sigtest2
-    take gamma and threshold from ``sigtest_config`` and the signature
-    variant from their name, AD runs at AD_ALPHA, KS at ``alpha_ks``, and
-    the dip test with a DIP_BOOTSTRAP_B bootstrap. Timing uses
-    ``timing_runs`` additional samples per cell and times the method call
-    with its calibration table warm (see module docstring).
+    success means the method's criterion in TEST_CRITERIA rejects
+    unimodality. sigtest1 and sigtest2 take gamma and threshold from
+    ``sigtest_config`` and the signature variant from their name, KS runs
+    at ``alpha_ks``, and AD and the dip test at their criteria's defaults
+    (AD_ALPHA, a DIP_BOOTSTRAP_B bootstrap). Timing uses ``timing_runs``
+    additional samples per cell and times the criterion's ``decide``, the
+    public test call, with its calibration table warm (see module
+    docstring).
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
@@ -157,13 +113,15 @@ def run_test_benchmark(separations=DEFAULT_SEPARATIONS, runs: int = 100,
 
     records = []
     for method in methods:
-        alpha = _alpha_for(method, alpha_ks)
-        test = _make_test(method, sigtest_config, alpha, DIP_BOOTSTRAP_B)
+        criterion = TEST_CRITERIA[method]
+        ks_alpha = alpha_ks if isinstance(criterion, KSCriterion) else None  # AD keeps its own
+        criterion = configured(criterion, gamma=sigtest_config.gamma,
+                               threshold=sigtest_config.threshold, alpha=ks_alpha)
         for si, sep in enumerate(separations):
-            successes = sum(test(y)[1] for y in data[sep])
+            successes = sum(criterion.test(y)[1] for y in data[sep])
             timing_inputs = [_sweep_sample(sep, _substream_seed(seed, 1000 + si, r))
                              for r in range(timing_runs)]
-            mean_t = time_method(test, timing_inputs) if timing_runs else None
+            mean_t = time_method(criterion.decide, timing_inputs) if timing_runs else None
             records.append(BenchmarkRecord(
                 method=method, separation=float(sep),
                 success_rate=100.0 * successes / runs,
@@ -225,10 +183,8 @@ def run_cluster_benchmark(manifests, methods=METHOD_NAMES, runs: int = 20,
 def format_test_table(records) -> str:
     """Render test-benchmark records as a methods x separations table."""
     seps = sorted({r.separation for r in records})
-    lines = []
     header = "method    " + "".join(f"{s:>9g}s" for s in seps) + "   mean time (s)"
-    lines.append(header)
-    lines.append("-" * len(header))
+    lines = [header, "-" * len(header)]
     for method in TEST_METHODS:
         recs = {r.separation: r for r in records if r.method == method}
         if not recs:
@@ -245,18 +201,10 @@ def format_test_table(records) -> str:
 
 def format_cluster_table(records) -> str:
     """Render cluster-benchmark records grouped by dataset."""
-    datasets = []
-    for r in records:
-        if r.dataset not in datasets:
-            datasets.append(r.dataset)
-    methods = []
-    for r in records:
-        if r.method not in methods:
-            methods.append(r.method)
-    lines = []
+    datasets = dict.fromkeys(r.dataset for r in records)  # in first-seen order
+    methods = dict.fromkeys(r.method for r in records)
     header = f"{'dataset':<10}{'quantity':<10}" + "".join(f"{m:>16}" for m in methods)
-    lines.append(header)
-    lines.append("-" * len(header))
+    lines = [header, "-" * len(header)]
     for ds in datasets:
         by_method = {r.method: r for r in records if r.dataset == ds}
         rows = [
@@ -275,7 +223,6 @@ def format_cluster_table(records) -> str:
                 elif std_f is None:
                     cells.append(f"{mean:>16.3f}")
                 else:
-                    std = getattr(rec, std_f)
-                    cells.append(f"{mean:>9.2f}+-{std:<5.2f}")
+                    cells.append(f"{mean:>9.2f}+-{getattr(rec, std_f):<5.2f}")
             lines.append(f"{ds if label == 'k' else '':<10}{label:<10}" + "".join(cells))
     return "\n".join(lines)

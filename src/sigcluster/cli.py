@@ -25,18 +25,16 @@ from .baselines import AD_ALPHA, DIP_BOOTSTRAP_B, KS_ALPHA, dip_reference_table,
 from .benchmark import (
     DEFAULT_SEPARATIONS,
     TEST_METHODS,
-    _alpha_for,
-    _make_test,
     format_cluster_table,
     format_test_table,
     run_cluster_benchmark,
     run_test_benchmark,
 )
-from .clustering import METHOD_NAMES, project_split, run_method
+from .clustering import METHOD_NAMES, TEST_CRITERIA, configured, project_split, run_method
 from .data_io import DatasetManifest, bundled_manifest, load_csv, write_results
 from .errors import SigclusterError
 from .metrics import ari, vi
-from .sigtest import SignatureVariant, SigtestConfig, _frozen_bounds
+from .sigtest import SignatureVariant, SigtestConfig, TestOutcome, _frozen_bounds
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -50,8 +48,8 @@ def _out_dir() -> Path:
 
 def _load_columns(path: str, delimiter: str):
     """Read a numeric CSV as an (N, d) array, sniffing a header row."""
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
+    with open(path, "rb") as fh:  # load_csv reports undecodable bytes, naming the file
+        first = fh.readline().decode("utf-8", errors="replace")
     has_header = False
     for cell in first.strip().split(delimiter):
         try:
@@ -81,22 +79,28 @@ def cmd_test(args) -> int:
     else:
         y = rows[:, 0]
 
-    alpha = _alpha_for(args.method) if args.alpha is None else args.alpha
+    config = SigtestConfig(args.gamma, args.threshold)  # refuses a bad gamma for every method
+    criterion = configured(TEST_CRITERIA[args.method], gamma=config.gamma,
+                           threshold=config.threshold, alpha=args.alpha,
+                           bootstrap_B=args.bootstrap_b)
     report = {
         "input": args.input,
         "method": args.method,
         "N": int(y.size),
         "defaults": {
             "gamma": args.gamma, "threshold": args.threshold,
-            "alpha": alpha, "bootstrap_B": args.bootstrap_b,
+            "alpha": getattr(criterion, "alpha", None), "bootstrap_B": args.bootstrap_b,
         },
     }
-    config = SigtestConfig(args.gamma, args.threshold)
-    fields, split = _make_test(args.method, config, alpha, args.bootstrap_b)(y)
-    report.update(fields, split=int(split))
-    report["decision"] = "split" if split else "unimodal"
+    outcome = criterion.decide(y)
+    if isinstance(outcome, TestOutcome):
+        report.update(C=outcome.C, split=int(outcome.split))
+    else:
+        report.update(statistic=outcome.statistic, p_value=outcome.p_value,
+                      split=int(outcome.reject_unimodal))
+    report["decision"] = "split" if report["split"] else "unimodal"
     print(json.dumps(report, indent=2))
-    return EXIT_SPLIT if split else EXIT_OK
+    return EXIT_SPLIT if report["split"] else EXIT_OK
 
 
 def _manifest_from_args(token: str, args) -> DatasetManifest:

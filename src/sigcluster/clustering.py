@@ -8,6 +8,11 @@ every member act as a viewer that tests its vector of distances to the
 other members, and splits when enough viewers reject (the dip test for
 classic dip-means, the signature test for the "+" variant).
 
+A criterion's ``decide(y)`` returns its public test's own result and
+``test(y)`` the (statistic, reject) view of it; a viewer criterion adds
+``test_rows(Y)`` and a ``viewer_fraction``. TEST_CRITERIA and CLUSTERERS
+map every test and clusterer name to its criterion.
+
 Both wrappers are deterministic given (data, criterion, seed): every
 random choice draws from a substream derived as default_rng([seed,
 round, cluster_id, ...]), so per-cluster work could run in parallel and
@@ -20,7 +25,7 @@ Kalogeratos & Likas (2012), "Dip-means: an incremental clustering method
 for estimating the number of clusters", NeurIPS 25.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar
 
 import numpy as np
@@ -29,11 +34,14 @@ from .baselines import (
     _BLOCK_VALUES,
     AD_ALPHA,
     DIP_BOOTSTRAP_B,
+    KS_ALPHA,
+    BaselineDecision,
     _bootstrap_size,
     _dip_rows,
     anderson_darling,
     dip_reference_table,
     dip_test,
+    ks_lilliefors,
 )
 from .dataset import Dataset
 from .errors import (
@@ -43,7 +51,14 @@ from .errors import (
     NonFiniteInputError,
     TooFewSamplesError,
 )
-from .sigtest import MIN_SAMPLES, SigtestConfig, _signature_rows, sigtest
+from .sigtest import (
+    MIN_SAMPLES,
+    SignatureVariant,
+    SigtestConfig,
+    TestOutcome,
+    _signature_rows,
+    sigtest,
+)
 
 
 @dataclass(frozen=True)
@@ -64,8 +79,11 @@ class SigtestCriterion:
     def name(self) -> str:
         return f"sigtest{self.config.variant.value}"
 
+    def decide(self, y) -> TestOutcome:
+        return sigtest(y, self.config)
+
     def test(self, y) -> tuple[float, bool]:
-        out = sigtest(y, self.config)
+        out = self.decide(y)
         return out.C, out.split
 
     def test_rows(self, Y) -> tuple[np.ndarray, np.ndarray]:
@@ -81,23 +99,38 @@ class SigtestCriterion:
         return C, C > self.config.threshold
 
 
-@dataclass(frozen=True)
-class ADCriterion:
-    """Split when Anderson-Darling rejects normality of the projection."""
-
-    alpha: float = AD_ALPHA
-
-    @property
-    def name(self) -> str:
-        return "anderson-darling"
+class _BaselineCriterion:
+    """``test`` of a criterion whose ``decide`` returns a BaselineDecision."""
 
     def test(self, y) -> tuple[float, bool]:
-        dec = anderson_darling(y, self.alpha)
+        dec = self.decide(y)
         return dec.statistic, dec.reject_unimodal
 
 
 @dataclass(frozen=True)
-class DipViewerCriterion:
+class ADCriterion(_BaselineCriterion):
+    """Split when Anderson-Darling rejects normality of the projection."""
+
+    alpha: float = AD_ALPHA
+    name: ClassVar[str] = "anderson-darling"
+
+    def decide(self, y) -> BaselineDecision:
+        return anderson_darling(y, self.alpha)
+
+
+@dataclass(frozen=True)
+class KSCriterion(_BaselineCriterion):
+    """Split when the Lilliefors KS test rejects normality at ``alpha``."""
+
+    alpha: float = KS_ALPHA
+    name: ClassVar[str] = "ks-lilliefors"
+
+    def decide(self, y) -> BaselineDecision:
+        return ks_lilliefors(y, self.alpha)
+
+
+@dataclass(frozen=True)
+class DipViewerCriterion(_BaselineCriterion):
     """Viewer test for dipmeans_family: dip at bootstrap level zero."""
 
     bootstrap_B: int = DIP_BOOTSTRAP_B
@@ -105,14 +138,10 @@ class DipViewerCriterion:
     # Classic dip-means convention: dip viewers at bootstrap level zero
     # almost never reject under H0, so 1% of viewers is already a signal.
     viewer_fraction: ClassVar[float] = 0.01
+    name: ClassVar[str] = "dip-viewer"
 
-    @property
-    def name(self) -> str:
-        return "dip-viewer"
-
-    def test(self, y) -> tuple[float, bool]:
-        dec = dip_test(y, self.bootstrap_B)
-        return dec.statistic, dec.reject_unimodal
+    def decide(self, y) -> BaselineDecision:
+        return dip_test(y, self.bootstrap_B)
 
     def test_rows(self, Y) -> tuple[np.ndarray, np.ndarray]:
         """(dip, reject) of each row of a 2-d array, as ``test`` gives them
@@ -255,7 +284,8 @@ def _rows_in(X, C):
 def _lloyd(X, centroids, max_iter: int = 300):
     """Lloyd iterations until the assignment stops changing.
 
-    Empty clusters steal their nearest point so every cluster stays
+    An empty cluster steals its nearest point from a cluster with more
+    than one member (one exists while k <= n), so every cluster stays
     non-empty. Returns (assignment, centroids, total cost), the cost from
     the distances of the iteration that found the fixpoint.
     """
@@ -266,10 +296,10 @@ def _lloyd(X, centroids, max_iter: int = 300):
         new_assignment = d2.argmin(axis=1)
         counts = np.bincount(new_assignment, minlength=k)
         if not counts.all():
-            for j in range(k):
-                if not np.any(new_assignment == j):
-                    new_assignment[d2[:, j].argmin()] = j
-            counts = np.bincount(new_assignment, minlength=k)
+            for j in np.flatnonzero(counts == 0):
+                donors = np.flatnonzero(counts[new_assignment] > 1)
+                new_assignment[donors[d2[donors, j].argmin()]] = j
+                counts = np.bincount(new_assignment, minlength=k)
         if np.array_equal(new_assignment, assignment):
             break
         assignment = new_assignment
@@ -314,11 +344,6 @@ def _two_means(X, rng, restarts: int = 2):
     return best[0], best[1]
 
 
-def _refine(X, centroids):
-    assignment, centroids, _ = _lloyd(X, np.array(centroids, dtype=np.float64))
-    return assignment, centroids
-
-
 def _split_loop(data: Dataset, criterion, seed: int, evaluate_cluster):
     """Shared bisection loop: test each cluster, split accepted ones,
     globally refine, repeat until a full round makes no split."""
@@ -354,7 +379,7 @@ def _split_loop(data: Dataset, criterion, seed: int, evaluate_cluster):
             ))
         if k == k_round:
             break
-        assignment, refined = _refine(X, centroids)
+        assignment, refined, _ = _lloyd(X, np.array(centroids, dtype=np.float64))
         centroids = list(refined)
     return ClusteringResult(
         assignment=assignment,
@@ -367,13 +392,12 @@ def _split_loop(data: Dataset, criterion, seed: int, evaluate_cluster):
 def gmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult:
     """G-means-style splitting: test the child-centroid-axis projection.
 
-    ``criterion`` is SigtestCriterion (G-means+) or ADCriterion (classic
-    G-means). A cluster is bisected by 2-means (two seeded restarts, best
-    cost kept); its members are projected onto the axis through the child
-    centroids, and the criterion decides on that 1-d sample.
+    ``criterion`` is any criterion: CLUSTERERS pairs this family with
+    ADCriterion (classic G-means) and SigtestCriterion (G-means+). A
+    cluster is bisected by 2-means (two seeded restarts, best cost kept);
+    its members are projected onto the axis through the child centroids,
+    and ``criterion.test`` decides on that 1-d sample.
     """
-    if not isinstance(criterion, (SigtestCriterion, ADCriterion)):
-        raise TypeError("gmeans_family takes SigtestCriterion or ADCriterion")
 
     def evaluate(members, rng):
         children = _two_means(members, rng)
@@ -396,11 +420,12 @@ def dipmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult
     fraction of rejecting viewers exceeds the criterion's calibrated
     ``viewer_fraction``. The logged statistic is that fraction.
 
-    ``criterion`` is SigtestCriterion (dip-means+, viewer_fraction 0.15)
-    or DipViewerCriterion (classic dip-means, viewer_fraction 0.01).
+    ``criterion`` needs ``test_rows`` and a ``viewer_fraction`` (else a
+    TypeError): CLUSTERERS pairs this family with DipViewerCriterion
+    (classic dip-means, 0.01) and SigtestCriterion (dip-means+, 0.15).
     """
-    if not isinstance(criterion, (SigtestCriterion, DipViewerCriterion)):
-        raise TypeError("dipmeans_family takes SigtestCriterion or DipViewerCriterion")
+    if not hasattr(criterion, "viewer_fraction"):
+        raise TypeError(f"dipmeans_family needs a viewer_fraction; {criterion!r} has none")
 
     def evaluate(members, rng):
         m = members.shape[0]
@@ -419,18 +444,40 @@ def dipmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult
     return _split_loop(data, criterion, seed, evaluate)
 
 
-METHOD_NAMES = ("gmeans", "gmeans+", "dipmeans", "dipmeans+")
+# The tests of `sigcluster test` and the bench-tests sweep, and each
+# clusterer's family and criterion; configured() applies a caller's settings.
+TEST_CRITERIA = {
+    "sigtest1": SigtestCriterion(SigtestConfig(variant=SignatureVariant.SIGNATURE1)),
+    "sigtest2": SigtestCriterion(SigtestConfig(variant=SignatureVariant.SIGNATURE2)),
+    "ad": ADCriterion(),
+    "ks": KSCriterion(),
+    "dip": DipViewerCriterion(),
+}
+CLUSTERERS = {
+    "gmeans": (gmeans_family, ADCriterion()),
+    "gmeans+": (gmeans_family, SigtestCriterion()),
+    "dipmeans": (dipmeans_family, DipViewerCriterion()),
+    "dipmeans+": (dipmeans_family, SigtestCriterion()),
+}
+METHOD_NAMES = tuple(CLUSTERERS)
+
+
+def configured(criterion, **settings):
+    """``criterion`` with each setting that names one of its fields, or one
+    of its SigtestConfig's (so gamma can change and the variant stay).
+    None, and a setting no field takes, change nothing."""
+    changes = {f.name: settings[f.name] for f in fields(criterion)
+               if settings.get(f.name) is not None}
+    if isinstance(getattr(criterion, "config", None), SigtestConfig) and "config" not in changes:
+        changes["config"] = configured(criterion.config, **settings)
+    return replace(criterion, **changes)
 
 
 def run_method(name: str, data: Dataset, seed: int = 0,
                sigtest_config: SigtestConfig = SigtestConfig()) -> ClusteringResult:
-    """Dispatch one of the four benchmark clusterers by name."""
-    if name == "gmeans":
-        return gmeans_family(data, ADCriterion(), seed)
-    if name == "gmeans+":
-        return gmeans_family(data, SigtestCriterion(sigtest_config), seed)
-    if name == "dipmeans":
-        return dipmeans_family(data, DipViewerCriterion(), seed)
-    if name == "dipmeans+":
-        return dipmeans_family(data, SigtestCriterion(sigtest_config), seed)
-    raise ValueError(f"unknown method {name!r}; expected one of {METHOD_NAMES}")
+    """Run one of the CLUSTERERS by name; a signature criterion runs
+    ``sigtest_config``."""
+    if name not in CLUSTERERS:
+        raise ValueError(f"unknown method {name!r}; expected one of {METHOD_NAMES}")
+    family, criterion = CLUSTERERS[name]
+    return family(data, configured(criterion, config=sigtest_config), seed)

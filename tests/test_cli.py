@@ -12,6 +12,7 @@ from sigcluster import (
     gen_two_clusters,
     read_results,
 )
+from sigcluster.baselines import AD_ALPHA, KS_ALPHA
 from sigcluster.cli import main
 
 
@@ -91,6 +92,25 @@ class TestTestCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: zero spread")
         assert captured.out == ""
+
+    def test_undecodable_file_exit_1(self, tmp_path, capsys):
+        # the header sniff used to decode the file itself and print the raw
+        # codec error; the message is now load_csv's, as for `cluster`
+        p = tmp_path / "raw.csv"
+        p.write_bytes(b"0.1\n0.2\n0.3\n0.4\xff\n0.5\n")
+        assert main(["test", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: dataset 'raw' ({p}): not UTF-8 text (")
+        assert captured.out == ""
+
+    def test_defaults_echo_the_tests_own_level(self, unimodal_csv, capsys):
+        # only AD and KS have a level; --alpha sets it for both
+        levels = {"sigtest1": None, "sigtest2": None, "ad": AD_ALPHA, "ks": KS_ALPHA,
+                  "dip": None}
+        for method, alpha in levels.items():
+            for args, echoed in (([], alpha), (["--alpha", "0.01"], alpha and 0.01)):
+                main(["test", "--method", method, unimodal_csv, *args])
+                assert json.loads(capsys.readouterr().out)["defaults"]["alpha"] == echoed
 
     def test_multicolumn_requires_centroids(self, tmp_path, capsys):
         p = tmp_path / "wide.csv"

@@ -8,6 +8,7 @@ from sigcluster import (
     ADCriterion,
     Dataset,
     DipViewerCriterion,
+    KSCriterion,
     SignatureVariant,
     SigtestConfig,
     SigtestCriterion,
@@ -18,13 +19,26 @@ from sigcluster import (
     gen_gaussian,
     gmeans_family,
     kmeans,
+    ks_lilliefors,
     project_split,
     run_method,
+    run_test_benchmark,
     sigtest,
 )
 from sigcluster import clustering
-from sigcluster.baselines import _BLOCK_VALUES, AD_ALPHA
-from sigcluster.clustering import _kmeanspp_init, _lloyd, _split_loop, _sq_dists, _two_means
+from sigcluster.baselines import _BLOCK_VALUES, AD_ALPHA, KS_ALPHA
+from sigcluster.benchmark import TEST_METHODS
+from sigcluster.clustering import (
+    CLUSTERERS,
+    METHOD_NAMES,
+    TEST_CRITERIA,
+    _kmeanspp_init,
+    _lloyd,
+    _split_loop,
+    _sq_dists,
+    _two_means,
+    configured,
+)
 from sigcluster.errors import (
     DegenerateInputError,
     IdenticalCentroidsError,
@@ -85,6 +99,19 @@ class TestKmeans:
         data = gen_gaussian(5, seed=0)
         with pytest.raises(KTooLargeError):
             kmeans(data, 6)
+
+    def test_steal_leaves_its_donor_nonempty(self, monkeypatch):
+        # the third centre duplicates the first, so cluster 2 starts empty and
+        # steals; the nearest point is cluster 0's only member, which must stay
+        # (taking it emptied cluster 0 and gave it a NaN centroid)
+        centroids = []
+        sq_dists = clustering._sq_dists
+        monkeypatch.setattr(clustering, "_sq_dists",
+                            lambda A, B: centroids.append(B.copy()) or sq_dists(A, B))
+        res = kmeans(Dataset(rows=[[0.0], [10.0], [10.0]]), 3, seed=0)
+        assert all(np.isfinite(c).all() for c in centroids)
+        assert sorted(res.assignment.tolist()) == [0, 1, 2]
+        assert sorted(res.centroids[:, 0].tolist()) == [0.0, 10.0, 10.0]
 
 
 def _tensor_sq_dists(A, B):
@@ -271,10 +298,12 @@ class TestCriteria:
         for sep in range(8):
             rng = np.random.default_rng([91, sep])
             y = np.concatenate([rng.normal(-sep / 2, 1, 30), rng.normal(sep / 2, 1, 30)])
-            ad, dip = anderson_darling(y), dip_test(y)
-            assert ADCriterion().test(y) == (ad.statistic, ad.reject_unimodal)
-            assert DipViewerCriterion().test(y) == (dip.statistic, dip.reject_unimodal)
-            verdicts |= {ad.reject_unimodal, dip.reject_unimodal}
+            for criterion, dec in ((ADCriterion(), anderson_darling(y)),
+                                   (KSCriterion(), ks_lilliefors(y)),
+                                   (DipViewerCriterion(), dip_test(y))):
+                assert criterion.decide(y) == dec
+                assert criterion.test(y) == (dec.statistic, dec.reject_unimodal)
+                verdicts.add(dec.reject_unimodal)
         assert verdicts == {True, False}
 
     def test_dip_viewer_rows_refuse_constant_row(self):
@@ -341,13 +370,15 @@ class TestGmeansFamily:
         assert np.all(res.assignment >= 0) and np.all(res.assignment < res.k)
         assert all(np.any(res.assignment == j) for j in range(res.k))
 
-    def test_rejects_wrong_criterion(self):
-        data = gen_gaussian(64, dimension=2, seed=0)
-        with pytest.raises(TypeError):
-            gmeans_family(data, DipViewerCriterion(), seed=0)
 
 
 class TestDipmeansFamily:
+    def test_rejects_criterion_without_viewer_fraction(self):
+        data = gen_gaussian(64, dimension=2, seed=0)
+        for criterion in (ADCriterion(), KSCriterion()):
+            with pytest.raises(TypeError, match="viewer_fraction"):
+                dipmeans_family(data, criterion, seed=0)
+
     def test_single_gaussian_stays_whole(self):
         hits = 0
         for s in range(30):
@@ -418,6 +449,35 @@ class TestDipmeansFamily:
         # on the 500 x 499 distance rows
         peak = self._peak_bytes(gen_gaussian(500, dimension=8, seed=19))
         assert peak < 13e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestRegistry:
+    def test_names_come_from_the_registry(self):
+        assert TEST_METHODS == ("sigtest1", "sigtest2", "ad", "ks", "dip") == tuple(TEST_CRITERIA)
+        assert METHOD_NAMES == ("gmeans", "gmeans+", "dipmeans", "dipmeans+") == tuple(CLUSTERERS)
+        assert [family for family, _ in CLUSTERERS.values()] == \
+            [gmeans_family, gmeans_family, dipmeans_family, dipmeans_family]
+        assert all(hasattr(criterion, "viewer_fraction")
+                   for family, criterion in CLUSTERERS.values() if family is dipmeans_family)
+
+    def test_configured_sets_only_the_fields_a_criterion_has(self):
+        sig2 = configured(TEST_CRITERIA["sigtest2"], gamma=1.5, threshold=0.3, alpha=0.01)
+        assert sig2 == SigtestCriterion(SigtestConfig(1.5, 0.3, SignatureVariant.SIGNATURE2))
+        assert configured(TEST_CRITERIA["ad"], gamma=1.5, alpha=None) == ADCriterion(AD_ALPHA)
+        assert configured(TEST_CRITERIA["ks"], alpha=0.01) == KSCriterion(0.01)
+        assert configured(TEST_CRITERIA["dip"], bootstrap_B=200) == DipViewerCriterion(200)
+        config = SigtestConfig(1.5, 0.3, SignatureVariant.SIGNATURE2)
+        assert configured(CLUSTERERS["gmeans+"][1], config=config).config == config
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            configured(TEST_CRITERIA["sigtest1"], gamma=-1.0)
+        assert KSCriterion().alpha == KS_ALPHA
+
+    def test_unknown_names_are_refused(self):
+        data = gen_gaussian(64, dimension=2, seed=0)
+        with pytest.raises(ValueError, match=r"'kmeans'; expected one of \('gmeans'"):
+            run_method("kmeans", data)
+        with pytest.raises(KeyError, match="sigtest3"):
+            run_test_benchmark(runs=1, methods=("sigtest3",), timing_runs=0)
 
 
 class TestBenchmarkDatasets:

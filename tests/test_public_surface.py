@@ -1,15 +1,18 @@
 """The public surface that code outside the package relies on.
 
 Every name that ``perfbench/`` and ``demos/`` import from sigcluster must
-resolve, and so must every entry of ``sigcluster.__all__``; the demos
-must run to completion. The criteria must stay subclassable the way
-``perfbench/execute.py`` wraps them, and the calibration tables callable
-in the forms its layer rows use. No module imports a name it never uses,
+resolve, every keyword perfbench passes must be a parameter, and every
+entry of ``sigcluster.__all__`` must resolve; the demos must run to
+completion. The criteria must stay subclassable the way
+``perfbench/execute.py`` wraps them (a copy of that wrapping here, and
+perfbench's own), and the calibration tables callable in the forms its
+layer rows use. No module imports a name it never uses,
 and importing the package leaves ``scipy.stats`` unloaded.
 """
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -35,6 +38,7 @@ from sigcluster import (
     load_csv,
     run_method,
 )
+from sigcluster.clustering import CLUSTERERS, TEST_CRITERIA
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
@@ -76,6 +80,55 @@ def test_modules_use_every_import():
                    for name in ((a.asname or a.name).split(".")[0] for a in node.names)
                    if name not in used]
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def test_perfbench_keywords_are_parameters():
+    # perfbench calls run_test_benchmark(runs=, seed=, methods=, timing_runs=)
+    # and more by keyword; a renamed parameter would end its run, not a test
+    wrong = []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imported = {alias.asname or alias.name: importlib.import_module(node.module)
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module
+                    and node.module.split(".")[0] == "sigcluster"
+                    for alias in node.names}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in imported):
+                continue
+            params = inspect.signature(getattr(imported[node.func.id], node.func.id)).parameters
+            wrong += [f"{path.name}:{node.lineno}: {node.func.id}({kw.arg}=)"
+                      for kw in node.keywords if kw.arg is not None and kw.arg not in params]
+    assert not wrong, "keywords sigcluster no longer takes:\n" + "\n".join(wrong)
+
+
+@pytest.fixture
+def perfbench_modules(monkeypatch):
+    """perfbench's workloads, execute and checks modules, imported from
+    its directory as its scripts import them, and forgotten afterwards."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    names = ("workloads", "execute", "checks")
+    yield [importlib.import_module(name) for name in names]
+    for name in names:
+        sys.modules.pop(name, None)
+
+
+def test_perfbench_names_and_timed_criteria(perfbench_modules):
+    workloads, execute, checks = perfbench_modules
+    assert set(workloads.CLUSTER_KINDS) == set(CLUSTERERS)
+    assert set(checks.SWEEP_METHODS.values()) <= set(TEST_CRITERIA)
+    iris = load_csv(bundled_manifest("iris"))
+    for kind in workloads.CLUSTER_KINDS:
+        tracer = execute.Tracer()
+        tracer.begin_op(kind, 0)
+        traced = execute._traced_family(kind, iris, 3, tracer)
+        tracer.end_op()
+        ref = run_method(kind, iris, seed=3)
+        assert execute.cluster_parts(traced) == execute.cluster_parts(ref)
+        if CLUSTERERS[kind][0] is gmeans_family:  # one span per projection test
+            assert [span.name for span in tracer.spans[1:]] == \
+                [f"criterion.{rec.criterion}" for rec in ref.split_log]
 
 
 def test_all_entries_resolve():
