@@ -426,6 +426,18 @@ def _dip_rows(X: np.ndarray) -> np.ndarray:
                            for start in range(0, len(X), rows)] or [np.empty(0)])
 
 
+def _span_max(start: np.ndarray, stop: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The larger of 0 and the largest non-NaN value of t over each span
+    [start[i], stop[i]), with t laid out as _spans lays out their
+    integers: what np.fmax.at into zeros gives, from one fmax.reduceat over
+    the spans instead of a scatter."""
+    counts = stop - start
+    out = np.zeros(counts.size)
+    some = counts > 0
+    out[some] = np.fmax(0.0, np.fmax.reduceat(t, (np.cumsum(counts) - counts)[some]))
+    return out
+
+
 def _dip_block(X: np.ndarray) -> np.ndarray:
     """_dip_rows of one block: every unfinished row runs each AS 217 pass
     together with the others.
@@ -499,27 +511,27 @@ def _dip_block(X: np.ndarray) -> np.ndarray:
         new_high[moved] = to_high[last[moved]]
         going = d[rows] >= dip[rows]
 
-        # the minorant's dip over (low, new_low], the majorant's over (new_high, high]
-        dip_l = np.zeros(R)
-        kk = _spans(low[going] + 1, new_low[going] + 1)
+        # the minorant's dip over (low, new_low], the majorant's over
+        # (new_high, high]; a point whose fit segment has no point strictly
+        # inside, or is flat, gets NaN, which the span maxima skip
+        start, stop = low[going] + 1, new_low[going] + 1
+        kk = _spans(start, stop)
         e = np.searchsorted(gk, kk)
         jb, je, xb, xe = gk[e - 1], gk[e], gv[e - 1], gv[e]
-        s = (je - jb > 1) & (xe != xb)
-        kk, jb, je, xb, xe = kk[s], jb[s], je[s], xb[s], xe[s]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t = (kk - jb + 1) - (xf[kk] - xb) * ((je - jb) / (xe - xb))
-        np.fmax.at(dip_l, kk // n, t)
-        dip_u = np.zeros(R)
-        kk = _spans(new_high[going] + 1, high[going] + 1)
+        t[(je - jb <= 1) | (xe == xb)] = np.nan
+        dip_l = _span_max(start, stop, t)
+        start, stop = new_high[going] + 1, high[going] + 1
+        kk = _spans(start, stop)
         e = np.searchsorted(lk, kk)
         jb, je, xb, xe = lk[e - 1], lk[e], lv[e - 1], lv[e]
-        s = (je - jb > 1) & (xe != xb)
-        kk, jb, je, xb, xe = kk[s], jb[s], je[s], xb[s], xe[s]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t = (xf[kk] - xb) * ((je - jb) / (xe - xb)) - (kk - jb - 1)
-        np.fmax.at(dip_u, kk // n, t)
+        t[(je - jb <= 1) | (xe == xb)] = np.nan
+        dip_u = _span_max(start, stop, t)
         r = rows[going]
-        dip[r] = np.maximum(np.maximum(dip[r], dip_l[r]), np.maximum(dip_u[r], 1.0))
+        dip[r] = np.maximum(np.maximum(dip[r], dip_l), np.maximum(dip_u, 1.0))
 
         going &= (new_low != low) | (new_high != high)
         # a fit can shrink to one point only through a shared vertex other

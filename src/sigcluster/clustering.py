@@ -258,6 +258,23 @@ def _sq_dists(A, B) -> np.ndarray:
     return out
 
 
+def _pair_sq_dists(A) -> np.ndarray:
+    """_sq_dists(A, A), equal to it bit for bit, with each unordered pair
+    computed once outside the diagonal blocks: a block of rows goes
+    against the rows from its own first row on, and its part right of
+    its diagonal square is mirrored into the lower triangle, since
+    (a - b)^2 and (b - a)^2 are the same bits."""
+    A = np.ascontiguousarray(A)
+    p, d = A.shape
+    out = np.empty((p, p))
+    rows = max(1, _BLOCK_VALUES // max(1, p * d))
+    for start in range(0, p, rows):
+        block = _sq_dists(A[start:start + rows], A[start:])
+        out[start:start + rows, start:] = block
+        out[start + rows:, start:start + rows] = block[:, rows:].T
+    return out
+
+
 def _kmeanspp_init(X, k, rng):
     n = X.shape[0]
     centroids = np.empty((k, X.shape[1]))
@@ -270,7 +287,8 @@ def _kmeanspp_init(X, k, rng):
         else:  # remaining points coincide with chosen centers
             idx = int(np.argmax(~_rows_in(X, centroids[:j])))
         centroids[j] = X[idx]
-        d2 = np.minimum(d2, _sq_dists(X, centroids[j:j + 1])[:, 0])
+        if j + 1 < k:  # the last centre's distances would go unread
+            d2 = np.minimum(d2, _sq_dists(X, centroids[j:j + 1])[:, 0])
     return centroids
 
 
@@ -420,6 +438,18 @@ def dipmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult
     fraction of rejecting viewers exceeds the criterion's calibrated
     ``viewer_fraction``. The logged statistic is that fraction.
 
+    When all members are viewers, each unordered pair's distance is
+    computed once (the matrix is symmetric); the square roots are taken
+    in place on the copy without each viewer's own distance. Such a
+    cluster draws nothing from its rng until a split is decided, so its
+    verdict is a function of its member rows alone: within one call, a
+    cluster kept whole is remembered by the bytes of its rows, and when a
+    later round presents the same rows it gets the same statistic, and so
+    the same record, without a new test. A sampled-viewer cluster and a
+    vetoed split are always tested anew, since each draws from its
+    round's rng. The remembered rows take at most one copy of the data
+    per round.
+
     ``criterion`` needs ``test_rows`` and a ``viewer_fraction`` (else a
     TypeError): CLUSTERERS pairs this family with DipViewerCriterion
     (classic dip-means, 0.01) and SigtestCriterion (dip-means+, 0.15).
@@ -427,17 +457,30 @@ def dipmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult
     if not hasattr(criterion, "viewer_fraction"):
         raise TypeError(f"dipmeans_family needs a viewer_fraction; {criterion!r} has none")
 
+    kept = {}  # member-row bytes -> viewer fraction of an all-viewer cluster kept whole
+
     def evaluate(members, rng):
         m = members.shape[0]
-        viewers = np.arange(m)
         if m > 500:
+            key = None
             viewers = rng.choice(m, size=100, replace=False)
-        others = np.ones((len(viewers), m), dtype=bool)
+            sq = _sq_dists(members[viewers], members)
+        else:
+            key = members.tobytes()
+            if key in kept:
+                return kept[key], False, None
+            viewers = np.arange(m)
+            sq = _pair_sq_dists(members)
+        others = np.ones(sq.shape, dtype=bool)
         others[np.arange(len(viewers)), viewers] = False  # a viewer's distance to itself
-        dist = np.sqrt(_sq_dists(members[viewers], members)[others])
+        dist = sq[others]
+        del sq
+        np.sqrt(dist, out=dist)
         _, rejects = criterion.test_rows(dist.reshape(len(viewers), m - 1))
         fraction = np.count_nonzero(rejects) / len(viewers)
         if fraction <= criterion.viewer_fraction:
+            if key is not None:
+                kept[key] = fraction
             return fraction, False, None
         return fraction, True, _two_means(members, rng)
 

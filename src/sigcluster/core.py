@@ -114,9 +114,11 @@ def normalize(samples) -> np.ndarray:
     return _normalized(y)
 
 
-def _sorted_abs(y: np.ndarray) -> np.ndarray:
-    a = np.abs(y)
-    a.sort()  # along the last axis: each row of a 2-d array on its own
+def _sorted_abs(y: np.ndarray, out=None) -> np.ndarray:
+    """|y| sorted along the last axis (each row of a 2-d array on its
+    own), into a new array, or into ``out`` (which may be y itself)."""
+    a = np.abs(y, out=out)
+    a.sort()
     return a
 
 
@@ -125,8 +127,10 @@ def sorted_abs(samples) -> np.ndarray:
     return _sorted_abs(as_sample(samples))
 
 
-def _half_normal_cdf(t):
-    return erf(t / _SQRT2)
+def _half_normal_cdf(t, out=None):
+    """erf(t / sqrt(2)), into a new array, or into ``out`` (which may be t
+    itself)."""
+    return erf(np.divide(t, _SQRT2, out=out), out=out)
 
 
 def half_normal_cdf(t):

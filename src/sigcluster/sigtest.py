@@ -121,8 +121,11 @@ def signature_moments(N: int, variant: SignatureVariant):
     return center, var
 
 
-def _running_mean(s: np.ndarray) -> np.ndarray:
-    return np.cumsum(s, axis=-1) / np.arange(1, s.shape[-1] + 1)
+def _running_mean(s: np.ndarray, out=None) -> np.ndarray:
+    """Running mean along the last axis, into a new array or into ``out``."""
+    m = np.cumsum(s, axis=-1, out=out)
+    m /= np.arange(1, s.shape[-1] + 1)
+    return m
 
 
 def compute_signature(z, variant: SignatureVariant = SignatureVariant.SIGNATURE1) -> np.ndarray:
@@ -203,16 +206,19 @@ def _signature_rows(Y: np.ndarray, config: SigtestConfig):
     """The signature test of each row (along the last axis) of a float64
     array with at least MIN_SAMPLES columns; a 1-d array is one row. One
     normalize, one sort, one erf map and one band compare cover the whole
-    array.
+    array. The abs, the sort, the /sqrt(2) scale, the erf and signature
+    2's running mean run in place on the normalized copy, which the kernel
+    owns, so the signature map allocates no array of Y's size beyond
+    _normalized_rows'.
 
     Returns (C, flags, ok); a row with ok False (zero spread, or squared
     deviations that overflow) has no verdict, and its C and flags are
     meaningless.
     """
     Z, ok = _normalized_rows(Y)
-    s = _half_normal_cdf(_sorted_abs(Z))
+    s = _half_normal_cdf(_sorted_abs(Z, out=Z), out=Z)
     if config.variant is SignatureVariant.SIGNATURE2:
-        s = _running_mean(s)
+        s = _running_mean(s, out=s)
     C, flags = _violations(s, _frozen_bounds(Y.shape[-1], config.gamma, config.variant))
     return C, flags, ok
 

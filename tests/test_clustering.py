@@ -34,6 +34,7 @@ from sigcluster.clustering import (
     TEST_CRITERIA,
     _kmeanspp_init,
     _lloyd,
+    _pair_sq_dists,
     _split_loop,
     _sq_dists,
     _two_means,
@@ -139,6 +140,20 @@ class TestSqDists:
             expected = _tensor_sq_dists(A, np.ascontiguousarray(other))
             np.testing.assert_array_equal(_sq_dists(A, other), expected)
             np.testing.assert_array_equal(_sq_dists(np.asfortranarray(A), other), expected)
+
+    # the viewer distances of an all-viewer cluster: each unordered pair
+    # once, mirrored, with the same bits as the full matrix
+    @pytest.mark.parametrize("d", [*range(1, 10), 13, 32])
+    def test_pairs_equal_tensor_formula(self, d):
+        rng = np.random.default_rng([96, d])
+        scale = rng.uniform(0.01, 100.0, d)
+        big = int(np.sqrt(3 * _BLOCK_VALUES / d)) + 2
+        assert big > 2 * (_BLOCK_VALUES // (big * d))  # more than two blocks
+        for p in (1, 6, big):  # 6 rows are one block at any d here
+            A = rng.normal(size=(p, d)) * scale + rng.normal(size=d)
+            expected = _tensor_sq_dists(A, A)
+            np.testing.assert_array_equal(_pair_sq_dists(A), expected)
+            np.testing.assert_array_equal(_pair_sq_dists(np.asfortranarray(A)), expected)
 
     def test_empty_operands(self):
         A, B = np.ones((3, 4)), np.ones((2, 4))
@@ -438,17 +453,19 @@ class TestDipmeansFamily:
     def test_sampled_viewers_bound_memory(self):
         # 100 sampled viewers of 1200 points at d=8 keep their own distance
         # rows (100 x 1200 floats, 0.96 MB), not all 1200^2 x 8 differences
-        # (92 MB); measured 5.0 MB
+        # (92 MB), and take their square root and signature map in place;
+        # measured 3.2 MB (5.0 MB with a fresh array per step)
         peak = self._peak_bytes(gen_gaussian(1200, dimension=8, seed=19))
-        assert peak < 7e6, f"peak {peak / 1e6:.1f} MB"
+        assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_all_viewers_bound_memory(self):
         # 500 members are all viewers: the distances go through _sq_dists in
         # row blocks, never as the 500 x 500 x 8 difference tensor (16 MB,
-        # an 18.1 MB peak); measured 10.3 MB, most of it the signature test
-        # on the 500 x 499 distance rows
+        # an 18.1 MB peak), and the 500 x 499 distance rows go through the
+        # signature test with no copy beyond the normalized one; measured
+        # 6.4 MB (10.3 MB with a fresh array per step)
         peak = self._peak_bytes(gen_gaussian(500, dimension=8, seed=19))
-        assert peak < 13e6, f"peak {peak / 1e6:.1f} MB"
+        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestRegistry:
@@ -573,6 +590,23 @@ class TestBatchedViewers:
         np.testing.assert_array_equal(C_f, C)
         np.testing.assert_array_equal(rejects_f, rejects)
 
+    @pytest.mark.parametrize("variant", list(SignatureVariant))
+    def test_rows_map_signatures_in_place(self, variant):
+        # 400 rows of 399 distances (1.3 MB): the normalized copy and one
+        # temporary of its moments, then abs, sort, erf map and running
+        # mean in place on that copy; measured 2.6 MB (5.1 MB with a
+        # fresh array per step)
+        Y = np.random.default_rng(98).normal(size=(400, 399))
+        criterion = SigtestCriterion(SigtestConfig(variant=variant))
+        criterion.test_rows(Y)
+        tracemalloc.start()
+        try:
+            criterion.test_rows(Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5e6, f"peak {peak / 1e6:.1f} MB"
+
     def test_rows_validates_shape(self):
         Y = np.random.default_rng(93).normal(size=(3, 20))
         Y[1, 4] = np.nan
@@ -623,3 +657,68 @@ class TestBatchedViewers:
                 splits.append(res.k > 1)
         # classic dip-means keeps seeds whole: none of its viewers rejects
         assert splits == [True, True, variant is not None, variant is not None, True, True]
+
+    @staticmethod
+    def _batches_per_evaluation(monkeypatch, criterion):
+        """The number of test_rows batches each evaluation of the split loop
+        makes, in the order of its records, appended as the loop runs."""
+        batches, per_evaluation = [], []
+        test_rows, split_loop = type(criterion).test_rows, clustering._split_loop
+        monkeypatch.setattr(type(criterion), "test_rows",
+                            lambda self, Y: batches.append(len(Y)) or test_rows(self, Y))
+
+        def counting_loop(data, crit, seed, evaluate):
+            def counted(members, rng):
+                before = len(batches)
+                out = evaluate(members, rng)
+                per_evaluation.append(len(batches) - before)
+                return out
+            return split_loop(data, crit, seed, counted)
+
+        monkeypatch.setattr(clustering, "_split_loop", counting_loop)
+        return per_evaluation
+
+    @pytest.mark.parametrize("variant", [*SignatureVariant, pytest.param(None, id="dip")])
+    def test_kept_verdicts_are_reused(self, variant, monkeypatch):
+        # the five simplex blobs stay whole round after round once split
+        # off: their later records reuse the first verdict, with no batch
+        criterion = (DipViewerCriterion() if variant is None
+                     else SigtestCriterion(SigtestConfig(variant=variant)))
+        per_evaluation = self._batches_per_evaluation(monkeypatch, criterion)
+        data = blobs(23.2 / np.sqrt(2.0) * np.eye(8)[:5], 200, 1.0, seed=21, d=8)
+        for seed in (0, 1):
+            ref = _looped_dipmeans(data, criterion, seed)
+            per_evaluation.clear()
+            res = dipmeans_family(data, criterion, seed)
+            assert res.split_log == ref.split_log
+            np.testing.assert_array_equal(res.assignment, ref.assignment)
+            assert len(per_evaluation) == len(res.split_log)
+            assert sum(per_evaluation) < len(res.split_log)
+            for rec, batches in zip(res.split_log, per_evaluation):
+                assert batches == 1 or (rec.n <= 500 and not rec.decision)
+
+    def test_sampled_and_vetoed_clusters_are_tested_anew(self, monkeypatch):
+        # a 600-point Gaussian kept whole (sampled viewers), a pair of
+        # blobs that splits a round later, and 20 points with 3 satellites
+        # whose split is vetoed (a child of 3 < MIN_SAMPLES) every round:
+        # the big and the vetoed cluster draw from their round's rng, so
+        # each presentation makes its own batch
+        criterion = SigtestCriterion()
+        per_evaluation = self._batches_per_evaluation(monkeypatch, criterion)
+        rng = np.random.default_rng([97, 0])
+        rows = np.vstack([rng.normal(size=(600, 2)),
+                          rng.normal(size=(100, 2)) + (40, 0),
+                          rng.normal(size=(100, 2)) + (40, 12),
+                          rng.normal(size=(20, 2)) * 0.3 + (0, 200),
+                          rng.normal(size=(3, 2)) * 0.3 + (10, 200)])
+        data = Dataset(rows=rows)
+        ref = _looped_dipmeans(data, criterion, 0)
+        per_evaluation.clear()
+        res = dipmeans_family(data, criterion, 0)
+        assert res.split_log == ref.split_log
+        np.testing.assert_array_equal(res.assignment, ref.assignment)
+        log = list(zip(res.split_log, per_evaluation))
+        big = [batches for rec, batches in log if rec.n == 600]
+        vetoed = [batches for rec, batches in log if rec.decision and not rec.accepted]
+        assert len(big) >= 2 and len(vetoed) >= 2
+        assert big == [1] * len(big) and vetoed == [1] * len(vetoed)

@@ -87,6 +87,16 @@ class TestSortedAbs:
             assert np.all(np.diff(z) >= 0)
             assert sorted(np.abs(y).tolist()) == z.tolist()
 
+    def test_leaves_its_input_alone(self):
+        # the signature kernel maps its own normalized copy in place; the
+        # public stage functions never write into a caller's array
+        y = np.array([-3.0, 1.0, -2.0])
+        sorted_abs(y)
+        np.testing.assert_array_equal(y, [-3.0, 1.0, -2.0])
+        t = np.array([2.0, 0.5])
+        half_normal_cdf(t)
+        np.testing.assert_array_equal(t, [2.0, 0.5])
+
 
 class TestHalfNormalCdf:
     def test_zero(self):

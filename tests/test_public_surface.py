@@ -25,6 +25,7 @@ import pytest
 import sigcluster
 from sigcluster import (
     ADCriterion,
+    Dataset,
     DipViewerCriterion,
     SigtestConfig,
     SigtestCriterion,
@@ -38,6 +39,7 @@ from sigcluster import (
     load_csv,
     run_method,
 )
+from sigcluster import clustering
 from sigcluster.clustering import CLUSTERERS, TEST_CRITERIA
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -203,21 +205,50 @@ class RecordingDipViewer(_Recording, DipViewerCriterion):
     ("dipmeans", dipmeans_family, lambda: RecordingDipViewer(calls=[])),
     ("dipmeans+", dipmeans_family, lambda: RecordingSigtest(SigtestConfig(), calls=[])),
 ])
-def test_criterion_subclass_reproduces_run_method(method, family, make):
-    iris = load_csv(bundled_manifest("iris"))
-    criterion = make()
-    res = family(iris, criterion, 3)
-    ref = run_method(method, iris, seed=3)
-    np.testing.assert_array_equal(res.assignment, ref.assignment)
-    assert res.split_log == ref.split_log
-    assert {name for _, name, _ in criterion.calls} == {ref.split_log[0].criterion}
-    if family is dipmeans_family:
-        # every tested cluster's viewers go through one batched call
-        # (all 150 iris points are viewers), and its rejects make the
-        # logged viewer fraction
-        batches = [call for call in criterion.calls if call[0] == "test_rows"]
-        assert [r / rec.n for (_, _, r), rec in zip(batches, ref.split_log)] == \
-            [rec.statistic for rec in ref.split_log]
+def test_criterion_subclass_reproduces_run_method(method, family, make, monkeypatch):
+    # iris, and three blobs whose first split-off blob stays whole for a
+    # round more, so dipmeans_family reuses its kept verdict
+    rng = np.random.default_rng(99)
+    blobs = Dataset(rows=np.vstack([rng.normal(size=(100, 2)) + c
+                                    for c in ((0, 0), (30, 0), (0, 30))]))
+    sets = (load_csv(bundled_manifest("iris")), blobs)
+    refs = [run_method(method, data, seed=3) for data in sets]
+    # the criterion calls each evaluation of the split loop makes, one
+    # list per record
+    per_evaluation, split_loop = [], clustering._split_loop
+
+    def recording_loop(data, criterion, seed, evaluate):
+        def recorded(members, rng):
+            before = len(criterion.calls)
+            out = evaluate(members, rng)
+            per_evaluation.append(criterion.calls[before:])
+            return out
+        return split_loop(data, criterion, seed, recorded)
+
+    monkeypatch.setattr(clustering, "_split_loop", recording_loop)
+    reused = 0
+    for data, ref in zip(sets, refs):
+        criterion = make()
+        per_evaluation.clear()
+        res = family(data, criterion, 3)
+        np.testing.assert_array_equal(res.assignment, ref.assignment)
+        assert res.split_log == ref.split_log
+        assert {name for _, name, _ in criterion.calls} == {ref.split_log[0].criterion}
+        assert len(per_evaluation) == len(ref.split_log)
+        if family is not dipmeans_family:
+            continue
+        # an evaluation's viewers go through one batched call (every
+        # member is a viewer at these sizes), whose rejects make the logged
+        # viewer fraction; an evaluation with no call reused the verdict
+        # of a cluster kept whole with the same rows
+        for calls, rec in zip(per_evaluation, ref.split_log):
+            if calls:
+                [(kind, _, rejects)] = calls
+                assert kind == "test_rows" and rejects / rec.n == rec.statistic
+            else:
+                assert not rec.decision and rec.n <= 500
+                reused += 1
+    assert reused > 0 or family is not dipmeans_family
 
 
 def test_table_call_forms():
