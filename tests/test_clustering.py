@@ -454,7 +454,7 @@ class TestDipmeansFamily:
         # 100 sampled viewers of 1200 points at d=8 keep their own distance
         # rows (100 x 1200 floats, 0.96 MB), not all 1200^2 x 8 differences
         # (92 MB), and take their square root and signature map in place;
-        # measured 3.2 MB (5.0 MB with a fresh array per step)
+        # measured 3.2 MB (5.1 MB with a fresh array per step)
         peak = self._peak_bytes(gen_gaussian(1200, dimension=8, seed=19))
         assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
