@@ -27,7 +27,15 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import log_ndtr, ndtr
 
-from .core import _add_reduce, _degenerate_error, _normalized, _row_moments, _spread_ok, as_sample
+from .core import (
+    _BLOCK_VALUES,
+    _add_reduce,
+    _degenerate_error,
+    _normalized,
+    _row_moments,
+    _spread_ok,
+    as_sample,
+)
 from .errors import DegenerateInputError, TooFewSamplesError
 from .sigtest import MIN_SAMPLES
 
@@ -65,8 +73,6 @@ AD_CRITICAL_VALUES = {
 AD_ALPHA = 0.0001
 KS_ALPHA = 0.05
 DIP_BOOTSTRAP_B = 1000
-
-_BLOCK_VALUES = 1 << 16  # values per block of replicates or dip rows: ~1 MB with temporaries
 
 
 def anderson_darling_statistic(y) -> float:

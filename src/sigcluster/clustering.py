@@ -15,8 +15,11 @@ map every test and clusterer name to its criterion.
 
 Both wrappers are deterministic given (data, criterion, seed): every
 random choice draws from a substream derived as default_rng([seed,
-round, cluster_id, ...]), so per-cluster work could run in parallel and
-still merge to the same result in cluster-id order.
+round, cluster_id, ...]), and Lloyd's iterations draw nothing. So the
+2-means bisections of a whole round run as one segmented Lloyd call
+(_lloyd_segments), every restart of every cluster a segment, with the
+bits of bisecting each cluster on its own, and the splits merge in
+cluster-id order.
 
 References
 ----------
@@ -25,13 +28,13 @@ Kalogeratos & Likas (2012), "Dip-means: an incremental clustering method
 for estimating the number of clusters", NeurIPS 25.
 """
 
+import operator
 from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar
 
 import numpy as np
 
 from .baselines import (
-    _BLOCK_VALUES,
     AD_ALPHA,
     DIP_BOOTSTRAP_B,
     KS_ALPHA,
@@ -43,6 +46,7 @@ from .baselines import (
     dip_test,
     ks_lilliefors,
 )
+from .core import _BLOCK_VALUES
 from .dataset import Dataset
 from .errors import (
     DegenerateInputError,
@@ -223,38 +227,52 @@ def project_split(points, c1, c2) -> np.ndarray:
     return X @ (v / norm)
 
 
+def _sum_sq_diffs(aT, bT, out):
+    """Write into ``out`` the squared differences of aT and bT, which
+    broadcast to (d, *out.shape), summed over that first axis of length d
+    in the order numpy's add.reduce takes over d contiguous values.
+
+    For d <= 8 the d planes of differences are squared in place and added
+    left to right below 8, and by the tree ((0+1)+(2+3))+((4+5)+(6+7)) at
+    8. From d = 9 on numpy adds with eight interleaved accumulators (and
+    halves runs of more than 128 values), and the differences go into a
+    tensor with d last for numpy's own reduce, which is the faster of the
+    two there.
+    """
+    d = aT.shape[0]
+    if d > 8:
+        diff = np.empty(out.shape + (d,))
+        np.subtract(np.moveaxis(aT, 0, -1), np.moveaxis(bT, 0, -1), out=diff)
+        diff *= diff
+        out[...] = diff.sum(axis=-1)
+        return
+    D = aT - bT
+    D *= D
+    if d == 8:
+        D[::2] += D[1::2]
+        D[::4] += D[2::4]
+        np.add(D[0], D[4], out=out)
+    else:
+        np.copyto(out, D[0])
+        for plane in D[1:]:
+            out += plane
+
+
 def _sq_dists(A, B) -> np.ndarray:
     """Squared Euclidean distances between the rows of A (p x d) and of B
     (q x d), equal bit for bit to ((A[:, None, :] - B[None]) ** 2).sum(axis=2)
     on C-contiguous copies of A and B.
 
-    Rows of A go in blocks of about _BLOCK_VALUES differences. For d <= 8 a
-    block's differences are d planes of (rows x q), squared in place and
-    added in the order numpy's add.reduce takes over d contiguous values:
-    left to right below 8, and by the tree ((0+1)+(2+3))+((4+5)+(6+7)) at
-    8. From d = 9 on numpy adds with eight interleaved accumulators (and
-    halves runs of more than 128 values), and a block keeps the tensor
-    reduce, which is the faster of the two there.
+    Rows of A go in blocks of about _BLOCK_VALUES differences, each summed
+    by _sum_sq_diffs.
     """
     A, B = np.ascontiguousarray(A), np.ascontiguousarray(B)
     p, d = A.shape
     out = np.empty((p, len(B)))
     rows = max(1, _BLOCK_VALUES // max(1, len(B) * d))
     for start in range(0, p, rows):
-        a, block = A[start:start + rows], out[start:start + rows]
-        if d > 8:
-            block[...] = ((a[:, None, :] - B[None]) ** 2).sum(axis=2)
-            continue
-        D = a.T[:, :, None] - B.T[:, None, :]
-        D *= D
-        if d == 8:
-            D[::2] += D[1::2]
-            D[::4] += D[2::4]
-            np.add(D[0], D[4], out=block)
-        else:
-            np.copyto(block, D[0])
-            for plane in D[1:]:
-                block += plane
+        _sum_sq_diffs(A[start:start + rows].T[:, :, None], B.T[:, None, :],
+                      out[start:start + rows])
     return out
 
 
@@ -299,47 +317,144 @@ def _rows_in(X, C):
     return out
 
 
-def _lloyd(X, centroids, max_iter: int = 300):
-    """Lloyd iterations until the assignment stops changing.
+def _segment_sq_dists(XT, C, lengths) -> np.ndarray:
+    """k x T squared distances of the columns of XT (d x T), which are the
+    rows of consecutive segments of the given lengths, to their own
+    segment's k centroids (C is S x k x d): each entry with the bits of
+    _sq_dists. Columns go in blocks of about _BLOCK_VALUES differences."""
+    S, k, d = C.shape
+    CT = C.transpose(2, 1, 0)  # d x k x S
+    if S > 1:  # each segment's centroids along its columns
+        CT = np.repeat(CT, lengths, axis=2)
+    T = XT.shape[1]
+    out = np.empty((k, T))
+    cols = max(1, _BLOCK_VALUES // max(1, k * d))
+    for start in range(0, T, cols):
+        block = slice(start, start + cols)
+        _sum_sq_diffs(XT[:, None, block], CT[:, :, block] if S > 1 else CT, out[:, block])
+    return out
 
-    An empty cluster steals its nearest point from a cluster with more
-    than one member (one exists while k <= n), so every cluster stays
-    non-empty. Returns (assignment, centroids, total cost), the cost from
-    the distances of the iteration that found the fixpoint.
+
+def _nearest(d2) -> np.ndarray:
+    """d2.argmin(axis=0) of a k x T array free of NaN (the distances of
+    finite rows), by a running minimum over its k rows: the first index
+    of each column's minimum, without argmin's per-column calls."""
+    nearest = np.zeros(d2.shape[1], dtype=np.int64)
+    best = d2[0]
+    for j in range(1, len(d2)):
+        closer = d2[j] < best
+        nearest[closer] = j
+        if j + 1 < len(d2):
+            best = np.minimum(best, d2[j])
+    return nearest
+
+
+def _lloyd_segments(segments, centroids, max_iter: int = 300):
+    """Lloyd iterations on S segments in lockstep, each until its own
+    assignment stops changing.
+
+    ``segments`` holds S arrays of rows (m_s x d) and ``centroids`` their
+    starting centroids (S x k x d, one k for all). An empty cluster steals
+    its segment's nearest point from a cluster with more than one member
+    (one exists while k <= m_s), so every cluster stays non-empty. A
+    segment whose assignment repeats leaves the loop with the centroids
+    and the distances of that iteration; one still moving after
+    ``max_iter`` iterations gets fresh distances to its moved centroids.
+
+    Returns one (assignment, centroids, cost) per segment, the cost the
+    sum of each row's distance to its centroid. Each equals bit for bit
+    what Lloyd on that segment alone gives: the distances are _sq_dists',
+    and the centroid sums add each cluster's rows in order, as
+    X[assignment == j].sum(axis=0) does (bincount's running sum; for one
+    column numpy's pairwise sum, which that expression takes there).
     """
-    k = centroids.shape[0]
-    assignment = np.full(X.shape[0], -1, dtype=np.int64)
+    S, k, d = centroids.shape
+    lengths = np.array([len(rows) for rows in segments])
+    XT = np.concatenate([np.asarray(rows).T for rows in segments], axis=1)
+    C = np.array(centroids, dtype=np.float64)
+    ids = np.arange(S)  # the segment each active one is
+    assignment = np.full(XT.shape[1], -1, dtype=np.int64)
+    results = [None] * S
+
+    def layout():
+        starts = np.cumsum(lengths) - lengths
+        return starts, np.repeat(np.arange(len(lengths)) * k, lengths)
+
+    def finish(s, d2, a, lo):
+        cols = np.arange(lo, lo + len(a))
+        results[ids[s]] = (a, C[s], float(d2[a, cols].sum()))
+
+    starts, base = layout()  # base: the first label of each column's segment
     for _ in range(max_iter):
-        d2 = _sq_dists(X, centroids)
-        new_assignment = d2.argmin(axis=1)
-        counts = np.bincount(new_assignment, minlength=k)
+        d2 = _segment_sq_dists(XT, C, lengths)
+        new = _nearest(d2)
+        counts = np.bincount(base + new, minlength=len(ids) * k).reshape(-1, k)
         if not counts.all():
-            for j in np.flatnonzero(counts == 0):
-                donors = np.flatnonzero(counts[new_assignment] > 1)
-                new_assignment[donors[d2[donors, j].argmin()]] = j
-                counts = np.bincount(new_assignment, minlength=k)
-        if np.array_equal(new_assignment, assignment):
-            break
-        assignment = new_assignment
-        for j in range(k):
-            centroids[j] = X[assignment == j].sum(axis=0) / counts[j]
-    else:  # max_iter ran out: the centroids moved after the last distances
-        d2 = _sq_dists(X, centroids)
-    cost = float(d2[np.arange(len(X)), assignment].sum())
-    return assignment, centroids, cost
+            for s in np.flatnonzero((counts == 0).any(axis=1)):
+                a, c = new[starts[s]:starts[s] + lengths[s]], counts[s]
+                for j in np.flatnonzero(c == 0):
+                    donors = np.flatnonzero(c[a] > 1)
+                    a[donors[d2[j, starts[s] + donors].argmin()]] = j
+                    c[:] = np.bincount(a, minlength=k)
+        done = np.add.reduceat(new != assignment, starts) == 0
+        if done.any():
+            for s in np.flatnonzero(done):
+                finish(s, d2, new[starts[s]:starts[s] + lengths[s]], starts[s])
+            if done.all():
+                return results
+            moving = np.flatnonzero(np.repeat(~done, lengths))
+            XT, new = XT.take(moving, axis=1), new[moving]
+            C, counts, ids, lengths = C[~done], counts[~done], ids[~done], lengths[~done]
+            starts, base = layout()
+        assignment = new
+        labels = base + assignment
+        sums = np.empty((len(ids) * k, d))
+        if d == 1:
+            x = XT[0]
+            for s, lo in enumerate(starts):
+                a = assignment[lo:lo + lengths[s]]
+                for j in range(k):
+                    sums[s * k + j] = x[lo:lo + lengths[s]][a == j].sum()
+        else:
+            for t in range(d):
+                sums[:, t] = np.bincount(labels, weights=XT[t], minlength=len(sums))
+        C = sums.reshape(-1, k, d) / counts[:, :, None]
+    # max_iter ran out: the centroids moved after the last distances
+    d2 = _segment_sq_dists(XT, C, lengths)
+    for s, lo in enumerate(starts):
+        finish(s, d2, assignment[lo:lo + lengths[s]], lo)
+    return results
+
+
+def _lloyd(X, centroids, max_iter: int = 300):
+    """Lloyd iterations on the rows of X from ``centroids`` (k x d) until
+    the assignment stops changing: the one-segment case of
+    _lloyd_segments. Returns (assignment, centroids, total cost)."""
+    return _lloyd_segments([X], centroids[None], max_iter)[0]
 
 
 def kmeans(data: Dataset, k: int, seed: int = 0) -> ClusteringResult:
     """K-means++ seeding followed by Lloyd iterations to a fixpoint.
 
     Deterministic given seed; stops at an assignment fixpoint or after
-    300 iterations.
+    300 iterations. ``k`` is any integer type (a bool is not one) and is
+    returned as a Python int.
 
     Raises
     ------
+    TypeError
+        If k is not an integer.
+    ValueError
+        If k is below 1.
     KTooLargeError
         If k exceeds the number of points.
     """
+    if isinstance(k, bool):
+        raise TypeError(f"k must be an integer, got {k!r}")
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise TypeError(f"k must be an integer, got {k!r}") from None
     X = data.rows
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -351,20 +466,42 @@ def kmeans(data: Dataset, k: int, seed: int = 0) -> ClusteringResult:
     return ClusteringResult(assignment=assignment, centroids=centroids, k=k)
 
 
+def _bisect(clusters, restarts: int = 2):
+    """Best-of-``restarts`` 2-means bisection of each (member rows, rng)
+    cluster: (assignment, centroids) per cluster, all restarts of all
+    clusters in one _lloyd_segments call.
+
+    Each cluster draws its k-means++ seedings from its rng, restart by
+    restart, before any Lloyd runs; Lloyd draws nothing, so these are the
+    draws of seeding and running each restart in turn. The first restart
+    of lowest cost wins.
+    """
+    if not clusters:
+        return []
+    segments = [rows for rows, _ in clusters for _ in range(restarts)]
+    seeds = [_kmeanspp_init(rows, 2, rng) for rows, rng in clusters for _ in range(restarts)]
+    fits = _lloyd_segments(segments, np.array(seeds))
+    return [min(fits[first:first + restarts], key=lambda fit: fit[2])[:2]
+            for first in range(0, len(fits), restarts)]
+
+
 def _two_means(X, rng, restarts: int = 2):
-    """Best-of-``restarts`` bisection of one cluster's members."""
-    best = None
-    for _ in range(restarts):
-        centroids = _kmeanspp_init(X, 2, rng)
-        assignment, centroids, cost = _lloyd(X, centroids)
-        if best is None or cost < best[2]:
-            best = (assignment, centroids, cost)
-    return best[0], best[1]
+    """Best-of-``restarts`` bisection of one cluster's members: the
+    one-cluster case of _bisect."""
+    return _bisect([(X, rng)], restarts)[0]
 
 
-def _split_loop(data: Dataset, criterion, seed: int, evaluate_cluster):
-    """Shared bisection loop: test each cluster, split accepted ones,
-    globally refine, repeat until a full round makes no split."""
+def _split_loop(data: Dataset, criterion, seed: int, evaluate):
+    """Shared bisection loop: evaluate every cluster of a round, split the
+    accepted ones, globally refine, repeat until a full round makes no
+    split.
+
+    ``evaluate`` takes the (member rows, rng) of each cluster large enough
+    to test, in cluster-id order, and returns a (statistic, decision,
+    children) for each, children being a bisection or None. Splits are
+    applied in cluster-id order; a split moves only its own cluster's
+    members, so every cluster of a round can be evaluated first.
+    """
     X = data.rows
     if X.shape[0] < 2 * MIN_SAMPLES:
         raise TooFewSamplesError(
@@ -376,12 +513,14 @@ def _split_loop(data: Dataset, criterion, seed: int, evaluate_cluster):
     log = []
     for round_no in range(X.shape[0]):  # k strictly grows; bound is generous
         k_round = k
+        tested = []
         for cid in range(k):
             members = np.flatnonzero(assignment == cid)
-            if members.size < 2 * MIN_SAMPLES:
-                continue
-            rng = np.random.default_rng([seed, round_no, cid])
-            stat, decision, children = evaluate_cluster(X[members], rng)
+            if members.size >= 2 * MIN_SAMPLES:
+                tested.append((cid, members))
+        outcomes = evaluate([(X[members], np.random.default_rng([seed, round_no, cid]))
+                             for cid, members in tested])
+        for (cid, members), (stat, decision, children) in zip(tested, outcomes):
             accepted = bool(decision and
                             np.bincount(children[0], minlength=2).min() >= MIN_SAMPLES)
             if accepted:
@@ -411,21 +550,54 @@ def gmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult:
     """G-means-style splitting: test the child-centroid-axis projection.
 
     ``criterion`` is any criterion: CLUSTERERS pairs this family with
-    ADCriterion (classic G-means) and SigtestCriterion (G-means+). A
-    cluster is bisected by 2-means (two seeded restarts, best cost kept);
-    its members are projected onto the axis through the child centroids,
-    and ``criterion.test`` decides on that 1-d sample.
+    ADCriterion (classic G-means) and SigtestCriterion (G-means+). Every
+    cluster tested in a round is bisected by 2-means (two seeded restarts,
+    best cost kept), all of them in one segmented Lloyd call whose bits
+    equal bisecting each cluster on its own; then, in cluster-id order,
+    each cluster's members are projected onto the axis through its child
+    centroids, and ``criterion.test`` decides on that 1-d sample.
     """
 
-    def evaluate(members, rng):
-        children = _two_means(members, rng)
-        try:
-            stat, decision = criterion.test(project_split(members, *children[1]))
-        except (IdenticalCentroidsError, DegenerateInputError):
-            return 0.0, False, None  # no usable axis: duplicate-point cluster
-        return stat, decision, children
+    def evaluate(clusters):
+        outcomes = []
+        for (members, _), children in zip(clusters, _bisect(clusters)):
+            try:
+                stat, decision = criterion.test(project_split(members, *children[1]))
+            except (IdenticalCentroidsError, DegenerateInputError):
+                outcomes.append((0.0, False, None))  # no usable axis: duplicate-point cluster
+                continue
+            outcomes.append((stat, decision, children))
+        return outcomes
 
     return _split_loop(data, criterion, seed, evaluate)
+
+
+def _viewer_fraction(criterion, members, rng, kept) -> float:
+    """The fraction of a cluster's viewers whose distance vectors
+    ``criterion.test_rows`` rejects (see dipmeans_family). ``kept`` maps
+    the row bytes of an all-viewer cluster kept whole to its fraction; a
+    cluster found there is not tested again."""
+    m = members.shape[0]
+    if m > 500:
+        key = None
+        viewers = rng.choice(m, size=100, replace=False)
+        sq = _sq_dists(members[viewers], members)
+    else:
+        key = members.tobytes()
+        if key in kept:
+            return kept[key]
+        viewers = np.arange(m)
+        sq = _pair_sq_dists(members)
+    others = np.ones(sq.shape, dtype=bool)
+    others[np.arange(len(viewers)), viewers] = False  # a viewer's distance to itself
+    dist = sq[others]
+    del sq
+    np.sqrt(dist, out=dist)
+    _, rejects = criterion.test_rows(dist.reshape(len(viewers), m - 1))
+    fraction = np.count_nonzero(rejects) / len(viewers)
+    if key is not None and fraction <= criterion.viewer_fraction:
+        kept[key] = fraction
+    return fraction
 
 
 def dipmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult:
@@ -436,7 +608,11 @@ def dipmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult
     with the viewer criterion, all viewers of a cluster in one
     ``criterion.test_rows`` call; the cluster is split via 2-means when the
     fraction of rejecting viewers exceeds the criterion's calibrated
-    ``viewer_fraction``. The logged statistic is that fraction.
+    ``viewer_fraction``. The logged statistic is that fraction. A round
+    runs the viewer tests of its clusters in cluster-id order, then
+    bisects every cluster that splits in one segmented Lloyd call, whose
+    bits equal bisecting each on its own; a sampled-viewer cluster's rng
+    has drawn its viewers by then, as when each cluster went in turn.
 
     When all members are viewers, each unordered pair's distance is
     computed once (the matrix is symmetric); the square roots are taken
@@ -459,30 +635,12 @@ def dipmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult
 
     kept = {}  # member-row bytes -> viewer fraction of an all-viewer cluster kept whole
 
-    def evaluate(members, rng):
-        m = members.shape[0]
-        if m > 500:
-            key = None
-            viewers = rng.choice(m, size=100, replace=False)
-            sq = _sq_dists(members[viewers], members)
-        else:
-            key = members.tobytes()
-            if key in kept:
-                return kept[key], False, None
-            viewers = np.arange(m)
-            sq = _pair_sq_dists(members)
-        others = np.ones(sq.shape, dtype=bool)
-        others[np.arange(len(viewers)), viewers] = False  # a viewer's distance to itself
-        dist = sq[others]
-        del sq
-        np.sqrt(dist, out=dist)
-        _, rejects = criterion.test_rows(dist.reshape(len(viewers), m - 1))
-        fraction = np.count_nonzero(rejects) / len(viewers)
-        if fraction <= criterion.viewer_fraction:
-            if key is not None:
-                kept[key] = fraction
-            return fraction, False, None
-        return fraction, True, _two_means(members, rng)
+    def evaluate(clusters):
+        fractions = [_viewer_fraction(criterion, members, rng, kept) for members, rng in clusters]
+        splits = [fraction > criterion.viewer_fraction for fraction in fractions]
+        bisections = iter(_bisect([c for c, split in zip(clusters, splits) if split]))
+        return [(fraction, split, next(bisections) if split else None)
+                for fraction, split in zip(fractions, splits)]
 
     return _split_loop(data, criterion, seed, evaluate)
 

@@ -14,6 +14,7 @@ from .errors import DegenerateInputError, NegativeInputError, NonFiniteInputErro
 
 _SQRT2 = float(np.sqrt(2.0))
 _add_reduce = np.add.reduce  # same pairwise sum ndarray.mean uses, less dispatch
+_BLOCK_VALUES = 1 << 16  # values per block of rows or replicates: ~1 MB with temporaries
 
 
 def as_sample(values) -> np.ndarray:
@@ -30,6 +31,26 @@ def as_sample(values) -> np.ndarray:
     return y
 
 
+def _row_sum_squares(D: np.ndarray):
+    """add.reduce(D * D, -1): each row's sum of squares in add.reduce's
+    order. An array of more than _BLOCK_VALUES values is squared in row
+    blocks of about that many into one reused buffer, so the temporary
+    stays within a block."""
+    if D.size <= _BLOCK_VALUES:
+        return _add_reduce(D * D, -1)
+    N = D.shape[-1]
+    rows = D.reshape(-1, N)
+    block = max(1, _BLOCK_VALUES // N)
+    squares = np.empty((min(block, len(rows)), N))
+    out = np.empty(len(rows))
+    for start in range(0, len(rows), block):
+        part = rows[start:start + block]
+        sq = squares[:len(part)]
+        np.multiply(part, part, out=sq)
+        _add_reduce(sq, -1, out=out[start:start + block])
+    return out.reshape(D.shape[:-1])
+
+
 def _row_moments(Y: np.ndarray):
     """Mean, deviations and population scale of each row (along the last
     axis) of a float64 array; a 1-d array is one row. An overflow leaves
@@ -40,7 +61,7 @@ def _row_moments(Y: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         mean = _add_reduce(Y, -1) / N
         D = (Y.T - mean).T
-        scale = np.sqrt(_add_reduce(D * D, -1) / N)
+        scale = np.sqrt(_row_sum_squares(D) / N)
     return mean, D, scale
 
 

@@ -32,10 +32,13 @@ from sigcluster.clustering import (
     CLUSTERERS,
     METHOD_NAMES,
     TEST_CRITERIA,
+    ClusteringResult,
+    SplitRecord,
+    _bisect,
     _kmeanspp_init,
     _lloyd,
+    _lloyd_segments,
     _pair_sq_dists,
-    _split_loop,
     _sq_dists,
     _two_means,
     configured,
@@ -101,16 +104,30 @@ class TestKmeans:
         with pytest.raises(KTooLargeError):
             kmeans(data, 6)
 
+    @pytest.mark.parametrize("k", [2.0, True])
+    def test_k_must_be_an_integer(self, k):
+        # 2.0 used to fail inside numpy, True with "an integer is required"
+        with pytest.raises(TypeError, match=f"k must be an integer, got {k!r}"):
+            kmeans(gen_gaussian(20, seed=0), k)
+
+    def test_numpy_integer_k_is_returned_as_int(self):
+        data = gen_gaussian(40, dimension=2, seed=0)
+        res = kmeans(data, np.int64(3), seed=1)
+        assert type(res.k) is int and res.k == 3
+        ref = kmeans(data, 3, seed=1)
+        np.testing.assert_array_equal(res.assignment, ref.assignment)
+        np.testing.assert_array_equal(res.centroids, ref.centroids)
+
     def test_steal_leaves_its_donor_nonempty(self, monkeypatch):
         # the third centre duplicates the first, so cluster 2 starts empty and
         # steals; the nearest point is cluster 0's only member, which must stay
         # (taking it emptied cluster 0 and gave it a NaN centroid)
         centroids = []
-        sq_dists = clustering._sq_dists
-        monkeypatch.setattr(clustering, "_sq_dists",
-                            lambda A, B: centroids.append(B.copy()) or sq_dists(A, B))
+        segment_sq_dists = clustering._segment_sq_dists
+        monkeypatch.setattr(clustering, "_segment_sq_dists", lambda XT, C, lengths:
+                            centroids.append(C.copy()) or segment_sq_dists(XT, C, lengths))
         res = kmeans(Dataset(rows=[[0.0], [10.0], [10.0]]), 3, seed=0)
-        assert all(np.isfinite(c).all() for c in centroids)
+        assert len(centroids) >= 2 and all(np.isfinite(c).all() for c in centroids)
         assert sorted(res.assignment.tolist()) == [0, 1, 2]
         assert sorted(res.centroids[:, 0].tolist()) == [0.0, 10.0, 10.0]
 
@@ -267,6 +284,59 @@ class TestLloydEqualsReference:
             _assert_same_lloyd(got, _reference_lloyd(X, init.copy()))
             assert set(got[0].tolist()) == {0, 1, 2}
         assert calls == [2] * 8  # once in each seeding, this one's and the reference's
+
+
+def _segments(d):
+    """Two-component rows of 16, 17, 150 and 1000 points, and 20 points
+    at two places (12 and 8)."""
+    rng = np.random.default_rng([99, d])
+    segments = [np.vstack([rng.normal(size=(m // 2, d)),
+                           rng.normal(size=(m - m // 2, d)) * 2.0 + rng.uniform(-3, 3, d)])
+                for m in (16, 17, 150, 1000)]
+    return segments + [np.repeat(rng.normal(size=(2, d)), [12, 8], axis=0)]
+
+
+class TestLloydSegments:
+    # one call on many segments gives each segment the bits of Lloyd on it
+    # alone, wherever it converges, empties or runs out of iterations
+    @pytest.mark.parametrize("d", [1, 4, 7, 8, 9, 13])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_segments_equal_reference(self, d, k):
+        segments = _segments(d)
+        seeds = np.array([_kmeanspp_init(rows, k, np.random.default_rng([98, len(rows), k]))
+                          for rows in segments])
+        # the last segment has two distinct points: at k = 3 the seeding
+        # repeats one, and at k = 2 both centres go on its first point, so
+        # its first assignment leaves a cluster empty and it steals
+        if k == 2:
+            seeds[-1] = segments[-1][0]
+        assert np.bincount(_sq_dists(segments[-1], seeds[-1]).argmin(axis=1),
+                           minlength=k).min() == 0
+        converged = [_reference_lloyd(rows, c.copy()) for rows, c in zip(segments, seeds)]
+        for max_iter in (0, 1, 2, 300):
+            got = _lloyd_segments(segments, seeds.copy(), max_iter)
+            assert len(got) == len(segments)
+            for rows, c, fit in zip(segments, seeds, got):
+                _assert_same_lloyd(fit, _reference_lloyd(rows, c.copy(), max_iter))
+        assert max(len(rows) for rows in segments) > 500
+        assert any(fit[2] != ref[2] for fit, ref in
+                   zip(_lloyd_segments(segments, seeds.copy(), 1), converged))
+
+    @pytest.mark.parametrize("d", [1, 4, 8, 9, 13])
+    def test_bisect_equals_reference_per_cluster(self, d):
+        segments = _segments(d)
+        got = _bisect([(rows, np.random.default_rng([97, i])) for i, rows in enumerate(segments)])
+        assert len(got) == len(segments)
+        for i, (rows, (assignment, centroids)) in enumerate(zip(segments, got)):
+            ref = _reference_two_means(rows, np.random.default_rng([97, i]))
+            np.testing.assert_array_equal(assignment, ref[0])
+            np.testing.assert_array_equal(centroids, ref[1])
+        assert _bisect([]) == []
+
+    def test_lloyd_is_the_one_segment_case(self):
+        X = _segments(8)[3]
+        init = _kmeanspp_init(X, 5, np.random.default_rng(96))
+        _assert_same_lloyd(_lloyd(X, init.copy()), _lloyd_segments([X], init[None].copy())[0])
 
 
 class TestProjectSplit:
@@ -535,10 +605,58 @@ class TestBenchmarkDatasets:
             assert ari(res.assignment, data.labels) > 0.5
 
 
+def _sequential_split_loop(data, criterion, seed, evaluate):
+    """The split loop one cluster at a time: each cluster of a round is
+    evaluated, with its own bisection, and split before the next one is
+    evaluated; the global refinement is _reference_lloyd."""
+    X = data.rows
+    assignment = np.zeros(X.shape[0], dtype=np.int64)
+    centroids = [X.mean(axis=0)]
+    k = 1
+    log = []
+    for round_no in range(X.shape[0]):
+        k_round = k
+        for cid in range(k):
+            members = np.flatnonzero(assignment == cid)
+            if members.size < 2 * MIN_SAMPLES:
+                continue
+            stat, decision, children = evaluate(X[members],
+                                                np.random.default_rng([seed, round_no, cid]))
+            accepted = bool(decision and
+                            np.bincount(children[0], minlength=2).min() >= MIN_SAMPLES)
+            if accepted:
+                assignment[members[children[0] == 1]] = k
+                centroids[cid] = children[1][0]
+                centroids.append(children[1][1])
+                k += 1
+            log.append(SplitRecord(round_no, cid, criterion.name, float(stat), bool(decision),
+                                   accepted, int(members.size)))
+        if k == k_round:
+            break
+        assignment, refined, _ = _reference_lloyd(X, np.array(centroids, dtype=np.float64))
+        centroids = list(refined)
+    return ClusteringResult(assignment, np.array(centroids), k, tuple(log))
+
+
+def _looped_gmeans(data, criterion, seed):
+    """Reference gmeans: each cluster bisected by _reference_two_means and
+    tested in turn, where gmeans_family bisects a round in one call."""
+    def evaluate(members, rng):
+        children = _reference_two_means(members, rng)
+        try:
+            stat, decision = criterion.test(project_split(members, *children[1]))
+        except (IdenticalCentroidsError, DegenerateInputError):
+            return 0.0, False, None
+        return stat, decision, children
+
+    return _sequential_split_loop(data, criterion, seed, evaluate)
+
+
 def _looped_dipmeans(data, criterion, seed):
     """Reference dipmeans with a viewer loop: one np.delete and one
     one-sample criterion test per viewer, where dipmeans_family makes one
-    batched test_rows call per cluster."""
+    batched test_rows call per cluster, and each splitting cluster
+    bisected in turn."""
     def evaluate(members, rng):
         m = members.shape[0]
         viewers = np.arange(m)
@@ -554,9 +672,64 @@ def _looped_dipmeans(data, criterion, seed):
         fraction = rejecting / len(viewers)
         if fraction <= criterion.viewer_fraction:
             return fraction, False, None
-        return fraction, True, _two_means(members, rng)
+        return fraction, True, _reference_two_means(members, rng)
 
-    return _split_loop(data, criterion, seed, evaluate)
+    return _sequential_split_loop(data, criterion, seed, evaluate)
+
+
+def _round_sets():
+    """iris, seeds, five unit blobs on a regular simplex at d=8 (the
+    1000-point root takes dipmeans' sampled viewers) and a 13-d mixture
+    of four components."""
+    from sigcluster import bundled_manifest, load_csv
+    rng = np.random.default_rng(95)
+    mixture = np.vstack([rng.normal(size=(m, 13)) * s + rng.uniform(-6, 6, 13)
+                         for m, s in ((120, 1.0), (90, 1.5), (150, 0.7), (60, 1.0))])
+    return [load_csv(bundled_manifest("iris")), load_csv(bundled_manifest("seeds")),
+            blobs(23.2 / np.sqrt(2.0) * np.eye(8)[:5], 200, 1.0, seed=21, d=8),
+            Dataset(rows=mixture, name="mixture13")]
+
+
+class TestRoundBatching:
+    # a round's bisections run as one segmented Lloyd call, and every
+    # clusterer equals splitting one cluster at a time (the dipmeans
+    # families in TestBatchedViewers.test_dipmeans_equals_viewer_loop)
+    @pytest.mark.parametrize("method", ["gmeans", "gmeans+"])
+    def test_gmeans_equals_sequential_loop(self, method):
+        criterion = CLUSTERERS[method][1]
+        ks = []
+        for data in _round_sets():
+            for seed in (0, 1):
+                res = run_method(method, data, seed)
+                ref = _looped_gmeans(data, criterion, seed)
+                assert res.split_log == ref.split_log
+                np.testing.assert_array_equal(res.assignment, ref.assignment)
+                np.testing.assert_array_equal(res.centroids, ref.centroids)
+                assert res.k == ref.k
+                ks.append(res.k)
+        assert max(ks) >= 4  # several clusters were tested in one round
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_one_bisection_call_per_round(self, method, monkeypatch):
+        family = CLUSTERERS[method][0]
+        calls = []
+        kernel = clustering._lloyd_segments
+        monkeypatch.setattr(clustering, "_lloyd_segments", lambda segments, C, max_iter=300:
+                            calls.append((len(segments), C.shape[1])) or kernel(segments, C, max_iter))
+        # two pairs of blobs: the root splits between the pairs, and then
+        # both pairs split in one round
+        res = run_method(method, blobs([(0, 0), (10, 0), (60, 0), (70, 0)], 80, 1.0, seed=22), 0)
+        expected, k = [], 1
+        for r in range(res.split_log[-1].round + 1):
+            records = [rec for rec in res.split_log if rec.round == r]
+            bisected = sum(family is gmeans_family or rec.decision for rec in records)
+            if bisected:  # both restarts of every bisected cluster
+                expected.append((2 * bisected, 2))
+            k += sum(rec.accepted for rec in records)
+            if any(rec.accepted for rec in records):  # the global refinement
+                expected.append((1, k))
+        assert calls == expected
+        assert res.k == 4 and max(segments for segments, _ in calls) >= 4
 
 
 class TestBatchedViewers:
@@ -592,10 +765,11 @@ class TestBatchedViewers:
 
     @pytest.mark.parametrize("variant", list(SignatureVariant))
     def test_rows_map_signatures_in_place(self, variant):
-        # 400 rows of 399 distances (1.3 MB): the normalized copy and one
-        # temporary of its moments, then abs, sort, erf map and running
-        # mean in place on that copy; measured 2.6 MB (5.1 MB with a
-        # fresh array per step)
+        # 400 rows of 399 distances (1.3 MB): the normalized copy and a
+        # block of its squared deviations (0.5 MB), then abs, sort, erf map
+        # and running mean in place on that copy; measured 1.8 MB (2.6 MB
+        # squaring every deviation at once, 5.1 MB with a fresh array per
+        # step)
         Y = np.random.default_rng(98).normal(size=(400, 399))
         criterion = SigtestCriterion(SigtestConfig(variant=variant))
         criterion.test_rows(Y)
@@ -605,7 +779,7 @@ class TestBatchedViewers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5e6, f"peak {peak / 1e6:.1f} MB"
+        assert peak < 2e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_rows_validates_shape(self):
         Y = np.random.default_rng(93).normal(size=(3, 20))
@@ -638,44 +812,38 @@ class TestBatchedViewers:
     # test_rows; the loop tests each viewer with test, as dip_test does
     @pytest.mark.parametrize("variant", [*SignatureVariant, pytest.param(None, id="dip")])
     def test_dipmeans_equals_viewer_loop(self, variant):
-        from sigcluster import bundled_manifest, load_csv
         criterion = (DipViewerCriterion() if variant is None
                      else SigtestCriterion(SigtestConfig(variant=variant)))
-        # five unit blobs on a regular simplex at d=8: the 1000-point root
-        # cluster takes the sampled-viewer path
-        simplex = 23.2 / np.sqrt(2.0) * np.eye(8)[:5]
-        sets = [load_csv(bundled_manifest("iris")), load_csv(bundled_manifest("seeds")),
-                blobs(simplex, 200, 1.0, seed=21, d=8)]
         splits = []
-        for data in sets:
+        for data in _round_sets():
             for seed in (0, 1):
                 res = dipmeans_family(data, criterion, seed)
                 ref = _looped_dipmeans(data, criterion, seed)
                 np.testing.assert_array_equal(res.assignment, ref.assignment)
+                np.testing.assert_array_equal(res.centroids, ref.centroids)
                 assert res.split_log == ref.split_log
                 assert res.k == ref.k
                 splits.append(res.k > 1)
         # classic dip-means keeps seeds whole: none of its viewers rejects
-        assert splits == [True, True, variant is not None, variant is not None, True, True]
+        assert splits == [True, True, variant is not None, variant is not None] + [True] * 4
 
     @staticmethod
     def _batches_per_evaluation(monkeypatch, criterion):
-        """The number of test_rows batches each evaluation of the split loop
-        makes, in the order of its records, appended as the loop runs."""
+        """The number of test_rows batches each viewer evaluation of the
+        split loop makes, in the order of its records, appended as the
+        loop runs."""
         batches, per_evaluation = [], []
-        test_rows, split_loop = type(criterion).test_rows, clustering._split_loop
+        test_rows, viewer_fraction = type(criterion).test_rows, clustering._viewer_fraction
         monkeypatch.setattr(type(criterion), "test_rows",
                             lambda self, Y: batches.append(len(Y)) or test_rows(self, Y))
 
-        def counting_loop(data, crit, seed, evaluate):
-            def counted(members, rng):
-                before = len(batches)
-                out = evaluate(members, rng)
-                per_evaluation.append(len(batches) - before)
-                return out
-            return split_loop(data, crit, seed, counted)
+        def counted(*args):
+            before = len(batches)
+            out = viewer_fraction(*args)
+            per_evaluation.append(len(batches) - before)
+            return out
 
-        monkeypatch.setattr(clustering, "_split_loop", counting_loop)
+        monkeypatch.setattr(clustering, "_viewer_fraction", counted)
         return per_evaluation
 
     @pytest.mark.parametrize("variant", [*SignatureVariant, pytest.param(None, id="dip")])

@@ -213,34 +213,51 @@ def test_criterion_subclass_reproduces_run_method(method, family, make, monkeypa
                                     for c in ((0, 0), (30, 0), (0, 30))]))
     sets = (load_csv(bundled_manifest("iris")), blobs)
     refs = [run_method(method, data, seed=3) for data in sets]
-    # the criterion calls each evaluation of the split loop makes, one
-    # list per record
-    per_evaluation, split_loop = [], clustering._split_loop
+    # the criterion calls of each round of the split loop, and those of
+    # each viewer evaluation, one list per dipmeans record
+    per_round, per_evaluation = [], []
+    split_loop, viewer_fraction = clustering._split_loop, clustering._viewer_fraction
 
     def recording_loop(data, criterion, seed, evaluate):
-        def recorded(members, rng):
+        def recorded(clusters):
             before = len(criterion.calls)
-            out = evaluate(members, rng)
-            per_evaluation.append(criterion.calls[before:])
+            out = evaluate(clusters)
+            per_round.append(criterion.calls[before:])
             return out
         return split_loop(data, criterion, seed, recorded)
 
+    def recording_fraction(criterion, *args):
+        before = len(criterion.calls)
+        out = viewer_fraction(criterion, *args)
+        per_evaluation.append(criterion.calls[before:])
+        return out
+
     monkeypatch.setattr(clustering, "_split_loop", recording_loop)
+    monkeypatch.setattr(clustering, "_viewer_fraction", recording_fraction)
     reused = 0
     for data, ref in zip(sets, refs):
         criterion = make()
+        per_round.clear()
         per_evaluation.clear()
         res = family(data, criterion, 3)
         np.testing.assert_array_equal(res.assignment, ref.assignment)
         assert res.split_log == ref.split_log
         assert {name for _, name, _ in criterion.calls} == {ref.split_log[0].criterion}
-        assert len(per_evaluation) == len(ref.split_log)
+        rounds = [[rec for rec in ref.split_log if rec.round == r] for r in range(len(per_round))]
+        assert sum(map(len, rounds)) == len(ref.split_log)
         if family is not dipmeans_family:
+            # a round projects and tests each of its clusters in turn
+            for calls, records in zip(per_round, rounds):
+                assert calls == [("test", rec.criterion, rec.decision) for rec in records]
             continue
         # an evaluation's viewers go through one batched call (every
         # member is a viewer at these sizes), whose rejects make the logged
         # viewer fraction; an evaluation with no call reused the verdict
-        # of a cluster kept whole with the same rows
+        # of a cluster kept whole with the same rows. A round makes no
+        # call outside its evaluations.
+        assert len(per_evaluation) == len(ref.split_log)
+        assert [call for calls in per_round for call in calls] == \
+            [call for calls in per_evaluation for call in calls]
         for calls, rec in zip(per_evaluation, ref.split_log):
             if calls:
                 [(kind, _, rejects)] = calls
