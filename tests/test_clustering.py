@@ -333,11 +333,6 @@ class TestLloydSegments:
             np.testing.assert_array_equal(centroids, ref[1])
         assert _bisect([]) == []
 
-    def test_lloyd_is_the_one_segment_case(self):
-        X = _segments(8)[3]
-        init = _kmeanspp_init(X, 5, np.random.default_rng(96))
-        _assert_same_lloyd(_lloyd(X, init.copy()), _lloyd_segments([X], init[None].copy())[0])
-
 
 class TestProjectSplit:
     def test_points_on_axis(self):
@@ -714,8 +709,12 @@ class TestRoundBatching:
         family = CLUSTERERS[method][0]
         calls = []
         kernel = clustering._lloyd_segments
-        monkeypatch.setattr(clustering, "_lloyd_segments", lambda segments, C, max_iter=300:
-                            calls.append((len(segments), C.shape[1])) or kernel(segments, C, max_iter))
+
+        def counted(segments, C, max_iter=300):
+            calls.append((len(segments), C.shape[1]))
+            return kernel(segments, C, max_iter)
+
+        monkeypatch.setattr(clustering, "_lloyd_segments", counted)
         # two pairs of blobs: the root splits between the pairs, and then
         # both pairs split in one round
         res = run_method(method, blobs([(0, 0), (10, 0), (60, 0), (70, 0)], 80, 1.0, seed=22), 0)
