@@ -419,16 +419,22 @@ def _chain_ends(k: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     return end
 
 
-def _dip_rows(X: np.ndarray) -> np.ndarray:
+def _dip_rows(X: np.ndarray, critical: float | None = None) -> np.ndarray:
     """_dip of each row of a 2-d float64 array, equal to it bit for bit
     except on nearly collinear points (an evenly spaced grid), where the
     two can differ in the last bits; NaN where _dip refuses the row (all
     values equal, or a range that overflows). Rows go in blocks of about
     _BLOCK_VALUES values, so the kernel's temporaries stay near a few
     megabytes at any N.
+
+    With a ``critical`` dip, a row is settled at the first pass that
+    decides which side of it the dip lies on, and reports its running dip
+    there: a value never above its exact dip, and above ``critical``
+    exactly where the exact dip is. So ``_dip_rows(X, c) > c`` equals
+    ``_dip_rows(X) > c`` row by row; NaN rows are NaN either way.
     """
     rows = max(1, _BLOCK_VALUES // X.shape[1])
-    return np.concatenate([_dip_block(X[start:start + rows])
+    return np.concatenate([_dip_block(X[start:start + rows], critical)
                            for start in range(0, len(X), rows)] or [np.empty(0)])
 
 
@@ -444,7 +450,7 @@ def _span_max(start: np.ndarray, stop: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dip_block(X: np.ndarray) -> np.ndarray:
+def _dip_block(X: np.ndarray, critical: float | None = None) -> np.ndarray:
     """_dip_rows of one block: every unfinished row runs each AS 217 pass
     together with the others.
 
@@ -460,6 +466,12 @@ def _dip_block(X: np.ndarray) -> np.ndarray:
     the next pass's chain; of the other points, only those past the last
     minorant vertex below the new high, or before the first majorant
     vertex above the new low, can join it.
+
+    With a ``critical`` dip, a row that a pass leaves going is settled
+    there when its running dip already exceeds it (the running dip never
+    falls), or when AS 217's stopping bound max(d, dip) on every later
+    pass, widened by a relative 1e-12 and an absolute 1e-9 for rounding,
+    does not exceed it.
     """
     x = np.sort(X, axis=1)
     R, n = x.shape
@@ -540,6 +552,9 @@ def _dip_block(X: np.ndarray) -> np.ndarray:
         dip[r] = np.maximum(np.maximum(dip[r], dip_l), np.maximum(dip_u, 1.0))
 
         going &= (new_low != low) | (new_high != high)
+        if critical is not None:
+            bound = np.maximum(d[rows], dip[rows]) * (1 + 1e-12) + 1e-9
+            going &= (dip[rows] / (2 * n) <= critical) & (bound / (2 * n) > critical)
         # a fit can shrink to one point only through a shared vertex other
         # than high; _dip then reads stale chain entries, so the row is
         # left to _dip

@@ -148,12 +148,15 @@ class DipViewerCriterion(_BaselineCriterion):
         return dip_test(y, self.bootstrap_B)
 
     def test_rows(self, Y) -> tuple[np.ndarray, np.ndarray]:
-        """(dip, reject) of each row of a 2-d array, as ``test`` gives them
-        on each row (see baselines._dip_rows for the one known difference):
-        one AS 217 kernel call over all rows (in blocks of bounded memory)
-        and one lookup of the dip table at the rows' N. A row
-        rejects where its dip exceeds every reference dip, which is
-        ``test``'s p == 0. A row ``test`` refuses as degenerate (all values
+        """(dip, reject) of each row of a 2-d array: one lookup of the dip
+        table at the rows' N and one AS 217 kernel call over all rows (in
+        blocks of bounded memory). A row rejects where its dip exceeds
+        every reference dip, which is ``test``'s p == 0, and each reject
+        is ``test``'s (see baselines._dip_rows for the one known
+        difference in the dips). The kernel settles a row at the pass that
+        decides it against that critical dip, so a row's dip is the
+        running dip there: never above ``test``'s, and on the same side of
+        the critical dip. A row ``test`` refuses as degenerate (all values
         equal, or a range times N that overflows) gets dip NaN and does not
         reject, as in SigtestCriterion.test_rows."""
         Y = np.asarray(Y, dtype=np.float64)
@@ -166,8 +169,9 @@ class DipViewerCriterion(_BaselineCriterion):
         B = _bootstrap_size(self.bootstrap_B)
         if not len(Y):
             return np.empty(0), np.zeros(0, dtype=bool)
-        dips = _dip_rows(Y)
-        return dips, dips > dip_reference_table(Y.shape[1], B).max()
+        critical = dip_reference_table(Y.shape[1], B).max()
+        dips = _dip_rows(Y, critical)
+        return dips, dips > critical
 
 
 @dataclass(frozen=True)
@@ -293,6 +297,20 @@ def _pair_sq_dists(A) -> np.ndarray:
     return out
 
 
+def _check_sq_dists(X) -> None:
+    """Raise DegenerateInputError unless the squared diagonal of the rows'
+    bounding box is finite. It bounds every squared distance between
+    rows, and so every one k-means and the viewers form; without the
+    check they overflow to inf and the seeding draws from NaN weights."""
+    with np.errstate(over="ignore"):
+        span = X.max(axis=0) - X.min(axis=0)
+        diagonal = np.add.reduce(span * span)
+    if not np.isfinite(diagonal):
+        raise DegenerateInputError(
+            "squared distances overflow: the squared diagonal of the rows' "
+            "bounding box exceeds the float range")
+
+
 def _kmeanspp_init(X, k, rng):
     n = X.shape[0]
     centroids = np.empty((k, X.shape[1]))
@@ -301,7 +319,10 @@ def _kmeanspp_init(X, k, rng):
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
-            idx = rng.choice(n, p=d2 / total)
+            # rng.choice(n, p=d2 / total)'s draw, without its checks of p
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         else:  # remaining points coincide with chosen centers
             idx = int(np.argmax(~_rows_in(X, centroids[:j])))
         centroids[j] = X[idx]
@@ -448,6 +469,9 @@ def kmeans(data: Dataset, k: int, seed: int = 0) -> ClusteringResult:
         If k is below 1.
     KTooLargeError
         If k exceeds the number of points.
+    DegenerateInputError
+        If the squared distances between rows can overflow (the squared
+        diagonal of their bounding box is not finite).
     """
     if isinstance(k, bool):
         raise TypeError(f"k must be an integer, got {k!r}")
@@ -460,6 +484,7 @@ def kmeans(data: Dataset, k: int, seed: int = 0) -> ClusteringResult:
         raise ValueError("k must be at least 1")
     if k > X.shape[0]:
         raise KTooLargeError(f"k={k} exceeds N={X.shape[0]}")
+    _check_sq_dists(X)
     rng = np.random.default_rng([seed])
     centroids = _kmeanspp_init(X, k, rng)
     assignment, centroids, _ = _lloyd(X, centroids)
@@ -507,6 +532,7 @@ def _split_loop(data: Dataset, criterion, seed: int, evaluate):
         raise TooFewSamplesError(
             f"need at least {2 * MIN_SAMPLES} points, got {X.shape[0]}"
         )
+    _check_sq_dists(X)
     assignment = np.zeros(X.shape[0], dtype=np.int64)
     centroids = [X.mean(axis=0)]
     k = 1

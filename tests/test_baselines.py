@@ -26,6 +26,7 @@ from sigcluster import (
     lilliefors_reference,
     lilliefors_table,
 )
+from sigcluster import baselines
 from sigcluster.baselines import _dip, _dip_rows, _lilliefors_critical
 from sigcluster.errors import DegenerateInputError, TooFewSamplesError
 
@@ -397,6 +398,65 @@ def test_dip_rows_equal_dip(N, rows, seed, kind, constant_row):
     got = _dip_rows(Y)
     ref = np.array([_dip_or_nan(y) for y in Y])
     np.testing.assert_array_equal(got, ref)
+
+
+def _dip_batch(N, rows, seed, kind):
+    """A batch of one of test_dip_rows_equal_dip's data kinds."""
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return rng.uniform(size=(rows, N))
+    if kind == "integer":
+        return rng.integers(0, rng.integers(2, 2 * N), size=(rows, N)).astype(float)
+    if kind == "rounded":
+        return np.round(rng.normal(size=(rows, N)), int(rng.integers(0, 3)))
+    if kind == "tied":
+        return rng.choice(rng.normal(size=3), size=(rows, N))
+    return rng.normal(size=(rows, N)) + rng.choice([-1.0, 1.0], size=(rows, N)) * rng.uniform(1, 6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(N=st.integers(4, 300), rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["uniform", "integer", "rounded", "tied", "bimodal"]),
+       constant_row=st.booleans())
+def test_dip_rows_settle_on_the_side_of_the_exact_dip(N, rows, seed, kind, constant_row):
+    # with a critical dip a row may stop at the pass that decides it: its
+    # dip is then at most the exact one and on the same side of the
+    # critical dip, tried at every exact dip and both its float neighbours
+    Y = _dip_batch(N, rows, seed, kind)
+    if constant_row:
+        Y[-1] = Y[-1, 0]
+    exact = _dip_rows(Y)
+    finite = exact[~np.isnan(exact)]
+    for c in np.concatenate((np.nextafter(finite, -np.inf), finite, np.nextafter(finite, np.inf))):
+        got = _dip_rows(Y, c)
+        np.testing.assert_array_equal(got > c, exact > c)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(exact))
+        assert (got[~np.isnan(got)] <= finite).all()
+
+
+def test_dip_rows_settle_saves_passes(monkeypatch):
+    # each AS 217 pass peels two hulls; a critical dip ends both a batch
+    # of strongly bimodal rows (rejected) and one of uniform rows
+    # (accepted) passes before their dips are final, in _dip_rows and in
+    # the viewer criterion that passes the table's largest dip
+    N = 199
+    critical = dip_reference_table(N, 100).max()
+    peels = []
+    peel = baselines._peel
+    monkeypatch.setattr(baselines, "_peel", lambda *a, **k: peels.append(1) or peel(*a, **k))
+
+    def passes(run):
+        peels.clear()
+        run()
+        return len(peels) // 2
+
+    rng = np.random.default_rng(7)
+    for Y in (rng.normal(size=(20, N)) + np.where(np.arange(N) % 2, 6.0, -6.0),
+              rng.uniform(size=(20, N))):
+        full = passes(lambda: _dip_rows(Y))
+        settled = passes(lambda: _dip_rows(Y, critical))
+        assert settled < full
+        assert passes(lambda: DipViewerCriterion(bootstrap_B=100).test_rows(Y)) == settled
 
 
 def test_dip_rows_evenly_spaced_differs_in_last_bits():

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sigcluster import (
     SigtestCriterion,
     anderson_darling,
     ari,
+    dip_reference_table,
     dip_test,
     dipmeans_family,
     gen_gaussian,
@@ -130,6 +132,22 @@ class TestKmeans:
         assert len(centroids) >= 2 and all(np.isfinite(c).all() for c in centroids)
         assert sorted(res.assignment.tolist()) == [0, 1, 2]
         assert sorted(res.centroids[:, 0].tolist()) == [0.0, 10.0, 10.0]
+
+
+@pytest.mark.parametrize("method", ("kmeans",) + METHOD_NAMES)
+def test_overflowing_sq_dists_refused(method):
+    # at 1e200 the squared distances overflow: once numpy warned, then the
+    # seeding's NaN weights (a ValueError) or the viewers' infinite
+    # distances (NonFiniteInputError) ended the call; at 1e150 all run
+    rng = np.random.default_rng(5)
+    X = np.vstack([rng.normal(size=(60, 3)), rng.normal(size=(60, 3)) + 8])
+    run = (lambda data: kmeans(data, 2)) if method == "kmeans" else (
+        lambda data: run_method(method, data, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInputError, match="squared distances overflow"):
+            run(Dataset(rows=X * 1e200))
+        assert run(Dataset(rows=X * 1e150)).k == 2
 
 
 def _tensor_sq_dists(A, B):
@@ -387,17 +405,23 @@ class TestCriteria:
         assert verdicts == {True, False}
 
     def test_dip_viewer_rows_refuse_constant_row(self):
-        # a constant row gets NaN and no reject, as in SigtestCriterion
+        # a constant row gets NaN and no reject, as in SigtestCriterion; a
+        # row settled early keeps test's reject, and its dip is at most
+        # test's and on the same side of the critical dip
         rng = np.random.default_rng(92)
         Y = np.vstack([rng.normal(size=60), np.full(60, 2.5),
                        np.concatenate([rng.normal(-4, 1, 30), rng.normal(4, 1, 30)])])
         criterion = DipViewerCriterion(bootstrap_B=200)
+        critical = dip_reference_table(60, 200).max()
         stats, rejects = criterion.test_rows(Y)
         with pytest.raises(DegenerateInputError):
             criterion.test(Y[1])
         assert np.isnan(stats[1]) and not rejects[1]
         for i in (0, 2):
-            assert (stats[i], rejects[i]) == criterion.test(Y[i])
+            stat, reject = criterion.test(Y[i])
+            assert rejects[i] == reject
+            assert stats[i] <= stat
+            assert (stats[i] > critical) == (stat > critical) == reject
         assert rejects.tolist() == [False, False, True]
 
     def test_ad_unknown_alpha_is_value_error(self):
