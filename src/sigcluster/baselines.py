@@ -28,10 +28,9 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from .core import (
-    _BLOCK_VALUES,
     _add_reduce,
+    _block_rows,
     _degenerate_error,
-    _normalized,
     _row_moments,
     _spread_ok,
     as_sample,
@@ -99,10 +98,10 @@ def _ad_statistic(y: np.ndarray) -> float:
     log_ndtr(w)/log_ndtr(-w).
     """
     N = y.size
-    mean, D, scale = _row_moments(y)
-    if not _spread_ok(mean, scale):
-        raise _degenerate_error(y)
-    s = math.sqrt(_add_reduce(D * D) / (N - 1))
+    mean, D, ss = _row_moments(y)
+    if not _spread_ok(mean, math.sqrt(ss / N)):
+        raise _degenerate_error(mean, ss)
+    s = math.sqrt(ss / (N - 1))
     w = np.sort(D)
     w /= s
     i = np.arange(1, N + 1)
@@ -142,25 +141,31 @@ def anderson_darling(y, alpha: float = AD_ALPHA) -> BaselineDecision:
     )
 
 
-def _lilliefors_d(X: np.ndarray) -> np.ndarray:
-    """Lilliefors D of each ascending row of ``X``, overwriting ``X``: the sup
-    distance to the normal CDF with estimated mean and (ddof=1) std."""
-    N = X.shape[1]
-    s = X.std(axis=1, ddof=1, keepdims=True)
-    X -= X.mean(axis=1, keepdims=True)
-    X /= s
-    F = ndtr(X, out=X)
+def _lilliefors_d(D: np.ndarray, ss) -> np.ndarray:
+    """Lilliefors D of each ascending row (a 1-d array is one row) from its
+    _row_moments deviations D, overwritten, and sum of squares ss: the sup
+    distance to the normal CDF with estimated mean and (ddof=1) scale."""
+    N = D.shape[-1]
+    np.divide(D.T, np.sqrt(ss / (N - 1)), out=D.T)
+    F = ndtr(D, out=D)
     i = np.arange(1, N + 1)
-    return np.maximum((i / N - F).max(axis=1), (F - (i - 1) / N).max(axis=1))
+    return np.maximum((i / N - F).max(axis=-1), (F - (i - 1) / N).max(axis=-1))
 
 
 def ks_statistic(y) -> float:
     """Lilliefors D of one sample; DegenerateInputError where normalize
     would raise it (zero spread, or squared deviations that overflow)."""
-    x = as_sample(y)
-    _normalized(x)
-    x = np.sort(x)
-    return float(_lilliefors_d(x[None, :])[0])
+    return _ks_statistic(as_sample(y))
+
+
+def _ks_statistic(y: np.ndarray) -> float:
+    """ks_statistic of a validated sample; normalize's rule is checked on
+    the moments of the sorted copy, which the statistic divides by."""
+    x = np.sort(y)
+    mean, D, ss = _row_moments(x, out=x)
+    if not _spread_ok(mean, math.sqrt(ss / y.size)):
+        raise _degenerate_error(mean, ss)
+    return float(_lilliefors_d(D, ss))
 
 
 def lilliefors_reference(N: int) -> np.ndarray:
@@ -175,12 +180,13 @@ def lilliefors_reference(N: int) -> np.ndarray:
     """
     replicates = 10_000
     rng = np.random.default_rng([202_405, N, replicates])
-    rows = max(1, _BLOCK_VALUES // N)
+    rows = _block_rows(N)
     D = np.empty(replicates)
     for start in range(0, replicates, rows):
         X = rng.standard_normal((min(rows, replicates - start), N))
         X.sort(axis=1)
-        D[start:start + X.shape[0]] = _lilliefors_d(X)
+        _, X, ss = _row_moments(X, out=X)
+        D[start:start + X.shape[0]] = _lilliefors_d(X, ss)
     D.sort()
     return D
 
@@ -229,7 +235,7 @@ def ks_lilliefors(y, alpha: float = KS_ALPHA) -> BaselineDecision:
         raise TooFewSamplesError(f"KS test needs N >= {MIN_SAMPLES}, got {y.size}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"KS alpha must lie in (0, 1), got {alpha!r}")
-    D = ks_statistic(y)
+    D = _ks_statistic(y)
     ref = lilliefors_table(y.size)
     # p-value: share of reference D at least as extreme
     p = float((ref.size - np.searchsorted(ref, D, side="left")) / ref.size)
@@ -423,8 +429,8 @@ def _dip_rows(X: np.ndarray, critical: float | None = None) -> np.ndarray:
     """_dip of each row of a 2-d float64 array, equal to it bit for bit
     except on nearly collinear points (an evenly spaced grid), where the
     two can differ in the last bits; NaN where _dip refuses the row (all
-    values equal, or a range that overflows). Rows go in blocks of about
-    _BLOCK_VALUES values, so the kernel's temporaries stay near a few
+    values equal, or a range that overflows). Rows go in blocks of
+    core._block_rows, so the kernel's temporaries stay near a few
     megabytes at any N.
 
     With a ``critical`` dip, a row is settled at the first pass that
@@ -433,7 +439,7 @@ def _dip_rows(X: np.ndarray, critical: float | None = None) -> np.ndarray:
     exactly where the exact dip is. So ``_dip_rows(X, c) > c`` equals
     ``_dip_rows(X) > c`` row by row; NaN rows are NaN either way.
     """
-    rows = max(1, _BLOCK_VALUES // X.shape[1])
+    rows = _block_rows(X.shape[1])
     return np.concatenate([_dip_block(X[start:start + rows], critical)
                            for start in range(0, len(X), rows)] or [np.empty(0)])
 
@@ -584,11 +590,11 @@ def dip_reference_dips(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
     reads it through :func:`dip_reference_table`; each call here draws
     anew. Replicate b is drawn from the generator substream [0, N, b], so
     the set is reproducible and does not depend on how it is split up:
-    the replicates are stacked in blocks of about _BLOCK_VALUES values
-    (bounded memory) and each block goes through one :func:`_dip_rows`
+    the replicates are stacked in blocks of core._block_rows (bounded
+    memory) and each block goes through one :func:`_dip_rows`
     call, equal to _dip on each replicate.
     """
-    rows = max(1, _BLOCK_VALUES // N)
+    rows = _block_rows(N)
     dips = np.empty(B)
     for start in range(0, B, rows):
         U = np.stack([np.random.default_rng([0, N, b]).uniform(size=N)

@@ -46,7 +46,7 @@ from .baselines import (
     dip_test,
     ks_lilliefors,
 )
-from .core import _BLOCK_VALUES
+from .core import _block_rows
 from .dataset import Dataset
 from .errors import (
     DegenerateInputError,
@@ -267,13 +267,13 @@ def _sq_dists(A, B) -> np.ndarray:
     (q x d), equal bit for bit to ((A[:, None, :] - B[None]) ** 2).sum(axis=2)
     on C-contiguous copies of A and B.
 
-    Rows of A go in blocks of about _BLOCK_VALUES differences, each summed
-    by _sum_sq_diffs.
+    Rows of A go in blocks of _block_rows(len(B) * d), each block summed by
+    _sum_sq_diffs.
     """
     A, B = np.ascontiguousarray(A), np.ascontiguousarray(B)
     p, d = A.shape
     out = np.empty((p, len(B)))
-    rows = max(1, _BLOCK_VALUES // max(1, len(B) * d))
+    rows = _block_rows(len(B) * d)
     for start in range(0, p, rows):
         _sum_sq_diffs(A[start:start + rows].T[:, :, None], B.T[:, None, :],
                       out[start:start + rows])
@@ -289,7 +289,7 @@ def _pair_sq_dists(A) -> np.ndarray:
     A = np.ascontiguousarray(A)
     p, d = A.shape
     out = np.empty((p, p))
-    rows = max(1, _BLOCK_VALUES // max(1, p * d))
+    rows = _block_rows(p * d)
     for start in range(0, p, rows):
         block = _sq_dists(A[start:start + rows], A[start:])
         out[start:start + rows, start:] = block
@@ -299,16 +299,20 @@ def _pair_sq_dists(A) -> np.ndarray:
 
 def _check_sq_dists(X) -> None:
     """Raise DegenerateInputError unless the squared diagonal of the rows'
-    bounding box is finite. It bounds every squared distance between
-    rows, and so every one k-means and the viewers form; without the
-    check they overflow to inf and the seeding draws from NaN weights."""
+    bounding box, which bounds every squared distance k-means and the
+    viewers form, and n times each column's largest |x|, which bounds
+    every centroid sum, are finite. Else distances overflow to inf and
+    the seeding draws from NaN weights, or a centroid comes out inf."""
     with np.errstate(over="ignore"):
-        span = X.max(axis=0) - X.min(axis=0)
-        diagonal = np.add.reduce(span * span)
+        top, bottom = X.max(axis=0), X.min(axis=0)
+        diagonal = np.add.reduce((top - bottom) ** 2)
+        sums = len(X) * np.maximum(top, -bottom)
     if not np.isfinite(diagonal):
         raise DegenerateInputError(
             "squared distances overflow: the squared diagonal of the rows' "
             "bounding box exceeds the float range")
+    if not np.isfinite(sums).all():
+        raise DegenerateInputError("centroid sums overflow: n * max|x| of a column is not finite")
 
 
 def _kmeanspp_init(X, k, rng):
@@ -342,14 +346,14 @@ def _segment_sq_dists(XT, C, lengths) -> np.ndarray:
     """k x T squared distances of the columns of XT (d x T), which are the
     rows of consecutive segments of the given lengths, to their own
     segment's k centroids (C is S x k x d): each entry with the bits of
-    _sq_dists. Columns go in blocks of about _BLOCK_VALUES differences."""
+    _sq_dists. Columns go in blocks of _block_rows(k * d)."""
     S, k, d = C.shape
     CT = C.transpose(2, 1, 0)  # d x k x S
     if S > 1:  # each segment's centroids along its columns
         CT = np.repeat(CT, lengths, axis=2)
     T = XT.shape[1]
     out = np.empty((k, T))
-    cols = max(1, _BLOCK_VALUES // max(1, k * d))
+    cols = _block_rows(k * d)
     for start in range(0, T, cols):
         block = slice(start, start + cols)
         _sum_sq_diffs(XT[:, None, block], CT[:, :, block] if S > 1 else CT, out[:, block])
@@ -471,7 +475,8 @@ def kmeans(data: Dataset, k: int, seed: int = 0) -> ClusteringResult:
         If k exceeds the number of points.
     DegenerateInputError
         If the squared distances between rows can overflow (the squared
-        diagonal of their bounding box is not finite).
+        diagonal of their bounding box is not finite), or the centroid
+        sums can (n times the largest |x| of a column is not finite).
     """
     if isinstance(k, bool):
         raise TypeError(f"k must be an integer, got {k!r}")
@@ -491,8 +496,12 @@ def kmeans(data: Dataset, k: int, seed: int = 0) -> ClusteringResult:
     return ClusteringResult(assignment=assignment, centroids=centroids, k=k)
 
 
-def _bisect(clusters, restarts: int = 2):
-    """Best-of-``restarts`` 2-means bisection of each (member rows, rng)
+# 2-means restarts per bisection; the first of lowest cost is kept
+_RESTARTS = 2
+
+
+def _bisect(clusters):
+    """Best-of-_RESTARTS 2-means bisection of each (member rows, rng)
     cluster: (assignment, centroids) per cluster, all restarts of all
     clusters in one _lloyd_segments call.
 
@@ -503,17 +512,11 @@ def _bisect(clusters, restarts: int = 2):
     """
     if not clusters:
         return []
-    segments = [rows for rows, _ in clusters for _ in range(restarts)]
-    seeds = [_kmeanspp_init(rows, 2, rng) for rows, rng in clusters for _ in range(restarts)]
+    segments = [rows for rows, _ in clusters for _ in range(_RESTARTS)]
+    seeds = [_kmeanspp_init(rows, 2, rng) for rows, rng in clusters for _ in range(_RESTARTS)]
     fits = _lloyd_segments(segments, np.array(seeds))
-    return [min(fits[first:first + restarts], key=lambda fit: fit[2])[:2]
-            for first in range(0, len(fits), restarts)]
-
-
-def _two_means(X, rng, restarts: int = 2):
-    """Best-of-``restarts`` bisection of one cluster's members: the
-    one-cluster case of _bisect."""
-    return _bisect([(X, rng)], restarts)[0]
+    return [min(fits[first:first + _RESTARTS], key=lambda fit: fit[2])[:2]
+            for first in range(0, len(fits), _RESTARTS)]
 
 
 def _split_loop(data: Dataset, criterion, seed: int, evaluate):

@@ -31,42 +31,41 @@ def as_sample(values) -> np.ndarray:
     return y
 
 
-def _row_sum_squares(D: np.ndarray):
-    """add.reduce(D * D, -1): each row's sum of squares in add.reduce's
-    order. An array of more than _BLOCK_VALUES values is squared in row
-    blocks of about that many into one reused buffer, so the temporary
-    stays within a block."""
-    if D.size <= _BLOCK_VALUES:
-        return _add_reduce(D * D, -1)
-    N = D.shape[-1]
-    rows = D.reshape(-1, N)
-    block = max(1, _BLOCK_VALUES // N)
-    squares = np.empty((min(block, len(rows)), N))
-    out = np.empty(len(rows))
-    for start in range(0, len(rows), block):
-        part = rows[start:start + block]
-        sq = squares[:len(part)]
-        np.multiply(part, part, out=sq)
-        _add_reduce(sq, -1, out=out[start:start + block])
-    return out.reshape(D.shape[:-1])
+def _block_rows(width: int) -> int:
+    """Rows of ``width`` values per block of about _BLOCK_VALUES values, at
+    least one: the one block rule of the row kernels."""
+    return max(1, _BLOCK_VALUES // max(1, width))
 
 
-def _row_moments(Y: np.ndarray):
-    """Mean, deviations and population scale of each row (along the last
-    axis) of a float64 array; a 1-d array is one row. An overflow leaves
-    a non-finite mean or scale behind, without a warning."""
+def _row_moments(Y: np.ndarray, out=None):
+    """Mean, deviations and sum of squared deviations of each row (along the
+    last axis) of a float64 array, a 1-d array being one row: the one place
+    a sample's moments are formed. The deviations go into a new array, or
+    into ``out`` (which may be Y). The sum is add.reduce(D * D, -1), past
+    _BLOCK_VALUES values squared in row blocks into one reused buffer. An
+    overflow leaves a non-finite mean or sum, without a warning."""
     N = Y.shape[-1]
     # Y.T puts the row axis last, so the per-row moments broadcast along
     # it; a 1-d Y is its own transpose and meets plain scalars
     with np.errstate(over="ignore", invalid="ignore"):
         mean = _add_reduce(Y, -1) / N
-        D = (Y.T - mean).T
-        scale = np.sqrt(_row_sum_squares(D) / N)
-    return mean, D, scale
+        D = np.subtract(Y.T, mean, out=None if out is None else out.T).T
+        if D.size <= _BLOCK_VALUES:
+            return mean, D, _add_reduce(D * D, -1)
+        rows = D.reshape(-1, N)
+        block = _block_rows(N)
+        squares = np.empty((min(block, len(rows)), N))
+        ss = np.empty(len(rows))
+        for start in range(0, len(rows), block):
+            part = rows[start:start + block]
+            sq = squares[:len(part)]
+            np.multiply(part, part, out=sq)
+            _add_reduce(sq, -1, out=ss[start:start + block])
+    return mean, D, ss.reshape(D.shape[:-1])
 
 
 def _spread_ok(mean, scale):
-    """normalize's degenerate-input rule on _row_moments' mean and scale:
+    """normalize's degenerate-input rule on _row_moments' mean and 1/N scale:
     True where the row has a usable spread. NaN fails every comparison,
     so a non-finite moment fails too; the relative floor catches constant
     rows whose mean subtraction leaves only rounding residue."""
@@ -75,19 +74,23 @@ def _spread_ok(mean, scale):
 
 def _normalized_rows(Y: np.ndarray):
     """normalize() of each row of a float64 array of at least two columns,
-    in one pass over the whole array; a 1-d array is one row.
+    in one pass over the whole array.
 
     Returns (Z, ok). A row that normalize would refuse (zero spread, or a
     mean or squared deviations that overflow) has ok False and comes back
-    as zeros. NaN/Inf are only looked for when some mean comes out
-    non-finite (a finite mean is impossible with any present), and raise
-    NonFiniteInputError.
+    as zeros; a 1-d array is one sample, and raises normalize's
+    DegenerateInputError instead. NaN/Inf are only looked for when some
+    mean comes out non-finite (a finite mean is impossible with any
+    present), and raise NonFiniteInputError.
     """
-    mean, Z, scale = _row_moments(Y)
+    mean, Z, ss = _row_moments(Y)
+    scale = np.sqrt(ss / Y.shape[-1])
     ok = _spread_ok(mean, scale)
     if np.count_nonzero(ok) < ok.size:
         if not np.isfinite(mean).all() and not np.isfinite(Y).all():
             raise NonFiniteInputError("sample contains NaN or infinite values")
+        if Y.ndim == 1:
+            raise _degenerate_error(mean, ss)
         Z[~ok] = 0.0
         scale = np.where(ok, scale, 1.0)
     ZT = Z.T
@@ -95,24 +98,15 @@ def _normalized_rows(Y: np.ndarray):
     return Z, ok
 
 
-def _degenerate_error(y: np.ndarray) -> DegenerateInputError:
-    """Why _normalized_rows refuses the 1-d sample y, as the error to raise."""
-    mean, _, scale = _row_moments(y)
+def _degenerate_error(mean, ss) -> DegenerateInputError:
+    """Why _spread_ok refuses a sample of _row_moments' mean and sum of
+    squares ss, as the error to raise."""
     if not math.isfinite(mean):
         return DegenerateInputError("sample magnitude overflows: the mean is not finite")
-    if not math.isfinite(scale):
+    if not math.isfinite(ss):
         return DegenerateInputError(
             "sample magnitude overflows: the squared deviations exceed the float range")
     return DegenerateInputError("zero spread: all values are equal")
-
-
-def _normalized(y: np.ndarray) -> np.ndarray:
-    """normalize() of a 1-d float64 array of at least two values: the
-    one-row case of _normalized_rows, raising where that refuses the row."""
-    z, ok = _normalized_rows(y)
-    if not ok:
-        raise _degenerate_error(y)
-    return z
 
 
 def normalize(samples) -> np.ndarray:
@@ -132,7 +126,7 @@ def normalize(samples) -> np.ndarray:
     y = as_sample(samples)
     if y.size < 2:
         raise DegenerateInputError("need at least two values to normalize")
-    return _normalized(y)
+    return _normalized_rows(y)[0]
 
 
 def _sorted_abs(y: np.ndarray, out=None) -> np.ndarray:

@@ -30,7 +30,6 @@ import numpy as np
 
 from .core import (
     _add_reduce,
-    _degenerate_error,
     _half_normal_cdf,
     _normalized_rows,
     _sorted_abs,
@@ -213,7 +212,7 @@ def _signature_rows(Y: np.ndarray, config: SigtestConfig):
 
     Returns (C, flags, ok); a row with ok False (zero spread, or squared
     deviations that overflow) has no verdict, and its C and flags are
-    meaningless.
+    meaningless. A 1-d array that normalize refuses raises its error.
     """
     Z, ok = _normalized_rows(Y)
     s = _half_normal_cdf(_sorted_abs(Z, out=Z), out=Z)
@@ -253,9 +252,7 @@ def sigtest(y, config: SigtestConfig = SigtestConfig()) -> TestOutcome:
     N = y.size
     if N < MIN_SAMPLES:
         raise TooFewSamplesError(f"N={N} below MIN_SAMPLES={MIN_SAMPLES}")
-    C, flags, ok = _signature_rows(y, config)
-    if not ok:
-        raise _degenerate_error(y)
+    C, flags, _ = _signature_rows(y, config)
     C = float(C)
     return TestOutcome(
         C=C,

@@ -38,6 +38,20 @@ def two_clusters(sep, n=100, seed=0):
 
 # ---------------------------------------------------------------- oracles
 
+# sizes and kinds on which AD and KS are held bit-equal to a formula; 70000
+# is past core._BLOCK_VALUES, where the sum of squares is formed in blocks
+EXACT_SIZES = [8, 9, 37, 200, 999, 3000, 70000]
+EXACT_KINDS = ["normal", "heavy", "tied", "shifted"]
+
+
+def _exact_sample(N, kind):
+    rng = np.random.default_rng([57, N, len(kind)])
+    return {"normal": lambda: rng.normal(size=N),
+            "heavy": lambda: rng.standard_t(2, size=N),
+            "tied": lambda: np.round(rng.normal(size=N), 1),
+            "shifted": lambda: rng.normal(size=N) * 1e-3 + 1e3}[kind]()
+
+
 def ad_statistic_oracle(y):
     """Corrected A*^2 from the textbook formula, written independently."""
     x = np.sort(np.asarray(y, float))
@@ -139,16 +153,12 @@ class TestAndersonDarling:
             assert anderson_darling_statistic(y) == pytest.approx(
                 ad_statistic_oracle(y), rel=1e-10)
 
-    @pytest.mark.parametrize("N", [8, 9, 37, 200, 999, 3000])
-    @pytest.mark.parametrize("kind", ["normal", "heavy", "tied", "shifted"])
+    @pytest.mark.parametrize("N", EXACT_SIZES)
+    @pytest.mark.parametrize("kind", EXACT_KINDS)
     def test_statistic_equals_scipy_exactly(self, N, kind):
         # the closed form repeats scipy's arithmetic step for step, so the
         # statistic, and with it every verdict, is the same bit for bit
-        rng = np.random.default_rng([57, N, len(kind)])
-        y = {"normal": lambda: rng.normal(size=N),
-             "heavy": lambda: rng.standard_t(2, size=N),
-             "tied": lambda: np.round(rng.normal(size=N), 1),
-             "shifted": lambda: rng.normal(size=N) * 1e-3 + 1e3}[kind]()
+        y = _exact_sample(N, kind)
         expected = anderson(y, dist="norm", method="interpolate").statistic * (
             1 + 0.75 / N + 2.25 / N**2)
         assert anderson_darling_statistic(y) == expected
@@ -208,6 +218,18 @@ class TestKsLilliefors:
         for seed in range(10):
             y = np.random.default_rng([57, seed]).normal(size=60)
             assert ks_statistic(y) == pytest.approx(ks_statistic_oracle(y), abs=1e-12)
+
+    @pytest.mark.parametrize("N", EXACT_SIZES)
+    @pytest.mark.parametrize("kind", EXACT_KINDS)
+    def test_statistic_equals_formula_exactly(self, N, kind):
+        # the sorted sample's mean and ddof=1 std, as numpy forms them, then
+        # the two step maxima: the statistic is the same bit for bit
+        y = _exact_sample(N, kind)
+        x = np.sort(y)
+        F = ndtr((x - x.mean()) / x.std(ddof=1))
+        i = np.arange(1, N + 1)
+        expected = float(np.maximum((i / N - F).max(), (F - (i - 1) / N).max()))
+        assert ks_statistic(y) == expected
 
     def test_three_point_hand_case(self):
         y = np.array([-1.0, 0.0, 1.0])

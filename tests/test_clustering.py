@@ -28,7 +28,7 @@ from sigcluster import (
     sigtest,
 )
 from sigcluster import clustering
-from sigcluster.baselines import _BLOCK_VALUES, AD_ALPHA, KS_ALPHA
+from sigcluster.baselines import AD_ALPHA, KS_ALPHA
 from sigcluster.benchmark import TEST_METHODS
 from sigcluster.clustering import (
     CLUSTERERS,
@@ -42,9 +42,9 @@ from sigcluster.clustering import (
     _lloyd_segments,
     _pair_sq_dists,
     _sq_dists,
-    _two_means,
     configured,
 )
+from sigcluster.core import _BLOCK_VALUES
 from sigcluster.errors import (
     DegenerateInputError,
     IdenticalCentroidsError,
@@ -141,12 +141,20 @@ def test_overflowing_sq_dists_refused(method):
     # distances (NonFiniteInputError) ended the call; at 1e150 all run
     rng = np.random.default_rng(5)
     X = np.vstack([rng.normal(size=(60, 3)), rng.normal(size=(60, 3)) + 8])
+    # a column constant at 1e306 beside a bimodal one has a finite bounding
+    # box, but the column sums of 400 rows overflow: once numpy warned,
+    # then kmeans and both dipmeans gave an inf centroid and both gmeans
+    # ended in NonFiniteInputError
+    wide = np.column_stack([np.full(400, 1e306),
+                            np.concatenate([rng.normal(size=200), rng.normal(size=200) + 8])])
     run = (lambda data: kmeans(data, 2)) if method == "kmeans" else (
         lambda data: run_method(method, data, 0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateInputError, match="squared distances overflow"):
             run(Dataset(rows=X * 1e200))
+        with pytest.raises(DegenerateInputError, match="centroid sums overflow"):
+            run(Dataset(rows=wide))
         assert run(Dataset(rows=X * 1e150)).k == 2
 
 
@@ -262,7 +270,7 @@ class TestLloydEqualsReference:
         X = np.vstack([rng.normal(size=(n // 2, d)),
                        rng.normal(size=(n - n // 2, d)) * 2.0 + rng.uniform(-3, 3, d)])
         for seed in range(3):
-            got = _two_means(X, np.random.default_rng([seed, n]))
+            got = _bisect([(X, np.random.default_rng([seed, n]))])[0]
             ref = _reference_two_means(X, np.random.default_rng([seed, n]))
             np.testing.assert_array_equal(got[0], ref[0])
             np.testing.assert_array_equal(got[1], ref[1])

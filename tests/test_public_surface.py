@@ -105,6 +105,34 @@ def test_perfbench_keywords_are_parameters():
     assert not wrong, "keywords sigcluster no longer takes:\n" + "\n".join(wrong)
 
 
+def moments_and_blocks(path):
+    """Each ``.mean(``/``.std(`` call (method or numpy function) and each
+    use of ``_BLOCK_VALUES`` in a module, as "file:line: what"."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("mean", "std")):
+            found.append(f"{path.name}:{node.lineno}: .{node.func.attr}()")
+        names = ([node.id] if isinstance(node, ast.Name) else
+                 [node.attr] if isinstance(node, ast.Attribute) else
+                 [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else [])
+        if "_BLOCK_VALUES" in names:
+            found.append(f"{path.name}:{node.lineno}: _BLOCK_VALUES")
+    return found
+
+
+def test_moments_and_block_rule_stay_in_core():
+    # every mean and sum of squared deviations of sigtest, AD and KS comes
+    # from core._row_moments and every block size from core._block_rows;
+    # a .mean/.std call or the block constant in these modules would form
+    # a second one that can drift from it
+    src = ROOT / "src" / "sigcluster"
+    assert moments_and_blocks(src / "core.py")  # guards the scan itself
+    found = [line for name in ("sigtest.py", "baselines.py")
+             for line in moments_and_blocks(src / name)]
+    assert not found, "moments or block sizes formed outside core:\n" + "\n".join(found)
+
+
 @pytest.fixture
 def perfbench_modules(monkeypatch):
     """perfbench's workloads, execute and checks modules, imported from
