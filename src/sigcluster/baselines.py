@@ -30,12 +30,13 @@ from scipy.special import log_ndtr, ndtr
 from .core import (
     _add_reduce,
     _block_rows,
+    _check_size,
     _degenerate_error,
     _row_moments,
     _spread_ok,
     as_sample,
 )
-from .errors import DegenerateInputError, TooFewSamplesError
+from .errors import DegenerateInputError, NonFiniteInputError, TooFewSamplesError
 from .sigtest import MIN_SAMPLES
 
 
@@ -72,6 +73,9 @@ AD_CRITICAL_VALUES = {
 AD_ALPHA = 0.0001
 KS_ALPHA = 0.05
 DIP_BOOTSTRAP_B = 1000
+
+# The smallest sample the dip test, its statistic and its tables take.
+_DIP_MIN_SAMPLES = 4
 
 
 def anderson_darling_statistic(y) -> float:
@@ -126,8 +130,7 @@ def anderson_darling(y, alpha: float = AD_ALPHA) -> BaselineDecision:
         If all values are equal.
     """
     y = as_sample(y)
-    if y.size < MIN_SAMPLES:
-        raise TooFewSamplesError(f"AD test needs N >= {MIN_SAMPLES}, got {y.size}")
+    _check_size(y.size, MIN_SAMPLES, "AD test")
     if alpha not in AD_CRITICAL_VALUES:
         raise ValueError(
             f"no critical value for alpha={alpha}; "
@@ -177,7 +180,13 @@ def lilliefors_reference(N: int) -> np.ndarray:
     is the level-alpha critical value. Rows go in blocks: bounded memory.
     Each call draws anew; :func:`ks_lilliefors` reads it through
     :func:`lilliefors_table`.
+
+    Raises
+    ------
+    TooFewSamplesError
+        If N < MIN_SAMPLES, the KS test's own rule.
     """
+    _check_size(N, MIN_SAMPLES, "KS test")
     replicates = 10_000
     rng = np.random.default_rng([202_405, N, replicates])
     rows = _block_rows(N)
@@ -198,6 +207,7 @@ def lilliefors_table(N: int) -> np.ndarray:
 
     The reference is a pure function of N, so the cache changes only the
     cost: the first test at an N builds the table, later ones reuse it.
+    An N below MIN_SAMPLES is refused by lilliefors_reference.
     """
     ref = lilliefors_reference(N)
     ref.setflags(write=False)
@@ -231,8 +241,7 @@ def ks_lilliefors(y, alpha: float = KS_ALPHA) -> BaselineDecision:
         If all values are equal, or the squared deviations overflow.
     """
     y = as_sample(y)
-    if y.size < MIN_SAMPLES:
-        raise TooFewSamplesError(f"KS test needs N >= {MIN_SAMPLES}, got {y.size}")
+    _check_size(y.size, MIN_SAMPLES, "KS test")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"KS alpha must lie in (0, 1), got {alpha!r}")
     D = _ks_statistic(y)
@@ -263,8 +272,7 @@ def dip_statistic(y) -> float:
         If all values are equal, or the range times N overflows.
     """
     y = as_sample(y)
-    if y.size < 4:
-        raise TooFewSamplesError(f"dip needs N >= 4, got {y.size}")
+    _check_size(y.size, _DIP_MIN_SAMPLES, "dip test")
     return _dip(y)
 
 
@@ -593,7 +601,16 @@ def dip_reference_dips(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
     the replicates are stacked in blocks of core._block_rows (bounded
     memory) and each block goes through one :func:`_dip_rows`
     call, equal to _dip on each replicate.
+
+    Raises
+    ------
+    TooFewSamplesError
+        If N < 4 or B < 100, :func:`dip_test`'s rules.
+    TypeError
+        If B is not an integer.
     """
+    _check_size(N, _DIP_MIN_SAMPLES, "dip test")
+    B = _bootstrap_size(B)
     rows = _block_rows(N)
     dips = np.empty(B)
     for start in range(0, B, rows):
@@ -610,7 +627,9 @@ def dip_reference_table(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
     against (identical values; built once per (N, B) in the process).
 
     The cache is keyed on the arguments as passed, so the library always
-    calls it positionally as ``(N, B)``.
+    calls it positionally as ``(N, B)``. dip_reference_dips refuses the N
+    and B it would build a table of; a float B equal to the B of a table
+    already built finds that table.
     """
     ref = dip_reference_dips(N, B)
     ref.setflags(write=False)
@@ -647,8 +666,7 @@ def dip_test(y, bootstrap_B: int = DIP_BOOTSTRAP_B) -> BaselineDecision:
         If all values are equal, or the range times N overflows.
     """
     y = as_sample(y)
-    if y.size < 4:
-        raise TooFewSamplesError(f"dip test needs N >= 4, got {y.size}")
+    _check_size(y.size, _DIP_MIN_SAMPLES, "dip test")
     B = _bootstrap_size(bootstrap_B)
     d = _dip(y)
     ref = dip_reference_table(y.size, B)
@@ -658,3 +676,40 @@ def dip_test(y, bootstrap_B: int = DIP_BOOTSTRAP_B) -> BaselineDecision:
         p_value=p,
         reject_unimodal=bool(p == 0.0),
     )
+
+
+def _dip_test_rows(Y, bootstrap_B: int):
+    """(dip, reject) of each row of a 2-d array: one lookup of the dip
+    table at the rows' N and one AS 217 kernel call over all rows (in
+    blocks of bounded memory). A row rejects where its dip exceeds every
+    reference dip, which is :func:`dip_test`'s p == 0, and each reject is
+    dip_test's (see :func:`_dip_rows` for the one known difference in the
+    dips). The kernel settles a row at the pass that decides it against
+    that critical dip, so a row's dip is the running dip there: never
+    above dip_test's, and on the same side of the critical dip. A row
+    dip_test refuses as degenerate (all values equal, or a range times N
+    that overflows) gets dip NaN and does not reject.
+
+    Raises
+    ------
+    ValueError
+        If Y is not 2-d.
+    TooFewSamplesError
+        If N < 4 or bootstrap_B < 100.
+    NonFiniteInputError
+        If Y contains NaN or infinity.
+    TypeError
+        If ``bootstrap_B`` is not an integer.
+    """
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim != 2:
+        raise ValueError(f"expected a 2-d array of rows, got shape {Y.shape}")
+    _check_size(Y.shape[1], _DIP_MIN_SAMPLES, "dip test")
+    if not np.isfinite(Y).all():
+        raise NonFiniteInputError("sample contains NaN or infinite values")
+    B = _bootstrap_size(bootstrap_B)
+    if not len(Y):
+        return np.empty(0), np.zeros(0, dtype=bool)
+    critical = dip_reference_table(Y.shape[1], B).max()
+    dips = _dip_rows(Y, critical)
+    return dips, dips > critical

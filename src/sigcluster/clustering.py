@@ -39,10 +39,8 @@ from .baselines import (
     DIP_BOOTSTRAP_B,
     KS_ALPHA,
     BaselineDecision,
-    _bootstrap_size,
-    _dip_rows,
+    _dip_test_rows,
     anderson_darling,
-    dip_reference_table,
     dip_test,
     ks_lilliefors,
 )
@@ -52,7 +50,6 @@ from .errors import (
     DegenerateInputError,
     IdenticalCentroidsError,
     KTooLargeError,
-    NonFiniteInputError,
     TooFewSamplesError,
 )
 from .sigtest import (
@@ -60,7 +57,7 @@ from .sigtest import (
     SignatureVariant,
     SigtestConfig,
     TestOutcome,
-    _signature_rows,
+    _sigtest_rows,
     sigtest,
 )
 
@@ -91,16 +88,7 @@ class SigtestCriterion:
         return out.C, out.split
 
     def test_rows(self, Y) -> tuple[np.ndarray, np.ndarray]:
-        """(C, split) of each row of a 2-d array, from one call of the
-        signature kernel that ``test`` runs on one row. A row ``test``
-        would refuse as degenerate (zero spread, or squared deviations
-        that overflow) gets C = NaN and does not reject."""
-        Y = np.ascontiguousarray(Y, dtype=np.float64)  # each row summed in sigtest's order
-        if Y.ndim != 2:
-            raise ValueError(f"expected a 2-d array of rows, got shape {Y.shape}")
-        C, _, ok = _signature_rows(Y, self.config)
-        C[~ok] = np.nan
-        return C, C > self.config.threshold
+        return _sigtest_rows(Y, self.config)
 
 
 class _BaselineCriterion:
@@ -148,30 +136,7 @@ class DipViewerCriterion(_BaselineCriterion):
         return dip_test(y, self.bootstrap_B)
 
     def test_rows(self, Y) -> tuple[np.ndarray, np.ndarray]:
-        """(dip, reject) of each row of a 2-d array: one lookup of the dip
-        table at the rows' N and one AS 217 kernel call over all rows (in
-        blocks of bounded memory). A row rejects where its dip exceeds
-        every reference dip, which is ``test``'s p == 0, and each reject
-        is ``test``'s (see baselines._dip_rows for the one known
-        difference in the dips). The kernel settles a row at the pass that
-        decides it against that critical dip, so a row's dip is the
-        running dip there: never above ``test``'s, and on the same side of
-        the critical dip. A row ``test`` refuses as degenerate (all values
-        equal, or a range times N that overflows) gets dip NaN and does not
-        reject, as in SigtestCriterion.test_rows."""
-        Y = np.asarray(Y, dtype=np.float64)
-        if Y.ndim != 2:
-            raise ValueError(f"expected a 2-d array of rows, got shape {Y.shape}")
-        if Y.shape[1] < 4:
-            raise TooFewSamplesError(f"dip test needs N >= 4, got {Y.shape[1]}")
-        if not np.isfinite(Y).all():
-            raise NonFiniteInputError("sample contains NaN or infinite values")
-        B = _bootstrap_size(self.bootstrap_B)
-        if not len(Y):
-            return np.empty(0), np.zeros(0, dtype=bool)
-        critical = dip_reference_table(Y.shape[1], B).max()
-        dips = _dip_rows(Y, critical)
-        return dips, dips > critical
+        return _dip_test_rows(Y, self.bootstrap_B)
 
 
 @dataclass(frozen=True)

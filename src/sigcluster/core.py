@@ -10,7 +10,12 @@ import math
 import numpy as np
 from scipy.special import erf
 
-from .errors import DegenerateInputError, NegativeInputError, NonFiniteInputError
+from .errors import (
+    DegenerateInputError,
+    NegativeInputError,
+    NonFiniteInputError,
+    TooFewSamplesError,
+)
 
 _SQRT2 = float(np.sqrt(2.0))
 _add_reduce = np.add.reduce  # same pairwise sum ndarray.mean uses, less dispatch
@@ -29,6 +34,13 @@ def as_sample(values) -> np.ndarray:
     if not np.all(np.isfinite(y)):
         raise NonFiniteInputError("sample contains NaN or infinite values")
     return y
+
+
+def _check_size(N: int, minimum: int, test: str) -> None:
+    """The sample-size rule of every test: raise TooFewSamplesError, naming
+    ``test`` and N, unless a sample of N values has at least ``minimum``."""
+    if N < minimum:
+        raise TooFewSamplesError(f"{test} needs N >= {minimum}, got {N}")
 
 
 def _block_rows(width: int) -> int:
@@ -151,16 +163,17 @@ def _half_normal_cdf(t, out=None):
 def half_normal_cdf(t):
     """P(|Z| <= t) for standard normal Z, i.e. 2*Phi(t) - 1 = erf(t/sqrt(2)).
 
-    Accepts a scalar or array of nonnegative values; monotone nondecreasing.
+    Accepts a scalar or array of nonnegative values (+inf maps to 1);
+    monotone nondecreasing.
 
     Raises
     ------
     NegativeInputError
-        If any value is below zero.
+        If any value is below zero or NaN.
     """
     t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(t_arr < 0):
-        raise NegativeInputError("half-normal CDF is defined for t >= 0")
+    if not np.all(t_arr >= 0):
+        raise NegativeInputError("half-normal CDF is defined for t >= 0, not below 0 or NaN")
     out = _half_normal_cdf(t_arr)
     if np.isscalar(t) or t_arr.ndim == 0:
         return float(out)

@@ -73,6 +73,8 @@ def ari(a, b) -> float:
     sum_a = sum(choose2(x) for x in M.sum(axis=1))
     sum_b = sum(choose2(x) for x in M.sum(axis=0))
     total = choose2(n)
+    if total == 0:  # one item has no pairs, and one way to be partitioned
+        return 1.0
     expected = sum_a * sum_b / total
     max_index = (sum_a + sum_b) / 2.0
     if max_index == expected:  # both partitions trivial

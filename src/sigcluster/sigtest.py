@@ -30,13 +30,14 @@ import numpy as np
 
 from .core import (
     _add_reduce,
+    _check_size,
     _half_normal_cdf,
     _normalized_rows,
     _sorted_abs,
     as_sample,
     half_normal_cdf,
 )
-from .errors import LengthMismatchError, TooFewSamplesError
+from .errors import LengthMismatchError
 
 
 # Smallest sample the signature test decides on, and the smallest child
@@ -149,11 +150,7 @@ def compute_bounds(N: int, config: SigtestConfig) -> SignatureBounds:
     TooFewSamplesError
         If N < MIN_SAMPLES.
     """
-    if N < MIN_SAMPLES:
-        raise TooFewSamplesError(
-            f"N={N} below MIN_SAMPLES={MIN_SAMPLES}; "
-            "the band would be uninformative"
-        )
+    _check_size(N, MIN_SAMPLES, "signature test")
     center, var = signature_moments(N, config.variant)
     halfwidth = config.gamma * np.sqrt(var)
     upper = np.minimum(center + halfwidth, 1.0)
@@ -233,7 +230,7 @@ def sigtest(y, config: SigtestConfig = SigtestConfig()) -> TestOutcome:
     about 1e154 / sqrt(N)); beyond that it raises DegenerateInputError.
 
     The sample is validated once, then runs as the one-row case of the
-    row-batched kernel that ``SigtestCriterion.test_rows`` calls, with the
+    row-batched kernel that :func:`_sigtest_rows` calls, with the
     band cached per (N, gamma, variant); a test pins the outputs as
     exactly equal to composing the public stage functions.
 
@@ -249,15 +246,34 @@ def sigtest(y, config: SigtestConfig = SigtestConfig()) -> TestOutcome:
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.size == 0:
         y = as_sample(y)  # shape/empty errors with the standard messages
-    N = y.size
-    if N < MIN_SAMPLES:
-        raise TooFewSamplesError(f"N={N} below MIN_SAMPLES={MIN_SAMPLES}")
+    _check_size(y.size, MIN_SAMPLES, "signature test")
     C, flags, _ = _signature_rows(y, config)
     C = float(C)
-    return TestOutcome(
-        C=C,
-        violations=flags,
-        split=bool(C > config.threshold),
-        variant=config.variant,
-        N=int(N),
-    )
+    return TestOutcome(C=C, violations=flags, split=bool(C > config.threshold),
+                       variant=config.variant, N=y.size)
+
+
+def _sigtest_rows(Y, config: SigtestConfig):
+    """(C, split) of each row of a 2-d array, from one call of the kernel
+    that :func:`sigtest` runs on one row, so each row's C and split equal
+    sigtest on that row exactly. N, the number of columns, is checked
+    before any moment is formed. A row sigtest would refuse as degenerate
+    (zero spread, or squared deviations that overflow) gets C = NaN and
+    does not split.
+
+    Raises
+    ------
+    ValueError
+        If Y is not 2-d.
+    TooFewSamplesError
+        If N < MIN_SAMPLES.
+    NonFiniteInputError
+        If Y contains NaN or infinity.
+    """
+    Y = np.ascontiguousarray(Y, dtype=np.float64)  # each row summed in sigtest's order
+    if Y.ndim != 2:
+        raise ValueError(f"expected a 2-d array of rows, got shape {Y.shape}")
+    _check_size(Y.shape[1], MIN_SAMPLES, "signature test")
+    C, _, ok = _signature_rows(Y, config)
+    C[~ok] = np.nan
+    return C, C > config.threshold

@@ -611,3 +611,33 @@ def test_one_table_per_sample_size():
     dip_test(rng.normal(size=40), 100)
     assert dip_reference_table.cache_info().misses == built
     assert dip_reference_table.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("table", [lilliefors_reference, lilliefors_table])
+@pytest.mark.parametrize("N", [0, 1, 7])
+def test_lilliefors_tables_refuse_what_ks_refuses(table, N):
+    # a table ks_lilliefors could never read: refused by the KS size rule,
+    # not by numpy (a bare ValueError at 0, a warning at 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TooFewSamplesError, match=f"KS test needs N >= 8, got {N}"):
+            table(N)
+
+
+@pytest.mark.parametrize("table", [dip_reference_dips, dip_reference_table])
+@pytest.mark.parametrize("N, B, error, match", [
+    (0, 100, TooFewSamplesError, "dip test needs N >= 4, got 0"),
+    (3, 100, TooFewSamplesError, "dip test needs N >= 4, got 3"),
+    (20, 0, TooFewSamplesError, "bootstrap_B must be at least 100"),
+    (20, 50, TooFewSamplesError, "bootstrap_B must be at least 100"),
+    (20, 100.0, TypeError, "bootstrap_B must be an integer, got 100.0"),
+], ids=["N0", "N3", "B0", "B50", "B100.0"])
+def test_dip_tables_refuse_what_dip_test_refuses(table, N, B, error, match):
+    # a table dip_test could never read (an IndexError at N = 0, an empty
+    # table at B = 0): refused by dip_test's own rules; cold, since a float
+    # B equal to the B of a table already built finds that table
+    dip_reference_table.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            table(N, B)

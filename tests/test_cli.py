@@ -169,6 +169,19 @@ class TestClusterCommand:
         assert "ari" not in summary and "vi" not in summary
         assert summary["k"] == 2
 
+    def test_integer_label_column(self, tmp_path, capsys, monkeypatch):
+        # "--label-column 2" is the column index, not a header name
+        monkeypatch.setenv("SIGCLUSTER_OUT_DIR", str(tmp_path))
+        rng = np.random.default_rng(25)
+        rows = np.vstack([rng.normal(size=(50, 2)), rng.normal(size=(50, 2)) + 15])
+        labels = np.repeat([0, 1], 50)
+        p = tmp_path / "labelled.csv"
+        p.write_text("\n".join(f"{a},{b},{c}" for (a, b), c in zip(rows, labels)) + "\n")
+        assert main(["cluster", str(p), "--method", "gmeans+", "--label-column", "2"]) == 0
+        out = capsys.readouterr().out
+        summary = json.loads(out[:out.rindex("}") + 1])
+        assert (summary["d"], summary["k"], summary["ari"]) == (2, 2, 1.0)
+
     def test_caches_count_the_tables_built(self, tmp_path, capsys, monkeypatch):
         # classic dip-means: each tested n-point cluster looks up the dip
         # table at n - 1 once for all its viewers, built on the first

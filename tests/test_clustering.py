@@ -106,6 +106,10 @@ class TestKmeans:
         with pytest.raises(KTooLargeError):
             kmeans(data, 6)
 
+    def test_k_below_one(self):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            kmeans(gen_gaussian(5, seed=0), 0)
+
     @pytest.mark.parametrize("k", [2.0, True])
     def test_k_must_be_an_integer(self, k):
         # 2.0 used to fail inside numpy, True with "an integer is required"
@@ -482,6 +486,36 @@ class TestGmeansFamily:
         assert np.all(res.assignment >= 0) and np.all(res.assignment < res.k)
         assert all(np.any(res.assignment == j) for j in range(res.k))
 
+    @pytest.mark.parametrize("method", ["gmeans", "gmeans+"])
+    def test_duplicate_cluster_has_no_axis(self, method, monkeypatch):
+        # 30 identical rows beside a blob: the duplicate cluster's 2-means
+        # children coincide, so it has no axis to project on, and is logged
+        # with statistic 0.0 and decision False, without a numpy warning
+        rng = np.random.default_rng(5)
+        data = Dataset(rows=np.vstack([np.full((30, 2), 1.0), rng.normal(size=(30, 2)) + 50]))
+        refused = []
+
+        def recording(points, c1, c2):
+            try:
+                return project_split(points, c1, c2)
+            except IdenticalCentroidsError:
+                refused.append(len(points))
+                raise
+
+        monkeypatch.setattr(clustering, "project_split", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_method(method, data, seed=0)
+        assert res.k == 2 and refused == [30]
+        [rec] = [r for r in res.split_log if r.round == 1 and r.cluster_id == res.assignment[0]]
+        assert (rec.statistic, rec.decision, rec.accepted, rec.n) == (0.0, False, False, 30)
+
+    def test_too_few_points_refused(self):
+        data = gen_gaussian(2 * MIN_SAMPLES - 1, dimension=2, seed=0)
+        for method in METHOD_NAMES:
+            with pytest.raises(TooFewSamplesError, match=f"need at least {2 * MIN_SAMPLES} points"):
+                run_method(method, data)
+
 
 
 class TestDipmeansFamily:
@@ -815,11 +849,20 @@ class TestBatchedViewers:
     def test_rows_validates_shape(self):
         Y = np.random.default_rng(93).normal(size=(3, 20))
         Y[1, 4] = np.nan
-        for criterion, min_n in ((SigtestCriterion(), MIN_SAMPLES), (DipViewerCriterion(), 4)):
+        for criterion, min_n, test in ((SigtestCriterion(), MIN_SAMPLES, "signature test"),
+                                       (DipViewerCriterion(), 4, "dip test")):
             with pytest.raises(ValueError, match="expected a 2-d array of rows"):
                 criterion.test_rows(np.arange(20.0))
+            # too few columns, even none, is refused before any moment is
+            # formed: no numpy warning on the way
+            for n in (0, 1, min_n - 1):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(TooFewSamplesError, match=f"{test} needs N >= {min_n}, got {n}"):
+                        criterion.test_rows(np.arange(3.0 * n).reshape(3, n))
+            # the size is checked before finiteness, as sigtest checks a 1-d sample
             with pytest.raises(TooFewSamplesError):
-                criterion.test_rows(np.arange(3.0 * (min_n - 1)).reshape(3, min_n - 1))
+                criterion.test_rows(np.full((3, min_n - 1), np.nan))
             with pytest.raises(NonFiniteInputError):
                 criterion.test_rows(Y)
             stats, rejects = criterion.test_rows(np.empty((0, 20)))

@@ -114,6 +114,7 @@ class TestHalfNormalCdf:
 
     def test_saturates(self):
         assert abs(half_normal_cdf(8.0) - 1.0) < 1e-7
+        assert half_normal_cdf(np.inf) == 1.0
 
     def test_monotone_and_vectorized(self):
         t = np.linspace(0, 5, 101)
@@ -126,6 +127,10 @@ class TestHalfNormalCdf:
             half_normal_cdf(-0.1)
         with pytest.raises(NegativeInputError):
             half_normal_cdf(np.array([0.5, -1.0]))
+        # NaN is no nonnegative value either: refused, not mapped to NaN
+        for t in (np.nan, [np.nan], [0.5, np.nan]):
+            with pytest.raises(NegativeInputError):
+                half_normal_cdf(t)
 
 
 class TestOrderStatMoments:

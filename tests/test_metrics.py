@@ -97,6 +97,9 @@ class TestVi:
 class TestAri:
     def test_identical_one(self):
         assert ari([0, 0, 1, 1], [5, 5, 9, 9]) == 1.0
+        # one item has no pairs; its two partitions can only be the same
+        assert ari([0], [0]) == 1.0
+        assert ari([3], [7]) == 1.0
 
     def test_one_block_vs_nontrivial_zero(self):
         assert ari([0] * 6, [0, 0, 1, 1, 2, 2]) == 0.0

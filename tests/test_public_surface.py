@@ -133,6 +133,51 @@ def test_moments_and_block_rule_stay_in_core():
     assert not found, "moments or block sizes formed outside core:\n" + "\n".join(found)
 
 
+def named_calls(path):
+    """(line, enclosing function, name) of each call of a name or an
+    attribute in a module; the function is None at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                found.append((child.lineno, scope, name))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), None)
+    return found
+
+
+def test_size_rule_and_row_kernels_stay_in_their_modules():
+    # each test's sample-size rule is core._check_size; the other two size
+    # refusals are the dip's bootstrap size and the split loop's
+    # 2 * MIN_SAMPLES points. The signature and dip row kernels are
+    # called only in their own modules: the criteria reach them through
+    # the rows forms of sigtest and dip_test
+    src = ROOT / "src" / "sigcluster"
+    allowed = {("core.py", "_check_size"), ("baselines.py", "_bootstrap_size"),
+               ("clustering.py", "_split_loop")}
+    kernels = {"_signature_rows": "sigtest.py", "_dip_rows": "baselines.py"}
+    raised, callers, stray = set(), set(), []
+    for path in sorted(src.glob("*.py")):
+        for line, scope, name in named_calls(path):
+            if name == "TooFewSamplesError":
+                raised.add((path.name, scope))
+            if name == "_check_size":
+                callers.add(path.name)
+            if name in kernels:
+                if kernels[name] != path.name:
+                    stray.append(f"{path.name}:{line}: {name}")
+                callers.add(name)
+    # guards the scan itself: it finds the helper, its callers and the kernels
+    assert ("core.py", "_check_size") in raised
+    assert {"sigtest.py", "baselines.py", *kernels} <= callers
+    assert raised <= allowed, f"TooFewSamplesError raised outside the size rules: {raised - allowed}"
+    assert not stray, "row kernels called outside their modules:\n" + "\n".join(stray)
+
+
 @pytest.fixture
 def perfbench_modules(monkeypatch):
     """perfbench's workloads, execute and checks modules, imported from

@@ -216,8 +216,25 @@ class TestSigtest:
             sigtest(np.full(50, 3.3))
 
     def test_too_few(self):
-        with pytest.raises(TooFewSamplesError):
+        with pytest.raises(TooFewSamplesError, match="signature test needs N >= 8, got 7"):
             sigtest(np.arange(7.0))
+
+    def test_column_and_row_vectors_are_samples(self):
+        y = two_clusters(2.5, seed=3)
+        base = sigtest(y)
+        for shaped in (y[:, None], y[None, :]):
+            out = sigtest(shaped)
+            assert out.C == base.C and out.split == base.split and out.N == base.N
+            np.testing.assert_array_equal(out.violations, base.violations)
+
+    @pytest.mark.parametrize("bad, error, match", [
+        (np.float64(3.0), ValueError, r"expected a 1-d sample, got shape \(\)"),
+        (np.zeros((2, 3)), ValueError, r"expected a 1-d sample, got shape \(2, 3\)"),
+        (np.array([]), DegenerateInputError, "empty sample"),
+    ])
+    def test_shape_and_empty_refused(self, bad, error, match):
+        with pytest.raises(error, match=match):
+            sigtest(bad)
 
     def test_overflow_is_typed_error(self):
         # finite values whose squared deviations overflow: no verdict,
