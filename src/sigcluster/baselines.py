@@ -34,6 +34,7 @@ from .core import (
     _degenerate_error,
     _row_moments,
     _spread_ok,
+    _test_sample,
     as_sample,
 )
 from .errors import DegenerateInputError, NonFiniteInputError, TooFewSamplesError
@@ -129,8 +130,7 @@ def anderson_darling(y, alpha: float = AD_ALPHA) -> BaselineDecision:
     DegenerateInputError
         If all values are equal.
     """
-    y = as_sample(y)
-    _check_size(y.size, MIN_SAMPLES, "AD test")
+    y = _test_sample(y, MIN_SAMPLES, "AD test")
     if alpha not in AD_CRITICAL_VALUES:
         raise ValueError(
             f"no critical value for alpha={alpha}; "
@@ -185,7 +185,10 @@ def lilliefors_reference(N: int) -> np.ndarray:
     ------
     TooFewSamplesError
         If N < MIN_SAMPLES, the KS test's own rule.
+    TypeError
+        If N is not an integer.
     """
+    N = _integer(N, "N")
     _check_size(N, MIN_SAMPLES, "KS test")
     replicates = 10_000
     rng = np.random.default_rng([202_405, N, replicates])
@@ -200,14 +203,15 @@ def lilliefors_reference(N: int) -> np.ndarray:
     return D
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def lilliefors_table(N: int) -> np.ndarray:
     """Memoized :func:`lilliefors_reference`: the table every
     :func:`ks_lilliefors` call at sample size N decides against.
 
     The reference is a pure function of N, so the cache changes only the
     cost: the first test at an N builds the table, later ones reuse it.
-    An N below MIN_SAMPLES is refused by lilliefors_reference.
+    The cache is keyed on N's type too, so lilliefors_reference refuses
+    a float N, and an N below MIN_SAMPLES, on every call.
     """
     ref = lilliefors_reference(N)
     ref.setflags(write=False)
@@ -240,8 +244,7 @@ def ks_lilliefors(y, alpha: float = KS_ALPHA) -> BaselineDecision:
     DegenerateInputError
         If all values are equal, or the squared deviations overflow.
     """
-    y = as_sample(y)
-    _check_size(y.size, MIN_SAMPLES, "KS test")
+    y = _test_sample(y, MIN_SAMPLES, "KS test")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"KS alpha must lie in (0, 1), got {alpha!r}")
     D = _ks_statistic(y)
@@ -271,8 +274,7 @@ def dip_statistic(y) -> float:
     DegenerateInputError
         If all values are equal, or the range times N overflows.
     """
-    y = as_sample(y)
-    _check_size(y.size, _DIP_MIN_SAMPLES, "dip test")
+    y = _test_sample(y, _DIP_MIN_SAMPLES, "dip test")
     return _dip(y)
 
 
@@ -607,8 +609,9 @@ def dip_reference_dips(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
     TooFewSamplesError
         If N < 4 or B < 100, :func:`dip_test`'s rules.
     TypeError
-        If B is not an integer.
+        If N or B is not an integer.
     """
+    N = _integer(N, "N")
     _check_size(N, _DIP_MIN_SAMPLES, "dip test")
     B = _bootstrap_size(B)
     rows = _block_rows(N)
@@ -620,28 +623,34 @@ def dip_reference_dips(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
     return dips
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def dip_reference_table(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
     """Memoized :func:`dip_reference_dips`: the table every
     :func:`dip_test` call at sample size N and bootstrap size B decides
     against (identical values; built once per (N, B) in the process).
 
-    The cache is keyed on the arguments as passed, so the library always
-    calls it positionally as ``(N, B)``. dip_reference_dips refuses the N
-    and B it would build a table of; a float B equal to the B of a table
-    already built finds that table.
+    The cache is keyed on the arguments as passed, types included, so the
+    library always calls it positionally as ``(N, B)`` with ints.
+    dip_reference_dips refuses the N and B it would build a table of, and
+    a float N or B misses the cache and is refused there, even when a
+    table of the equal integers is built.
     """
     ref = dip_reference_dips(N, B)
     ref.setflags(write=False)
     return ref
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int by operator.index, or a TypeError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _bootstrap_size(bootstrap_B) -> int:
     """``bootstrap_B`` as the integer a dip table is keyed on, checked."""
-    try:
-        B = operator.index(bootstrap_B)
-    except TypeError:
-        raise TypeError(f"bootstrap_B must be an integer, got {bootstrap_B!r}") from None
+    B = _integer(bootstrap_B, "bootstrap_B")
     if B < 100:
         raise TooFewSamplesError("bootstrap_B must be at least 100")
     return B
@@ -665,8 +674,7 @@ def dip_test(y, bootstrap_B: int = DIP_BOOTSTRAP_B) -> BaselineDecision:
     DegenerateInputError
         If all values are equal, or the range times N overflows.
     """
-    y = as_sample(y)
-    _check_size(y.size, _DIP_MIN_SAMPLES, "dip test")
+    y = _test_sample(y, _DIP_MIN_SAMPLES, "dip test")
     B = _bootstrap_size(bootstrap_B)
     d = _dip(y)
     ref = dip_reference_table(y.size, B)

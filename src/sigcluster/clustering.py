@@ -196,17 +196,19 @@ def project_split(points, c1, c2) -> np.ndarray:
     return X @ (v / norm)
 
 
-def _sum_sq_diffs(aT, bT, out):
+def _sum_sq_diffs(aT, bT, out, work=None):
     """Write into ``out`` the squared differences of aT and bT, which
     broadcast to (d, *out.shape), summed over that first axis of length d
     in the order numpy's add.reduce takes over d contiguous values.
 
     For d <= 8 the d planes of differences are squared in place and added
     left to right below 8, and by the tree ((0+1)+(2+3))+((4+5)+(6+7)) at
-    8. From d = 9 on numpy adds with eight interleaved accumulators (and
-    halves runs of more than 128 values), and the differences go into a
-    tensor with d last for numpy's own reduce, which is the faster of the
-    two there.
+    8. The planes go into the front of ``work``, a flat float64 array of
+    at least d * out.size values that the caller owns and may reuse from
+    block to block, or into a new array without it. From d = 9 on numpy
+    adds with eight interleaved accumulators (and halves runs of more
+    than 128 values), and the differences go into a tensor with d last
+    for numpy's own reduce, which is the faster of the two there.
     """
     d = aT.shape[0]
     if d > 8:
@@ -215,7 +217,10 @@ def _sum_sq_diffs(aT, bT, out):
         diff *= diff
         out[...] = diff.sum(axis=-1)
         return
-    D = aT - bT
+    if work is None:
+        D = aT - bT
+    else:
+        D = np.subtract(aT, bT, out=work[:d * out.size].reshape((d,) + out.shape))
     D *= D
     if d == 8:
         D[::2] += D[1::2]
@@ -227,38 +232,51 @@ def _sum_sq_diffs(aT, bT, out):
             out += plane
 
 
-def _sq_dists(A, B) -> np.ndarray:
+def _sq_work(p, q, d):
+    """The workspace of _sum_sq_diffs for the row blocks of _sq_dists(A, B),
+    A p x d and B q x d, or None from d = 9 on, where it is not read."""
+    return np.empty(d * min(p, _block_rows(q * d)) * q) if d <= 8 else None
+
+
+def _sq_dists(A, B, out=None, work=None) -> np.ndarray:
     """Squared Euclidean distances between the rows of A (p x d) and of B
     (q x d), equal bit for bit to ((A[:, None, :] - B[None]) ** 2).sum(axis=2)
     on C-contiguous copies of A and B.
 
-    Rows of A go in blocks of _block_rows(len(B) * d), each block summed by
-    _sum_sq_diffs.
+    Rows of A go in blocks of _block_rows(q * d), each block summed by
+    _sum_sq_diffs into its rows of ``out`` (a new p x q array, or a given
+    one, which may be a strided view) through ``work`` (see _sq_work;
+    without it each block allocates its own). For d <= 8 B.T is copied
+    once per call, so every plane a block subtracts reads contiguous
+    values.
     """
     A, B = np.ascontiguousarray(A), np.ascontiguousarray(B)
     p, d = A.shape
-    out = np.empty((p, len(B)))
+    if out is None:
+        out = np.empty((p, len(B)))
+    bT = (np.ascontiguousarray(B.T) if d <= 8 else B.T)[:, None, :]
     rows = _block_rows(len(B) * d)
     for start in range(0, p, rows):
-        _sum_sq_diffs(A[start:start + rows].T[:, :, None], B.T[:, None, :],
-                      out[start:start + rows])
+        _sum_sq_diffs(A[start:start + rows].T[:, :, None], bT, out[start:start + rows], work)
     return out
 
 
 def _pair_sq_dists(A) -> np.ndarray:
     """_sq_dists(A, A), equal to it bit for bit, with each unordered pair
     computed once outside the diagonal blocks: a block of rows goes
-    against the rows from its own first row on, and its part right of
+    against the rows from its own first row on, straight into its slice
+    of the result through one workspace per call, and its part right of
     its diagonal square is mirrored into the lower triangle, since
     (a - b)^2 and (b - a)^2 are the same bits."""
     A = np.ascontiguousarray(A)
     p, d = A.shape
     out = np.empty((p, p))
     rows = _block_rows(p * d)
+    work = _sq_work(p, p, d)
     for start in range(0, p, rows):
-        block = _sq_dists(A[start:start + rows], A[start:])
-        out[start:start + rows, start:] = block
-        out[start + rows:, start:start + rows] = block[:, rows:].T
+        stop = start + rows
+        _sq_dists(A[start:stop], A[start:], out=out[start:stop, start:], work=work)
+        out[stop:, start:stop] = out[start:stop, stop:].T
     return out
 
 
@@ -566,29 +584,37 @@ def gmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult:
     return _split_loop(data, criterion, seed, evaluate)
 
 
+def _off_diagonal(sq) -> np.ndarray:
+    """The rows of a C-contiguous m x m array without their diagonal
+    entries, as a new m x (m - 1) array: the diagonal entries are m + 1
+    apart in the flat array, so dropping the last value leaves m - 1 runs
+    of m + 1 values, each led by one of the others."""
+    m = len(sq)
+    return sq.reshape(-1)[:-1].reshape(m - 1, m + 1)[:, 1:].reshape(m, m - 1)
+
+
 def _viewer_fraction(criterion, members, rng, kept) -> float:
     """The fraction of a cluster's viewers whose distance vectors
     ``criterion.test_rows`` rejects (see dipmeans_family). ``kept`` maps
     the row bytes of an all-viewer cluster kept whole to its fraction; a
     cluster found there is not tested again."""
-    m = members.shape[0]
+    m, d = members.shape
     if m > 500:
         key = None
         viewers = rng.choice(m, size=100, replace=False)
-        sq = _sq_dists(members[viewers], members)
+        sq = _sq_dists(members[viewers], members, work=_sq_work(len(viewers), m, d))
+        others = np.ones(sq.shape, dtype=bool)
+        others[np.arange(len(viewers)), viewers] = False  # a viewer's distance to itself
+        dist = sq[others].reshape(len(viewers), m - 1)
+        del sq
     else:
         key = members.tobytes()
         if key in kept:
             return kept[key]
-        viewers = np.arange(m)
-        sq = _pair_sq_dists(members)
-    others = np.ones(sq.shape, dtype=bool)
-    others[np.arange(len(viewers)), viewers] = False  # a viewer's distance to itself
-    dist = sq[others]
-    del sq
+        dist = _off_diagonal(_pair_sq_dists(members))
     np.sqrt(dist, out=dist)
-    _, rejects = criterion.test_rows(dist.reshape(len(viewers), m - 1))
-    fraction = np.count_nonzero(rejects) / len(viewers)
+    _, rejects = criterion.test_rows(dist)
+    fraction = np.count_nonzero(rejects) / len(rejects)
     if key is not None and fraction <= criterion.viewer_fraction:
         kept[key] = fraction
     return fraction

@@ -24,13 +24,22 @@ _BLOCK_VALUES = 1 << 16  # values per block of rows or replicates: ~1 MB with te
 
 def as_sample(values) -> np.ndarray:
     """Coerce to a 1-d float64 array, rejecting empty or non-finite input."""
+    return _test_sample(values, 1, "sample")
+
+
+def _test_sample(values, minimum: int, test: str) -> np.ndarray:
+    """as_sample for ``test``: empty input of any shape, then a shape with
+    more than one axis of length above 1, then fewer than ``minimum``
+    values (_check_size), then a NaN or infinity is refused, the order of
+    every test's checks."""
     y = np.asarray(values, dtype=np.float64)
+    if y.size == 0:
+        raise DegenerateInputError("empty sample")
     if y.ndim != 1:
         y = y.reshape(-1) if y.size == max(y.shape, default=0) else y
     if y.ndim != 1:
         raise ValueError(f"expected a 1-d sample, got shape {y.shape}")
-    if y.size == 0:
-        raise DegenerateInputError("empty sample")
+    _check_size(y.size, minimum, test)
     if not np.all(np.isfinite(y)):
         raise NonFiniteInputError("sample contains NaN or infinite values")
     return y

@@ -25,10 +25,11 @@ from sigcluster import (
     ks_statistic,
     lilliefors_reference,
     lilliefors_table,
+    sigtest,
 )
 from sigcluster import baselines
 from sigcluster.baselines import _dip, _dip_rows, _lilliefors_critical
-from sigcluster.errors import DegenerateInputError, TooFewSamplesError
+from sigcluster.errors import DegenerateInputError, NonFiniteInputError, TooFewSamplesError
 
 
 def two_clusters(sep, n=100, seed=0):
@@ -547,8 +548,8 @@ class TestDipTest:
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_float_bootstrap_refused_cold_or_warm(self, warm):
-        # lru_cache keys (60, 100.0) and (60, 100) alike, so without the
-        # check the call would fail cold (inside numpy) but pass warm
+        # dip_test checks B before the table lookup, so a float B equal to
+        # the B of a built table is refused as one never seen
         y = two_clusters(3.0, seed=4)[:60]
         dip_reference_table.cache_clear()
         if warm:
@@ -634,10 +635,45 @@ def test_lilliefors_tables_refuse_what_ks_refuses(table, N):
 ], ids=["N0", "N3", "B0", "B50", "B100.0"])
 def test_dip_tables_refuse_what_dip_test_refuses(table, N, B, error, match):
     # a table dip_test could never read (an IndexError at N = 0, an empty
-    # table at B = 0): refused by dip_test's own rules; cold, since a float
-    # B equal to the B of a table already built finds that table
-    dip_reference_table.cache_clear()
+    # table at B = 0): refused by dip_test's own rules
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error, match=match):
             table(N, B)
+
+
+def test_float_table_sizes_refused_after_the_int_table_is_built():
+    # the tables are cached by argument type too: a float N or B misses the
+    # built (20, 100) table and is refused by the library, not by numpy's
+    # seeding ("seed must be integer")
+    built = dip_reference_table(20, 100), lilliefors_table(20)
+    for call in (lambda: dip_reference_table(20, 100.0),
+                 lambda: dip_reference_table(20.0, 100),
+                 lambda: dip_reference_dips(20.0, 100),
+                 lambda: lilliefors_table(20.0),
+                 lambda: lilliefors_reference(20.0)):
+        with pytest.raises(TypeError, match=r"(N|bootstrap_B) must be an integer, got (20|100)\.0"):
+            call()
+    assert dip_reference_table(20, 100) is built[0] and lilliefors_table(20) is built[1]
+
+
+ENTRIES = {"sigtest": sigtest, "anderson_darling": anderson_darling,
+           "ks_lilliefors": ks_lilliefors, "dip_statistic": dip_statistic, "dip_test": dip_test}
+
+
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES)
+def test_size_checked_before_finiteness(entry):
+    # every test refuses a sample too small for it as too small, whatever it
+    # holds; a large enough sample with NaN is refused as non-finite
+    with pytest.raises(TooFewSamplesError, match="needs N >= "):
+        entry(np.array([1.0, np.nan, 2.0]))
+    with pytest.raises(NonFiniteInputError):
+        entry(np.r_[np.nan, np.arange(9.0)])
+
+
+@pytest.mark.parametrize("entry, empty", [
+    (anderson_darling, np.zeros((0, 1))), (ks_lilliefors, np.zeros((1, 0))),
+    (dip_test, np.zeros((0, 5)))], ids=["AD", "KS", "dip"])
+def test_empty_of_any_shape_refused(entry, empty):
+    with pytest.raises(DegenerateInputError, match="empty sample"):
+        entry(empty)

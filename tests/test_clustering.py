@@ -40,8 +40,10 @@ from sigcluster.clustering import (
     _kmeanspp_init,
     _lloyd,
     _lloyd_segments,
+    _off_diagonal,
     _pair_sq_dists,
     _sq_dists,
+    _sq_work,
     configured,
 )
 from sigcluster.core import _BLOCK_VALUES
@@ -178,8 +180,20 @@ class TestSqDists:
         big = max(2, _BLOCK_VALUES // (len(B) * d)) * 2 + 3  # more than two blocks
         for p in (1, 5, big):
             A = rng.normal(size=(p, d)) * scale
-            np.testing.assert_array_equal(_sq_dists(A, B), _tensor_sq_dists(A, B))
+            expected = _tensor_sq_dists(A, B)
+            np.testing.assert_array_equal(_sq_dists(A, B), expected)
             np.testing.assert_array_equal(_sq_dists(A, B[:1]), _tensor_sq_dists(A, B[:1]))
+            # into the right of a wider result's rows, the strided slice
+            # _pair_sq_dists passes, through one workspace that every block
+            # (more than two at the big p) overwrites
+            wide = np.full((p, len(B) + 3), -1.0)
+            work = _sq_work(p, len(B), d)
+            if work is not None:
+                work.fill(np.nan)
+            got = _sq_dists(A, B, out=wide[:, 3:], work=work)
+            assert np.shares_memory(got, wide)
+            np.testing.assert_array_equal(wide[:, 3:], expected)
+            assert (wide[:, :3] == -1.0).all()
         # a transposed or strided B (and a strided A) gives the distances of
         # its C-contiguous copy
         wide = rng.normal(size=(2 * len(B), 2 * d))
@@ -201,6 +215,15 @@ class TestSqDists:
             expected = _tensor_sq_dists(A, A)
             np.testing.assert_array_equal(_pair_sq_dists(A), expected)
             np.testing.assert_array_equal(_pair_sq_dists(np.asfortranarray(A)), expected)
+
+    @pytest.mark.parametrize("m", [16, 17, 500])
+    def test_off_diagonal_equals_mask(self, m):
+        # the viewer rows of an all-viewer cluster: each row of the pair
+        # distances without the viewer's own, cut with no boolean mask
+        sq = np.random.default_rng([97, m]).normal(size=(m, m))
+        cut = _off_diagonal(sq)
+        np.testing.assert_array_equal(cut, sq[~np.eye(m, dtype=bool)].reshape(m, m - 1))
+        assert cut.flags.c_contiguous and not np.shares_memory(cut, sq)
 
     def test_empty_operands(self):
         A, B = np.ones((3, 4)), np.ones((2, 4))
@@ -592,11 +615,13 @@ class TestDipmeansFamily:
     def test_all_viewers_bound_memory(self):
         # 500 members are all viewers: the distances go through _sq_dists in
         # row blocks, never as the 500 x 500 x 8 difference tensor (16 MB,
-        # an 18.1 MB peak), and the 500 x 499 distance rows go through the
-        # signature test with no copy beyond the normalized one; measured
-        # 6.4 MB (10.3 MB with a fresh array per step)
+        # an 18.1 MB peak), each viewer's own distance is cut without a
+        # 500 x 500 boolean mask, and the 500 x 499 distance rows go
+        # through the signature test with no copy beyond the normalized
+        # one; measured 4.83 MB (5.08 MB with the mask, 10.3 MB with a
+        # fresh array per step)
         peak = self._peak_bytes(gen_gaussian(500, dimension=8, seed=19))
-        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+        assert peak < 5e6, f"peak {peak / 1e6:.2f} MB"
 
 
 class TestRegistry:

@@ -231,6 +231,8 @@ class TestSigtest:
         (np.float64(3.0), ValueError, r"expected a 1-d sample, got shape \(\)"),
         (np.zeros((2, 3)), ValueError, r"expected a 1-d sample, got shape \(2, 3\)"),
         (np.array([]), DegenerateInputError, "empty sample"),
+        (np.zeros((0, 1)), DegenerateInputError, "empty sample"),
+        (np.zeros((1, 0)), DegenerateInputError, "empty sample"),
     ])
     def test_shape_and_empty_refused(self, bad, error, match):
         with pytest.raises(error, match=match):
