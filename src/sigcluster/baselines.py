@@ -203,19 +203,28 @@ def lilliefors_reference(N: int) -> np.ndarray:
     return D
 
 
-@lru_cache(maxsize=64, typed=True)
 def lilliefors_table(N: int) -> np.ndarray:
     """Memoized :func:`lilliefors_reference`: the table every
     :func:`ks_lilliefors` call at sample size N decides against.
 
     The reference is a pure function of N, so the cache changes only the
     cost: the first test at an N builds the table, later ones reuse it.
-    The cache is keyed on N's type too, so lilliefors_reference refuses
-    a float N, and an N below MIN_SAMPLES, on every call.
+    N is taken by operator.index before the lookup, so an int and a numpy
+    integer of equal value share one table, and a float N is refused on
+    every call. ``cache_info`` and ``cache_clear`` are the cache's own.
     """
+    return _lilliefors_table(_integer(N, "N"))
+
+
+@lru_cache(maxsize=64)
+def _lilliefors_table(N: int) -> np.ndarray:
     ref = lilliefors_reference(N)
     ref.setflags(write=False)
     return ref
+
+
+lilliefors_table.cache_info = _lilliefors_table.cache_info
+lilliefors_table.cache_clear = _lilliefors_table.cache_clear
 
 
 @lru_cache(maxsize=64)
@@ -403,29 +412,45 @@ def _spans(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(start - ends + counts, counts)
 
 
-def _peel(k: np.ndarray, v: np.ndarray, end: np.ndarray, upper: bool):
+def _peel(k: np.ndarray, v: np.ndarray, end: np.ndarray, upper: bool,
+          keep: np.ndarray | None = None):
     """Keys and values of the vertices of each row's greatest convex
     minorant, or of its least concave majorant with ``upper``.
 
     ``k`` holds the ascending keys row * n + index of each row's candidate
-    points, ``v`` their values and ``end`` marks each row's first and last
-    point. Every point that _dip's predicate finds not strictly convex
-    between its two neighbours is dropped at once, until none is. The
-    predicate is _dip's expression with its operands in the same order:
-    the majorant's products are the minorant's with both factors negated,
-    so the same bits.
+    points as float64 (exact below 2**53, so the products need no cast),
+    ``v`` their values and ``end`` marks each row's first and last point;
+    the vertices come back with int64 keys. Every point that _dip's
+    predicate finds not strictly convex between its two neighbours is
+    dropped at once, until none is. The predicate is _dip's expression
+    with its operands in the same order: the majorant's products are the
+    minorant's with both factors negated, so the same bits.
+
+    ``keep``, when given, is the first round's mask as _keep builds it.
+    _dip_block's first pass gives it: there the keys are consecutive
+    within each row, so the key differences read are all 1, the products
+    are the value differences dv bit for bit, and one dv serves both hulls.
     """
     while True:
-        dv = v[1:] - v[:-1]
-        dk = k[1:] - k[:-1]
-        lhs = dv[1:] * dk[:-1]
-        rhs = dv[:-1] * dk[1:]
-        keep = (rhs < lhs) if upper else (lhs < rhs)
-        keep |= end[1:-1]
-        if keep.all():
-            return k, v
-        sel = np.concatenate(([0], np.flatnonzero(keep) + 1, [k.size - 1]))
-        k, v, end = k[sel], v[sel], end[sel]
+        if keep is None:
+            dv = v[1:] - v[:-1]
+            dk = k[1:] - k[:-1]
+            keep = _keep(dv[1:] * dk[:-1], dv[:-1] * dk[1:], end, upper)
+        sel = np.flatnonzero(keep)
+        if sel.size == k.size:
+            return k.astype(np.int64), v
+        k, v, end, keep = k[sel], v[sel], end[sel], None
+
+
+def _keep(lhs: np.ndarray, rhs: np.ndarray, end: np.ndarray, upper: bool) -> np.ndarray:
+    """_peel's mask over every point: each row's ends, and each point
+    between whose ``lhs < rhs`` holds (``rhs < lhs`` with ``upper``)."""
+    if upper:
+        lhs, rhs = rhs, lhs
+    keep = np.empty(end.size, dtype=bool)
+    np.less(lhs, rhs, out=keep[1:-1])
+    keep |= end
+    return keep
 
 
 def _chain_ends(k: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
@@ -483,6 +508,14 @@ def _dip_block(X: np.ndarray, critical: float | None = None) -> np.ndarray:
     minorant vertex below the new high, or before the first majorant
     vertex above the new low, can join it.
 
+    The first pass peels both hulls from every point of each row. Where
+    _peel's predicate is read, at a point that is no row end, both
+    neighbours are in the point's own row, so their keys differ from its
+    key by 1 and the products are the value differences times 1.0: the
+    differences themselves, bit for bit, even across the key gap a refused
+    row leaves. So one pass of differences over the rows gives both chains
+    their first mask, and each chain peels on from its own survivors.
+
     With a ``critical`` dip, a row that a pass leaves going is settled
     there when its running dip already exceeds it (the running dip never
     falls), or when AS 217's stopping bound max(d, dip) on every later
@@ -498,13 +531,16 @@ def _dip_block(X: np.ndarray, critical: float | None = None) -> np.ndarray:
     xf = x.ravel()
     low = rows * n                                 # every index below is a key row * n + i
     high = low + (n - 1)
-    gk = lk = (low[:, None] + np.arange(n)).ravel()
     dip = np.zeros(R)
     odd = []
+    # the first pass: one pass of differences, both chains' first masks
+    k = (low[:, None] + np.arange(n, dtype=np.float64)).ravel()
+    v = x[rows].ravel()
+    end = _chain_ends(k, low, high)
+    dv = v[1:] - v[:-1]
+    gk, gv = _peel(k, v, end, False, _keep(dv[1:], dv[:-1], end, False))
+    lk, lv = _peel(k, v, end, True, _keep(dv[1:], dv[:-1], end, True))
     while rows.size:
-        gk, gv = _peel(gk, xf[gk], _chain_ends(gk, low, high), upper=False)
-        lk, lv = _peel(lk, xf[lk], _chain_ends(lk, low, high), upper=True)
-
         # where the walk stops: the first shared vertex past low, or the
         # second when the first is both chains' first vertex. In exact
         # arithmetic only high is shared; rounding can share another
@@ -588,6 +624,8 @@ def _dip_block(X: np.ndarray, critical: float | None = None) -> np.ndarray:
         a = np.searchsorted(lk, low)
         z = np.searchsorted(lk, high)
         lk = np.sort(np.concatenate((_spans(low, lk[a]), lk[_spans(a, z + 1)])))
+        gk, gv = _peel(gk.astype(np.float64), xf[gk], _chain_ends(gk, low, high), upper=False)
+        lk, lv = _peel(lk.astype(np.float64), xf[lk], _chain_ends(lk, low, high), upper=True)
     for i in odd:
         out[i] = _dip(X[i])
     return out
@@ -611,9 +649,7 @@ def dip_reference_dips(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
     TypeError
         If N or B is not an integer.
     """
-    N = _integer(N, "N")
-    _check_size(N, _DIP_MIN_SAMPLES, "dip test")
-    B = _bootstrap_size(B)
+    N, B = _dip_table_sizes(N, B)
     rows = _block_rows(N)
     dips = np.empty(B)
     for start in range(0, B, rows):
@@ -623,21 +659,35 @@ def dip_reference_dips(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
     return dips
 
 
-@lru_cache(maxsize=64, typed=True)
 def dip_reference_table(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
     """Memoized :func:`dip_reference_dips`: the table every
     :func:`dip_test` call at sample size N and bootstrap size B decides
     against (identical values; built once per (N, B) in the process).
 
-    The cache is keyed on the arguments as passed, types included, so the
-    library always calls it positionally as ``(N, B)`` with ints.
-    dip_reference_dips refuses the N and B it would build a table of, and
-    a float N or B misses the cache and is refused there, even when a
-    table of the equal integers is built.
+    N and B are checked as dip_reference_dips checks them, before the
+    lookup: an int and a numpy integer of equal value share one table, and
+    a float N or B, or one below dip_test's minimum, is refused on every
+    call. ``cache_info`` and ``cache_clear`` are the cache's own.
     """
+    return _dip_reference_table(*_dip_table_sizes(N, B))
+
+
+@lru_cache(maxsize=64)
+def _dip_reference_table(N: int, B: int) -> np.ndarray:
     ref = dip_reference_dips(N, B)
     ref.setflags(write=False)
     return ref
+
+
+dip_reference_table.cache_info = _dip_reference_table.cache_info
+dip_reference_table.cache_clear = _dip_reference_table.cache_clear
+
+
+def _dip_table_sizes(N, B) -> tuple[int, int]:
+    """(N, B) of a dip table as ints, checked by dip_test's rules."""
+    N = _integer(N, "N")
+    _check_size(N, _DIP_MIN_SAMPLES, "dip test")
+    return N, _bootstrap_size(B)
 
 
 def _integer(value, name: str) -> int:

@@ -16,6 +16,7 @@ from sigcluster import (
     DipViewerCriterion,
     anderson_darling,
     anderson_darling_statistic,
+    bundled_manifest,
     dip_reference_dips,
     dip_reference_table,
     dip_statistic,
@@ -25,6 +26,7 @@ from sigcluster import (
     ks_statistic,
     lilliefors_reference,
     lilliefors_table,
+    load_csv,
     sigtest,
 )
 from sigcluster import baselines
@@ -399,30 +401,6 @@ def _dip_or_nan(y):
         return np.nan
 
 
-@settings(max_examples=150, deadline=None)
-@given(N=st.integers(4, 300), rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from(["uniform", "integer", "rounded", "tied", "bimodal"]),
-       constant_row=st.booleans())
-def test_dip_rows_equal_dip(N, rows, seed, kind, constant_row):
-    # the row-batched kernel is AS 217 bit for bit on every row
-    rng = np.random.default_rng(seed)
-    if kind == "uniform":
-        Y = rng.uniform(size=(rows, N))
-    elif kind == "integer":
-        Y = rng.integers(0, rng.integers(2, 2 * N), size=(rows, N)).astype(float)
-    elif kind == "rounded":
-        Y = np.round(rng.normal(size=(rows, N)), int(rng.integers(0, 3)))
-    elif kind == "tied":
-        Y = rng.choice(rng.normal(size=3), size=(rows, N))
-    else:
-        Y = rng.normal(size=(rows, N)) + rng.choice([-1.0, 1.0], size=(rows, N)) * rng.uniform(1, 6)
-    if constant_row:
-        Y[-1] = Y[-1, 0]
-    got = _dip_rows(Y)
-    ref = np.array([_dip_or_nan(y) for y in Y])
-    np.testing.assert_array_equal(got, ref)
-
-
 def _dip_batch(N, rows, seed, kind):
     """A batch of one of test_dip_rows_equal_dip's data kinds."""
     rng = np.random.default_rng(seed)
@@ -437,17 +415,46 @@ def _dip_batch(N, rows, seed, kind):
     return rng.normal(size=(rows, N)) + rng.choice([-1.0, 1.0], size=(rows, N)) * rng.uniform(1, 6)
 
 
+# a row _dip refuses (constant, or a range that overflows) placed first,
+# in the middle or last of a batch, or none: the kernel's first pass then
+# runs over the accepted rows only, with a gap in its keys at each one
+REFUSED_ROW = st.none() | st.tuples(st.sampled_from(["constant", "overflow"]),
+                                    st.sampled_from(["first", "middle", "last"]))
+
+
+def _refuse_row(Y, refused):
+    """Y with one row made one _dip refuses, as REFUSED_ROW draws it."""
+    if refused is not None:
+        how, where = refused
+        r = {"first": 0, "middle": len(Y) // 2, "last": -1}[where]
+        if how == "constant":
+            Y[r] = Y[r, 0]
+        else:
+            Y[r, :2] = 1.7e308, -1.7e308
+    return Y
+
+
+@settings(max_examples=150, deadline=None)
+@given(N=st.integers(4, 300), rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["uniform", "integer", "rounded", "tied", "bimodal"]),
+       refused=REFUSED_ROW)
+def test_dip_rows_equal_dip(N, rows, seed, kind, refused):
+    # the row-batched kernel is AS 217 bit for bit on every row
+    Y = _refuse_row(_dip_batch(N, rows, seed, kind), refused)
+    got = _dip_rows(Y)
+    ref = np.array([_dip_or_nan(y) for y in Y])
+    np.testing.assert_array_equal(got, ref)
+
+
 @settings(max_examples=100, deadline=None)
 @given(N=st.integers(4, 300), rows=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["uniform", "integer", "rounded", "tied", "bimodal"]),
-       constant_row=st.booleans())
-def test_dip_rows_settle_on_the_side_of_the_exact_dip(N, rows, seed, kind, constant_row):
+       refused=REFUSED_ROW)
+def test_dip_rows_settle_on_the_side_of_the_exact_dip(N, rows, seed, kind, refused):
     # with a critical dip a row may stop at the pass that decides it: its
     # dip is then at most the exact one and on the same side of the
     # critical dip, tried at every exact dip and both its float neighbours
-    Y = _dip_batch(N, rows, seed, kind)
-    if constant_row:
-        Y[-1] = Y[-1, 0]
+    Y = _refuse_row(_dip_batch(N, rows, seed, kind), refused)
     exact = _dip_rows(Y)
     finite = exact[~np.isnan(exact)]
     for c in np.concatenate((np.nextafter(finite, -np.inf), finite, np.nextafter(finite, np.inf))):
@@ -488,6 +495,31 @@ def test_dip_rows_evenly_spaced_differs_in_last_bits():
     y = 0.1 * np.arange(999)
     assert _dip(y) == 5.005005005005574e-4
     assert _dip_rows(y[None])[0] == 5.005005005005712e-4
+
+
+@pytest.mark.parametrize("N, digest", [
+    (52, "2e9a7e83501e18d1670c9ddeadf241f38043510a0deeeaa4556f0edb5914ac24"),
+    (200, "c72e94490f6af7f1599cdc4730cf4165311c7d31a98b4299418506773bf3c5db"),
+])
+def test_reference_dips_bits_pinned(N, digest):
+    # the seeded table every dip decision is calibrated against
+    assert hashlib.sha256(dip_reference_dips(N, 1000).tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("critical, digest", [
+    (False, "f2a78549b77a01e9f58d49d16b7f097738b14bf0b6c1c7476ca9c370d51c0896"),
+    (True, "56d1db00bd15ee36ad12fde2d579aa92c9098279036ef71d34a1a1f202ee5184"),
+])
+def test_dip_rows_bits_pinned(critical, digest):
+    # the viewer distances of iris's root cluster: each row's exact dip,
+    # and with the critical dip of classic dip-means its settled one
+    X = load_csv(bundled_manifest("iris")).rows
+    m = len(X)
+    dist = np.sqrt(((X[:, None] - X) ** 2).sum(axis=2))[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+    assert hashlib.sha256(dist.tobytes()).hexdigest() == (
+        "587c7a105e26361005f7eaa81d75f774a8c4275398dd601f1c8df031428bf5e7")
+    dips = _dip_rows(dist, dip_reference_table(m - 1, 1000).max() if critical else None)
+    assert hashlib.sha256(dips.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("N, B", [(4, 1000), (9, 1000), (52, 1000), (149, 1000), (200, 1000),
@@ -655,6 +687,19 @@ def test_float_table_sizes_refused_after_the_int_table_is_built():
         with pytest.raises(TypeError, match=r"(N|bootstrap_B) must be an integer, got (20|100)\.0"):
             call()
     assert dip_reference_table(20, 100) is built[0] and lilliefors_table(20) is built[1]
+
+
+@pytest.mark.parametrize("table, sizes", [(lilliefors_table, (20,)),
+                                           (dip_reference_table, (20, 100))],
+                         ids=["lilliefors", "dip"])
+def test_numpy_integer_sizes_share_the_int_table(table, sizes):
+    # the sizes are taken by operator.index before the lookup, so a numpy
+    # integer finds the table its int built
+    table.cache_clear()
+    built = table(*sizes)
+    assert table(*map(np.int64, sizes)) is built
+    info = table.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 ENTRIES = {"sigtest": sigtest, "anderson_darling": anderson_darling,
