@@ -20,7 +20,6 @@ Hartigan & Hartigan (1985), "The dip test of unimodality", Ann. Statist.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,12 +31,14 @@ from .core import (
     _block_rows,
     _check_size,
     _degenerate_error,
+    _integer,
     _row_moments,
     _spread_ok,
+    _test_rows,
     _test_sample,
     as_sample,
 )
-from .errors import DegenerateInputError, NonFiniteInputError, TooFewSamplesError
+from .errors import DegenerateInputError, TooFewSamplesError
 from .sigtest import MIN_SAMPLES
 
 
@@ -690,14 +691,6 @@ def _dip_table_sizes(N, B) -> tuple[int, int]:
     return N, _bootstrap_size(B)
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int by operator.index, or a TypeError naming it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _bootstrap_size(bootstrap_B) -> int:
     """``bootstrap_B`` as the integer a dip table is keyed on, checked."""
     B = _integer(bootstrap_B, "bootstrap_B")
@@ -759,12 +752,7 @@ def _dip_test_rows(Y, bootstrap_B: int):
     TypeError
         If ``bootstrap_B`` is not an integer.
     """
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim != 2:
-        raise ValueError(f"expected a 2-d array of rows, got shape {Y.shape}")
-    _check_size(Y.shape[1], _DIP_MIN_SAMPLES, "dip test")
-    if not np.isfinite(Y).all():
-        raise NonFiniteInputError("sample contains NaN or infinite values")
+    Y = _test_rows(Y, _DIP_MIN_SAMPLES, "dip test")
     B = _bootstrap_size(bootstrap_B)
     if not len(Y):
         return np.empty(0), np.zeros(0, dtype=bool)

@@ -31,7 +31,7 @@ from .benchmark import (
     run_test_benchmark,
 )
 from .clustering import METHOD_NAMES, TEST_CRITERIA, configured, project_split, run_method
-from .data_io import DatasetManifest, bundled_manifest, load_csv, write_results
+from .data_io import DatasetManifest, _sniff_header, bundled_manifest, load_csv, write_results
 from .errors import SigclusterError
 from .metrics import ari, vi
 from .sigtest import SignatureVariant, SigtestConfig, TestOutcome, _frozen_bounds
@@ -47,19 +47,10 @@ def _out_dir() -> Path:
 
 
 def _load_columns(path: str, delimiter: str):
-    """Read a numeric CSV as an (N, d) array, sniffing a header row."""
-    with open(path, "rb") as fh:  # load_csv reports undecodable bytes, naming the file
-        first = fh.readline().decode("utf-8", errors="replace")
-    has_header = False
-    for cell in first.strip().split(delimiter):
-        try:
-            float(cell)
-        except ValueError:
-            has_header = True
-            break
-    manifest = DatasetManifest(name=Path(path).stem, path=path, label_column=None,
-                               delimiter=delimiter, has_header=has_header)
-    return load_csv(manifest).rows
+    """Read a numeric CSV as an (N, d) array, by the header rule of every
+    command (data_io._sniff_header)."""
+    return load_csv(_sniff_header(DatasetManifest(name=Path(path).stem, path=path,
+                                                  delimiter=delimiter))).rows
 
 
 def cmd_test(args) -> int:
@@ -112,9 +103,9 @@ def _manifest_from_args(token: str, args) -> DatasetManifest:
             label = int(label)
         except ValueError:
             pass
-    return DatasetManifest(name=Path(token).stem, path=token,
-                           label_column=label, delimiter=args.delimiter,
-                           standardize=args.standardize)
+    return _sniff_header(DatasetManifest(name=Path(token).stem, path=token,
+                                         label_column=label, delimiter=args.delimiter,
+                                         standardize=args.standardize))
 
 
 # The memoized per-N calibrations a clustering run reads: the signature

@@ -28,7 +28,6 @@ Kalogeratos & Likas (2012), "Dip-means: an incremental clustering method
 for estimating the number of clusters", NeurIPS 25.
 """
 
-import operator
 from dataclasses import dataclass, field, fields, replace
 from typing import ClassVar
 
@@ -44,7 +43,7 @@ from .baselines import (
     dip_test,
     ks_lilliefors,
 )
-from .core import _block_rows
+from .core import _block_rows, _integer
 from .dataset import Dataset
 from .errors import (
     DegenerateInputError,
@@ -196,31 +195,28 @@ def project_split(points, c1, c2) -> np.ndarray:
     return X @ (v / norm)
 
 
-def _sum_sq_diffs(aT, bT, out, work=None):
+def _sum_sq_diffs(aT, bT, out, work):
     """Write into ``out`` the squared differences of aT and bT, which
     broadcast to (d, *out.shape), summed over that first axis of length d
-    in the order numpy's add.reduce takes over d contiguous values.
+    in the order numpy's add.reduce takes over d contiguous values. The
+    differences go into the front of ``work``, a flat float64 array of at
+    least d * out.size values that the caller owns and reuses from block
+    to block.
 
-    For d <= 8 the d planes of differences are squared in place and added
-    left to right below 8, and by the tree ((0+1)+(2+3))+((4+5)+(6+7)) at
-    8. The planes go into the front of ``work``, a flat float64 array of
-    at least d * out.size values that the caller owns and may reuse from
-    block to block, or into a new array without it. From d = 9 on numpy
-    adds with eight interleaved accumulators (and halves runs of more
-    than 128 values), and the differences go into a tensor with d last
-    for numpy's own reduce, which is the faster of the two there.
+    For d <= 8 they are d planes, squared in place and added left to
+    right below 8, and by the tree ((0+1)+(2+3))+((4+5)+(6+7)) at 8. From
+    d = 9 on numpy adds with eight interleaved accumulators (and halves
+    runs of more than 128 values), and they are a tensor with d last for
+    numpy's own reduce, which is the faster of the two there.
     """
     d = aT.shape[0]
     if d > 8:
-        diff = np.empty(out.shape + (d,))
+        diff = work[:out.size * d].reshape(out.shape + (d,))
         np.subtract(np.moveaxis(aT, 0, -1), np.moveaxis(bT, 0, -1), out=diff)
         diff *= diff
-        out[...] = diff.sum(axis=-1)
+        np.add.reduce(diff, axis=-1, out=out)
         return
-    if work is None:
-        D = aT - bT
-    else:
-        D = np.subtract(aT, bT, out=work[:d * out.size].reshape((d,) + out.shape))
+    D = np.subtract(aT, bT, out=work[:d * out.size].reshape((d,) + out.shape))
     D *= D
     if d == 8:
         D[::2] += D[1::2]
@@ -232,30 +228,23 @@ def _sum_sq_diffs(aT, bT, out, work=None):
             out += plane
 
 
-def _sq_work(p, q, d):
-    """The workspace of _sum_sq_diffs for the row blocks of _sq_dists(A, B),
-    A p x d and B q x d, or None from d = 9 on, where it is not read."""
-    return np.empty(d * min(p, _block_rows(q * d)) * q) if d <= 8 else None
+def _columns(A):
+    """A.T, copied C-contiguous for d <= 8 so that every plane
+    _sum_sq_diffs subtracts reads contiguous values."""
+    return np.ascontiguousarray(A.T) if A.shape[1] <= 8 else A.T
 
 
-def _sq_dists(A, B, out=None, work=None) -> np.ndarray:
+def _sq_dists(A, B) -> np.ndarray:
     """Squared Euclidean distances between the rows of A (p x d) and of B
     (q x d), equal bit for bit to ((A[:, None, :] - B[None]) ** 2).sum(axis=2)
-    on C-contiguous copies of A and B.
-
-    Rows of A go in blocks of _block_rows(q * d), each block summed by
-    _sum_sq_diffs into its rows of ``out`` (a new p x q array, or a given
-    one, which may be a strided view) through ``work`` (see _sq_work;
-    without it each block allocates its own). For d <= 8 B.T is copied
-    once per call, so every plane a block subtracts reads contiguous
-    values.
-    """
+    on C-contiguous copies of A and B. Rows of A go in blocks of
+    _block_rows(q * d) through one workspace per call."""
     A, B = np.ascontiguousarray(A), np.ascontiguousarray(B)
     p, d = A.shape
-    if out is None:
-        out = np.empty((p, len(B)))
-    bT = (np.ascontiguousarray(B.T) if d <= 8 else B.T)[:, None, :]
+    out = np.empty((p, len(B)))
+    bT = _columns(B)[:, None, :]
     rows = _block_rows(len(B) * d)
+    work = np.empty(d * min(p, rows) * len(B))
     for start in range(0, p, rows):
         _sum_sq_diffs(A[start:start + rows].T[:, :, None], bT, out[start:start + rows], work)
     return out
@@ -270,12 +259,13 @@ def _pair_sq_dists(A) -> np.ndarray:
     (a - b)^2 and (b - a)^2 are the same bits."""
     A = np.ascontiguousarray(A)
     p, d = A.shape
+    AT = _columns(A)
     out = np.empty((p, p))
     rows = _block_rows(p * d)
-    work = _sq_work(p, p, d)
+    work = np.empty(d * min(p, rows) * p)
     for start in range(0, p, rows):
         stop = start + rows
-        _sq_dists(A[start:stop], A[start:], out=out[start:stop, start:], work=work)
+        _sum_sq_diffs(AT[:, start:stop, None], AT[:, None, start:], out[start:stop, start:], work)
         out[stop:, start:stop] = out[start:stop, stop:].T
     return out
 
@@ -329,7 +319,8 @@ def _segment_sq_dists(XT, C, lengths) -> np.ndarray:
     """k x T squared distances of the columns of XT (d x T), which are the
     rows of consecutive segments of the given lengths, to their own
     segment's k centroids (C is S x k x d): each entry with the bits of
-    _sq_dists. Columns go in blocks of _block_rows(k * d)."""
+    _sq_dists. Columns go in blocks of _block_rows(k * d) through one
+    workspace per call."""
     S, k, d = C.shape
     CT = C.transpose(2, 1, 0)  # d x k x S
     if S > 1:  # each segment's centroids along its columns
@@ -337,9 +328,10 @@ def _segment_sq_dists(XT, C, lengths) -> np.ndarray:
     T = XT.shape[1]
     out = np.empty((k, T))
     cols = _block_rows(k * d)
+    work = np.empty(d * k * min(T, cols))
     for start in range(0, T, cols):
         block = slice(start, start + cols)
-        _sum_sq_diffs(XT[:, None, block], CT[:, :, block] if S > 1 else CT, out[:, block])
+        _sum_sq_diffs(XT[:, None, block], CT[:, :, block] if S > 1 else CT, out[:, block], work)
     return out
 
 
@@ -461,12 +453,7 @@ def kmeans(data: Dataset, k: int, seed: int = 0) -> ClusteringResult:
         diagonal of their bounding box is not finite), or the centroid
         sums can (n times the largest |x| of a column is not finite).
     """
-    if isinstance(k, bool):
-        raise TypeError(f"k must be an integer, got {k!r}")
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise TypeError(f"k must be an integer, got {k!r}") from None
+    k = _integer(k, "k")
     X = data.rows
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -598,15 +585,13 @@ def _viewer_fraction(criterion, members, rng, kept) -> float:
     ``criterion.test_rows`` rejects (see dipmeans_family). ``kept`` maps
     the row bytes of an all-viewer cluster kept whole to its fraction; a
     cluster found there is not tested again."""
-    m, d = members.shape
+    m = len(members)
     if m > 500:
         key = None
         viewers = rng.choice(m, size=100, replace=False)
-        sq = _sq_dists(members[viewers], members, work=_sq_work(len(viewers), m, d))
-        others = np.ones(sq.shape, dtype=bool)
-        others[np.arange(len(viewers)), viewers] = False  # a viewer's distance to itself
-        dist = sq[others].reshape(len(viewers), m - 1)
-        del sq
+        # a viewer's distance to itself sits at flat index i * m + viewers[i]
+        dist = np.delete(_sq_dists(members[viewers], members),
+                         np.arange(len(viewers)) * m + viewers).reshape(len(viewers), m - 1)
     else:
         key = members.tobytes()
         if key in kept:

@@ -6,6 +6,7 @@ helpers validate shape and finiteness on entry.
 """
 
 import math
+import operator
 
 import numpy as np
 from scipy.special import erf
@@ -43,6 +44,31 @@ def _test_sample(values, minimum: int, test: str) -> np.ndarray:
     if not np.all(np.isfinite(y)):
         raise NonFiniteInputError("sample contains NaN or infinite values")
     return y
+
+
+def _test_rows(Y, minimum: int, test: str) -> np.ndarray:
+    """The rows of a batched ``test`` as a C-contiguous float64 2-d array:
+    a shape with other than two axes, then rows of fewer than ``minimum``
+    values (_check_size), then a NaN or infinity is refused, the order of
+    _test_sample's checks."""
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim != 2:
+        raise ValueError(f"expected a 2-d array of rows, got shape {Y.shape}")
+    _check_size(Y.shape[1], minimum, test)
+    if not np.isfinite(Y).all():
+        raise NonFiniteInputError("sample contains NaN or infinite values")
+    return np.ascontiguousarray(Y)
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int by operator.index, or a TypeError naming it; a
+    bool is refused too."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_size(N: int, minimum: int, test: str) -> None:

@@ -26,6 +26,8 @@ RESULT_FIELDS = (
     "k_mean", "k_std", "vi_mean", "vi_std", "ari_mean", "ari_std",
     "mean_time_s", "runs", "seed",
 )
+# the type each CSV result cell is read back as; every other field is a float
+_CSV_TYPES = {"method": str, "dataset": str, "runs": int, "seed": int}
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,47 @@ class DatasetManifest:
             raise ValueError("expected_k must be at least 1 when present")
 
 
+def _read_rows(manifest: DatasetManifest) -> list[list[str]]:
+    """The non-blank rows of the manifest's file, split by the csv module
+    (so quoting applies) from UTF-8 text, a leading BOM dropped; the
+    errors are load_csv's."""
+    where = f"dataset {manifest.name!r} ({manifest.path})"
+    try:
+        with open(manifest.path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh, delimiter=manifest.delimiter)
+            return [row for row in reader if row and any(cell.strip() for cell in row)]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{where}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
+        raise ParseError(f"{where}: line {reader.line_num}: {exc}") from None
+    except OSError as exc:  # keeps its type, errno and filename
+        exc.strerror = f"dataset {manifest.name!r}: {exc.strerror}"
+        raise
+
+
+def _sniff_header(manifest: DatasetManifest) -> DatasetManifest:
+    """``manifest`` with has_header set by the command line's one rule on
+    the first row as load_csv reads it: a header when the label column is
+    given by name, or when one of the row's feature cells is not a
+    number."""
+    label = manifest.label_column
+    rows = _read_rows(manifest)
+    header = isinstance(label, str)
+    if rows and not header:
+        first = rows[0]
+        skip = label + len(first) if label is not None and label < 0 else label
+        header = not all(_is_number(cell) for c, cell in enumerate(first) if c != skip)
+    return dataclasses.replace(manifest, has_header=header)
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def load_csv(manifest: DatasetManifest) -> Dataset:
     """Parse the manifest's file into a Dataset.
 
@@ -70,18 +113,7 @@ def load_csv(manifest: DatasetManifest) -> Dataset:
         1-based line number).
     """
     where = f"dataset {manifest.name!r} ({manifest.path})"
-    try:
-        with open(manifest.path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh, delimiter=manifest.delimiter)
-            rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{where}: not UTF-8 text ({exc.reason})") from None
-    except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
-        raise ParseError(f"{where}: line {reader.line_num}: {exc}") from None
-    except OSError as exc:  # keeps its type, errno and filename
-        exc.strerror = f"dataset {manifest.name!r}: {exc.strerror}"
-        raise
-
+    rows = _read_rows(manifest)
     header = None
     if manifest.has_header:
         if not rows:
@@ -198,8 +230,9 @@ def write_results(records, path, format: str = "json") -> None:
 
 def read_results(path, format: str | None = None) -> list[dict]:
     """Read records written by :func:`write_results` (format from suffix
-    when not given). Numeric fields come back as float/int, absent CSV
-    cells as None."""
+    when not given). A CSV cell is typed by its field: method and dataset
+    as text, runs and seed as int, every other field as float, and an
+    empty cell as None."""
     path = Path(path)
     if format is None:
         format = "csv" if path.suffix.lower() == ".csv" else "json"
@@ -209,18 +242,7 @@ def read_results(path, format: str | None = None) -> list[dict]:
         if doc.get("schema_version") != RESULTS_SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version in {path}")
         return doc["records"]
-    records = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            rec = {}
-            for key, val in row.items():
-                if val == "" or val is None:
-                    rec[key] = None
-                else:
-                    try:
-                        num = float(val)
-                        rec[key] = int(num) if num.is_integer() and key in ("runs", "seed") else num
-                    except ValueError:
-                        rec[key] = val
-            records.append(rec)
-    return records
+        return [{key: None if not val else _CSV_TYPES.get(key, float)(val)
+                 for key, val in row.items()}
+                for row in csv.DictReader(fh)]

@@ -34,6 +34,7 @@ from .core import (
     _half_normal_cdf,
     _normalized_rows,
     _sorted_abs,
+    _test_rows,
     as_sample,
     half_normal_cdf,
 )
@@ -270,10 +271,7 @@ def _sigtest_rows(Y, config: SigtestConfig):
     NonFiniteInputError
         If Y contains NaN or infinity.
     """
-    Y = np.ascontiguousarray(Y, dtype=np.float64)  # each row summed in sigtest's order
-    if Y.ndim != 2:
-        raise ValueError(f"expected a 2-d array of rows, got shape {Y.shape}")
-    _check_size(Y.shape[1], MIN_SAMPLES, "signature test")
+    Y = _test_rows(Y, MIN_SAMPLES, "signature test")  # each row summed in sigtest's order
     C, _, ok = _signature_rows(Y, config)
     C[~ok] = np.nan
     return C, C > config.threshold

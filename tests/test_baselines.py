@@ -689,6 +689,17 @@ def test_float_table_sizes_refused_after_the_int_table_is_built():
     assert dip_reference_table(20, 100) is built[0] and lilliefors_table(20) is built[1]
 
 
+def test_bool_sizes_refused():
+    # operator.index takes True as 1; a size is an integer, and a bool is
+    # not one, as kmeans refuses k=True
+    for call, name in ((lambda: lilliefors_table(True), "N"),
+                       (lambda: lilliefors_reference(True), "N"),
+                       (lambda: dip_reference_table(True, 100), "N"),
+                       (lambda: dip_test(np.arange(20.0), True), "bootstrap_B")):
+        with pytest.raises(TypeError, match=f"{name} must be an integer, got True"):
+            call()
+
+
 @pytest.mark.parametrize("table, sizes", [(lilliefors_table, (20,)),
                                            (dip_reference_table, (20, 100))],
                          ids=["lilliefors", "dip"])

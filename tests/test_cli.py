@@ -14,6 +14,7 @@ from sigcluster import (
 )
 from sigcluster.baselines import AD_ALPHA, KS_ALPHA
 from sigcluster.cli import main
+from sigcluster.sigtest import MIN_SAMPLES
 
 
 @pytest.fixture
@@ -103,6 +104,26 @@ class TestTestCommand:
         assert captured.err.startswith(f"error: dataset 'raw' ({p}): not UTF-8 text (")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("\n".join(f'"{v}"' for v in range(50)), id="quoted"),
+        pytest.param("\ufeff" + "\n".join(str(v) for v in range(50)), id="bom"),
+        pytest.param("\n \n" + "\n".join(str(v) for v in range(50)), id="blank-first"),
+    ])
+    def test_numeric_first_row_is_data(self, tmp_path, capsys, text):
+        # the header is decided on the cells as load_csv parses them: a
+        # quoted number, a number after a BOM or after blank lines is data
+        p = tmp_path / "column.csv"
+        p.write_text(text + "\n", encoding="utf-8")
+        assert main(["test", str(p)]) == 0
+        assert json.loads(capsys.readouterr().out)["N"] == 50
+
+    def test_text_first_row_is_header(self, tmp_path, capsys):
+        p = tmp_path / "column.csv"
+        p.write_text('\ufeff"value"\n' + "\n".join(str(v) for v in range(50)) + "\n",
+                     encoding="utf-8")
+        assert main(["test", str(p)]) == 0
+        assert json.loads(capsys.readouterr().out)["N"] == 50
+
     def test_defaults_echo_the_tests_own_level(self, unimodal_csv, capsys):
         # only AD and KS have a level; --alpha sets it for both
         levels = {"sigtest1": None, "sigtest2": None, "ad": AD_ALPHA, "ks": KS_ALPHA,
@@ -168,6 +189,21 @@ class TestClusterCommand:
         summary = json.loads(out[:out.rindex("}") + 1])
         assert "ari" not in summary and "vi" not in summary
         assert summary["k"] == 2
+
+    def test_headerless_csv_keeps_every_row(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SIGCLUSTER_OUT_DIR", str(tmp_path))
+        rows = np.random.default_rng(26).normal(size=(120, 2))
+        p = tmp_path / "plain.csv"
+        p.write_text("\n".join(",".join(map(str, r)) for r in rows) + "\n")
+        assert main(["cluster", str(p), "--method", "gmeans"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out[:out.rindex("}") + 1])["n"] == 120
+        # a header row of numbers is a header when the label column is
+        # given by its name
+        p.write_text("0,1,cls\n" + "\n".join(f"{a},{b},u" for a, b in rows) + "\n")
+        assert main(["cluster", str(p), "--method", "gmeans", "--label-column", "cls"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out[:out.rindex("}") + 1])["n"] == 120
 
     def test_integer_label_column(self, tmp_path, capsys, monkeypatch):
         # "--label-column 2" is the column index, not a header name
@@ -247,6 +283,17 @@ class TestBenchCommands:
         recs = read_results(tmp_path / "bc.json")
         assert recs[0]["method"] == "gmeans+"
         assert recs[0]["dataset"] == "iris"
+
+    def test_bench_cluster_headerless_csv_keeps_every_row(self, tmp_path, capsys, monkeypatch):
+        # 2 * MIN_SAMPLES rows are the fewest a clusterer takes: losing the
+        # first to a header would refuse the dataset
+        monkeypatch.setenv("SIGCLUSTER_OUT_DIR", str(tmp_path))
+        rows = np.random.default_rng(27).normal(size=(2 * MIN_SAMPLES, 2))
+        p = tmp_path / "plain.csv"
+        p.write_text("\n".join(",".join(map(str, r)) for r in rows) + "\n")
+        assert main(["bench-cluster", "--datasets", str(p), "--methods", "gmeans",
+                     "--runs", "1", "--output", "bc.json"]) == 0
+        assert read_results(tmp_path / "bc.json")[0]["dataset"] == "plain"
 
     def test_bench_cluster_undecodable_file_exit_1(self, tmp_path, capsys):
         p = tmp_path / "latin1.csv"

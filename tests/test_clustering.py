@@ -43,7 +43,8 @@ from sigcluster.clustering import (
     _off_diagonal,
     _pair_sq_dists,
     _sq_dists,
-    _sq_work,
+    _sum_sq_diffs,
+    _viewer_fraction,
     configured,
 )
 from sigcluster.core import _BLOCK_VALUES
@@ -183,17 +184,6 @@ class TestSqDists:
             expected = _tensor_sq_dists(A, B)
             np.testing.assert_array_equal(_sq_dists(A, B), expected)
             np.testing.assert_array_equal(_sq_dists(A, B[:1]), _tensor_sq_dists(A, B[:1]))
-            # into the right of a wider result's rows, the strided slice
-            # _pair_sq_dists passes, through one workspace that every block
-            # (more than two at the big p) overwrites
-            wide = np.full((p, len(B) + 3), -1.0)
-            work = _sq_work(p, len(B), d)
-            if work is not None:
-                work.fill(np.nan)
-            got = _sq_dists(A, B, out=wide[:, 3:], work=work)
-            assert np.shares_memory(got, wide)
-            np.testing.assert_array_equal(wide[:, 3:], expected)
-            assert (wide[:, :3] == -1.0).all()
         # a transposed or strided B (and a strided A) gives the distances of
         # its C-contiguous copy
         wide = rng.normal(size=(2 * len(B), 2 * d))
@@ -201,6 +191,25 @@ class TestSqDists:
             expected = _tensor_sq_dists(A, np.ascontiguousarray(other))
             np.testing.assert_array_equal(_sq_dists(A, other), expected)
             np.testing.assert_array_equal(_sq_dists(np.asfortranarray(A), other), expected)
+
+    @pytest.mark.parametrize("d", [*range(1, 10), 13, 16, 17, 32, 129, 300])
+    def test_sum_into_strided_out_through_reused_work(self, d):
+        # into the right of a wider result's rows, the strided slice
+        # _pair_sq_dists passes, block by block (more than two) through
+        # one NaN-filled workspace that every block overwrites
+        rng = np.random.default_rng([98, d])
+        scale = rng.uniform(0.01, 100.0, d)
+        B = rng.normal(size=(7, d)) * scale + rng.normal(size=d)
+        rows = max(2, _BLOCK_VALUES // (len(B) * d))
+        A = rng.normal(size=(2 * rows + 3, d)) * scale
+        wide = np.full((len(A), len(B) + 3), -1.0)
+        work = np.full(d * rows * len(B), np.nan)
+        bT = np.ascontiguousarray(B.T)[:, None, :]
+        for start in range(0, len(A), rows):
+            _sum_sq_diffs(A[start:start + rows].T[:, :, None], bT,
+                          wide[start:start + rows, 3:], work)
+        np.testing.assert_array_equal(wide[:, 3:], _tensor_sq_dists(A, B))
+        assert (wide[:, :3] == -1.0).all()
 
     # the viewer distances of an all-viewer cluster: each unordered pair
     # once, mirrored, with the same bits as the full matrix
@@ -224,6 +233,27 @@ class TestSqDists:
         cut = _off_diagonal(sq)
         np.testing.assert_array_equal(cut, sq[~np.eye(m, dtype=bool)].reshape(m, m - 1))
         assert cut.flags.c_contiguous and not np.shares_memory(cut, sq)
+
+    @pytest.mark.parametrize("m", [501, 1200])
+    def test_sampled_viewer_cut_equals_mask(self, m):
+        # the rows a sampled-viewer cluster tests: each viewer's distances
+        # without its own, cut by flat index, equal the boolean-mask cut
+        members = np.random.default_rng([99, m]).normal(size=(m, 3))
+        tested = []
+
+        class Recording:
+            viewer_fraction = 0.5
+
+            def test_rows(self, Y):
+                tested.append(Y.copy())
+                return np.zeros(len(Y)), np.zeros(len(Y), dtype=bool)
+
+        _viewer_fraction(Recording(), members, np.random.default_rng(7), {})
+        viewers = np.random.default_rng(7).choice(m, size=100, replace=False)
+        sq = _sq_dists(members[viewers], members)
+        others = np.ones(sq.shape, dtype=bool)
+        others[np.arange(100), viewers] = False
+        np.testing.assert_array_equal(tested[0], np.sqrt(sq[others].reshape(100, m - 1)))
 
     def test_empty_operands(self):
         A, B = np.ones((3, 4)), np.ones((2, 4))
@@ -878,6 +908,8 @@ class TestBatchedViewers:
                                        (DipViewerCriterion(), 4, "dip test")):
             with pytest.raises(ValueError, match="expected a 2-d array of rows"):
                 criterion.test_rows(np.arange(20.0))
+            with pytest.raises(ValueError, match=r"got shape \(\)"):
+                criterion.test_rows(5.0)
             # too few columns, even none, is refused before any moment is
             # formed: no numpy warning on the way
             for n in (0, 1, min_n - 1):

@@ -68,6 +68,12 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=r"^dataset 'big' \(.*\): line 3: field larger"):
             load_csv(DatasetManifest(name="big", path=str(p)))
 
+    def test_bom_dropped_before_header(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("\ufefflab,x\nu,1\nv,2\n", encoding="utf-8")
+        data = load_csv(DatasetManifest(name="d", path=str(p), label_column="lab"))
+        assert data.labels.tolist() == ["u", "v"]
+
     def test_missing_label_column(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b\n1,2\n")
@@ -129,6 +135,19 @@ class TestResultsRoundTrip:
                     assert abs(b[field] - orig) < 1e-12
             assert b["method"] == rec.method
             assert b["runs"] == rec.runs and b["seed"] == rec.seed
+
+    def test_csv_cells_typed_by_field(self, tmp_path):
+        # a numeric-looking dataset name stays text, and a seed above 2**53
+        # keeps every digit
+        p = tmp_path / "r.csv"
+        rec = BenchmarkRecord(method="gmeans", dataset="2023", k_mean=2.0, runs=3,
+                              seed=2**60 + 1)
+        write_results([rec], p, format="csv")
+        back = read_results(p)[0]
+        assert back["dataset"] == "2023" and back["method"] == "gmeans"
+        assert type(back["seed"]) is int and back["seed"] == 2**60 + 1
+        assert type(back["runs"]) is int and back["runs"] == 3
+        assert type(back["k_mean"]) is float and back["separation"] is None
 
     def test_table1_row_schema(self, tmp_path):
         p = tmp_path / "row.json"

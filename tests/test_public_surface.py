@@ -7,16 +7,19 @@ completion. The criteria must stay subclassable the way
 ``perfbench/execute.py`` wraps them (a copy of that wrapping here, and
 perfbench's own), and the calibration tables callable in the forms its
 layer rows use. No module imports a name it never uses,
-and importing the package leaves ``scipy.stats`` unloaded.
+and importing the package leaves ``scipy.stats`` unloaded. The count of
+settable values (parameters, dataclass fields, command-line options) may
+not grow unnoticed.
 """
 
+import argparse
 import ast
 import importlib
 import inspect
 import os
 import subprocess
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +43,7 @@ from sigcluster import (
     run_method,
 )
 from sigcluster import clustering
+from sigcluster.cli import build_parser
 from sigcluster.clustering import CLUSTERERS, TEST_CRITERIA
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -209,6 +213,44 @@ def test_perfbench_names_and_timed_criteria(perfbench_modules):
 def test_all_entries_resolve():
     missing = [name for name in sigcluster.__all__ if not hasattr(sigcluster, name)]
     assert not missing
+
+
+# the settable values this surface has; raise it only with a new option
+# that is meant to be there
+SETTABLE_VALUES = 172
+
+
+def settable_values() -> int:
+    """The values a user can set: the parameters of each public function
+    and the fields of each public dataclass in ``sigcluster.__all__``
+    (other classes and constants count nothing), plus every command-line
+    option of every subcommand (not the positional inputs, not --help)
+    and one for the subcommand itself."""
+    count = 0
+    for name in sigcluster.__all__:
+        obj = getattr(sigcluster, name)
+        if isinstance(obj, type):
+            count += len(fields(obj)) if is_dataclass(obj) else 0
+        elif callable(obj):
+            count += len(inspect.signature(obj).parameters)
+
+    def options(parser):
+        total = 0
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                total += 1 + sum(options(sub) for sub in action.choices.values())
+            elif action.option_strings and not isinstance(action, argparse._HelpAction):
+                total += 1
+        return total
+
+    return count + options(build_parser())
+
+
+def test_settable_values_capped():
+    count = settable_values()
+    assert count <= SETTABLE_VALUES, (
+        f"{count} settable values, above {SETTABLE_VALUES}: a new parameter, field or "
+        "option must raise SETTABLE_VALUES in the same change")
 
 
 def _src_env() -> dict:
