@@ -106,6 +106,9 @@ def run_test_benchmark(separations=DEFAULT_SEPARATIONS, runs: int = 100,
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
+    for method in methods:
+        if method not in TEST_CRITERIA:
+            raise ValueError(f"unknown method {method!r}; expected one of {TEST_METHODS}")
     data = {
         sep: [_sweep_sample(sep, _substream_seed(seed, si, r)) for r in range(runs)]
         for si, sep in enumerate(separations)

@@ -31,7 +31,7 @@ from .benchmark import (
     run_test_benchmark,
 )
 from .clustering import METHOD_NAMES, TEST_CRITERIA, configured, project_split, run_method
-from .data_io import DatasetManifest, _sniff_header, bundled_manifest, load_csv, write_results
+from .data_io import DatasetManifest, bundled_manifest, load_csv, write_results
 from .errors import SigclusterError
 from .metrics import ari, vi
 from .sigtest import SignatureVariant, SigtestConfig, TestOutcome, _frozen_bounds
@@ -46,15 +46,9 @@ def _out_dir() -> Path:
     return Path(os.environ.get("SIGCLUSTER_OUT_DIR", "."))
 
 
-def _load_columns(path: str, delimiter: str):
-    """Read a numeric CSV as an (N, d) array, by the header rule of every
-    command (data_io._sniff_header)."""
-    return load_csv(_sniff_header(DatasetManifest(name=Path(path).stem, path=path,
-                                                  delimiter=delimiter))).rows
-
-
 def cmd_test(args) -> int:
-    rows = _load_columns(args.input, args.delimiter)
+    rows = load_csv(DatasetManifest(name=Path(args.input).stem, path=args.input,
+                                    delimiter=args.delimiter)).rows
     if rows.shape[1] > 1:
         if args.centroid1 is None or args.centroid2 is None:
             print(
@@ -103,9 +97,8 @@ def _manifest_from_args(token: str, args) -> DatasetManifest:
             label = int(label)
         except ValueError:
             pass
-    return _sniff_header(DatasetManifest(name=Path(token).stem, path=token,
-                                         label_column=label, delimiter=args.delimiter,
-                                         standardize=args.standardize))
+    return DatasetManifest(name=Path(token).stem, path=token, label_column=label,
+                           delimiter=args.delimiter, standardize=args.standardize)
 
 
 # The memoized per-N calibrations a clustering run reads: the signature

@@ -35,17 +35,17 @@ class DatasetManifest:
     """Where and how to read one delimited dataset.
 
     ``label_column`` is a header name or 0-based index (None for
-    unlabeled data); ``standardize`` asks the loader for per-column
-    mean-0/std-1 features, and is recorded by the benchmark so results
-    state which setting produced them. ``expected_k`` is the ground-truth
-    number of classes when known.
+    unlabeled data); whether the file has a header row is decided by
+    :func:`load_csv` from that row. ``standardize`` asks the loader for
+    per-column mean-0/std-1 features, and is recorded by the benchmark so
+    results state which setting produced them. ``expected_k`` is the
+    ground-truth number of classes when known.
     """
 
     name: str
     path: str
     label_column: int | str | None = None
     delimiter: str = ","
-    has_header: bool = True
     standardize: bool = False
     expected_k: int | None = None
 
@@ -72,21 +72,6 @@ def _read_rows(manifest: DatasetManifest) -> list[list[str]]:
         raise
 
 
-def _sniff_header(manifest: DatasetManifest) -> DatasetManifest:
-    """``manifest`` with has_header set by the command line's one rule on
-    the first row as load_csv reads it: a header when the label column is
-    given by name, or when one of the row's feature cells is not a
-    number."""
-    label = manifest.label_column
-    rows = _read_rows(manifest)
-    header = isinstance(label, str)
-    if rows and not header:
-        first = rows[0]
-        skip = label + len(first) if label is not None and label < 0 else label
-        header = not all(_is_number(cell) for c, cell in enumerate(first) if c != skip)
-    return dataclasses.replace(manifest, has_header=header)
-
-
 def _is_number(cell: str) -> bool:
     try:
         float(cell)
@@ -96,7 +81,12 @@ def _is_number(cell: str) -> bool:
 
 
 def load_csv(manifest: DatasetManifest) -> Dataset:
-    """Parse the manifest's file into a Dataset.
+    """Parse the manifest's file into a Dataset, reading it once.
+
+    The first row is a header when the label column is given by name, or
+    when one of its feature cells is not a number; otherwise it is data.
+    So a header-less numeric file keeps every row, and a header made only
+    of numbers is read as data unless the label column is named.
 
     Errors name the dataset; an unparseable numeric cell raises a
     ParseError with its 1-based row and column. Rows keep file order.
@@ -104,7 +94,7 @@ def load_csv(manifest: DatasetManifest) -> Dataset:
     Raises
     ------
     EmptyDatasetError
-        If no data rows are present.
+        If the file has no rows, or a header and no data rows.
     MissingLabelColumnError
         If the configured label column cannot be resolved.
     ParseError
@@ -114,37 +104,38 @@ def load_csv(manifest: DatasetManifest) -> Dataset:
     """
     where = f"dataset {manifest.name!r} ({manifest.path})"
     rows = _read_rows(manifest)
-    header = None
-    if manifest.has_header:
-        if not rows:
-            raise EmptyDatasetError(f"{where}: file is empty")
-        header = [h.strip() for h in rows[0]]
-        rows = rows[1:]
+    if not rows:
+        raise EmptyDatasetError(f"{where}: file is empty")
+    label = manifest.label_column
+    named = isinstance(label, str)
+    if named:  # a column named in the manifest needs a header
+        header = True
+    else:
+        skip = label + len(rows[0]) if label is not None and label < 0 else label
+        header = not all(_is_number(cell) for c, cell in enumerate(rows[0]) if c != skip)
+    names = [h.strip() for h in rows.pop(0)] if header else None
     if not rows:
         raise EmptyDatasetError(f"{where}: no data rows")
 
     ncols = len(rows[0])
     label_idx = None
-    if manifest.label_column is not None:
-        if isinstance(manifest.label_column, str):
-            if header is None or manifest.label_column not in header:
-                raise MissingLabelColumnError(
-                    f"{where}: no column named {manifest.label_column!r}"
-                )
-            label_idx = header.index(manifest.label_column)
-        else:
-            label_idx = int(manifest.label_column)
-            if label_idx < 0:
-                label_idx += ncols
-            if not 0 <= label_idx < ncols:
-                raise MissingLabelColumnError(
-                    f"{where}: label column index {manifest.label_column} "
-                    f"out of range for {ncols} columns"
-                )
+    if named:
+        if label not in names:
+            raise MissingLabelColumnError(f"{where}: no column named {label!r}")
+        label_idx = names.index(label)
+    elif label is not None:
+        label_idx = int(label)
+        if label_idx < 0:
+            label_idx += ncols
+        if not 0 <= label_idx < ncols:
+            raise MissingLabelColumnError(
+                f"{where}: label column index {label} "
+                f"out of range for {ncols} columns"
+            )
 
     features = []
     labels = [] if label_idx is not None else None
-    for r, row in enumerate(rows, start=2 if manifest.has_header else 1):
+    for r, row in enumerate(rows, start=2 if header else 1):
         if len(row) != ncols:
             raise ParseError(
                 f"{where}: row {r} has {len(row)} cells, expected {ncols}",
@@ -239,8 +230,9 @@ def read_results(path, format: str | None = None) -> list[dict]:
     if format == "json":
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        if doc.get("schema_version") != RESULTS_SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema_version in {path}")
+        version = doc.get("schema_version") if isinstance(doc, dict) else None
+        if version != RESULTS_SCHEMA_VERSION or "records" not in doc:
+            raise ValueError(f"{path}: not a schema_version {RESULTS_SCHEMA_VERSION} results file")
         return doc["records"]
     with open(path, newline="", encoding="utf-8") as fh:
         return [{key: None if not val else _CSV_TYPES.get(key, float)(val)

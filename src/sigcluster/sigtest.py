@@ -67,8 +67,8 @@ class SigtestConfig:
     variant: SignatureVariant = SignatureVariant.SIGNATURE1
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < self.gamma < np.inf:  # refuses NaN too
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
 

@@ -15,6 +15,7 @@ from sigcluster import (
     run_test_benchmark,
     time_method,
 )
+from sigcluster import benchmark
 from sigcluster.data_io import DatasetManifest
 from sigcluster.errors import ParseError
 
@@ -56,6 +57,13 @@ class TestRunTestBenchmark:
             assert 0.0 <= rec.success_rate <= 100.0
             assert rec.runs == 6 and rec.seed == 123
             assert rec.mean_time_s > 0
+
+    def test_unknown_method_refused_before_sampling(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(benchmark, "_sweep_sample", lambda *a: drawn.append(a))
+        with pytest.raises(ValueError, match=r"'bogus'; expected one of \('sigtest1'"):
+            run_test_benchmark(methods=("sigtest1", "bogus"), runs=2)
+        assert drawn == []
 
     def test_single_run_reproducible(self):
         a = run_test_benchmark(separations=(2.5,), runs=1, seed=9,
@@ -129,7 +137,7 @@ class TestRunClusterBenchmark:
         rng = np.random.default_rng(0)
         rows = np.vstack([rng.normal(size=(40, 2)), rng.normal(size=(40, 2)) + 12])
         p.write_text("\n".join(",".join(f"{v}" for v in r) for r in rows) + "\n")
-        manifest = DatasetManifest(name="u", path=str(p), has_header=False)
+        manifest = DatasetManifest(name="u", path=str(p))
         recs = run_cluster_benchmark([manifest], methods=("gmeans+",), runs=2, seed=0)
         assert recs[0].vi_mean is None and recs[0].ari_mean is None
         assert recs[0].k_mean == 2.0

@@ -12,6 +12,7 @@ from sigcluster import (
     gen_two_clusters,
     read_results,
 )
+from sigcluster import data_io
 from sigcluster.baselines import AD_ALPHA, KS_ALPHA
 from sigcluster.cli import main
 from sigcluster.sigtest import MIN_SAMPLES
@@ -123,6 +124,13 @@ class TestTestCommand:
                      encoding="utf-8")
         assert main(["test", str(p)]) == 0
         assert json.loads(capsys.readouterr().out)["N"] == 50
+
+    def test_nan_gamma_exit_1(self, bimodal_csv, capsys):
+        # used to report "unimodal" for every sample
+        assert main(["test", "--gamma", "nan", bimodal_csv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: gamma must be positive")
+        assert captured.out == ""
 
     def test_defaults_echo_the_tests_own_level(self, unimodal_csv, capsys):
         # only AD and KS have a level; --alpha sets it for both
@@ -308,6 +316,24 @@ class TestBenchCommands:
         assert main(["bench-cluster", "--datasets", str(p)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: dataset 'big'") and "line 3: field larger" in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["test"], id="test"),
+    pytest.param(["cluster", "--method", "gmeans"], id="cluster"),
+    pytest.param(["bench-cluster", "--methods", "gmeans", "--runs", "1", "--datasets"],
+                 id="bench-cluster"),
+])
+def test_csv_path_read_once(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("SIGCLUSTER_OUT_DIR", str(tmp_path))
+    reads = []
+    read_rows = data_io._read_rows
+    monkeypatch.setattr(data_io, "_read_rows", lambda m: reads.append(m.path) or read_rows(m))
+    y = np.random.default_rng(28).normal(size=100)
+    p = tmp_path / "y.csv"
+    p.write_text("\n".join(f"{v}" for v in y) + "\n")
+    assert main([*argv, str(p)]) == 0
+    assert reads == [str(p)]
 
 
 def test_console_entry_point(tmp_path):

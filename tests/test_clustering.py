@@ -679,7 +679,7 @@ class TestRegistry:
         data = gen_gaussian(64, dimension=2, seed=0)
         with pytest.raises(ValueError, match=r"'kmeans'; expected one of \('gmeans'"):
             run_method("kmeans", data)
-        with pytest.raises(KeyError, match="sigtest3"):
+        with pytest.raises(ValueError, match=r"'sigtest3'; expected one of \('sigtest1'"):
             run_test_benchmark(runs=1, methods=("sigtest3",), timing_runs=0)
 
 

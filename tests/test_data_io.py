@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from sigcluster import (
     read_results,
     write_results,
 )
+from sigcluster import data_io
 from sigcluster.errors import (
     EmptyDatasetError,
     MissingLabelColumnError,
@@ -34,10 +37,31 @@ class TestLoadCsv:
     def test_label_by_index_and_order_preserved(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("5,1,a\n6,2,b\n7,3,c\n")
-        data = load_csv(DatasetManifest(name="d", path=str(p),
-                                        label_column=2, has_header=False))
+        data = load_csv(DatasetManifest(name="d", path=str(p), label_column=2))
         np.testing.assert_array_equal(data.rows, [[5, 1], [6, 2], [7, 3]])
         assert data.labels.tolist() == ["a", "b", "c"]
+
+    def test_headerless_numeric_file_keeps_every_row(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("1,2\n3,4\n5,6\n")
+        data = load_csv(DatasetManifest(name="d", path=str(p)))
+        np.testing.assert_array_equal(data.rows, [[1, 2], [3, 4], [5, 6]])
+
+    def test_text_first_row_is_header(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("x,1\n3,4\n5,6\n")
+        data = load_csv(DatasetManifest(name="d", path=str(p)))
+        np.testing.assert_array_equal(data.rows, [[3, 4], [5, 6]])
+
+    def test_numeric_first_row_is_header_when_label_named(self, tmp_path, monkeypatch):
+        # a named label column decides the header without reading its cells
+        monkeypatch.setattr(data_io, "_is_number", None)
+        p = tmp_path / "d.csv"
+        p.write_text("0,1,cls\n5,6,a\n7,8,b\n")
+        data = load_csv(DatasetManifest(name="d", path=str(p), label_column="cls"))
+        np.testing.assert_array_equal(data.rows, [[5, 6], [7, 8]])
+        assert data.labels.tolist() == ["a", "b"]
+        assert load_csv(bundled_manifest("iris")).rows.shape == (150, 4)
 
     def test_negative_label_index(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -155,6 +179,17 @@ class TestResultsRoundTrip:
         rec = read_results(p)[0]
         for key in ("method", "separation", "success_rate", "mean_time_s"):
             assert rec[key] is not None
+
+    @pytest.mark.parametrize("doc", [
+        pytest.param([], id="list"),
+        pytest.param({"schema_version": 1}, id="no-records"),
+        pytest.param({"schema_version": 2, "records": []}, id="other-version"),
+    ])
+    def test_malformed_json_refused(self, tmp_path, doc):
+        p = tmp_path / "r.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="not a schema_version 1 results file"):
+            read_results(p)
 
     def test_rejects_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):

@@ -45,6 +45,12 @@ class TestConfig:
         with pytest.raises(TypeError):  # the minimum is fixed, not a knob
             SigtestConfig(min_samples=4)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf])
+    def test_non_finite_gamma_refused(self, gamma):
+        # a NaN or infinite band used to flag no index: C = 0 on any sample
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            SigtestConfig(gamma=gamma)
+
 
 class TestComputeSignature:
     def test_zeros_map_to_zero(self):
