@@ -109,10 +109,11 @@ def run_test_benchmark(separations=DEFAULT_SEPARATIONS, runs: int = 100,
     for method in methods:
         if method not in TEST_CRITERIA:
             raise ValueError(f"unknown method {method!r}; expected one of {TEST_METHODS}")
-    data = {
-        sep: [_sweep_sample(sep, _substream_seed(seed, si, r)) for r in range(runs)]
-        for si, sep in enumerate(separations)
-    }
+    data, timing_inputs = {}, {}
+    for si, sep in enumerate(separations):
+        data[sep] = [_sweep_sample(sep, _substream_seed(seed, si, r)) for r in range(runs)]
+        timing_inputs[sep] = [_sweep_sample(sep, _substream_seed(seed, 1000 + si, r))
+                              for r in range(timing_runs)]
 
     records = []
     for method in methods:
@@ -120,11 +121,9 @@ def run_test_benchmark(separations=DEFAULT_SEPARATIONS, runs: int = 100,
         ks_alpha = alpha_ks if isinstance(criterion, KSCriterion) else None  # AD keeps its own
         criterion = configured(criterion, gamma=sigtest_config.gamma,
                                threshold=sigtest_config.threshold, alpha=ks_alpha)
-        for si, sep in enumerate(separations):
+        for sep in separations:
             successes = sum(criterion.test(y)[1] for y in data[sep])
-            timing_inputs = [_sweep_sample(sep, _substream_seed(seed, 1000 + si, r))
-                             for r in range(timing_runs)]
-            mean_t = time_method(criterion.decide, timing_inputs) if timing_runs else None
+            mean_t = time_method(criterion.decide, timing_inputs[sep]) if timing_runs else None
             records.append(BenchmarkRecord(
                 method=method, separation=float(sep),
                 success_rate=100.0 * successes / runs,

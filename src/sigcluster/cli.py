@@ -165,8 +165,8 @@ def cmd_bench_tests(args) -> int:
           f"gamma={args.gamma} threshold={args.threshold} "
           f"alpha_ks={args.alpha} timing_runs={args.timing_runs}")
     print(format_test_table(records))
-    out = _out_dir() / (args.output or f"bench_tests.{args.format}")
-    write_results(records, out, format=args.format)
+    out = _out_dir() / (args.output or "bench_tests.json")
+    write_results(records, out)
     print(f"records written to {out}")
     return EXIT_OK
 
@@ -183,8 +183,8 @@ def cmd_bench_cluster(args) -> int:
           f"gamma={args.gamma} threshold={args.threshold} "
           f"standardize={standardized}")
     print(format_cluster_table(records))
-    out = _out_dir() / (args.output or f"bench_cluster.{args.format}")
-    write_results(records, out, format=args.format)
+    out = _out_dir() / (args.output or "bench_cluster.json")
+    write_results(records, out)
     print(f"records written to {out}")
     return EXIT_OK
 
@@ -195,6 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Signature-based unimodality testing and cluster-count estimation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    results_help = "results file: CSV when its name ends in .csv, else JSON"
 
     def common_test_opts(p, delimiter=True):
         p.add_argument("--gamma", type=float, default=SigtestConfig.gamma,
@@ -241,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=KS_ALPHA,
                    help=f"KS significance (default {KS_ALPHA:g})")
     p.add_argument("--timing-runs", type=int, default=10)
-    p.add_argument("--output", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--output", default=None, help=results_help)
     seeded_opts(p, delimiter=False)
     p.set_defaults(func=cmd_bench_tests)
 
@@ -254,8 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", type=int, choices=(1, 2), default=1)
     p.add_argument("--label-column", default=None)
     p.add_argument("--standardize", action="store_true")
-    p.add_argument("--output", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--output", default=None, help=results_help)
     seeded_opts(p)
     p.set_defaults(func=cmd_bench_cluster)
 

@@ -632,11 +632,14 @@ def dipmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult
     per round.
 
     ``criterion`` needs ``test_rows`` and a ``viewer_fraction`` (else a
-    TypeError): CLUSTERERS pairs this family with DipViewerCriterion
-    (classic dip-means, 0.01) and SigtestCriterion (dip-means+, 0.15).
+    TypeError naming each it lacks, before any clustering): CLUSTERERS
+    pairs this family with DipViewerCriterion (classic dip-means, 0.01)
+    and SigtestCriterion (dip-means+, 0.15).
     """
-    if not hasattr(criterion, "viewer_fraction"):
-        raise TypeError(f"dipmeans_family needs a viewer_fraction; {criterion!r} has none")
+    missing = [name for name in ("test_rows", "viewer_fraction") if not hasattr(criterion, name)]
+    if missing:
+        raise TypeError(f"dipmeans_family needs test_rows and a viewer_fraction; "
+                        f"{criterion!r} has no {' and no '.join(missing)}")
 
     kept = {}  # member-row bytes -> viewer fraction of an all-viewer cluster kept whole
 

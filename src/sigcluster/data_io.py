@@ -1,9 +1,11 @@
 """Loading benchmark datasets from delimited text and persisting results.
 
 Two small CSVs ship with the package (UCI iris and wheat-seeds); their
-manifests are available through :func:`bundled_manifest`. Result records
-are written as JSON (schema-versioned) or CSV with a fixed column order;
-both formats round-trip exactly through :func:`read_results`.
+manifests are available through :func:`bundled_manifest`. A results
+file's name states its format: :func:`write_results` writes and
+:func:`read_results` reads CSV (a fixed column order) when the name ends
+in ``.csv``, in any case, and schema-versioned JSON otherwise. Both
+formats round-trip exactly.
 """
 
 import csv
@@ -98,9 +100,10 @@ def load_csv(manifest: DatasetManifest) -> Dataset:
     MissingLabelColumnError
         If the configured label column cannot be resolved.
     ParseError
-        On the first bad numeric cell, if the file is not UTF-8 text, or
-        if the csv module cannot split a line (the message names its
-        1-based line number).
+        On the first bad numeric cell, on a row (the header included)
+        whose cell count differs from the first data row's, if the file
+        is not UTF-8 text, or if the csv module cannot split a line (the
+        message names its 1-based line number).
     """
     where = f"dataset {manifest.name!r} ({manifest.path})"
     rows = _read_rows(manifest)
@@ -108,30 +111,27 @@ def load_csv(manifest: DatasetManifest) -> Dataset:
         raise EmptyDatasetError(f"{where}: file is empty")
     label = manifest.label_column
     named = isinstance(label, str)
-    if named:  # a column named in the manifest needs a header
-        header = True
-    else:
-        skip = label + len(rows[0]) if label is not None and label < 0 else label
-        header = not all(_is_number(cell) for c, cell in enumerate(rows[0]) if c != skip)
+    # a negative index counts from the end of the first row
+    label_idx = None if named or label is None else int(label) + (len(rows[0]) if label < 0 else 0)
+    # a column named in the manifest needs a header
+    header = named or not all(_is_number(cell) for c, cell in enumerate(rows[0]) if c != label_idx)
     names = [h.strip() for h in rows.pop(0)] if header else None
     if not rows:
         raise EmptyDatasetError(f"{where}: no data rows")
 
     ncols = len(rows[0])
-    label_idx = None
+    if header and len(names) != ncols:
+        raise ParseError(f"{where}: row 1 has {len(names)} cells, expected {ncols}",
+                         row=1, column=None)
     if named:
         if label not in names:
             raise MissingLabelColumnError(f"{where}: no column named {label!r}")
         label_idx = names.index(label)
-    elif label is not None:
-        label_idx = int(label)
-        if label_idx < 0:
-            label_idx += ncols
-        if not 0 <= label_idx < ncols:
-            raise MissingLabelColumnError(
-                f"{where}: label column index {label} "
-                f"out of range for {ncols} columns"
-            )
+    elif label is not None and not 0 <= label_idx < ncols:
+        raise MissingLabelColumnError(
+            f"{where}: label column index {label} "
+            f"out of range for {ncols} columns"
+        )
 
     features = []
     labels = [] if label_idx is not None else None
@@ -187,54 +187,59 @@ def bundled_manifest(name: str) -> DatasetManifest:
 
 
 def _record_to_dict(record) -> dict:
+    """A record as a dict of plain values: a numpy scalar, such as the
+    success rate of ``runs=np.int64(3)``, becomes the Python number it
+    holds, which both formats store."""
     if dataclasses.is_dataclass(record) and not isinstance(record, type):
         record = dataclasses.asdict(record)
-    return dict(record)
+    return {key: val.item() if isinstance(val, np.generic) else val
+            for key, val in record.items()}
 
 
-def write_results(records, path, format: str = "json") -> None:
-    """Write benchmark records to ``path`` as JSON or CSV.
+def _is_csv(path) -> bool:
+    """The results format rule of write_results and read_results: CSV
+    when the file's suffix is .csv (any case), JSON otherwise."""
+    return Path(path).suffix.lower() == ".csv"
+
+
+def write_results(records, path) -> None:
+    """Write benchmark records to ``path``: as CSV when its name ends in
+    .csv (any case), as JSON otherwise, the rule :func:`read_results`
+    reads by.
 
     JSON carries a schema_version envelope; CSV uses the fixed
     RESULT_FIELDS column order with empty cells for absent fields. An
     empty record list produces a valid empty document either way.
     """
     records = [_record_to_dict(r) for r in records]
-    path = Path(path)
-    if format == "json":
-        doc = {"schema_version": RESULTS_SCHEMA_VERSION, "records": records}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    elif format == "csv":
+    if _is_csv(path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(RESULT_FIELDS)
-            for rec in records:
-                writer.writerow([
-                    "" if rec.get(f) is None else repr(rec[f]) if isinstance(rec[f], float) else rec[f]
-                    for f in RESULT_FIELDS
-                ])
-    else:
-        raise ValueError(f"unknown format {format!r}; use 'json' or 'csv'")
+            writer.writerows(
+                ["" if rec.get(f) is None else repr(rec[f]) if isinstance(rec[f], float) else rec[f]
+                 for f in RESULT_FIELDS]
+                for rec in records)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"schema_version": RESULTS_SCHEMA_VERSION, "records": records},
+                  fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-def read_results(path, format: str | None = None) -> list[dict]:
-    """Read records written by :func:`write_results` (format from suffix
-    when not given). A CSV cell is typed by its field: method and dataset
-    as text, runs and seed as int, every other field as float, and an
-    empty cell as None."""
-    path = Path(path)
-    if format is None:
-        format = "csv" if path.suffix.lower() == ".csv" else "json"
-    if format == "json":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        version = doc.get("schema_version") if isinstance(doc, dict) else None
-        if version != RESULTS_SCHEMA_VERSION or "records" not in doc:
-            raise ValueError(f"{path}: not a schema_version {RESULTS_SCHEMA_VERSION} results file")
-        return doc["records"]
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [{key: None if not val else _CSV_TYPES.get(key, float)(val)
-                 for key, val in row.items()}
-                for row in csv.DictReader(fh)]
+def read_results(path) -> list[dict]:
+    """Read records written by :func:`write_results`: CSV when the name
+    ends in .csv (any case), JSON otherwise. A CSV cell is typed by its
+    field: method and dataset as text, runs and seed as int, every other
+    field as float, and an empty cell as None."""
+    if _is_csv(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            return [{key: None if not val else _CSV_TYPES.get(key, float)(val)
+                     for key, val in row.items()}
+                    for row in csv.DictReader(fh)]
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or doc.get("schema_version") != RESULTS_SCHEMA_VERSION \
+            or "records" not in doc:
+        raise ValueError(f"{path}: not a schema_version {RESULTS_SCHEMA_VERSION} results file")
+    return doc["records"]

@@ -343,7 +343,7 @@ def test_criterion_8_benchmark_determinism(tmp_path):
         recs += run_cluster_benchmark(["iris"], methods=("gmeans+",),
                                       runs=2, seed=99)
         p = tmp_path / f"run{i}.json"
-        write_results(strip_timing(recs), p, format="json")
+        write_results(strip_timing(recs), p)
         paths.append(p)
     a = paths[0].read_bytes()
     b = paths[1].read_bytes()

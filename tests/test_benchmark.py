@@ -65,6 +65,16 @@ class TestRunTestBenchmark:
             run_test_benchmark(methods=("sigtest1", "bogus"), runs=2)
         assert drawn == []
 
+    def test_samples_drawn_once_per_separation(self, monkeypatch):
+        # the success and timing samples of a separation serve every method
+        drawn = []
+        sample = benchmark._sweep_sample
+        monkeypatch.setattr(benchmark, "_sweep_sample",
+                            lambda *a: drawn.append(a) or sample(*a))
+        run_test_benchmark(separations=(2.0, 3.0), runs=3, methods=("sigtest1", "ad", "ks"),
+                           timing_runs=2)
+        assert len(drawn) == 2 * (3 + 2)
+
     def test_single_run_reproducible(self):
         a = run_test_benchmark(separations=(2.5,), runs=1, seed=9,
                                methods=("sigtest1",), timing_runs=0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from sigcluster import (
     gen_two_clusters,
     read_results,
 )
-from sigcluster import data_io
+from sigcluster import cli, data_io
 from sigcluster.baselines import AD_ALPHA, KS_ALPHA
 from sigcluster.cli import main
 from sigcluster.sigtest import MIN_SAMPLES
@@ -268,13 +269,31 @@ class TestBenchCommands:
     def test_bench_tests_rerun_identical_stats(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SIGCLUSTER_OUT_DIR", str(tmp_path))
         argv = ["bench-tests", "--separations", "2.5", "--runs", "4",
-                "--seed", "3", "--timing-runs", "0", "--format", "csv"]
+                "--seed", "3", "--timing-runs", "0"]
         main(argv + ["--output", "a.csv"])
         main(argv + ["--output", "b.csv"])
         capsys.readouterr()
         a = (tmp_path / "a.csv").read_text()
         b = (tmp_path / "b.csv").read_text()
         assert a == b  # timing disabled: outputs byte-identical
+
+    @pytest.mark.parametrize("name", ["r.json", "r.csv", "R.CSV", "r.out"])
+    @pytest.mark.parametrize("command, runner, argv", [
+        ("bench-tests", "run_test_benchmark",
+         ["--separations", "2.5", "--runs", "3", "--timing-runs", "0"]),
+        ("bench-cluster", "run_cluster_benchmark",
+         ["--datasets", "iris", "--methods", "gmeans", "--runs", "2"]),
+    ])
+    def test_output_name_states_format(self, tmp_path, capsys, monkeypatch,
+                                       command, runner, argv, name):
+        # the file the command writes is the one read_results reads back
+        monkeypatch.setenv("SIGCLUSTER_OUT_DIR", str(tmp_path))
+        made = []
+        run = getattr(cli, runner)
+        monkeypatch.setattr(cli, runner, lambda *a, **kw: made.extend(run(*a, **kw)) or made)
+        assert main([command, *argv, "--output", name]) == 0
+        assert capsys.readouterr().out.endswith(f"records written to {tmp_path / name}\n")
+        assert read_results(tmp_path / name) == [dataclasses.asdict(r) for r in made]
 
     def test_bench_tests_reads_no_file(self, capsys):
         # bench-tests generates its samples, so it takes no --delimiter

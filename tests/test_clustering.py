@@ -1,5 +1,7 @@
 import tracemalloc
 import warnings
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -577,6 +579,20 @@ class TestDipmeansFamily:
         for criterion in (ADCriterion(), KSCriterion()):
             with pytest.raises(TypeError, match="viewer_fraction"):
                 dipmeans_family(data, criterion, seed=0)
+
+    def test_rejects_criterion_without_test_rows(self, monkeypatch):
+        # a viewer fraction alone is not enough: the viewers test in one
+        # test_rows call, so the lack is refused before any clustering
+        @dataclass(frozen=True)
+        class ViewingAD(ADCriterion):
+            viewer_fraction: ClassVar[float] = 0.01
+
+        monkeypatch.setattr(clustering, "_split_loop", None)
+        data = gen_gaussian(64, dimension=2, seed=0)
+        with pytest.raises(TypeError, match=r"ViewingAD\(.*\) has no test_rows$"):
+            dipmeans_family(data, ViewingAD(), seed=0)
+        with pytest.raises(TypeError, match=r"has no test_rows and no viewer_fraction$"):
+            dipmeans_family(data, KSCriterion(), seed=0)
 
     def test_single_gaussian_stays_whole(self):
         hits = 0

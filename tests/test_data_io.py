@@ -9,6 +9,7 @@ from sigcluster import (
     bundled_manifest,
     load_csv,
     read_results,
+    run_test_benchmark,
     write_results,
 )
 from sigcluster import data_io
@@ -92,6 +93,19 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=r"^dataset 'big' \(.*\): line 3: field larger"):
             load_csv(DatasetManifest(name="big", path=str(p)))
 
+    @pytest.mark.parametrize("text, got, want", [
+        pytest.param("a,b,c,label\n1,2,3\n4,5,6\n", 4, 3, id="wide-header"),
+        pytest.param("a,b,label\n1,2,3,x\n4,5,6,y\n", 3, 4, id="narrow-header"),
+    ])
+    def test_header_width_checked(self, tmp_path, text, got, want):
+        # the header is held to the first data row's width, as each data row is
+        p = tmp_path / "w.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=rf"^dataset 'w' \(.*\): row 1 has {got} cells, "
+                                             rf"expected {want}$") as exc:
+            load_csv(DatasetManifest(name="w", path=str(p), label_column="label"))
+        assert (exc.value.row, exc.value.column) == (1, None)
+
     def test_bom_dropped_before_header(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("\ufefflab,x\nu,1\nv,2\n", encoding="utf-8")
@@ -132,13 +146,13 @@ class TestResultsRoundTrip:
     def test_empty_documents_valid(self, tmp_path):
         for fmt in ("json", "csv"):
             p = tmp_path / f"empty.{fmt}"
-            write_results([], p, format=fmt)
+            write_results([], p)
             assert read_results(p) == []
 
     def test_json_round_trip_identical(self, tmp_path):
         p = tmp_path / "r.json"
         recs = self.records()
-        write_results(recs, p, format="json")
+        write_results(recs, p)
         back = read_results(p)
         for rec, b in zip(recs, back):
             for field, val in b.items():
@@ -147,7 +161,7 @@ class TestResultsRoundTrip:
     def test_csv_round_trip_identical(self, tmp_path):
         p = tmp_path / "r.csv"
         recs = self.records()
-        write_results(recs, p, format="csv")
+        write_results(recs, p)
         back = read_results(p)
         for rec, b in zip(recs, back):
             for field in ("success_rate", "k_mean", "vi_mean", "ari_mean",
@@ -166,7 +180,7 @@ class TestResultsRoundTrip:
         p = tmp_path / "r.csv"
         rec = BenchmarkRecord(method="gmeans", dataset="2023", k_mean=2.0, runs=3,
                               seed=2**60 + 1)
-        write_results([rec], p, format="csv")
+        write_results([rec], p)
         back = read_results(p)[0]
         assert back["dataset"] == "2023" and back["method"] == "gmeans"
         assert type(back["seed"]) is int and back["seed"] == 2**60 + 1
@@ -175,7 +189,7 @@ class TestResultsRoundTrip:
 
     def test_table1_row_schema(self, tmp_path):
         p = tmp_path / "row.json"
-        write_results([self.records()[0]], p, format="json")
+        write_results([self.records()[0]], p)
         rec = read_results(p)[0]
         for key in ("method", "separation", "success_rate", "mean_time_s"):
             assert rec[key] is not None
@@ -191,9 +205,37 @@ class TestResultsRoundTrip:
         with pytest.raises(ValueError, match="not a schema_version 1 results file"):
             read_results(p)
 
-    def test_rejects_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_results([], tmp_path / "x.bin", format="parquet")
+    @pytest.mark.parametrize("name, csv_file", [
+        ("x.bin", False), ("x", False), ("x.csv.json", False), ("x.csv", True), ("X.CSV", True),
+    ])
+    def test_name_states_format(self, tmp_path, name, csv_file):
+        # CSV when the name ends in .csv (any case), JSON for any other name
+        p = tmp_path / name
+        recs = self.records()
+        write_results(recs, p)
+        text = p.read_text()
+        assert text.startswith("method,dataset,") == csv_file
+        if not csv_file:
+            assert json.loads(text)["schema_version"] == 1
+        back = read_results(p)
+        assert [b["method"] for b in back] == [r.method for r in recs]
+        assert [b["success_rate"] for b in back] == [r.success_rate for r in recs]
+
+    def test_numpy_scalars_stored_as_numbers(self, tmp_path):
+        # runs=np.int64 makes a numpy int and a numpy float in each record;
+        # both formats store them as the numbers plain ints give
+        kwargs = dict(separations=(2.5,), methods=("sigtest1",), timing_runs=0)
+        plain = run_test_benchmark(runs=3, seed=4, **kwargs)
+        scalars = run_test_benchmark(runs=np.int64(3), seed=np.int64(4), **kwargs)
+        assert isinstance(scalars[0].success_rate, np.float64)
+        for name in ("r.json", "r.csv"):
+            write_results(plain, tmp_path / f"plain_{name}")
+            write_results(scalars, tmp_path / f"np_{name}")
+            assert (tmp_path / f"np_{name}").read_bytes() == \
+                (tmp_path / f"plain_{name}").read_bytes()
+            back = read_results(tmp_path / f"np_{name}")[0]
+            assert back["runs"] == 3 and back["seed"] == 4
+            assert back["success_rate"] == plain[0].success_rate
 
 
 class TestRecordValidation:
