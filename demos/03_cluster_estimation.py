@@ -11,6 +11,8 @@ while a criterion says a cluster is not unimodal:
 Run: python demos/03_cluster_estimation.py
 """
 
+import numpy as np
+
 from sigcluster import (
     ari,
     bundled_manifest,
@@ -22,7 +24,7 @@ from sigcluster import (
 for name in ("iris", "seeds"):
     manifest = bundled_manifest(name)
     data = load_csv(manifest)
-    true_k = manifest.expected_k
+    true_k = len(np.unique(data.labels))
     print(f"{name}: N={data.n}, d={data.d}, true k={true_k}, "
           f"standardize={manifest.standardize}")
     for method in ("gmeans", "gmeans+", "dipmeans", "dipmeans+"):

@@ -28,7 +28,6 @@ from .benchmark import (
     format_test_table,
     run_cluster_benchmark,
     run_test_benchmark,
-    time_method,
 )
 from .clustering import (
     ADCriterion,
@@ -82,5 +81,5 @@ __all__ = [
     "lilliefors_reference", "lilliefors_table", "load_csv", "normalize",
     "project_split", "read_results", "run_cluster_benchmark", "run_method",
     "run_test_benchmark", "signature_moments", "sigtest", "sorted_abs",
-    "time_method", "vi", "write_results",
+    "vi", "write_results",
 ]

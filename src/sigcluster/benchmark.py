@@ -62,7 +62,7 @@ class BenchmarkRecord:
             raise ValueError("success_rate must lie in [0, 100]")
 
 
-def time_method(func, inputs) -> float:
+def _time_method(func, inputs) -> float:
     """Mean wall-clock seconds per call of ``func`` over ``inputs``.
 
     Monotonic clock; one extra warm-up call on the first input is
@@ -85,6 +85,16 @@ def time_method(func, inputs) -> float:
     return total / len(inputs)
 
 
+def _check_request(runs, methods, known) -> None:
+    """Refuse a run count or a method name before any work, with the
+    messages BenchmarkRecord and run_method would give later."""
+    if runs < 1:
+        raise ValueError("runs must be at least 1")
+    for method in methods:
+        if method not in known:
+            raise ValueError(f"unknown method {method!r}; expected one of {known}")
+
+
 def run_test_benchmark(separations=DEFAULT_SEPARATIONS, runs: int = 100,
                        seed: int = 7, methods=TEST_METHODS,
                        sigtest_config: SigtestConfig = SigtestConfig(),
@@ -102,13 +112,17 @@ def run_test_benchmark(separations=DEFAULT_SEPARATIONS, runs: int = 100,
     (AD_ALPHA, a DIP_BOOTSTRAP_B bootstrap). Timing uses ``timing_runs``
     additional samples per cell and times the criterion's ``decide``, the
     public test call, with its calibration table warm (see module
-    docstring).
+    docstring). Each separation is one cell, so a repeated one is refused;
+    every argument is checked before the first sample is drawn.
     """
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
-    for method in methods:
-        if method not in TEST_CRITERIA:
-            raise ValueError(f"unknown method {method!r}; expected one of {TEST_METHODS}")
+    _check_request(runs, methods, TEST_METHODS)
+    if timing_runs < 0:
+        raise ValueError("timing_runs must be nonnegative")
+    seen = set()
+    for sep in separations:
+        if sep in seen:
+            raise ValueError(f"separation {sep:g} is repeated; each separation is one cell")
+        seen.add(sep)
     data, timing_inputs = {}, {}
     for si, sep in enumerate(separations):
         data[sep] = [_sweep_sample(sep, _substream_seed(seed, si, r)) for r in range(runs)]
@@ -123,7 +137,7 @@ def run_test_benchmark(separations=DEFAULT_SEPARATIONS, runs: int = 100,
                                threshold=sigtest_config.threshold, alpha=ks_alpha)
         for sep in separations:
             successes = sum(criterion.test(y)[1] for y in data[sep])
-            mean_t = time_method(criterion.decide, timing_inputs[sep]) if timing_runs else None
+            mean_t = _time_method(criterion.decide, timing_inputs[sep]) if timing_runs else None
             records.append(BenchmarkRecord(
                 method=method, separation=float(sep),
                 success_rate=100.0 * successes / runs,
@@ -149,8 +163,10 @@ def run_cluster_benchmark(manifests, methods=METHOD_NAMES, runs: int = 20,
     Each run clusters the dataset with an independent seed substream.
     VI/ARI are reported against the manifest's label column and omitted
     for unlabeled data. A dataset that fails to load aborts with an error
-    naming it; no partial records are emitted for it.
+    naming it; no partial records are emitted for it. The run count and
+    every method name are checked before the first dataset is loaded.
     """
+    _check_request(runs, methods, METHOD_NAMES)
     records = []
     for di, manifest in enumerate(manifests):
         if isinstance(manifest, str):

@@ -31,7 +31,7 @@ from .benchmark import (
     run_test_benchmark,
 )
 from .clustering import METHOD_NAMES, TEST_CRITERIA, configured, project_split, run_method
-from .data_io import DatasetManifest, bundled_manifest, load_csv, write_results
+from .data_io import DatasetManifest, _is_csv, bundled_manifest, load_csv, write_results
 from .errors import SigclusterError
 from .metrics import ari, vi
 from .sigtest import SignatureVariant, SigtestConfig, TestOutcome, _frozen_bounds
@@ -123,6 +123,10 @@ def _cache_report(before: dict) -> dict:
 
 
 def cmd_cluster(args) -> int:
+    if args.output and _is_csv(args.output):
+        print(f"error: --output {args.output}: the cluster report is JSON; "
+              "a .csv name would give a file read_results cannot read", file=sys.stderr)
+        return EXIT_USAGE
     manifest = _manifest_from_args(args.input, args)
     data = load_csv(manifest)
     config = SigtestConfig(args.gamma, args.threshold, SignatureVariant(args.variant))
@@ -232,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="label column name or index for external CSVs")
     p.add_argument("--standardize", action="store_true",
                    help="standardize columns of external CSVs")
-    p.add_argument("--output", default=None, help="output JSON filename")
+    p.add_argument("--output", default=None, help="output JSON filename (not .csv)")
     seeded_opts(p)
     p.set_defaults(func=cmd_cluster)
 

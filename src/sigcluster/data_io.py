@@ -40,8 +40,7 @@ class DatasetManifest:
     unlabeled data); whether the file has a header row is decided by
     :func:`load_csv` from that row. ``standardize`` asks the loader for
     per-column mean-0/std-1 features, and is recorded by the benchmark so
-    results state which setting produced them. ``expected_k`` is the
-    ground-truth number of classes when known.
+    results state which setting produced them.
     """
 
     name: str
@@ -49,11 +48,6 @@ class DatasetManifest:
     label_column: int | str | None = None
     delimiter: str = ","
     standardize: bool = False
-    expected_k: int | None = None
-
-    def __post_init__(self):
-        if self.expected_k is not None and self.expected_k < 1:
-            raise ValueError("expected_k must be at least 1 when present")
 
 
 def _read_rows(manifest: DatasetManifest) -> list[list[str]]:
@@ -174,11 +168,11 @@ def bundled_manifest(name: str) -> DatasetManifest:
     manifests = {
         "iris": DatasetManifest(
             name="iris", path=str(base / "iris.csv"),
-            label_column="species", expected_k=3, standardize=False,
+            label_column="species", standardize=False,
         ),
         "seeds": DatasetManifest(
             name="seeds", path=str(base / "seeds.csv"),
-            label_column="variety", expected_k=3, standardize=True,
+            label_column="variety", standardize=True,
         ),
     }
     if name not in manifests:

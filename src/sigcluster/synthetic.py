@@ -15,14 +15,12 @@ from .dataset import Dataset
 
 @dataclass(frozen=True)
 class TwoClusterSpec:
-    """Two spherical Gaussian clusters at a controlled separation.
-
-    Centers sit at +-(separation * sigma)/2 along the first coordinate,
-    so ``separation`` is the center-to-center distance in sigma units.
+    """Two unit-variance spherical Gaussian clusters, centered at
+    +-separation/2 along the first coordinate: ``separation`` is the
+    center-to-center distance in standard deviations.
     """
 
     n_per_cluster: int = 100
-    sigma: float = 1.0
     separation: float = 2.0
     dimension: int = 1
     seed: int = 0
@@ -30,26 +28,22 @@ class TwoClusterSpec:
     def __post_init__(self):
         if self.n_per_cluster < 2:
             raise ValueError("n_per_cluster must be at least 2")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
         if self.separation < 0:
             raise ValueError("separation must be nonnegative")
         if self.dimension < 1:
             raise ValueError("dimension must be at least 1")
 
 
-def gen_gaussian(n: int, mean=0.0, sigma: float = 1.0, dimension: int = 1,
-                 seed: int = 0) -> Dataset:
-    """n i.i.d. draws from a spherical Gaussian, deterministic given seed."""
+def gen_gaussian(n: int, mean=0.0, dimension: int = 1, seed: int = 0) -> Dataset:
+    """n i.i.d. draws from a unit-variance spherical Gaussian centered at
+    ``mean``, deterministic given seed."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     if dimension < 1:
         raise ValueError("dimension must be at least 1")
     rng = np.random.default_rng([seed])
     center = np.broadcast_to(np.asarray(mean, dtype=np.float64), (dimension,))
-    rows = rng.normal(size=(n, dimension)) * sigma + center
+    rows = rng.normal(size=(n, dimension)) + center
     return Dataset(rows=rows, name=f"gaussian(n={n},d={dimension})")
 
 
@@ -57,8 +51,8 @@ def gen_two_clusters(spec: TwoClusterSpec) -> Dataset:
     """Two labeled Gaussian clusters per the spec (2*n_per_cluster rows)."""
     rng = np.random.default_rng([spec.seed])
     n, d = spec.n_per_cluster, spec.dimension
-    offset = spec.separation * spec.sigma / 2.0
-    rows = rng.normal(size=(2 * n, d)) * spec.sigma
+    offset = spec.separation / 2.0
+    rows = rng.normal(size=(2 * n, d))
     rows[:n, 0] -= offset
     rows[n:, 0] += offset
     labels = np.repeat([0, 1], n)

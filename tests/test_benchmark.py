@@ -13,9 +13,9 @@ from sigcluster import (
     format_test_table,
     run_cluster_benchmark,
     run_test_benchmark,
-    time_method,
 )
 from sigcluster import benchmark
+from sigcluster.benchmark import _time_method
 from sigcluster.data_io import DatasetManifest
 from sigcluster.errors import ParseError
 
@@ -27,21 +27,21 @@ def strip_timing(records):
 class TestTimeMethod:
     def test_empty_inputs_error(self):
         with pytest.raises(ValueError):
-            time_method(lambda x: x, [])
+            _time_method(lambda x: x, [])
 
     def test_noop_stays_at_measurement_floor(self):
-        mean = time_method(lambda x: None, [0] * 50)
+        mean = _time_method(lambda x: None, [0] * 50)
         assert 0.0 <= mean < 1e-3
 
     def test_measures_sleep(self):
-        mean = time_method(lambda x: time.sleep(0.01), [0] * 3)
+        mean = _time_method(lambda x: time.sleep(0.01), [0] * 3)
         assert 0.008 < mean < 0.05
 
     def test_warmup_excluded(self):
         calls = []
         def fn(x):
             calls.append(x)
-        time_method(fn, [1, 2, 3])
+        _time_method(fn, [1, 2, 3])
         assert calls == [1, 1, 2, 3]  # extra warm-up on the first input
 
 
@@ -58,13 +58,6 @@ class TestRunTestBenchmark:
             assert rec.runs == 6 and rec.seed == 123
             assert rec.mean_time_s > 0
 
-    def test_unknown_method_refused_before_sampling(self, monkeypatch):
-        drawn = []
-        monkeypatch.setattr(benchmark, "_sweep_sample", lambda *a: drawn.append(a))
-        with pytest.raises(ValueError, match=r"'bogus'; expected one of \('sigtest1'"):
-            run_test_benchmark(methods=("sigtest1", "bogus"), runs=2)
-        assert drawn == []
-
     def test_samples_drawn_once_per_separation(self, monkeypatch):
         # the success and timing samples of a separation serve every method
         drawn = []
@@ -74,6 +67,23 @@ class TestRunTestBenchmark:
         run_test_benchmark(separations=(2.0, 3.0), runs=3, methods=("sigtest1", "ad", "ks"),
                            timing_runs=2)
         assert len(drawn) == 2 * (3 + 2)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        pytest.param(dict(methods=("sigtest1", "bogus")), r"'bogus'; expected one of \('sigtest1'",
+                     id="method"),
+        pytest.param(dict(separations=(2.5, 2.5, 3.0)), r"separation 2\.5 is repeated",
+                     id="repeated-separation"),
+        pytest.param(dict(separations=(2, 2.0)), "separation 2 is repeated", id="equal-separation"),
+        pytest.param(dict(timing_runs=-1), "timing_runs must be nonnegative", id="timing-runs"),
+        pytest.param(dict(runs=0), "runs must be at least 1", id="runs"),
+    ])
+    def test_bad_request_refused_before_sampling(self, monkeypatch, kwargs, message):
+        # a repeated separation would share one draw between two records
+        drawn = []
+        monkeypatch.setattr(benchmark, "_sweep_sample", lambda *a: drawn.append(a))
+        with pytest.raises(ValueError, match=message):
+            run_test_benchmark(**{"runs": 2, "methods": ("sigtest1",), **kwargs})
+        assert drawn == []
 
     def test_single_run_reproducible(self):
         a = run_test_benchmark(separations=(2.5,), runs=1, seed=9,
@@ -166,6 +176,18 @@ class TestRunClusterBenchmark:
             run_cluster_benchmark([manifest], methods=("gmeans+",), runs=1, seed=0)
         assert (exc.value.row, exc.value.column) == (3, 2)
         assert "'sheet'" in str(exc.value)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        pytest.param(dict(methods=("gmeans", "nope"), runs=20),
+                     r"unknown method 'nope'; expected one of", id="method"),
+        pytest.param(dict(runs=0), "runs must be at least 1", id="runs"),
+    ])
+    def test_bad_request_refused_before_loading(self, monkeypatch, kwargs, message):
+        loaded = []
+        monkeypatch.setattr(benchmark, "load_csv", lambda m: loaded.append(m))
+        with pytest.raises(ValueError, match=message):
+            run_cluster_benchmark(["iris", "seeds"], **kwargs)
+        assert loaded == []
 
     def test_format_table(self):
         recs = run_cluster_benchmark(["iris"], methods=("gmeans+", "dipmeans+"),

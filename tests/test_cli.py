@@ -13,7 +13,7 @@ from sigcluster import (
     gen_two_clusters,
     read_results,
 )
-from sigcluster import cli, data_io
+from sigcluster import benchmark, cli, data_io
 from sigcluster.baselines import AD_ALPHA, KS_ALPHA
 from sigcluster.cli import main
 from sigcluster.sigtest import MIN_SAMPLES
@@ -253,6 +253,17 @@ class TestClusterCommand:
     def test_unknown_method_exit_2(self, capsys):
         assert main(["cluster", "iris", "--method", "zmeans"]) == 2
 
+    @pytest.mark.parametrize("name", ["r.csv", "R.CSV"])
+    def test_csv_output_refused(self, tmp_path, capsys, monkeypatch, name):
+        # the report is JSON, which read_results would parse as CSV
+        monkeypatch.setenv("SIGCLUSTER_OUT_DIR", str(tmp_path))
+        calls = []
+        monkeypatch.setattr(cli, "load_csv", lambda *a: calls.append("load_csv"))
+        monkeypatch.setattr(cli, "run_method", lambda *a, **kw: calls.append("run_method"))
+        assert main(["cluster", "iris", "--method", "gmeans", "--output", name]) == 2
+        assert f"--output {name}" in capsys.readouterr().err
+        assert calls == [] and list(tmp_path.iterdir()) == []
+
 
 class TestBenchCommands:
     def test_bench_tests_table_and_records(self, tmp_path, capsys, monkeypatch):
@@ -294,6 +305,21 @@ class TestBenchCommands:
         assert main([command, *argv, "--output", name]) == 0
         assert capsys.readouterr().out.endswith(f"records written to {tmp_path / name}\n")
         assert read_results(tmp_path / name) == [dataclasses.asdict(r) for r in made]
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["--separations", "2.5,2.5"], "separation 2.5 is repeated",
+                     id="repeated-separation"),
+        pytest.param(["--timing-runs", "-1"], "timing_runs must be nonnegative", id="timing-runs"),
+    ])
+    def test_bench_tests_bad_request_exit_1(self, tmp_path, capsys, monkeypatch,
+                                            argv, message):
+        # refused before any sample is drawn, and no file is written
+        monkeypatch.setenv("SIGCLUSTER_OUT_DIR", str(tmp_path))
+        drawn = []
+        monkeypatch.setattr(benchmark, "_sweep_sample", lambda *a: drawn.append(a))
+        assert main(["bench-tests", "--runs", "3", *argv]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert drawn == [] and list(tmp_path.iterdir()) == []
 
     def test_bench_tests_reads_no_file(self, capsys):
         # bench-tests generates its samples, so it takes no --delimiter

@@ -14,25 +14,22 @@ class TestGenGaussian:
 
     def test_clt_mean(self):
         n = 1000
-        d = gen_gaussian(n, mean=3.0, sigma=2.0, seed=1)
-        assert abs(d.rows.mean() - 3.0) <= 4 * 2.0 / np.sqrt(n)
+        d = gen_gaussian(n, mean=3.0, seed=1)
+        assert abs(d.rows.mean() - 3.0) <= 4 / np.sqrt(n)
 
     def test_shape_and_dimension(self):
         d = gen_gaussian(50, mean=[1.0, -1.0, 0.0], dimension=3, seed=2)
         assert d.rows.shape == (50, 3)
         assert d.labels is None
 
-    def test_sigma_zero_rejected(self):
-        with pytest.raises(ValueError):
-            gen_gaussian(10, sigma=0.0)
+    def test_n_zero_rejected(self):
         with pytest.raises(ValueError):
             gen_gaussian(0)
 
 
 class TestGenTwoClusters:
     def test_shape_labels_and_centers(self):
-        spec = TwoClusterSpec(n_per_cluster=100, sigma=1.0, separation=3.0,
-                              dimension=1, seed=9)
+        spec = TwoClusterSpec(n_per_cluster=100, separation=3.0, dimension=1, seed=9)
         d = gen_two_clusters(spec)
         assert d.rows.shape == (200, 1)
         assert (d.labels == 0).sum() == 100 and (d.labels == 1).sum() == 100
@@ -42,11 +39,11 @@ class TestGenTwoClusters:
         assert abs(m0 + 1.5) <= tol and abs(m1 - 1.5) <= tol
 
     def test_label_conditional_variance(self):
-        spec = TwoClusterSpec(n_per_cluster=400, sigma=2.0, separation=2.0, seed=3)
+        spec = TwoClusterSpec(n_per_cluster=400, separation=2.0, seed=3)
         d = gen_two_clusters(spec)
         for lab in (0, 1):
             v = d.rows[d.labels == lab, 0].var()
-            assert abs(v - 4.0) <= 5 * 4.0 * np.sqrt(2 / 400)
+            assert abs(v - 1.0) <= 5 * np.sqrt(2 / 400)
 
     def test_determinism_is_pure_function_of_spec(self):
         spec = TwoClusterSpec(separation=2.5, seed=11)
@@ -63,5 +60,3 @@ class TestGenTwoClusters:
             TwoClusterSpec(n_per_cluster=1)
         with pytest.raises(ValueError):
             TwoClusterSpec(separation=-1.0)
-        with pytest.raises(ValueError):
-            TwoClusterSpec(sigma=0.0)
