@@ -16,50 +16,18 @@ build.
 """
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import KS_ALPHA
 from .clustering import METHOD_NAMES, TEST_CRITERIA, KSCriterion, configured, run_method
-from .data_io import bundled_manifest, load_csv
+from .data_io import BenchmarkRecord, bundled_manifest, load_csv
 from .metrics import ari, vi
 from .sigtest import SigtestConfig
 from .synthetic import TwoClusterSpec, gen_two_clusters
 
 TEST_METHODS = tuple(TEST_CRITERIA)
 DEFAULT_SEPARATIONS = (2.0, 2.25, 2.5, 2.8, 3.0)
-
-
-@dataclass(frozen=True)
-class BenchmarkRecord:
-    """One benchmark cell: a method at one parameter point.
-
-    Test records fill ``separation``/``success_rate``; clustering records
-    fill ``dataset`` and the k/VI/ARI summary fields. ``mean_time_s`` is
-    wall-clock and not reproducible; everything else reruns identically
-    for the same seed.
-    """
-
-    method: str
-    runs: int
-    seed: int
-    dataset: str | None = None
-    separation: float | None = None
-    success_rate: float | None = None
-    k_mean: float | None = None
-    k_std: float | None = None
-    vi_mean: float | None = None
-    vi_std: float | None = None
-    ari_mean: float | None = None
-    ari_std: float | None = None
-    mean_time_s: float | None = None
-
-    def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
-        if self.success_rate is not None and not 0.0 <= self.success_rate <= 100.0:
-            raise ValueError("success_rate must lie in [0, 100]")
 
 
 def _time_method(func, inputs) -> float:
@@ -85,14 +53,24 @@ def _time_method(func, inputs) -> float:
     return total / len(inputs)
 
 
-def _check_request(runs, methods, known) -> None:
-    """Refuse a run count or a method name before any work, with the
-    messages BenchmarkRecord and run_method would give later."""
+def _check_request(runs, methods, known, **cells) -> None:
+    """Refuse a bad request before any work: a run count or a method name,
+    with the messages BenchmarkRecord and run_method would give later,
+    or a repeated method or ``cells`` value (``cells`` maps a kind, such
+    as ``separation``, to its values), since each cell is named once.
+    Values are compared, not their text: 2 and 2.0 repeat."""
     if runs < 1:
         raise ValueError("runs must be at least 1")
     for method in methods:
         if method not in known:
             raise ValueError(f"unknown method {method!r}; expected one of {known}")
+    for kind, values in {"method": methods, **cells}.items():
+        seen = set()
+        for value in values:
+            if value in seen:
+                shown = repr(value) if isinstance(value, str) else f"{value:g}"
+                raise ValueError(f"{kind} {shown} is repeated; each {kind} is one cell")
+            seen.add(value)
 
 
 def run_test_benchmark(separations=DEFAULT_SEPARATIONS, runs: int = 100,
@@ -112,17 +90,13 @@ def run_test_benchmark(separations=DEFAULT_SEPARATIONS, runs: int = 100,
     (AD_ALPHA, a DIP_BOOTSTRAP_B bootstrap). Timing uses ``timing_runs``
     additional samples per cell and times the criterion's ``decide``, the
     public test call, with its calibration table warm (see module
-    docstring). Each separation is one cell, so a repeated one is refused;
-    every argument is checked before the first sample is drawn.
+    docstring). Each separation and each method is named once, so a
+    repeated one is refused; every argument is checked before the first
+    sample is drawn.
     """
-    _check_request(runs, methods, TEST_METHODS)
+    _check_request(runs, methods, TEST_METHODS, separation=separations)
     if timing_runs < 0:
         raise ValueError("timing_runs must be nonnegative")
-    seen = set()
-    for sep in separations:
-        if sep in seen:
-            raise ValueError(f"separation {sep:g} is repeated; each separation is one cell")
-        seen.add(sep)
     data, timing_inputs = {}, {}
     for si, sep in enumerate(separations):
         data[sep] = [_sweep_sample(sep, _substream_seed(seed, si, r)) for r in range(runs)]
@@ -164,13 +138,13 @@ def run_cluster_benchmark(manifests, methods=METHOD_NAMES, runs: int = 20,
     VI/ARI are reported against the manifest's label column and omitted
     for unlabeled data. A dataset that fails to load aborts with an error
     naming it; no partial records are emitted for it. The run count and
-    every method name are checked before the first dataset is loaded.
+    every method name are checked, and a repeated method or dataset name
+    refused, before the first dataset is loaded.
     """
-    _check_request(runs, methods, METHOD_NAMES)
+    manifests = [bundled_manifest(m) if isinstance(m, str) else m for m in manifests]
+    _check_request(runs, methods, METHOD_NAMES, dataset=[m.name for m in manifests])
     records = []
     for di, manifest in enumerate(manifests):
-        if isinstance(manifest, str):
-            manifest = bundled_manifest(manifest)
         data = load_csv(manifest)
         for mi, method in enumerate(methods):
             ks, vis, aris, times = [], [], [], []

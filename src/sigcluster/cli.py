@@ -31,7 +31,7 @@ from .benchmark import (
     run_test_benchmark,
 )
 from .clustering import METHOD_NAMES, TEST_CRITERIA, configured, project_split, run_method
-from .data_io import DatasetManifest, _is_csv, bundled_manifest, load_csv, write_results
+from .data_io import _BUNDLED, DatasetManifest, _is_csv, bundled_manifest, load_csv, write_results
 from .errors import SigclusterError
 from .metrics import ari, vi
 from .sigtest import SignatureVariant, SigtestConfig, TestOutcome, _frozen_bounds
@@ -89,7 +89,7 @@ def cmd_test(args) -> int:
 
 
 def _manifest_from_args(token: str, args) -> DatasetManifest:
-    if token in ("iris", "seeds"):
+    if token in _BUNDLED:
         return bundled_manifest(token)
     label = args.label_column
     if label is not None:
@@ -158,6 +158,15 @@ def cmd_cluster(args) -> int:
     return EXIT_OK
 
 
+def _write_records(records, name: str) -> int:
+    """The bench commands' last step: write the records as ``name`` in
+    the output directory and say where."""
+    out = _out_dir() / name
+    write_results(records, out)
+    print(f"records written to {out}")
+    return EXIT_OK
+
+
 def cmd_bench_tests(args) -> int:
     separations = [float(s) for s in args.separations.split(",")]
     records = run_test_benchmark(
@@ -169,10 +178,7 @@ def cmd_bench_tests(args) -> int:
           f"gamma={args.gamma} threshold={args.threshold} "
           f"alpha_ks={args.alpha} timing_runs={args.timing_runs}")
     print(format_test_table(records))
-    out = _out_dir() / (args.output or "bench_tests.json")
-    write_results(records, out)
-    print(f"records written to {out}")
-    return EXIT_OK
+    return _write_records(records, args.output or "bench_tests.json")
 
 
 def cmd_bench_cluster(args) -> int:
@@ -187,10 +193,7 @@ def cmd_bench_cluster(args) -> int:
           f"gamma={args.gamma} threshold={args.threshold} "
           f"standardize={standardized}")
     print(format_cluster_table(records))
-    out = _out_dir() / (args.output or "bench_cluster.json")
-    write_results(records, out)
-    print(f"records written to {out}")
-    return EXIT_OK
+    return _write_records(records, args.output or "bench_cluster.json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("cluster", help="cluster a dataset, estimating k")
-    p.add_argument("input", help="bundled name (iris, seeds) or CSV path")
+    p.add_argument("input", help=f"bundled name ({', '.join(_BUNDLED)}) or CSV path")
     p.add_argument("--method", choices=METHOD_NAMES, default="gmeans+")
     p.add_argument("--variant", type=int, choices=(1, 2), default=1,
                    help="signature variant for the + methods (default 1)")
@@ -251,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench_tests)
 
     p = sub.add_parser("bench-cluster", help="k/VI/ARI benchmark on datasets")
-    p.add_argument("--datasets", default="iris,seeds",
+    p.add_argument("--datasets", default=",".join(_BUNDLED),
                    help="comma list of bundled names or CSV paths")
     p.add_argument("--methods", default=",".join(METHOD_NAMES))
     p.add_argument("--runs", type=int, default=20)

@@ -1,16 +1,18 @@
 """Loading benchmark datasets from delimited text and persisting results.
 
-Two small CSVs ship with the package (UCI iris and wheat-seeds); their
-manifests are available through :func:`bundled_manifest`. A results
-file's name states its format: :func:`write_results` writes and
-:func:`read_results` reads CSV (a fixed column order) when the name ends
-in ``.csv``, in any case, and schema-versioned JSON otherwise. Both
-formats round-trip exactly.
+Two small CSVs ship with the package (UCI iris and wheat-seeds), listed
+in ``_BUNDLED``; :func:`bundled_manifest` gives their manifests. A
+results file holds :class:`BenchmarkRecord` cells and its name states
+its format: :func:`write_results` writes and :func:`read_results` reads
+CSV (the record's fields as columns) when the name ends in ``.csv``, in
+any case, and schema-versioned JSON otherwise. Both formats round-trip
+exactly.
 """
 
 import csv
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -22,14 +24,47 @@ from .errors import EmptyDatasetError, MissingLabelColumnError, ParseError
 
 RESULTS_SCHEMA_VERSION = 1
 
-# fixed CSV column order for result records
-RESULT_FIELDS = (
-    "method", "dataset", "separation", "success_rate",
-    "k_mean", "k_std", "vi_mean", "vi_std", "ari_mean", "ari_std",
-    "mean_time_s", "runs", "seed",
-)
-# the type each CSV result cell is read back as; every other field is a float
-_CSV_TYPES = {"method": str, "dataset": str, "runs": int, "seed": int}
+
+@dataclass(frozen=True, kw_only=True)
+class BenchmarkRecord:
+    """One benchmark cell: a method at one parameter point.
+
+    Test records fill ``separation``/``success_rate``; clustering records
+    fill ``dataset`` and the k/VI/ARI summary fields. ``mean_time_s`` is
+    wall-clock and not reproducible; everything else reruns identically
+    for the same seed. The fields, in order, are a CSV results file's
+    columns.
+    """
+
+    method: str
+    dataset: str | None = None
+    separation: float | None = None
+    success_rate: float | None = None
+    k_mean: float | None = None
+    k_std: float | None = None
+    vi_mean: float | None = None
+    vi_std: float | None = None
+    ari_mean: float | None = None
+    ari_std: float | None = None
+    mean_time_s: float | None = None
+    runs: int
+    seed: int
+
+    def __post_init__(self):
+        if self.runs < 1:
+            raise ValueError("runs must be at least 1")
+        if self.success_rate is not None and not 0.0 <= self.success_rate <= 100.0:
+            raise ValueError("success_rate must lie in [0, 100]")
+
+
+# a CSV results file's columns, and the type each cell is read back as
+# (a field that may be None is read as its other type)
+RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(BenchmarkRecord))
+_CSV_TYPES = {f.name: (typing.get_args(f.type) or (f.type,))[0]
+              for f in dataclasses.fields(BenchmarkRecord)}
+
+# the datasets that ship with the package: label column and whether to standardize
+_BUNDLED = {"iris": ("species", False), "seeds": ("variety", True)}
 
 
 @dataclass(frozen=True)
@@ -164,20 +199,12 @@ def bundled_manifest(name: str) -> DatasetManifest:
     iris keeps raw features (all lengths in cm); seeds is standardized
     because its seven features mix units and scales.
     """
-    base = resources.files("sigcluster").joinpath("data")
-    manifests = {
-        "iris": DatasetManifest(
-            name="iris", path=str(base / "iris.csv"),
-            label_column="species", standardize=False,
-        ),
-        "seeds": DatasetManifest(
-            name="seeds", path=str(base / "seeds.csv"),
-            label_column="variety", standardize=True,
-        ),
-    }
-    if name not in manifests:
-        raise ValueError(f"no bundled dataset {name!r}; have {sorted(manifests)}")
-    return manifests[name]
+    if name not in _BUNDLED:
+        raise ValueError(f"no bundled dataset {name!r}; have {sorted(_BUNDLED)}")
+    label_column, standardize = _BUNDLED[name]
+    path = resources.files("sigcluster").joinpath("data") / f"{name}.csv"
+    return DatasetManifest(name=name, path=str(path), label_column=label_column,
+                           standardize=standardize)
 
 
 def _record_to_dict(record) -> dict:

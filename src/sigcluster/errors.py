@@ -56,4 +56,4 @@ class MissingLabelColumnError(SigclusterError, ValueError):
 
 
 class EmptyDatasetError(SigclusterError, ValueError):
-    """File contained headers but no data rows."""
+    """File had no rows, or a header and no data rows."""

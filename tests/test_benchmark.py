@@ -74,6 +74,8 @@ class TestRunTestBenchmark:
         pytest.param(dict(separations=(2.5, 2.5, 3.0)), r"separation 2\.5 is repeated",
                      id="repeated-separation"),
         pytest.param(dict(separations=(2, 2.0)), "separation 2 is repeated", id="equal-separation"),
+        pytest.param(dict(methods=("ad", "ks", "ad")), "method 'ad' is repeated",
+                     id="repeated-method"),
         pytest.param(dict(timing_runs=-1), "timing_runs must be nonnegative", id="timing-runs"),
         pytest.param(dict(runs=0), "runs must be at least 1", id="runs"),
     ])
@@ -181,12 +183,22 @@ class TestRunClusterBenchmark:
         pytest.param(dict(methods=("gmeans", "nope"), runs=20),
                      r"unknown method 'nope'; expected one of", id="method"),
         pytest.param(dict(runs=0), "runs must be at least 1", id="runs"),
+        pytest.param(dict(methods=("gmeans", "gmeans")), "method 'gmeans' is repeated",
+                     id="repeated-method"),
+        pytest.param(dict(manifests=["seeds", "iris", "seeds"]), "dataset 'seeds' is repeated",
+                     id="repeated-dataset"),
+        pytest.param(dict(manifests=[bundled_manifest("iris"),
+                                     DatasetManifest(name="iris", path="other/iris.csv")]),
+                     "dataset 'iris' is repeated", id="repeated-dataset-name"),
+        pytest.param(dict(manifests=["iris", "nope"]),
+                     r"no bundled dataset 'nope'; have \['iris', 'seeds'\]", id="unknown-dataset"),
     ])
     def test_bad_request_refused_before_loading(self, monkeypatch, kwargs, message):
+        # a repeated dataset or method would be two records of one table cell
         loaded = []
         monkeypatch.setattr(benchmark, "load_csv", lambda m: loaded.append(m))
         with pytest.raises(ValueError, match=message):
-            run_cluster_benchmark(["iris", "seeds"], **kwargs)
+            run_cluster_benchmark(**{"manifests": ["iris", "seeds"], **kwargs})
         assert loaded == []
 
     def test_format_table(self):

@@ -321,6 +321,22 @@ class TestBenchCommands:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert drawn == [] and list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["--datasets", "seeds,seeds"], "dataset 'seeds' is repeated",
+                     id="repeated-dataset"),
+        pytest.param(["--methods", "gmeans,gmeans"], "method 'gmeans' is repeated",
+                     id="repeated-method"),
+    ])
+    def test_bench_cluster_bad_request_exit_1(self, tmp_path, capsys, monkeypatch,
+                                              argv, message):
+        # refused before any dataset is loaded, and no file is written
+        monkeypatch.setenv("SIGCLUSTER_OUT_DIR", str(tmp_path))
+        loaded = []
+        monkeypatch.setattr(benchmark, "load_csv", lambda m: loaded.append(m))
+        assert main(["bench-cluster", "--runs", "2", *argv]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert loaded == [] and list(tmp_path.iterdir()) == []
+
     def test_bench_tests_reads_no_file(self, capsys):
         # bench-tests generates its samples, so it takes no --delimiter
         assert main(["bench-tests", "--delimiter", ";"]) == 2

@@ -5,6 +5,7 @@ import pytest
 
 from sigcluster import (
     BenchmarkRecord,
+    Dataset,
     DatasetManifest,
     bundled_manifest,
     load_csv,
@@ -15,7 +16,9 @@ from sigcluster import (
 from sigcluster import data_io
 from sigcluster.errors import (
     EmptyDatasetError,
+    LengthMismatchError,
     MissingLabelColumnError,
+    NonFiniteInputError,
     ParseError,
 )
 
@@ -72,10 +75,13 @@ class TestLoadCsv:
         assert data.rows.shape == (2, 2)
 
     def test_header_only_file(self, tmp_path):
+        # and a file with no rows at all: empty, or only blank rows
         p = tmp_path / "empty.csv"
-        p.write_text("a,b,c\n")
-        with pytest.raises(EmptyDatasetError):
-            load_csv(DatasetManifest(name="e", path=str(p)))
+        for text, message in (("a,b,c\n", "no data rows"), ("", "file is empty"),
+                              ("\n , \n\n", "file is empty")):
+            p.write_text(text)
+            with pytest.raises(EmptyDatasetError, match=message):
+                load_csv(DatasetManifest(name="e", path=str(p)))
 
     def test_bad_cell_named(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -93,18 +99,19 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=r"^dataset 'big' \(.*\): line 3: field larger"):
             load_csv(DatasetManifest(name="big", path=str(p)))
 
-    @pytest.mark.parametrize("text, got, want", [
-        pytest.param("a,b,c,label\n1,2,3\n4,5,6\n", 4, 3, id="wide-header"),
-        pytest.param("a,b,label\n1,2,3,x\n4,5,6,y\n", 3, 4, id="narrow-header"),
+    @pytest.mark.parametrize("text, row, got, want", [
+        pytest.param("a,b,c,label\n1,2,3\n4,5,6\n", 1, 4, 3, id="wide-header"),
+        pytest.param("a,b,label\n1,2,3,x\n4,5,6,y\n", 1, 3, 4, id="narrow-header"),
+        pytest.param("a,label\n1,x\n2,y\n3,z,4\n", 4, 3, 2, id="wide-data-row"),
     ])
-    def test_header_width_checked(self, tmp_path, text, got, want):
+    def test_header_width_checked(self, tmp_path, text, row, got, want):
         # the header is held to the first data row's width, as each data row is
         p = tmp_path / "w.csv"
         p.write_text(text)
-        with pytest.raises(ParseError, match=rf"^dataset 'w' \(.*\): row 1 has {got} cells, "
+        with pytest.raises(ParseError, match=rf"^dataset 'w' \(.*\): row {row} has {got} cells, "
                                              rf"expected {want}$") as exc:
             load_csv(DatasetManifest(name="w", path=str(p), label_column="label"))
-        assert (exc.value.row, exc.value.column) == (1, None)
+        assert (exc.value.row, exc.value.column) == (row, None)
 
     def test_bom_dropped_before_header(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -129,6 +136,25 @@ class TestLoadCsv:
         b = load_csv(bundled_manifest("iris"))
         np.testing.assert_array_equal(a.rows, b.rows)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+
+class TestDataset:
+    def test_one_dimensional_rows_become_a_column(self):
+        data = Dataset(rows=[3.0, 1.0, 2.0], labels=["a", "b", "a"])
+        np.testing.assert_array_equal(data.rows, [[3.0], [1.0], [2.0]])
+        assert (data.n, data.d) == (3, 1)
+
+    @pytest.mark.parametrize("kwargs, error, message", [
+        pytest.param(dict(rows=[[1.0, 2.0], [np.nan, 0.0]]), NonFiniteInputError,
+                     "dataset 'x' has non-finite entries", id="nan"),
+        pytest.param(dict(rows=[1.0, -np.inf]), NonFiniteInputError,
+                     "dataset 'x' has non-finite entries", id="inf"),
+        pytest.param(dict(rows=[[1.0], [2.0]], labels=["a"]), LengthMismatchError,
+                     "1 labels for 2 rows", id="labels"),
+    ])
+    def test_bad_input_refused(self, kwargs, error, message):
+        with pytest.raises(error, match=message):
+            Dataset(name="x", **kwargs)
 
 
 class TestResultsRoundTrip:

@@ -92,6 +92,8 @@ class TestVi:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             vi([0, 1], [0, 1, 2])
+        with pytest.raises(LengthMismatchError, match="partitions are empty"):
+            vi([], [])
 
 
 class TestAri:
@@ -138,3 +140,5 @@ class TestAri:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             ari([0], [0, 1])
+        with pytest.raises(LengthMismatchError, match="partitions are empty"):
+            ari([], [])

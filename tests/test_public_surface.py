@@ -6,10 +6,10 @@ entry of ``sigcluster.__all__`` must resolve; the demos must run to
 completion. The criteria must stay subclassable the way
 ``perfbench/execute.py`` wraps them (a copy of that wrapping here, and
 perfbench's own), and the calibration tables callable in the forms its
-layer rows use. No module imports a name it never uses,
-and importing the package leaves ``scipy.stats`` unloaded. The count of
-settable values (parameters, dataclass fields, command-line options) may
-not grow unnoticed.
+layer rows use. No module imports a name it never uses, no module but
+``data_io`` names the bundled datasets, and importing the package leaves
+``scipy.stats`` unloaded. The count of settable values (parameters,
+dataclass fields, command-line options) may not grow unnoticed.
 """
 
 import argparse
@@ -135,6 +135,26 @@ def test_moments_and_block_rule_stay_in_core():
     found = [line for name in ("sigtest.py", "baselines.py")
              for line in moments_and_blocks(src / name)]
     assert not found, "moments or block sizes formed outside core:\n" + "\n".join(found)
+
+
+def bundled_names(path):
+    """Each string constant in a module that names the bundled datasets,
+    as "file:line: value"."""
+    names = {"iris", "seeds", "iris,seeds"}
+    return [f"{path.name}:{node.lineno}: {node.value!r}"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+            if isinstance(node, ast.Constant) and node.value in names]
+
+
+def test_bundled_dataset_names_stay_in_data_io():
+    # data_io._BUNDLED is the one list of the datasets that ship with the
+    # package; a name written out elsewhere (a CLI default, a membership
+    # test) would miss a dataset added there
+    src = ROOT / "src" / "sigcluster"
+    assert bundled_names(src / "data_io.py")  # guards the scan itself
+    found = [line for path in sorted(src.glob("*.py")) if path.name != "data_io.py"
+             for line in bundled_names(path)]
+    assert not found, "bundled dataset names outside data_io:\n" + "\n".join(found)
 
 
 def named_calls(path):

@@ -21,6 +21,8 @@ class TestGenGaussian:
         d = gen_gaussian(50, mean=[1.0, -1.0, 0.0], dimension=3, seed=2)
         assert d.rows.shape == (50, 3)
         assert d.labels is None
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            gen_gaussian(50, dimension=0)
 
     def test_n_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -60,3 +62,5 @@ class TestGenTwoClusters:
             TwoClusterSpec(n_per_cluster=1)
         with pytest.raises(ValueError):
             TwoClusterSpec(separation=-1.0)
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            TwoClusterSpec(dimension=0)
