@@ -19,8 +19,8 @@ import time
 
 import numpy as np
 
-from .baselines import KS_ALPHA
-from .clustering import METHOD_NAMES, TEST_CRITERIA, KSCriterion, configured, run_method
+from .clustering import METHOD_NAMES, TEST_CRITERIA, configured, run_method
+from .core import _integer
 from .data_io import BenchmarkRecord, bundled_manifest, load_csv
 from .metrics import ari, vi
 from .sigtest import SigtestConfig
@@ -53,14 +53,17 @@ def _time_method(func, inputs) -> float:
     return total / len(inputs)
 
 
-def _check_request(runs, methods, known, **cells) -> None:
-    """Refuse a bad request before any work: a run count or a method name,
-    with the messages BenchmarkRecord and run_method would give later,
-    or a repeated method or ``cells`` value (``cells`` maps a kind, such
-    as ``separation``, to its values), since each cell is named once.
-    Values are compared, not their text: 2 and 2.0 repeat."""
-    if runs < 1:
+def _check_request(runs, methods, known, timing_runs=0, **cells) -> None:
+    """Refuse a bad request before any work: a run or timing-run count
+    that is not an integer (a bool included) or is too small, a method
+    name, with the messages BenchmarkRecord and run_method would give
+    later, or a repeated method or ``cells`` value (``cells`` maps a
+    kind, such as ``separation``, to its values), since each cell is
+    named once. Values are compared, not their text: 2 and 2.0 repeat."""
+    if _integer(runs, "runs") < 1:
         raise ValueError("runs must be at least 1")
+    if _integer(timing_runs, "timing_runs") < 0:
+        raise ValueError("timing_runs must be nonnegative")
     for method in methods:
         if method not in known:
             raise ValueError(f"unknown method {method!r}; expected one of {known}")
@@ -76,7 +79,6 @@ def _check_request(runs, methods, known, **cells) -> None:
 def run_test_benchmark(separations=DEFAULT_SEPARATIONS, runs: int = 100,
                        seed: int = 7, methods=TEST_METHODS,
                        sigtest_config: SigtestConfig = SigtestConfig(),
-                       alpha_ks: float = KS_ALPHA,
                        timing_runs: int = 10) -> list[BenchmarkRecord]:
     """Success rate and mean per-call time of each test on two-cluster data.
 
@@ -84,19 +86,17 @@ def run_test_benchmark(separations=DEFAULT_SEPARATIONS, runs: int = 100,
     TwoClusterSpec defaults of 100 points per side at unit sigma) are
     generated from substreams of ``seed`` and shared across methods;
     success means the method's criterion in TEST_CRITERIA rejects
-    unimodality. sigtest1 and sigtest2 take gamma and threshold from
-    ``sigtest_config`` and the signature variant from their name, KS runs
-    at ``alpha_ks``, and AD and the dip test at their criteria's defaults
-    (AD_ALPHA, a DIP_BOOTSTRAP_B bootstrap). Timing uses ``timing_runs``
-    additional samples per cell and times the criterion's ``decide``, the
-    public test call, with its calibration table warm (see module
-    docstring). Each separation and each method is named once, so a
-    repeated one is refused; every argument is checked before the first
-    sample is drawn.
+    unimodality. ``sigtest_config`` gives gamma and the threshold, and the
+    method name the signature variant, as in run_method; AD, KS and the
+    dip test run at their criteria's defaults (AD_ALPHA, KS_ALPHA, a
+    DIP_BOOTSTRAP_B bootstrap). Timing uses ``timing_runs`` additional
+    samples per cell and times the criterion's ``decide``, the public
+    test call, with its calibration table warm (see module docstring).
+    Each separation and each method is named once, so a repeated one is
+    refused; every argument is checked before the first sample is drawn.
     """
-    _check_request(runs, methods, TEST_METHODS, separation=separations)
-    if timing_runs < 0:
-        raise ValueError("timing_runs must be nonnegative")
+    separations, methods = tuple(separations), tuple(methods)
+    _check_request(runs, methods, TEST_METHODS, timing_runs, separation=separations)
     data, timing_inputs = {}, {}
     for si, sep in enumerate(separations):
         data[sep] = [_sweep_sample(sep, _substream_seed(seed, si, r)) for r in range(runs)]
@@ -105,10 +105,8 @@ def run_test_benchmark(separations=DEFAULT_SEPARATIONS, runs: int = 100,
 
     records = []
     for method in methods:
-        criterion = TEST_CRITERIA[method]
-        ks_alpha = alpha_ks if isinstance(criterion, KSCriterion) else None  # AD keeps its own
-        criterion = configured(criterion, gamma=sigtest_config.gamma,
-                               threshold=sigtest_config.threshold, alpha=ks_alpha)
+        criterion = configured(TEST_CRITERIA[method], gamma=sigtest_config.gamma,
+                               threshold=sigtest_config.threshold)
         for sep in separations:
             successes = sum(criterion.test(y)[1] for y in data[sep])
             mean_t = _time_method(criterion.decide, timing_inputs[sep]) if timing_runs else None
@@ -134,14 +132,17 @@ def run_cluster_benchmark(manifests, methods=METHOD_NAMES, runs: int = 20,
                           ) -> list[BenchmarkRecord]:
     """k / VI / ARI (mean and std over runs) per dataset x method.
 
-    Each run clusters the dataset with an independent seed substream.
-    VI/ARI are reported against the manifest's label column and omitted
-    for unlabeled data. A dataset that fails to load aborts with an error
-    naming it; no partial records are emitted for it. The run count and
-    every method name are checked, and a repeated method or dataset name
-    refused, before the first dataset is loaded.
+    Each run clusters the dataset with an independent seed substream, by
+    run_method: ``sigtest_config`` gives gamma and the threshold, and the
+    method name the signature variant. VI/ARI are reported against the
+    manifest's label column and omitted for unlabeled data. A dataset
+    that fails to load aborts with an error naming it; no partial records
+    are emitted for it. The run count and every method name are checked,
+    and a repeated method or dataset name refused, before the first
+    dataset is loaded.
     """
     manifests = [bundled_manifest(m) if isinstance(m, str) else m for m in manifests]
+    methods = tuple(methods)
     _check_request(runs, methods, METHOD_NAMES, dataset=[m.name for m in manifests])
     records = []
     for di, manifest in enumerate(manifests):
@@ -174,6 +175,7 @@ def run_cluster_benchmark(manifests, methods=METHOD_NAMES, runs: int = 20,
 
 def format_test_table(records) -> str:
     """Render test-benchmark records as a methods x separations table."""
+    records = tuple(records)
     seps = sorted({r.separation for r in records})
     header = "method    " + "".join(f"{s:>9g}s" for s in seps) + "   mean time (s)"
     lines = [header, "-" * len(header)]
@@ -193,6 +195,7 @@ def format_test_table(records) -> str:
 
 def format_cluster_table(records) -> str:
     """Render cluster-benchmark records grouped by dataset."""
+    records = tuple(records)
     datasets = dict.fromkeys(r.dataset for r in records)  # in first-seen order
     methods = dict.fromkeys(r.method for r in records)
     header = f"{'dataset':<10}{'quantity':<10}" + "".join(f"{m:>16}" for m in methods)

@@ -34,7 +34,7 @@ from .clustering import METHOD_NAMES, TEST_CRITERIA, configured, project_split, 
 from .data_io import _BUNDLED, DatasetManifest, _is_csv, bundled_manifest, load_csv, write_results
 from .errors import SigclusterError
 from .metrics import ari, vi
-from .sigtest import SignatureVariant, SigtestConfig, TestOutcome, _frozen_bounds
+from .sigtest import SigtestConfig, TestOutcome, _frozen_bounds
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -66,15 +66,14 @@ def cmd_test(args) -> int:
 
     config = SigtestConfig(args.gamma, args.threshold)  # refuses a bad gamma for every method
     criterion = configured(TEST_CRITERIA[args.method], gamma=config.gamma,
-                           threshold=config.threshold, alpha=args.alpha,
-                           bootstrap_B=args.bootstrap_b)
+                           threshold=config.threshold, alpha=args.alpha)
     report = {
         "input": args.input,
         "method": args.method,
         "N": int(y.size),
         "defaults": {
             "gamma": args.gamma, "threshold": args.threshold,
-            "alpha": getattr(criterion, "alpha", None), "bootstrap_B": args.bootstrap_b,
+            "alpha": getattr(criterion, "alpha", None), "bootstrap_B": DIP_BOOTSTRAP_B,
         },
     }
     outcome = criterion.decide(y)
@@ -129,7 +128,7 @@ def cmd_cluster(args) -> int:
         return EXIT_USAGE
     manifest = _manifest_from_args(args.input, args)
     data = load_csv(manifest)
-    config = SigtestConfig(args.gamma, args.threshold, SignatureVariant(args.variant))
+    config = SigtestConfig(args.gamma, args.threshold)
     before = {name: fn.cache_info() for name, fn in _CACHES.items()}
     result = run_method(args.method, data, seed=args.seed, sigtest_config=config)
     report = {
@@ -172,11 +171,11 @@ def cmd_bench_tests(args) -> int:
     records = run_test_benchmark(
         separations=separations, runs=args.runs, seed=args.seed,
         sigtest_config=SigtestConfig(args.gamma, args.threshold),
-        alpha_ks=args.alpha, timing_runs=args.timing_runs,
+        timing_runs=args.timing_runs,
     )
     print(f"two-cluster test benchmark: runs={args.runs} seed={args.seed} "
           f"gamma={args.gamma} threshold={args.threshold} "
-          f"alpha_ks={args.alpha} timing_runs={args.timing_runs}")
+          f"alpha_ks={KS_ALPHA} timing_runs={args.timing_runs}")
     print(format_test_table(records))
     return _write_records(records, args.output or "bench_tests.json")
 
@@ -186,7 +185,7 @@ def cmd_bench_cluster(args) -> int:
     records = run_cluster_benchmark(
         manifests, methods=args.methods.split(","), runs=args.runs,
         seed=args.seed,
-        sigtest_config=SigtestConfig(args.gamma, args.threshold, SignatureVariant(args.variant)),
+        sigtest_config=SigtestConfig(args.gamma, args.threshold),
     )
     standardized = {m.name: m.standardize for m in manifests}
     print(f"clustering benchmark: runs={args.runs} seed={args.seed} "
@@ -223,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None,
                    help=f"significance for ad/ks (defaults: {AD_ALPHA:g} for ad, "
                         f"{KS_ALPHA:g} for ks)")
-    p.add_argument("--bootstrap-b", type=int, default=DIP_BOOTSTRAP_B,
-                   help=f"dip bootstrap replicates (default {DIP_BOOTSTRAP_B}, drawn from seed 0)")
     p.add_argument("--centroid1", help="comma-separated centroid for projection")
     p.add_argument("--centroid2", help="comma-separated centroid for projection")
     common_test_opts(p)
@@ -233,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="cluster a dataset, estimating k")
     p.add_argument("input", help=f"bundled name ({', '.join(_BUNDLED)}) or CSV path")
     p.add_argument("--method", choices=METHOD_NAMES, default="gmeans+")
-    p.add_argument("--variant", type=int, choices=(1, 2), default=1,
-                   help="signature variant for the + methods (default 1)")
     p.add_argument("--label-column", default=None,
                    help="label column name or index for external CSVs")
     p.add_argument("--standardize", action="store_true",
@@ -246,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench-tests", help="two-cluster success-rate benchmark")
     p.add_argument("--separations", default=",".join(str(s) for s in DEFAULT_SEPARATIONS))
     p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--alpha", type=float, default=KS_ALPHA,
-                   help=f"KS significance (default {KS_ALPHA:g})")
     p.add_argument("--timing-runs", type=int, default=10)
     p.add_argument("--output", default=None, help=results_help)
     seeded_opts(p, delimiter=False)
@@ -258,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of bundled names or CSV paths")
     p.add_argument("--methods", default=",".join(METHOD_NAMES))
     p.add_argument("--runs", type=int, default=20)
-    p.add_argument("--variant", type=int, choices=(1, 2), default=1)
     p.add_argument("--label-column", default=None)
     p.add_argument("--standardize", action="store_true")
     p.add_argument("--output", default=None, help=results_help)

@@ -684,9 +684,13 @@ def configured(criterion, **settings):
 
 def run_method(name: str, data: Dataset, seed: int = 0,
                sigtest_config: SigtestConfig = SigtestConfig()) -> ClusteringResult:
-    """Run one of the CLUSTERERS by name; a signature criterion runs
-    ``sigtest_config``."""
+    """Run one of the CLUSTERERS by name. ``sigtest_config`` gives a
+    signature criterion its gamma and threshold; the method name gives
+    the signature variant (gmeans+ and dipmeans+ run signature 1), as in
+    run_test_benchmark."""
     if name not in CLUSTERERS:
         raise ValueError(f"unknown method {name!r}; expected one of {METHOD_NAMES}")
     family, criterion = CLUSTERERS[name]
-    return family(data, configured(criterion, config=sigtest_config), seed)
+    criterion = configured(criterion, gamma=sigtest_config.gamma,
+                           threshold=sigtest_config.threshold)
+    return family(data, criterion, seed)

@@ -74,8 +74,9 @@ class DatasetManifest:
     ``label_column`` is a header name or 0-based index (None for
     unlabeled data); whether the file has a header row is decided by
     :func:`load_csv` from that row. ``standardize`` asks the loader for
-    per-column mean-0/std-1 features, and is recorded by the benchmark so
-    results state which setting produced them.
+    per-column mean-0/std-1 features. No BenchmarkRecord field holds it:
+    the ``cluster`` command's report and the ``bench-cluster`` header line
+    show it.
     """
 
     name: str

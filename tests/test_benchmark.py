@@ -68,22 +68,32 @@ class TestRunTestBenchmark:
                            timing_runs=2)
         assert len(drawn) == 2 * (3 + 2)
 
-    @pytest.mark.parametrize("kwargs, message", [
-        pytest.param(dict(methods=("sigtest1", "bogus")), r"'bogus'; expected one of \('sigtest1'",
-                     id="method"),
-        pytest.param(dict(separations=(2.5, 2.5, 3.0)), r"separation 2\.5 is repeated",
-                     id="repeated-separation"),
-        pytest.param(dict(separations=(2, 2.0)), "separation 2 is repeated", id="equal-separation"),
-        pytest.param(dict(methods=("ad", "ks", "ad")), "method 'ad' is repeated",
+    @pytest.mark.parametrize("kwargs, error, message", [
+        pytest.param(dict(methods=("sigtest1", "bogus")), ValueError,
+                     r"'bogus'; expected one of \('sigtest1'", id="method"),
+        pytest.param(dict(separations=(2.5, 2.5, 3.0)), ValueError,
+                     r"separation 2\.5 is repeated", id="repeated-separation"),
+        pytest.param(dict(separations=(2, 2.0)), ValueError, "separation 2 is repeated",
+                     id="equal-separation"),
+        pytest.param(dict(methods=("ad", "ks", "ad")), ValueError, "method 'ad' is repeated",
                      id="repeated-method"),
-        pytest.param(dict(timing_runs=-1), "timing_runs must be nonnegative", id="timing-runs"),
-        pytest.param(dict(runs=0), "runs must be at least 1", id="runs"),
+        pytest.param(dict(timing_runs=-1), ValueError, "timing_runs must be nonnegative",
+                     id="timing-runs"),
+        pytest.param(dict(runs=0), ValueError, "runs must be at least 1", id="runs"),
+        # a bool ran once and was written to JSON as `true`; a float failed
+        # in range() with a message that named no argument
+        pytest.param(dict(runs=True), TypeError, "runs must be an integer, got True",
+                     id="bool-runs"),
+        pytest.param(dict(runs=2.5), TypeError, "runs must be an integer, got 2.5",
+                     id="float-runs"),
+        pytest.param(dict(timing_runs=1.5), TypeError, "timing_runs must be an integer, got 1.5",
+                     id="float-timing-runs"),
     ])
-    def test_bad_request_refused_before_sampling(self, monkeypatch, kwargs, message):
+    def test_bad_request_refused_before_sampling(self, monkeypatch, kwargs, error, message):
         # a repeated separation would share one draw between two records
         drawn = []
         monkeypatch.setattr(benchmark, "_sweep_sample", lambda *a: drawn.append(a))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(error, match=message):
             run_test_benchmark(**{"runs": 2, "methods": ("sigtest1",), **kwargs})
         assert drawn == []
 
@@ -137,6 +147,16 @@ class TestRunTestBenchmark:
         table = format_test_table(recs)
         assert "sigtest1" in table and "ks" in table
         assert "%" in table
+        assert format_test_table(r for r in recs) == table
+
+    def test_generators_read_once(self):
+        # the request check used to use up a generator, leaving no records
+        kwargs = dict(runs=2, seed=8, timing_runs=0)
+        expected = run_test_benchmark(separations=(2.5, 3.0), methods=("ad", "ks"), **kwargs)
+        assert len(expected) == 4
+        got = run_test_benchmark(separations=(s for s in (2.5, 3.0)),
+                                 methods=(m for m in ("ad", "ks")), **kwargs)
+        assert got == expected
 
 
 class TestRunClusterBenchmark:
@@ -179,25 +199,29 @@ class TestRunClusterBenchmark:
         assert (exc.value.row, exc.value.column) == (3, 2)
         assert "'sheet'" in str(exc.value)
 
-    @pytest.mark.parametrize("kwargs, message", [
-        pytest.param(dict(methods=("gmeans", "nope"), runs=20),
+    @pytest.mark.parametrize("kwargs, error, message", [
+        pytest.param(dict(methods=("gmeans", "nope"), runs=20), ValueError,
                      r"unknown method 'nope'; expected one of", id="method"),
-        pytest.param(dict(runs=0), "runs must be at least 1", id="runs"),
-        pytest.param(dict(methods=("gmeans", "gmeans")), "method 'gmeans' is repeated",
-                     id="repeated-method"),
-        pytest.param(dict(manifests=["seeds", "iris", "seeds"]), "dataset 'seeds' is repeated",
-                     id="repeated-dataset"),
+        pytest.param(dict(runs=0), ValueError, "runs must be at least 1", id="runs"),
+        pytest.param(dict(runs=True), TypeError, "runs must be an integer, got True",
+                     id="bool-runs"),
+        pytest.param(dict(runs=2.5), TypeError, "runs must be an integer, got 2.5",
+                     id="float-runs"),
+        pytest.param(dict(methods=("gmeans", "gmeans")), ValueError,
+                     "method 'gmeans' is repeated", id="repeated-method"),
+        pytest.param(dict(manifests=["seeds", "iris", "seeds"]), ValueError,
+                     "dataset 'seeds' is repeated", id="repeated-dataset"),
         pytest.param(dict(manifests=[bundled_manifest("iris"),
                                      DatasetManifest(name="iris", path="other/iris.csv")]),
-                     "dataset 'iris' is repeated", id="repeated-dataset-name"),
-        pytest.param(dict(manifests=["iris", "nope"]),
+                     ValueError, "dataset 'iris' is repeated", id="repeated-dataset-name"),
+        pytest.param(dict(manifests=["iris", "nope"]), ValueError,
                      r"no bundled dataset 'nope'; have \['iris', 'seeds'\]", id="unknown-dataset"),
     ])
-    def test_bad_request_refused_before_loading(self, monkeypatch, kwargs, message):
+    def test_bad_request_refused_before_loading(self, monkeypatch, kwargs, error, message):
         # a repeated dataset or method would be two records of one table cell
         loaded = []
         monkeypatch.setattr(benchmark, "load_csv", lambda m: loaded.append(m))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(error, match=message):
             run_cluster_benchmark(**{"manifests": ["iris", "seeds"], **kwargs})
         assert loaded == []
 
@@ -206,3 +230,14 @@ class TestRunClusterBenchmark:
                                      runs=2, seed=2)
         table = format_cluster_table(recs)
         assert "iris" in table and "gmeans+" in table and "ARI" in table
+        assert format_cluster_table(r for r in recs) == table
+
+    def test_generators_read_once(self):
+        # the request check used to use up a generator, leaving no records
+        kwargs = dict(runs=2, seed=8)
+        expected = strip_timing(run_cluster_benchmark(["iris"], methods=("gmeans", "gmeans+"),
+                                                      **kwargs))
+        assert len(expected) == 2
+        got = run_cluster_benchmark((name for name in ["iris"]),
+                                    methods=(m for m in ("gmeans", "gmeans+")), **kwargs)
+        assert strip_timing(got) == expected

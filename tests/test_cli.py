@@ -7,11 +7,16 @@ import numpy as np
 import pytest
 
 from sigcluster import (
+    SigtestConfig,
     TwoClusterSpec,
+    bundled_manifest,
     dip_reference_table,
     dip_test,
     gen_two_clusters,
+    load_csv,
     read_results,
+    run_method,
+    run_test_benchmark,
 )
 from sigcluster import benchmark, cli, data_io
 from sigcluster.baselines import AD_ALPHA, KS_ALPHA
@@ -51,6 +56,12 @@ class TestTestCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["decision"] == "split"
         assert report["C"] > 0.4
+
+    def test_threshold_reaches_the_test(self, bimodal_csv, capsys):
+        # no violation fraction exceeds 1: the bimodal sample is kept whole
+        assert main(["test", "--threshold", "1.0", bimodal_csv]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["C"] > 0.4 and report["defaults"]["threshold"] == 1.0
 
     def test_all_methods_run(self, bimodal_csv, capsys):
         for method in ("sigtest2", "ad", "ks"):
@@ -172,6 +183,20 @@ class TestTestCommand:
         code = main(["test", str(p), "--centroid1=-2,0", "--centroid2=2,0"])
         assert code == 3
 
+    def test_delimiter_splits_the_columns(self, tmp_path, capsys):
+        # the same rows with ";" between the cells give the same report
+        rng = np.random.default_rng(24)
+        rows = np.vstack([rng.normal(size=(100, 2)) - [2, 0],
+                          rng.normal(size=(100, 2)) + [2, 0]])
+        reports = []
+        for name, sep, extra in (("comma.csv", ",", []), ("semi.csv", ";", ["--delimiter", ";"])):
+            p = tmp_path / name
+            p.write_text("\n".join(sep.join(map(str, r)) for r in rows) + "\n")
+            assert main(["test", str(p), "--centroid1=-2,0", "--centroid2=2,0", *extra]) == 3
+            reports.append({k: v for k, v in json.loads(capsys.readouterr().out).items()
+                            if k != "input"})
+        assert reports[0] == reports[1] and reports[0]["N"] == 200
+
 
 class TestClusterCommand:
     def test_iris_gmeans_plus(self, tmp_path, capsys, monkeypatch):
@@ -252,6 +277,44 @@ class TestClusterCommand:
 
     def test_unknown_method_exit_2(self, capsys):
         assert main(["cluster", "iris", "--method", "zmeans"]) == 2
+
+    def test_threshold_reaches_the_criterion(self, tmp_path, capsys, monkeypatch):
+        # no projection's violation fraction exceeds 1, so nothing splits
+        monkeypatch.setenv("SIGCLUSTER_OUT_DIR", str(tmp_path))
+        for method in ("gmeans+", "dipmeans+"):
+            assert main(["cluster", "iris", "--method", method, "--threshold", "1.0"]) == 0
+            out = capsys.readouterr().out
+            summary = json.loads(out[:out.rindex("}") + 1])
+            assert summary["k"] == 1 and summary["defaults"]["threshold"] == 1.0
+
+    def test_gamma_reaches_the_criterion(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SIGCLUSTER_OUT_DIR", str(tmp_path))
+        assert main(["cluster", "iris", "--method", "gmeans+", "--gamma", "1.5",
+                     "--seed", "2"]) == 0
+        capsys.readouterr()
+        ref = run_method("gmeans+", load_csv(bundled_manifest("iris")), seed=2,
+                         sigtest_config=SigtestConfig(gamma=1.5))
+        full = json.loads((tmp_path / "iris_gmeans+.json").read_text())
+        assert full["assignment"] == ref.assignment.tolist()
+        assert full["split_log"] == [dataclasses.asdict(rec) for rec in ref.split_log]
+
+    def test_standardize_clusters_the_standardized_rows(self, tmp_path, capsys, monkeypatch):
+        # two blobs apart on a unit-scale axis, beside a wide noise axis
+        # that hides them until each column is scaled to unit std
+        monkeypatch.setenv("SIGCLUSTER_OUT_DIR", str(tmp_path))
+        rng = np.random.default_rng(29)
+        rows = np.column_stack([np.repeat([0.0, 8.0], 60) + rng.normal(size=120),
+                                1000.0 * rng.normal(size=120)])
+        p = tmp_path / "scaled.csv"
+        p.write_text("\n".join(",".join(map(str, r)) for r in rows) + "\n")
+        assert main(["cluster", str(p), "--method", "gmeans+", "--standardize"]) == 0
+        out = capsys.readouterr().out
+        summary = json.loads(out[:out.rindex("}") + 1])
+        assert summary["standardize"] is True
+        manifest = data_io.DatasetManifest(name="scaled", path=str(p), standardize=True)
+        ref = run_method("gmeans+", load_csv(manifest), seed=7)
+        full = json.loads((tmp_path / "scaled_gmeans+.json").read_text())
+        assert full["assignment"] == ref.assignment.tolist()
 
     @pytest.mark.parametrize("name", ["r.csv", "R.CSV"])
     def test_csv_output_refused(self, tmp_path, capsys, monkeypatch, name):
@@ -337,6 +400,30 @@ class TestBenchCommands:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert loaded == [] and list(tmp_path.iterdir()) == []
 
+    def test_bench_tests_sigtest_settings_reach_the_sweep(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SIGCLUSTER_OUT_DIR", str(tmp_path))
+        assert main(["bench-tests", "--separations", "3.0", "--runs", "5", "--timing-runs", "0",
+                     "--gamma", "1.5", "--threshold", "1.0", "--output", "bt.json"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert f"gamma=1.5 threshold=1.0 alpha_ks={KS_ALPHA}" in header
+        ref = run_test_benchmark(separations=(3.0,), runs=5, timing_runs=0,
+                                 sigtest_config=SigtestConfig(gamma=1.5, threshold=1.0))
+        recs = read_results(tmp_path / "bt.json")
+        assert recs == [dataclasses.asdict(r) for r in ref]
+        assert [r["success_rate"] for r in recs[:2]] == [0.0, 0.0]  # sigtest1, sigtest2
+
+    def test_bench_cluster_threshold_and_standardize(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SIGCLUSTER_OUT_DIR", str(tmp_path))
+        rows = np.random.default_rng(30).normal(size=(60, 2))
+        p = tmp_path / "plain.csv"
+        p.write_text("\n".join(",".join(map(str, r)) for r in rows) + "\n")
+        assert main(["bench-cluster", "--datasets", f"iris,{p}", "--methods", "gmeans+",
+                     "--runs", "2", "--threshold", "1.0", "--standardize",
+                     "--output", "bc.json"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert "standardize={'iris': False, 'plain': True}" in header
+        assert [r["k_mean"] for r in read_results(tmp_path / "bc.json")] == [1.0, 1.0]
+
     def test_bench_tests_reads_no_file(self, capsys):
         # bench-tests generates its samples, so it takes no --delimiter
         assert main(["bench-tests", "--delimiter", ";"]) == 2
@@ -395,6 +482,20 @@ def test_csv_path_read_once(tmp_path, capsys, monkeypatch, argv):
     p.write_text("\n".join(f"{v}" for v in y) + "\n")
     assert main([*argv, str(p)]) == 0
     assert reads == [str(p)]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["test", "--bootstrap-b", "500"], id="test-bootstrap-b"),
+    pytest.param(["cluster", "iris", "--variant", "2"], id="cluster-variant"),
+    pytest.param(["bench-cluster", "--variant", "2"], id="bench-cluster-variant"),
+    pytest.param(["bench-tests", "--alpha", "0.01"], id="bench-tests-alpha"),
+])
+def test_removed_options_are_unknown(unimodal_csv, capsys, argv):
+    # the signature variant comes from the method name, the dip table is
+    # the DIP_BOOTSTRAP_B one and the sweep runs KS at KS_ALPHA
+    argv = [*argv, unimodal_csv] if argv[0] == "test" else argv
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_console_entry_point(tmp_path):

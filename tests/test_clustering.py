@@ -691,6 +691,23 @@ class TestRegistry:
             configured(TEST_CRITERIA["sigtest1"], gamma=-1.0)
         assert KSCriterion().alpha == KS_ALPHA
 
+    @pytest.mark.parametrize("method", ["gmeans+", "dipmeans+"])
+    def test_sigtest_config_sets_gamma_and_threshold(self, method):
+        # run_method applies a config as run_test_benchmark does: its gamma
+        # and threshold reach the criterion, and the variant comes from the
+        # method name, so the + methods run signature 1 whatever it says
+        from sigcluster import bundled_manifest, load_csv
+        iris = load_csv(bundled_manifest("iris"))
+        default = run_method(method, iris, seed=0)
+        assert default.k > 1
+        assert run_method(method, iris, seed=0,
+                          sigtest_config=SigtestConfig(threshold=1.0)).k == 1
+        swapped = run_method(method, iris, seed=0,
+                             sigtest_config=SigtestConfig(variant=SignatureVariant.SIGNATURE2))
+        np.testing.assert_array_equal(swapped.assignment, default.assignment)
+        assert swapped.split_log == default.split_log
+        assert {rec.criterion for rec in swapped.split_log} == {"sigtest1"}
+
     def test_unknown_names_are_refused(self):
         data = gen_gaussian(64, dimension=2, seed=0)
         with pytest.raises(ValueError, match=r"'kmeans'; expected one of \('gmeans'"):

@@ -9,7 +9,8 @@ perfbench's own), and the calibration tables callable in the forms its
 layer rows use. No module imports a name it never uses, no module but
 ``data_io`` names the bundled datasets, and importing the package leaves
 ``scipy.stats`` unloaded. The count of settable values (parameters,
-dataclass fields, command-line options) may not grow unnoticed.
+dataclass fields, command-line options) may not grow unnoticed, and
+every command-line option is passed by some CLI test.
 """
 
 import argparse
@@ -237,7 +238,7 @@ def test_all_entries_resolve():
 
 # the settable values this surface has; raise it only with a new option
 # that is meant to be there
-SETTABLE_VALUES = 162
+SETTABLE_VALUES = 157
 
 
 def settable_values() -> int:
@@ -271,6 +272,23 @@ def test_settable_values_capped():
     assert count <= SETTABLE_VALUES, (
         f"{count} settable values, above {SETTABLE_VALUES}: a new parameter, field or "
         "option must raise SETTABLE_VALUES in the same change")
+
+
+def test_every_option_is_exercised():
+    # an option no test passes can stop reaching the library unseen; a
+    # test names it as a string constant, or as its prefix (--centroid1=-2,0)
+    constants = [node.value for node in ast.walk(ast.parse(
+                     (ROOT / "tests" / "test_cli.py").read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = {(command, option) for command, sub in subparsers.choices.items()
+               for action in sub._actions if not isinstance(action, argparse._HelpAction)
+               for option in action.option_strings}
+    assert ("cluster", "--seed") in options  # guards the scan itself
+    untested = sorted(f"{command} {option}" for command, option in options
+                      if not any(c == option or c.startswith(option + "=") for c in constants))
+    assert not untested, "options no test in tests/test_cli.py passes:\n" + "\n".join(untested)
 
 
 def _src_env() -> dict:
