@@ -1,11 +1,14 @@
 """sigcluster: signature-based unimodality testing and cluster-count
 estimation, with the classic baselines and a reproduction harness.
 
-The signature test (Sigtest) decides whether a 1-d sample is unimodal by
-comparing the CDF-mapped sorted absolute values of the normalized sample
-against a probabilistic order-statistic band; hierarchical wrappers use
-it (or Anderson-Darling / the dip test) as a cluster-splitting criterion
-to estimate the number of clusters.
+The signature test (Sigtest) compares the half-normal-CDF-mapped sorted
+absolute values of the normalized 1-d sample against a probabilistic
+order-statistic band. The paper calls it a unimodality test, but the band
+is that of a Gaussian sample, so it tests Gaussian shape: at N = 200 it
+rejects most uniform and Laplace samples, which the dip test accepts
+(README, "Where the results differ from the paper"). Hierarchical
+wrappers use it (or Anderson-Darling / the dip test) as a
+cluster-splitting criterion to estimate the number of clusters.
 """
 
 from .baselines import (

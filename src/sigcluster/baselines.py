@@ -71,7 +71,8 @@ AD_CRITICAL_VALUES = {
 
 # The one statement of each test default, read by the clustering
 # criteria, the benchmark and the command line: the AD splitting level,
-# the Lilliefors KS level and the number of uniform dip bootstrap samples.
+# the Lilliefors KS level and the number of uniform dip bootstrap samples
+# (which sets the dip's level: it rejects at about 1/(B + 1) under H0).
 AD_ALPHA = 0.0001
 KS_ALPHA = 0.05
 DIP_BOOTSTRAP_B = 1000
@@ -646,7 +647,7 @@ def dip_reference_dips(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
     Raises
     ------
     TooFewSamplesError
-        If N < 4 or B < 100, :func:`dip_test`'s rules.
+        If N < 4 (:func:`dip_test`'s rule) or B < 100.
     TypeError
         If N or B is not an integer.
     """
@@ -661,14 +662,14 @@ def dip_reference_dips(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
 
 
 def dip_reference_table(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
-    """Memoized :func:`dip_reference_dips`: the table every
-    :func:`dip_test` call at sample size N and bootstrap size B decides
-    against (identical values; built once per (N, B) in the process).
+    """Memoized :func:`dip_reference_dips` (identical values; built once
+    per (N, B) in the process). At the default B it is the table every
+    :func:`dip_test` call at sample size N decides against.
 
     N and B are checked as dip_reference_dips checks them, before the
     lookup: an int and a numpy integer of equal value share one table, and
-    a float N or B, or one below dip_test's minimum, is refused on every
-    call. ``cache_info`` and ``cache_clear`` are the cache's own.
+    a float N or B, or one below its minimum, is refused on every call.
+    ``cache_info`` and ``cache_clear`` are the cache's own.
     """
     return _dip_reference_table(*_dip_table_sizes(N, B))
 
@@ -685,42 +686,35 @@ dip_reference_table.cache_clear = _dip_reference_table.cache_clear
 
 
 def _dip_table_sizes(N, B) -> tuple[int, int]:
-    """(N, B) of a dip table as ints, checked by dip_test's rules."""
+    """(N, B) of a dip table as ints, checked: N >= 4 and B >= 100."""
     N = _integer(N, "N")
     _check_size(N, _DIP_MIN_SAMPLES, "dip test")
-    return N, _bootstrap_size(B)
-
-
-def _bootstrap_size(bootstrap_B) -> int:
-    """``bootstrap_B`` as the integer a dip table is keyed on, checked."""
-    B = _integer(bootstrap_B, "bootstrap_B")
+    B = _integer(B, "bootstrap_B")
     if B < 100:
         raise TooFewSamplesError("bootstrap_B must be at least 100")
-    return B
+    return N, B
 
 
-def dip_test(y, bootstrap_B: int = DIP_BOOTSTRAP_B) -> BaselineDecision:
+def dip_test(y) -> BaselineDecision:
     """Dip test with a bootstrap p-value at "level zero".
 
-    p-value = fraction of ``bootstrap_B`` uniform samples of the same size
-    whose dip is at least the observed dip; unimodality is rejected only
-    when the observed dip exceeds every reference dip (p == 0). The
-    reference dips are the seeded :func:`dip_reference_table` at (N,
-    bootstrap_B), drawn once per pair in the process.
+    p-value = fraction of the DIP_BOOTSTRAP_B uniform samples of the same
+    size whose dip is at least the observed dip; unimodality is rejected
+    only when the observed dip exceeds every reference dip (p == 0), so
+    the test's level is about 1/(DIP_BOOTSTRAP_B + 1). The reference dips
+    are the seeded :func:`dip_reference_table` at N, drawn once per N in
+    the process.
 
     Raises
     ------
     TooFewSamplesError
-        If N < 4 or bootstrap_B < 100.
-    TypeError
-        If ``bootstrap_B`` is not an integer.
+        If N < 4.
     DegenerateInputError
         If all values are equal, or the range times N overflows.
     """
     y = _test_sample(y, _DIP_MIN_SAMPLES, "dip test")
-    B = _bootstrap_size(bootstrap_B)
     d = _dip(y)
-    ref = dip_reference_table(y.size, B)
+    ref = dip_reference_table(y.size)
     p = float(np.count_nonzero(ref >= d) / ref.size)
     return BaselineDecision(
         statistic=d,
@@ -729,7 +723,7 @@ def dip_test(y, bootstrap_B: int = DIP_BOOTSTRAP_B) -> BaselineDecision:
     )
 
 
-def _dip_test_rows(Y, bootstrap_B: int):
+def _dip_test_rows(Y):
     """(dip, reject) of each row of a 2-d array: one lookup of the dip
     table at the rows' N and one AS 217 kernel call over all rows (in
     blocks of bounded memory). A row rejects where its dip exceeds every
@@ -746,16 +740,13 @@ def _dip_test_rows(Y, bootstrap_B: int):
     ValueError
         If Y is not 2-d.
     TooFewSamplesError
-        If N < 4 or bootstrap_B < 100.
+        If N < 4.
     NonFiniteInputError
         If Y contains NaN or infinity.
-    TypeError
-        If ``bootstrap_B`` is not an integer.
     """
     Y = _test_rows(Y, _DIP_MIN_SAMPLES, "dip test")
-    B = _bootstrap_size(bootstrap_B)
     if not len(Y):
         return np.empty(0), np.zeros(0, dtype=bool)
-    critical = dip_reference_table(Y.shape[1], B).max()
+    critical = dip_reference_table(Y.shape[1]).max()
     dips = _dip_rows(Y, critical)
     return dips, dips > critical

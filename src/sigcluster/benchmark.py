@@ -57,9 +57,10 @@ def _check_request(runs, methods, known, timing_runs=0, **cells) -> None:
     """Refuse a bad request before any work: a run or timing-run count
     that is not an integer (a bool included) or is too small, a method
     name, with the messages BenchmarkRecord and run_method would give
-    later, or a repeated method or ``cells`` value (``cells`` maps a
-    kind, such as ``separation``, to its values), since each cell is
-    named once. Values are compared, not their text: 2 and 2.0 repeat."""
+    later, a separation TwoClusterSpec refuses (negative or not finite),
+    or a repeated method or ``cells`` value (``cells`` maps a kind, such
+    as ``separation``, to its values), since each cell is named once.
+    Values are compared, not their text: 2 and 2.0 repeat."""
     if _integer(runs, "runs") < 1:
         raise ValueError("runs must be at least 1")
     if _integer(timing_runs, "timing_runs") < 0:
@@ -67,6 +68,8 @@ def _check_request(runs, methods, known, timing_runs=0, **cells) -> None:
     for method in methods:
         if method not in known:
             raise ValueError(f"unknown method {method!r}; expected one of {known}")
+    for separation in cells.get("separation", ()):
+        TwoClusterSpec(separation=separation)
     for kind, values in {"method": methods, **cells}.items():
         seen = set()
         for value in values:

@@ -35,7 +35,6 @@ import numpy as np
 
 from .baselines import (
     AD_ALPHA,
-    DIP_BOOTSTRAP_B,
     KS_ALPHA,
     BaselineDecision,
     _dip_test_rows,
@@ -124,18 +123,16 @@ class KSCriterion(_BaselineCriterion):
 class DipViewerCriterion(_BaselineCriterion):
     """Viewer test for dipmeans_family: dip at bootstrap level zero."""
 
-    bootstrap_B: int = DIP_BOOTSTRAP_B
-
     # Classic dip-means convention: dip viewers at bootstrap level zero
     # almost never reject under H0, so 1% of viewers is already a signal.
     viewer_fraction: ClassVar[float] = 0.01
     name: ClassVar[str] = "dip-viewer"
 
     def decide(self, y) -> BaselineDecision:
-        return dip_test(y, self.bootstrap_B)
+        return dip_test(y)
 
     def test_rows(self, Y) -> tuple[np.ndarray, np.ndarray]:
-        return _dip_test_rows(Y, self.bootstrap_B)
+        return _dip_test_rows(Y)
 
 
 @dataclass(frozen=True)
@@ -654,7 +651,8 @@ def dipmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult
 
 
 # The tests of `sigcluster test` and the bench-tests sweep, and each
-# clusterer's family and criterion; configured() applies a caller's settings.
+# clusterer's family with its criterion, one of those tests; configured()
+# applies a caller's settings.
 TEST_CRITERIA = {
     "sigtest1": SigtestCriterion(SigtestConfig(variant=SignatureVariant.SIGNATURE1)),
     "sigtest2": SigtestCriterion(SigtestConfig(variant=SignatureVariant.SIGNATURE2)),
@@ -663,10 +661,10 @@ TEST_CRITERIA = {
     "dip": DipViewerCriterion(),
 }
 CLUSTERERS = {
-    "gmeans": (gmeans_family, ADCriterion()),
-    "gmeans+": (gmeans_family, SigtestCriterion()),
-    "dipmeans": (dipmeans_family, DipViewerCriterion()),
-    "dipmeans+": (dipmeans_family, SigtestCriterion()),
+    "gmeans": (gmeans_family, TEST_CRITERIA["ad"]),
+    "gmeans+": (gmeans_family, TEST_CRITERIA["sigtest1"]),
+    "dipmeans": (dipmeans_family, TEST_CRITERIA["dip"]),
+    "dipmeans+": (dipmeans_family, TEST_CRITERIA["sigtest1"]),
 }
 METHOD_NAMES = tuple(CLUSTERERS)
 

@@ -6,6 +6,7 @@ is an independent, reproducible substream, so runs can be generated in
 parallel (or re-generated individually) without changing anything.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ class TwoClusterSpec:
     def __post_init__(self):
         if self.n_per_cluster < 2:
             raise ValueError("n_per_cluster must be at least 2")
+        if not math.isfinite(self.separation):
+            raise ValueError(f"separation must be finite, got {self.separation}")
         if self.separation < 0:
             raise ValueError("separation must be nonnegative")
         if self.dimension < 1:

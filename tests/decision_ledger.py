@@ -1,0 +1,107 @@
+"""The decision ledger: every decision the package makes on a fixed set of
+inputs, written to ``decision_ledger.json`` beside this file and checked
+by ``test_decision_ledger.py``.
+
+The ledger holds
+- the Table-1 sweep, ``run_test_benchmark(timing_runs=0)`` (acceptance
+  criterion 1's protocol), its records without ``mean_time_s``;
+- for each clusterer, dataset and run seed 0-2: k, the ARI against the
+  dataset's labels and a sha256 of the assignment and the split log
+  (each statistic as float hex, so the digest moves with any bit);
+- the numpy version it was written with. Under another version the
+  digests are not compared, since float kernels may round differently;
+  the sweep, k and ARI still are.
+
+The datasets are iris and seeds as bundled, two sets of five Gaussian
+blobs (5 x 200 points, d = 8), a single Gaussian rounded to a grain of
+half its standard deviation (tied values; ROADMAP item 7) and a single
+uniform square (a unimodal cluster that is not Gaussian; ROADMAP item
+10). The single-cluster sets are labeled as one cluster.
+
+Regenerate the ledger only in a change that means to move decisions, and
+disclose the diff in CHANGES.md as that change's before/after report:
+
+    PYTHONPATH=src python tests/decision_ledger.py
+"""
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+
+from sigcluster import (
+    Dataset,
+    ari,
+    bundled_manifest,
+    gen_gaussian,
+    load_csv,
+    run_method,
+    run_test_benchmark,
+)
+from sigcluster.clustering import METHOD_NAMES
+
+LEDGER = Path(__file__).with_name("decision_ledger.json")
+RUN_SEEDS = range(3)
+BLOB_COMPONENTS, BLOB_POINTS, BLOB_DIM = 5, 200, 8
+# centre-to-centre distance of the blobs, in standard deviations
+BLOB_EDGE = 23.2
+
+
+def blobs(index: int) -> Dataset:
+    """Five unit-variance blobs at the vertices of a regular simplex."""
+    centres = BLOB_EDGE / np.sqrt(2.0) * np.eye(BLOB_DIM)[:BLOB_COMPONENTS]
+    rows = np.vstack([gen_gaussian(BLOB_POINTS, mean=c, dimension=BLOB_DIM,
+                                   seed=100 * index + j).rows
+                      for j, c in enumerate(centres)])
+    labels = np.repeat(np.arange(BLOB_COMPONENTS), BLOB_POINTS)
+    return Dataset(rows=rows, labels=labels, name=f"blobs[{index}]")
+
+
+def rounded_gaussian() -> Dataset:
+    """1000 draws of N(0, 2^2) rounded to integers: 0.5 sigma grain."""
+    rows = np.round(2.0 * gen_gaussian(1000, dimension=1, seed=0).rows)
+    return Dataset(rows=rows, labels=np.zeros(len(rows), dtype=int), name="rounded_gaussian")
+
+
+def uniform_square() -> Dataset:
+    """1000 draws from the uniform distribution on the unit square."""
+    rows = np.random.default_rng([0]).uniform(size=(1000, 2))
+    return Dataset(rows=rows, labels=np.zeros(len(rows), dtype=int), name="uniform_square")
+
+
+def datasets() -> dict[str, Dataset]:
+    return {"iris": load_csv(bundled_manifest("iris")),
+            "seeds": load_csv(bundled_manifest("seeds")),
+            "blobs0": blobs(0), "blobs1": blobs(1),
+            "rounded_gaussian": rounded_gaussian(),
+            "uniform_square": uniform_square()}
+
+
+def digest(result) -> str:
+    """sha256 of the assignment (int64) and every split record."""
+    h = hashlib.sha256(np.asarray(result.assignment, dtype=np.int64).tobytes())
+    for rec in result.split_log:
+        h.update(repr((rec.round, rec.cluster_id, rec.criterion, float(rec.statistic).hex(),
+                       bool(rec.decision), bool(rec.accepted), int(rec.n))).encode())
+    return h.hexdigest()
+
+
+def compute_ledger() -> dict:
+    sweep = [{k: v for k, v in dataclasses.asdict(r).items() if k != "mean_time_s"}
+             for r in run_test_benchmark(timing_runs=0)]
+    runs = {}
+    for name, data in datasets().items():
+        for method in METHOD_NAMES:
+            for seed in RUN_SEEDS:
+                result = run_method(method, data, seed=seed)
+                runs[f"{name} {method} {seed}"] = {
+                    "k": result.k, "ari": ari(result.assignment, data.labels),
+                    "digest": digest(result)}
+    return {"numpy": np.__version__, "sweep": sweep, "runs": runs}
+
+
+if __name__ == "__main__":
+    LEDGER.write_text(json.dumps(compute_ledger(), indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {LEDGER}")

@@ -30,7 +30,7 @@ from sigcluster import (
     sigtest,
 )
 from sigcluster import baselines
-from sigcluster.baselines import _dip, _dip_rows, _lilliefors_critical
+from sigcluster.baselines import DIP_BOOTSTRAP_B, _dip, _dip_rows, _lilliefors_critical
 from sigcluster.errors import DegenerateInputError, NonFiniteInputError, TooFewSamplesError
 
 
@@ -369,7 +369,7 @@ class TestDipStatistic:
         with pytest.raises(DegenerateInputError, match="zero spread"):
             dip_statistic(y)
         with pytest.raises(DegenerateInputError, match="zero spread"):
-            dip_test(y, bootstrap_B=100)
+            dip_test(y)
 
     def test_no_overflow_refusal(self):
         # the dip forms no moment, so a sample whose squared deviations
@@ -390,7 +390,7 @@ class TestDipStatistic:
             with pytest.raises(DegenerateInputError, match="overflows"):
                 dip_statistic(y)
             with pytest.raises(DegenerateInputError, match="overflows"):
-                dip_test(y, bootstrap_B=100)
+                dip_test(y)
             assert np.isnan(_dip_rows(np.vstack([y, y / 1.7e308]))).tolist() == [True, False]
 
 
@@ -471,6 +471,7 @@ def test_dip_rows_settle_saves_passes(monkeypatch):
     # the viewer criterion that passes the table's largest dip
     N = 199
     critical = dip_reference_table(N, 100).max()
+    viewer_critical = dip_reference_table(N).max()  # built before passes are counted
     peels = []
     peel = baselines._peel
     monkeypatch.setattr(baselines, "_peel", lambda *a, **k: peels.append(1) or peel(*a, **k))
@@ -486,7 +487,8 @@ def test_dip_rows_settle_saves_passes(monkeypatch):
         full = passes(lambda: _dip_rows(Y))
         settled = passes(lambda: _dip_rows(Y, critical))
         assert settled < full
-        assert passes(lambda: DipViewerCriterion(bootstrap_B=100).test_rows(Y)) == settled
+        assert passes(lambda: DipViewerCriterion().test_rows(Y)) == \
+            passes(lambda: _dip_rows(Y, viewer_critical))
 
 
 def test_dip_rows_evenly_spaced_differs_in_last_bits():
@@ -563,32 +565,18 @@ class TestDipTest:
         # the default call reads the memoized table; freshly drawn bootstrap
         # dips are the same bits and give the same decision
         y = two_clusters(3.0, seed=4)[:60]
-        a = dip_test(y, bootstrap_B=200)
-        b = dip_test(y, bootstrap_B=200)
-        dips = dip_reference_dips(len(y), 200)
-        assert np.array_equal(dip_reference_table(len(y), 200), dips)
+        a = dip_test(y)
+        b = dip_test(y)
+        dips = dip_reference_dips(len(y))
+        assert np.array_equal(dip_reference_table(len(y)), dips)
         assert a == b
         assert a.statistic == dip_statistic(y)
-        assert a.p_value == np.count_nonzero(dips >= a.statistic) / 200
+        assert a.p_value == np.count_nonzero(dips >= a.statistic) / DIP_BOOTSTRAP_B
         assert a.reject_unimodal == (a.p_value == 0.0)
 
     def test_errors(self):
         with pytest.raises(TooFewSamplesError):
             dip_test(np.array([1.0, 2.0, 3.0]))
-        with pytest.raises(TooFewSamplesError):
-            dip_test(np.arange(10.0), bootstrap_B=50)
-
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_float_bootstrap_refused_cold_or_warm(self, warm):
-        # dip_test checks B before the table lookup, so a float B equal to
-        # the B of a built table is refused as one never seen
-        y = two_clusters(3.0, seed=4)[:60]
-        dip_reference_table.cache_clear()
-        if warm:
-            dip_test(y, 100)
-        with pytest.raises(TypeError, match="bootstrap_B must be an integer, got 100.0"):
-            dip_test(y, 100.0)
-        assert dip_test(y, np.int64(100)) == dip_test(y, 100)
 
 
 # ------------------------------------------------------- calibration tables
@@ -610,12 +598,11 @@ def test_decisions_match_fresh_tables():
             assert dec.p_value == float((ref.size - np.searchsorted(ref, D, side="left")) / ref.size)
             assert dec.reject_unimodal == (D > critical)
         d = dip_statistic(y)
-        for B in (100, 1000):
-            dips = dip_reference_dips(N, B)
-            dec = dip_test(y, B)
-            assert dec.statistic == d
-            assert dec.p_value == np.count_nonzero(dips >= d) / B
-            assert dec.reject_unimodal == (dec.p_value == 0.0)
+        dips = dip_reference_dips(N)
+        dec = dip_test(y)
+        assert dec.statistic == d
+        assert dec.p_value == np.count_nonzero(dips >= d) / DIP_BOOTSTRAP_B
+        assert dec.reject_unimodal == (dec.p_value == 0.0)
 
 
 def test_one_table_per_sample_size():
@@ -629,19 +616,19 @@ def test_one_table_per_sample_size():
         return lilliefors_table.cache_info().misses, dip_reference_table.cache_info().misses
 
     ks_lilliefors(rng.normal(size=30))
-    dip_test(rng.normal(size=30), 100)
+    dip_test(rng.normal(size=30))
     assert misses() == (1, 1)
     ks_lilliefors(rng.normal(size=30))
-    dip_test(rng.normal(size=30), 100)
+    dip_test(rng.normal(size=30))
     assert misses() == (1, 1)
 
     # classic dip-means on one 41-point cloud: 41 viewers of 40 distances
-    res = dipmeans_family(Dataset(rng.normal(size=(41, 2))), DipViewerCriterion(100), 0)
+    res = dipmeans_family(Dataset(rng.normal(size=(41, 2))), DipViewerCriterion(), 0)
     assert res.split_log[0].n == 41
     built = dip_reference_table.cache_info().misses
     assert built == 2
     hits = dip_reference_table.cache_info().hits
-    dip_test(rng.normal(size=40), 100)
+    dip_test(rng.normal(size=40))
     assert dip_reference_table.cache_info().misses == built
     assert dip_reference_table.cache_info().hits == hits + 1
 
@@ -666,8 +653,8 @@ def test_lilliefors_tables_refuse_what_ks_refuses(table, N):
     (20, 100.0, TypeError, "bootstrap_B must be an integer, got 100.0"),
 ], ids=["N0", "N3", "B0", "B50", "B100.0"])
 def test_dip_tables_refuse_what_dip_test_refuses(table, N, B, error, match):
-    # a table dip_test could never read (an IndexError at N = 0, an empty
-    # table at B = 0): refused by dip_test's own rules
+    # a table no test could read (an IndexError at N = 0, an empty table
+    # at B = 0): refused by dip_test's size rule and the tables' own B rule
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error, match=match):
@@ -695,7 +682,7 @@ def test_bool_sizes_refused():
     for call, name in ((lambda: lilliefors_table(True), "N"),
                        (lambda: lilliefors_reference(True), "N"),
                        (lambda: dip_reference_table(True, 100), "N"),
-                       (lambda: dip_test(np.arange(20.0), True), "bootstrap_B")):
+                       (lambda: dip_reference_table(20, True), "bootstrap_B")):
         with pytest.raises(TypeError, match=f"{name} must be an integer, got True"):
             call()
 

@@ -80,6 +80,14 @@ class TestRunTestBenchmark:
         pytest.param(dict(timing_runs=-1), ValueError, "timing_runs must be nonnegative",
                      id="timing-runs"),
         pytest.param(dict(runs=0), ValueError, "runs must be at least 1", id="runs"),
+        # each was refused only when its own samples were drawn, after the
+        # samples of the separations before it
+        pytest.param(dict(separations=(2.0, -1.0)), ValueError, "separation must be nonnegative",
+                     id="negative-separation"),
+        pytest.param(dict(separations=(2.0, float("nan"))), ValueError,
+                     "separation must be finite, got nan", id="nan-separation"),
+        pytest.param(dict(separations=(2.0, float("inf"))), ValueError,
+                     "separation must be finite, got inf", id="inf-separation"),
         # a bool ran once and was written to JSON as `true`; a float failed
         # in range() with a message that named no argument
         pytest.param(dict(runs=True), TypeError, "runs must be an integer, got True",

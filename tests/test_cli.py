@@ -73,7 +73,7 @@ class TestTestCommand:
         # a sample whose dip exceeds every seed-0 bootstrap dip; the
         # benchmark's table rejects it, and so must the command
         y = gen_two_clusters(TwoClusterSpec(separation=3.5, seed=10056)).rows[:, 0]
-        assert dip_test(y, 1000).reject_unimodal
+        assert dip_test(y).reject_unimodal
         p = tmp_path / "sep35.csv"
         p.write_text("\n".join(f"{v}" for v in y) + "\n")
         code = main(["test", "--method", "dip", str(p)])

@@ -478,8 +478,8 @@ class TestCriteria:
         rng = np.random.default_rng(92)
         Y = np.vstack([rng.normal(size=60), np.full(60, 2.5),
                        np.concatenate([rng.normal(-4, 1, 30), rng.normal(4, 1, 30)])])
-        criterion = DipViewerCriterion(bootstrap_B=200)
-        critical = dip_reference_table(60, 200).max()
+        criterion = DipViewerCriterion()
+        critical = dip_reference_table(60).max()
         stats, rejects = criterion.test_rows(Y)
         with pytest.raises(DegenerateInputError):
             criterion.test(Y[1])
@@ -610,7 +610,7 @@ class TestDipmeansFamily:
 
     def test_dip_viewer_criterion_variant(self):
         data = blobs([(0, 0), (14, 0)], 100, 1.0, seed=14)
-        res = dipmeans_family(data, DipViewerCriterion(bootstrap_B=200), seed=0)
+        res = dipmeans_family(data, DipViewerCriterion(), seed=0)
         assert res.k == 2
 
     def test_small_cluster_never_tested(self):
@@ -678,13 +678,17 @@ class TestRegistry:
             [gmeans_family, gmeans_family, dipmeans_family, dipmeans_family]
         assert all(hasattr(criterion, "viewer_fraction")
                    for family, criterion in CLUSTERERS.values() if family is dipmeans_family)
+        # each clusterer's criterion is the test registry's own object
+        tests = {"gmeans": "ad", "gmeans+": "sigtest1", "dipmeans": "dip", "dipmeans+": "sigtest1"}
+        assert all(CLUSTERERS[method][1] is TEST_CRITERIA[test] for method, test in tests.items())
 
     def test_configured_sets_only_the_fields_a_criterion_has(self):
         sig2 = configured(TEST_CRITERIA["sigtest2"], gamma=1.5, threshold=0.3, alpha=0.01)
         assert sig2 == SigtestCriterion(SigtestConfig(1.5, 0.3, SignatureVariant.SIGNATURE2))
         assert configured(TEST_CRITERIA["ad"], gamma=1.5, alpha=None) == ADCriterion(AD_ALPHA)
         assert configured(TEST_CRITERIA["ks"], alpha=0.01) == KSCriterion(0.01)
-        assert configured(TEST_CRITERIA["dip"], bootstrap_B=200) == DipViewerCriterion(200)
+        assert configured(TEST_CRITERIA["ad"], alpha=0.01) == ADCriterion(0.01)
+        assert configured(TEST_CRITERIA["dip"], alpha=0.01, gamma=1.5) == DipViewerCriterion()
         config = SigtestConfig(1.5, 0.3, SignatureVariant.SIGNATURE2)
         assert configured(CLUSTERERS["gmeans+"][1], config=config).config == config
         with pytest.raises(ValueError, match="gamma must be positive"):
@@ -724,14 +728,14 @@ class TestBenchmarkDatasets:
         from sigcluster import bundled_manifest, load_csv
         data = load_csv(bundled_manifest("seeds"))
         for s in range(3):
-            res = dipmeans_family(data, DipViewerCriterion(bootstrap_B=500), seed=s)
+            res = dipmeans_family(data, DipViewerCriterion(), seed=s)
             assert res.k == 1
 
     def test_iris_dip_viewers_stop_at_two(self):
         from sigcluster import bundled_manifest, load_csv
         data = load_csv(bundled_manifest("iris"))
         for s in range(3):
-            res = dipmeans_family(data, DipViewerCriterion(bootstrap_B=500), seed=s)
+            res = dipmeans_family(data, DipViewerCriterion(), seed=s)
             assert res.k == 2
 
     def test_unviable_bisection_is_tested_then_vetoed(self):
@@ -958,17 +962,9 @@ class TestBatchedViewers:
             stats, rejects = criterion.test_rows(np.empty((0, 20)))
             assert stats.shape == rejects.shape == (0,)
 
-    def test_dip_rows_check_bootstrap_as_dip_test(self):
-        Y = np.random.default_rng(94).normal(size=(2, 30))
-        for B, error in ((100.0, TypeError), (50, TooFewSamplesError)):
-            with pytest.raises(error):
-                dip_test(Y[0], B)
-            with pytest.raises(error):
-                DipViewerCriterion(B).test_rows(Y)
-
     def test_dip_rows_refuse_overflowing_row(self):
         y = np.concatenate([np.full(30, -1.7e308), np.full(30, 1.7e308)])
-        stats, rejects = DipViewerCriterion(bootstrap_B=100).test_rows(np.vstack([y, y / 1.7e308]))
+        stats, rejects = DipViewerCriterion().test_rows(np.vstack([y, y / 1.7e308]))
         assert np.isnan(stats[0]) and not rejects[0]
         assert stats[1] == 0.25 and rejects[1]
 

@@ -1,0 +1,30 @@
+"""Every decision recorded in ``decision_ledger.json`` still comes out the
+same: the Table-1 sweep records, and k, ARI and the assignment and split
+log digest of each clusterer run. A change that means to move decisions
+regenerates the ledger (see ``decision_ledger.py``) and its diff is the
+before/after report; any other change must leave every entry as it is.
+"""
+
+import json
+
+from decision_ledger import LEDGER, compute_ledger
+
+
+def without_digests(ledger: dict) -> dict:
+    runs = {key: {k: v for k, v in run.items() if k != "digest"}
+            for key, run in ledger["runs"].items()}
+    return {**ledger, "numpy": None, "runs": runs}
+
+
+def test_decisions_match_the_committed_ledger():
+    committed = json.loads(LEDGER.read_text(encoding="utf-8"))
+    now = json.loads(json.dumps(compute_ledger()))  # the floats as the file holds them
+    if now["numpy"] != committed["numpy"]:
+        print(f"decision ledger written with numpy {committed['numpy']}, running "
+              f"{now['numpy']}: digests skipped, sweep, k and ARI compared")
+        committed, now = without_digests(committed), without_digests(now)
+    assert now["sweep"] == committed["sweep"], "the Table-1 sweep records moved"
+    moved = [f"{key}: {committed['runs'].get(key)} -> {now['runs'].get(key)}"
+             for key in sorted(committed["runs"].keys() | now["runs"].keys())
+             if committed["runs"].get(key) != now["runs"].get(key)]
+    assert not moved, "clusterer decisions moved:\n" + "\n".join(moved)

@@ -177,12 +177,12 @@ def named_calls(path):
 
 def test_size_rule_and_row_kernels_stay_in_their_modules():
     # each test's sample-size rule is core._check_size; the other two size
-    # refusals are the dip's bootstrap size and the split loop's
+    # refusals are the dip tables' bootstrap size and the split loop's
     # 2 * MIN_SAMPLES points. The signature and dip row kernels are
     # called only in their own modules: the criteria reach them through
     # the rows forms of sigtest and dip_test
     src = ROOT / "src" / "sigcluster"
-    allowed = {("core.py", "_check_size"), ("baselines.py", "_bootstrap_size"),
+    allowed = {("core.py", "_check_size"), ("baselines.py", "_dip_table_sizes"),
                ("clustering.py", "_split_loop")}
     kernels = {"_signature_rows": "sigtest.py", "_dip_rows": "baselines.py"}
     raised, callers, stray = set(), set(), []
@@ -238,7 +238,7 @@ def test_all_entries_resolve():
 
 # the settable values this surface has; raise it only with a new option
 # that is meant to be there
-SETTABLE_VALUES = 157
+SETTABLE_VALUES = 155
 
 
 def settable_values() -> int:

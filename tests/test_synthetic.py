@@ -62,5 +62,8 @@ class TestGenTwoClusters:
             TwoClusterSpec(n_per_cluster=1)
         with pytest.raises(ValueError):
             TwoClusterSpec(separation=-1.0)
+        for separation in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="separation must be finite"):
+                TwoClusterSpec(separation=separation)
         with pytest.raises(ValueError, match="dimension must be at least 1"):
             TwoClusterSpec(dimension=0)
