@@ -84,6 +84,20 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_VALUES // max(1, width))
 
 
+def _value_blocks(widths: np.ndarray) -> list:
+    """(start, stop) of each block of consecutive items whose widths sum
+    to at most _BLOCK_VALUES values (an item wider than that is a block of
+    its own): the block rule of _block_rows for items of unequal width."""
+    ends = np.cumsum(widths)
+    blocks, start = [], 0
+    while start < len(ends):
+        before = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, before + _BLOCK_VALUES, side="right")))
+        blocks.append((start, stop))
+        start = stop
+    return blocks
+
+
 def _row_moments(Y: np.ndarray, out=None):
     """Mean, deviations and sum of squared deviations of each row (along the
     last axis) of a float64 array, a 1-d array being one row: the one place
@@ -198,8 +212,10 @@ def _half_normal_cdf(t, out=None):
 def half_normal_cdf(t):
     """P(|Z| <= t) for standard normal Z, i.e. 2*Phi(t) - 1 = erf(t/sqrt(2)).
 
-    Accepts a scalar or array of nonnegative values (+inf maps to 1);
-    monotone nondecreasing.
+    Accepts a scalar or array of nonnegative values (+inf maps to 1).
+    The float map is not monotone: between consecutive doubles it can
+    step down by about 3 ulps of its value (at most 3.3e-16 where it was
+    scanned), though it never leaves [0, 1].
 
     Raises
     ------

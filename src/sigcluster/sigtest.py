@@ -28,14 +28,17 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import erfinv
 
 from .core import (
+    _SQRT2,
     _add_reduce,
     _check_size,
     _half_normal_cdf,
     _normalized_rows,
     _sorted_abs,
     _test_rows,
+    _value_blocks,
     as_sample,
     half_normal_cdf,
 )
@@ -162,8 +165,15 @@ def compute_bounds(N: int, config: SigtestConfig) -> SignatureBounds:
 
 def _violations(s: np.ndarray, bounds: SignatureBounds):
     """(C, flags) of a signature, or of each row of a 2-d array of them."""
-    flags = (s < bounds.lower) | (s > bounds.upper)
-    return _add_reduce(flags, axis=-1, dtype=np.intp) / s.shape[-1], flags
+    return _fraction((s < bounds.lower) | (s > bounds.upper))
+
+
+def _fraction(flags: np.ndarray):
+    """(C, flags): C the fraction of flagged indices along the last axis,
+    counted in 16 bits where no count can wrap (numpy sums a bool row
+    into 16 bits about three times as fast as into 64)."""
+    N = flags.shape[-1]
+    return _add_reduce(flags, axis=-1, dtype=np.uint16 if N < 1 << 16 else np.intp) / N, flags
 
 
 def count_violations(signature, bounds: SignatureBounds):
@@ -187,37 +197,188 @@ def count_violations(signature, bounds: SignatureBounds):
     return float(C), flags
 
 
+# The float map _half_normal_cdf can fall below an earlier value, by at
+# most 3 ulps of that value where tests/test_core.py scans it (3.3e-16 at
+# most). A threshold build allows three times that, _MARGIN_ULPS ulps of
+# each level (1e-15 for a level in [0.5, 1)), and searches at most
+# _WINDOW_CAP consecutive doubles per level; see _crossings.
+_MARGIN_ULPS = 9
+_WINDOW_CAP = 4096
+
+
+def _margin(level: np.ndarray) -> np.ndarray:
+    """_MARGIN_ULPS ulps of the values near each level; a level just below
+    a power of 2 takes the wider ulps above it."""
+    return _MARGIN_ULPS * np.spacing(level * (1.0 + 1e-12))
+
+
+def _window(level: np.ndarray):
+    """(a, b): the erfinv seeds of the doubles _crossings searches for each
+    level, where f is about level -+ 1.5 margins. Unchecked: a < 0 or b
+    NaN near the ends of [0, 1]."""
+    m = 1.5 * _margin(level)
+    return _SQRT2 * erfinv(level - m), _SQRT2 * erfinv(level + m)
+
+
+def _crossings(level: np.ndarray) -> np.ndarray:
+    """For each level T in (0, 1), the smallest double t >= 0 with
+    f(t) > T, f being _half_normal_cdf, where that t decides every double
+    x >= 0: f(x) > T exactly when x >= t. NaN where no such t was shown
+    to exist.
+
+    f is not monotone across consecutive doubles, but no value falls
+    below an earlier one by more than a third of the margin M of the
+    levels near it (_margin). So every x below a double a with
+    f(a) < T - M maps below T, and every x above a double b with
+    f(b) > T + M maps above it. a and b are seeded by erfinv and checked
+    through f; every double between them is mapped, in blocks of at most
+    core._BLOCK_VALUES values (_value_blocks), and t is where they rise
+    above T, if they rise once. A window wider than _WINDOW_CAP doubles (f nearly flat) is not
+    searched.
+    """
+    a, b = _window(level)
+    sure = (a > 0.0) & (b < np.inf)  # refuses NaN too
+    a, b = np.where(sure, a, 1.0), np.where(sure, b, 1.0)
+    m = _margin(level)
+    sure &= (_half_normal_cdf(a) < level - m) & (_half_normal_cdf(b) > level + m)
+    start = a.view(np.int64)  # a nonnegative double's bits order it among the doubles
+    width = b.view(np.int64) - start + 1
+    todo = np.flatnonzero(sure & (width > 1) & (width <= _WINDOW_CAP))
+    t = np.full(level.shape, np.nan)
+    for begin, end in _value_blocks(width[todo]):
+        cols = todo[begin:end]
+        w = width[cols]
+        first = np.cumsum(w) - w  # where each window starts in the block
+        offset = start[cols] - first  # the bits of the double at block position p: offset + p
+        fx = np.repeat(offset, w)
+        fx += np.arange(len(fx))
+        fx = _half_normal_cdf(fx.view(np.float64), out=fx.view(np.float64))
+        above = fx > np.repeat(level[cols], w)
+        # every window starts below T and ends above it, so it changes
+        # side once exactly when it rises once
+        rise = np.flatnonzero(above[1:] > above[:-1]) + 1
+        window = np.searchsorted(first, rise, side="right") - 1
+        once = np.bincount(window, minlength=len(cols)) == 1
+        at = np.empty(len(cols), dtype=np.intp)
+        at[window] = rise
+        t[cols[once]] = (offset + at)[once].view(np.float64)
+    return t
+
+
+@dataclass(frozen=True)
+class _Thresholds:
+    """Signature 1's band as |z| thresholds: index n of a sorted |z| row
+    violates exactly when x_n < lo[n] or x_n >= hi[n], except in the
+    ``exceptions`` columns (lo 0, hi inf), which are mapped through erf
+    and compared with their ``lower`` and ``upper`` bounds."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    exceptions: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def flags(self, x: np.ndarray) -> np.ndarray:
+        """The violation flags of each row of a 2-d array of sorted |z|,
+        equal to the band compare of their erf map bit for bit."""
+        flags = x < self.lo
+        flags |= x >= self.hi
+        if self.exceptions.size:
+            s = _half_normal_cdf(x[:, self.exceptions])
+            flags[:, self.exceptions] = (s < self.lower) | (s > self.upper)
+        return flags
+
+
+def _thresholds(bounds) -> _Thresholds:
+    """The _Thresholds of a signature 1 band. f = _half_normal_cdf maps
+    every double x >= 0 into [0, 1], so a lower bound of 0 is never
+    violated (lo = 0) and an upper bound of 1 never (hi = inf). Every
+    other bound gets its _crossings in one call: hi where f rises above
+    U, lo where it rises above the double below L (f >= L exactly when
+    f > that double). A column where either has none is an exception."""
+    lo = np.zeros(len(bounds.lower))
+    hi = np.full(len(bounds.upper), np.inf)
+    low, high = bounds.lower > 0.0, bounds.upper < 1.0
+    t = _crossings(np.concatenate([np.nextafter(bounds.lower[low], 0.0), bounds.upper[high]]))
+    lo[low], hi[high] = np.split(t, [np.count_nonzero(low)])
+    e = np.flatnonzero(np.isnan(lo) | np.isnan(hi))
+    lo[e], hi[e] = 0.0, np.inf
+    return _Thresholds(lo, hi, e, bounds.lower[e], bounds.upper[e])
+
+
+class _Band:
+    """What _frozen_bounds caches per key: the band's read-only ``upper``
+    and ``lower``, and for signature 1 its _Thresholds, built at the
+    band's second use by a row batch (a run that meets an N once never
+    pays for them). Two threads may both build them; either result is
+    the same."""
+
+    def __init__(self, bounds: SignatureBounds):
+        self.upper, self.lower = bounds.upper, bounds.lower
+        self.batches = 0
+        self.thresholds = None
+
+    def batch_thresholds(self):
+        """The _Thresholds, or None before the second row batch."""
+        if self.thresholds is None:
+            self.batches += 1
+            if self.batches > 1:
+                self.thresholds = _thresholds(self)
+        return self.thresholds
+
+
 @lru_cache(maxsize=128)
-def _frozen_bounds(N: int, gamma: float, variant: SignatureVariant):
-    """compute_bounds output cached per (N, gamma, variant).
+def _frozen_bounds(N: int, gamma: float, variant: SignatureVariant) -> _Band:
+    """compute_bounds output cached per (N, gamma, variant), with signature
+    1's |z| thresholds once row batches have used it twice.
 
     The band is a pure formula of its key, so reusing it is invisible to
-    callers; it just removes the dominant per-call cost of sigtest.
+    callers; it just removes the dominant per-call cost of sigtest. The
+    thresholds cost two erfinv seeds per bound and f on each double of
+    their search windows (about 90 per column): 0.4-0.6 ms at N = 199,
+    1.9-3.6 ms at 999 and 21-30 ms at 9999 on a shared 2-core host.
+    cache_clear drops them with the band.
     """
     b = compute_bounds(N, SigtestConfig(gamma=gamma, variant=variant))
     b.upper.setflags(write=False)
     b.lower.setflags(write=False)
-    return b
+    return _Band(b)
 
 
 def _signature_rows(Y: np.ndarray, config: SigtestConfig):
     """The signature test of each row (along the last axis) of a float64
     array with at least MIN_SAMPLES columns; a 1-d array is one row. One
-    normalize, one sort, one erf map and one band compare cover the whole
-    array. The abs, the sort, the /sqrt(2) scale, the erf and signature
-    2's running mean run in place on the normalized copy, which the kernel
-    owns, so the signature map allocates no array of Y's size beyond
+    normalize and one sort cover the whole array. A 2-d array under
+    signature 1 whose band has thresholds (from the second batch at its
+    N on) is then decided on the sorted |z| by two compares against
+    them, and only the threshold exception columns are mapped through
+    erf; a 1-d array, signature 2 and a first batch take one erf map and
+    one band compare. Both give the same flags bit for bit. The abs, the
+    sort, the /sqrt(2) scale, the erf and signature 2's running mean run
+    in place on the normalized copy, which the kernel owns, so the
+    signature map allocates no array of Y's size beyond
     _normalized_rows'.
 
     Returns (C, flags, ok); a row with ok False (zero spread, or squared
     deviations that overflow) has no verdict, and its C and flags are
     meaningless. A 1-d array that normalize refuses raises its error.
     """
+    band = t = None
+    if Y.ndim == 2 and config.variant is SignatureVariant.SIGNATURE1:
+        # before the normalized copy exists, so a build adds nothing to its
+        # peak; a single sample meets the cache only once normalize accepts it
+        band = _frozen_bounds(Y.shape[-1], config.gamma, config.variant)
+        t = band.batch_thresholds()
     Z, ok = _normalized_rows(Y)
-    s = _half_normal_cdf(_sorted_abs(Z, out=Z), out=Z)
+    x = _sorted_abs(Z, out=Z)
+    if t is not None:
+        return (*_fraction(t.flags(x)), ok)
+    s = _half_normal_cdf(x, out=x)
     if config.variant is SignatureVariant.SIGNATURE2:
         s = _running_mean(s, out=s)
-    C, flags = _violations(s, _frozen_bounds(Y.shape[-1], config.gamma, config.variant))
+    if band is None:
+        band = _frozen_bounds(Y.shape[-1], config.gamma, config.variant)
+    C, flags = _violations(s, band)
     return C, flags, ok
 
 
@@ -233,8 +394,11 @@ def sigtest(y, config: SigtestConfig = SigtestConfig()) -> TestOutcome:
 
     The sample is validated once, then runs as the one-row case of the
     row-batched kernel that :func:`_sigtest_rows` calls, with the
-    band cached per (N, gamma, variant); a test pins the outputs as
-    exactly equal to composing the public stage functions.
+    band cached per (N, gamma, variant). A single sample always takes
+    the kernel's erf map and band compare, never the |z| thresholds of
+    row batches, so a first call at a new N builds nothing beyond the
+    band; a test pins the outputs as exactly equal to composing the
+    public stage functions.
 
     Raises
     ------
@@ -262,6 +426,12 @@ def _sigtest_rows(Y, config: SigtestConfig):
     before any moment is formed. A row sigtest would refuse as degenerate
     (zero spread, or squared deviations that overflow) gets C = NaN and
     does not split.
+
+    Under signature 1 the first batch at an N maps every value through
+    erf; the second builds the band's |z| thresholds (see _frozen_bounds
+    for the cost), and from then on a batch costs the abs, the sort, two
+    compares and the count, plus erf on the few exception columns only.
+    Signature 2 keeps the erf map. Every way gives the same C bit for bit.
 
     Raises
     ------

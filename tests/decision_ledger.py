@@ -88,9 +88,13 @@ def digest(result) -> str:
     return h.hexdigest()
 
 
-def compute_ledger() -> dict:
+def compute_ledger(sweep_records=None) -> dict:
+    """The ledger, its sweep from ``sweep_records`` when given (records of
+    the same protocol, any timing) and else drawn here."""
+    if sweep_records is None:
+        sweep_records = run_test_benchmark(timing_runs=0)
     sweep = [{k: v for k, v in dataclasses.asdict(r).items() if k != "mean_time_s"}
-             for r in run_test_benchmark(timing_runs=0)]
+             for r in sweep_records]
     runs = {}
     for name, data in datasets().items():
         for method in METHOD_NAMES:

@@ -62,14 +62,6 @@ def report(criterion: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-@pytest.fixture(scope="module")
-def table1_records():
-    # shared workload for criteria 1 and 2: 100 runs per cell plus
-    # timing over 5 calls per cell, calibration tables warm
-    return run_test_benchmark(separations=SEPARATIONS, runs=100, seed=7,
-                              timing_runs=5)
-
-
 def test_criterion_1_table1_reproduction(table1_records):
     rates = {
         m: [r.success_rate for r in table1_records if r.method == m]

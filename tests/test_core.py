@@ -3,19 +3,24 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import erfinv
 
 from sigcluster import (
     SignatureVariant,
+    SigtestConfig,
+    compute_bounds,
     half_normal_cdf,
     normalize,
     signature_moments,
     sorted_abs,
 )
+from sigcluster.core import _half_normal_cdf
 from sigcluster.errors import (
     DegenerateInputError,
     NegativeInputError,
     NonFiniteInputError,
 )
+from sigcluster.sigtest import _MARGIN_ULPS
 
 
 class TestNormalize:
@@ -121,6 +126,29 @@ class TestHalfNormalCdf:
         v = half_normal_cdf(t)
         assert np.all(np.diff(v) >= 0)
         assert v.shape == t.shape
+
+    def test_downward_steps_stay_within_the_threshold_margin(self):
+        # the float map steps down between some consecutive doubles; the
+        # signature 1 thresholds rely on no value falling below an earlier
+        # one by more than a third of their margin, _MARGIN_ULPS ulps of
+        # the value. Scan windows of consecutive doubles around every
+        # default-band crossing at N = 8, 200 and 999 and on a grid over
+        # [0, 8.5], 1.7 million doubles in all
+        starts = [np.linspace(0.0, 8.5, 1000).view(np.int64)]
+        for N in (8, 200, 999):
+            b = compute_bounds(N, SigtestConfig())
+            levels = np.concatenate([b.lower[b.lower > 0.0], b.upper[b.upper < 1.0]])
+            crossings = np.sqrt(2.0) * erfinv(levels)
+            starts.append(crossings.view(np.int64) - 256)  # 256 doubles below
+        x = (np.concatenate(starts)[:, None] + np.arange(513)).view(np.float64)
+        assert x.size >= 10**6 and x.min() == 0.0 and x.max() > 8.5
+        f = _half_normal_cdf(x)
+        highest = np.maximum.accumulate(f, axis=1)
+        falls = highest - f  # against any earlier value of the window
+        assert (np.diff(f, axis=1) < 0).any()  # the map is not monotone
+        assert (falls <= _MARGIN_ULPS / 3 * np.spacing(highest)).all()
+        assert falls.max() <= 1e-15 / 3  # 3.3e-16: 3 ulps of a value in [0.5, 1)
+        assert f.min() >= 0.0 and f.max() <= 1.0
 
     def test_negative_rejected(self):
         with pytest.raises(NegativeInputError):

@@ -16,9 +16,11 @@ def without_digests(ledger: dict) -> dict:
     return {**ledger, "numpy": None, "runs": runs}
 
 
-def test_decisions_match_the_committed_ledger():
+def test_decisions_match_the_committed_ledger(table1_records):
+    # the sweep is the session's Table-1 fixture, which criteria 1 and 2
+    # also read, so tier-1 draws and decides it once
     committed = json.loads(LEDGER.read_text(encoding="utf-8"))
-    now = json.loads(json.dumps(compute_ledger()))  # the floats as the file holds them
+    now = json.loads(json.dumps(compute_ledger(table1_records)))  # the floats as the file holds them
     if now["numpy"] != committed["numpy"]:
         print(f"decision ledger written with numpy {committed['numpy']}, running "
               f"{now['numpy']}: digests skipped, sweep, k and ARI compared")

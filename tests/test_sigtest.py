@@ -2,6 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erfinv
 
 from sigcluster import (
     SignatureVariant,
@@ -19,7 +22,16 @@ from sigcluster.errors import (
     LengthMismatchError,
     TooFewSamplesError,
 )
-from sigcluster.sigtest import MIN_SAMPLES
+from sigcluster.core import _half_normal_cdf, _normalized_rows, _sorted_abs
+from sigcluster.sigtest import (
+    _WINDOW_CAP,
+    MIN_SAMPLES,
+    _frozen_bounds,
+    _signature_rows,
+    _sigtest_rows,
+    _thresholds,
+    _window,
+)
 
 SIG1 = SignatureVariant.SIGNATURE1
 SIG2 = SignatureVariant.SIGNATURE2
@@ -318,3 +330,132 @@ class TestSigtest:
                 assert fast.C == C
                 np.testing.assert_array_equal(fast.violations, flags)
                 assert fast.split == (C > cfg.threshold)
+        # the rows form, whose second batch at an N decides signature 1 on
+        # |z| thresholds: every row as composing the stages on that row
+        for variant in (SIG1, SIG2):
+            for gamma in (1.0, 2.0, 3.0):
+                cfg = SigtestConfig(gamma=gamma, variant=variant)
+                for r in range(4):
+                    rng = np.random.default_rng([19, variant.value, int(gamma), r])
+                    n = int(rng.integers(8, 1200))
+                    Y = rng.normal(size=(int(rng.integers(1, 30)), n)) * rng.uniform(0.1, 5)
+                    Y[:, : n // 3] += rng.uniform(0, 4)
+                    for _ in range(2):
+                        C, split = _sigtest_rows(Y, cfg)
+                        for y, c, s in zip(Y, C, split):
+                            want, _ = count_violations(
+                                compute_signature(sorted_abs(normalize(y)), variant),
+                                compute_bounds(n, cfg))
+                            assert c == want and s == (want > cfg.threshold)
+                    built = _frozen_bounds(n, gamma, variant).thresholds is not None
+                    assert built == (variant is SIG1)
+
+
+def _erf_flags(Y, gamma):
+    """Signature 1 flags of each row of Y by the erf map and band compare."""
+    s = _half_normal_cdf(_sorted_abs(_normalized_rows(Y)[0]))
+    b = compute_bounds(Y.shape[1], SigtestConfig(gamma=gamma))
+    return (s < b.lower) | (s > b.upper)
+
+
+def _batch(N, rows, seed, kind, constant):
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        Y = rng.normal(size=(rows, N)) * rng.uniform(0.1, 10.0) + rng.normal()
+    elif kind == "mixture":  # a shifted share of each row
+        Y = rng.normal(size=(rows, N))
+        Y += rng.uniform(0.0, 6.0, (rows, 1)) * (rng.random((rows, N)) < rng.uniform(0.1, 0.9))
+    elif kind == "rounded":
+        Y = np.round(rng.normal(size=(rows, N)) * rng.uniform(0.5, 8.0))
+    else:
+        Y = rng.uniform(size=(rows, N))
+    if constant is not None:
+        Y[constant % rows] = 1.5
+    return Y
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(MIN_SAMPLES, 3000), rows=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["gaussian", "mixture", "rounded", "uniform"]),
+       constant=st.none() | st.integers(0, 19), gamma=st.sampled_from([1.0, 2.0, 3.0]))
+def test_rows_decide_as_the_erf_path(N, rows, seed, kind, constant, gamma):
+    # the first batch at an N maps through erf, later ones decide on |z|
+    # thresholds; C, split and the flags come out the same either way
+    Y = _batch(N, rows, seed, kind, constant)
+    cfg = SigtestConfig(gamma=gamma)
+    flags = _erf_flags(Y, gamma)
+    ok = _normalized_rows(Y)[1]
+    C = np.where(ok, np.add.reduce(flags, axis=1, dtype=np.intp) / N, np.nan)
+    for _ in range(2):
+        got_C, got_split = _sigtest_rows(Y, cfg)
+        np.testing.assert_array_equal(got_C, C)
+        np.testing.assert_array_equal(got_split, C > cfg.threshold)
+    assert _frozen_bounds(N, gamma, SIG1).thresholds is not None
+    np.testing.assert_array_equal(_signature_rows(Y, cfg)[1], flags)
+    for y, c in zip(Y[ok], C[ok]):
+        assert sigtest(y, cfg).C == c
+
+
+def _doubles(lo, hi):
+    """Every double from lo to hi, both nonnegative."""
+    return np.arange(np.float64(lo).view(np.int64), np.float64(hi).view(np.int64) + 1).view(np.float64)
+
+
+def _search_window(level):
+    """The doubles _crossings searches for one level: from its seed a to
+    its seed b if that is at most _WINDOW_CAP doubles, else (too wide, or
+    a seed off [0, inf)) the _WINDOW_CAP doubles centred on the crossing."""
+    a, b = _window(np.float64(level))
+    if 0.0 < a and b < np.inf and b.view(np.int64) - a.view(np.int64) < _WINDOW_CAP:
+        return _doubles(a, b)
+    centre = np.sqrt(2.0) * erfinv(level)
+    step = _WINDOW_CAP // 2
+    return (centre.view(np.int64) + np.arange(-step, step + 1)).view(np.float64)
+
+
+@pytest.mark.parametrize("N", [8, 9, 50, 199, 200, 399, 999, 2000])
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0])
+def test_thresholds_decide_the_doubles_at_the_band_as_erf(N, gamma):
+    # rows no random batch draws: each threshold and the 3 doubles on
+    # either side of it, and every double each exception column's windows
+    # search. Where the float map is not monotone at a threshold (it flips
+    # back within 2 doubles at 8 of the 394 default-band crossings at
+    # N = 200), a plain first-crossing threshold gets some of these wrong
+    band = _frozen_bounds(N, gamma, SIG1)
+    t = _thresholds(band)
+
+    def check(X):
+        f = _half_normal_cdf(X)
+        want = (f < band.lower) | (f > band.upper)
+        np.testing.assert_array_equal(t.flags(X), want)
+        return want
+
+    lo = t.lo.view(np.int64)
+    hi = np.where(np.isfinite(t.hi), t.hi, 8.5).view(np.int64)
+    near = np.arange(-3, 4)[:, None]
+    check(np.vstack([np.maximum(near + lo, 0).view(np.float64), (near + hi).view(np.float64)]))
+    # the levels _thresholds searches: f > U, and f > the double below L
+    windows = {e: np.concatenate([_search_window(level)
+                                  for level in (np.nextafter(band.lower[e], 0.0), band.upper[e])
+                                  if 0.0 < level < 1.0])
+               for e in t.exceptions}
+    depth = max((len(w) for w in windows.values()), default=0)
+    flagged = np.zeros(len(t.exceptions), dtype=np.intp)
+    for start in range(0, depth, 256):  # 256 rows at a time
+        X = np.tile(t.lo, (min(256, depth - start), 1))
+        for e, w in windows.items():
+            part = w[start:start + len(X)]
+            X[:len(part), e] = part
+        flagged += check(X)[:, t.exceptions].sum(axis=0)
+    # the exception windows hold doubles on both sides of their bounds
+    assert (flagged > 0).all() and (flagged < depth).all()
+
+
+def test_single_samples_never_build_thresholds():
+    # sigtest and the stage functions keep the erf map: a first call at a
+    # new N costs what it did, and gmeans+ (a new N at almost every
+    # cluster) never pays for a threshold build
+    y = np.random.default_rng(23).normal(size=1237)
+    for _ in range(3):
+        sigtest(y)
+    assert _frozen_bounds(1237, 2.0, SIG1).thresholds is None
