@@ -9,6 +9,13 @@ rejects most uniform and Laplace samples, which the dip test accepts
 (README, "Where the results differ from the paper"). Hierarchical
 wrappers use it (or Anderson-Darling / the dip test) as a
 cluster-splitting criterion to estimate the number of clusters.
+
+The package re-exports the function ``sigtest`` under the name of its
+submodule, so ``sigcluster.sigtest``, and the name that
+``import sigcluster.sigtest as m`` binds, is the function, not the
+module. The module's own names are reached with
+``from sigcluster.sigtest import ...``, and the module itself with
+``importlib.import_module("sigcluster.sigtest")``.
 """
 
 from .baselines import (

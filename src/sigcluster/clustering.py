@@ -201,7 +201,8 @@ def _sum_sq_diffs(aT, bT, out, work):
     to block.
 
     For d <= 8 they are d planes, squared in place and added left to
-    right below 8, and by the tree ((0+1)+(2+3))+((4+5)+(6+7)) at 8. From
+    right below 8, and by the tree ((0+1)+(2+3))+((4+5)+(6+7)) at 8, in
+    ``work`` but for the last add, so ``out`` is written once. From
     d = 9 on numpy adds with eight interleaved accumulators (and halves
     runs of more than 128 values), and they are a tensor with d last for
     numpy's own reduce, which is the faster of the two there.
@@ -219,10 +220,12 @@ def _sum_sq_diffs(aT, bT, out, work):
         D[::2] += D[1::2]
         D[::4] += D[2::4]
         np.add(D[0], D[4], out=out)
-    else:
+    elif d == 1:
         np.copyto(out, D[0])
-        for plane in D[1:]:
-            out += plane
+    else:
+        for plane in D[1:-1]:
+            D[0] += plane
+        np.add(D[0], D[-1], out=out)
 
 
 def _columns(A):
@@ -247,23 +250,71 @@ def _sq_dists(A, B) -> np.ndarray:
     return out
 
 
-def _pair_sq_dists(A) -> np.ndarray:
-    """_sq_dists(A, A), equal to it bit for bit, with each unordered pair
-    computed once outside the diagonal blocks: a block of rows goes
-    against the rows from its own first row on, straight into its slice
-    of the result through one workspace per call, and its part right of
-    its diagonal square is mirrored into the lower triangle, since
-    (a - b)^2 and (b - a)^2 are the same bits."""
+def _pair_distances(A) -> np.ndarray:
+    """Each row's Euclidean distances to the other rows of A (p x d), as
+    a p x (p - 1) array: the square roots of _sq_dists(A, A) without its
+    diagonal, equal to them bit for bit. Each unordered pair is computed
+    once: rows go in blocks, and a block is assembled whole in a buffer,
+    its distances to the earlier rows copied from their rows ((a - b)^2
+    and (b - a)^2 are the same bits) and the rest summed there by
+    _sum_sq_diffs. The block is then cut into its rows of the result
+    without its diagonal entries, which lie p + 1 apart in the buffer, so
+    the p values between two of them are copied as one row of p. The
+    square roots are taken in place on the result.
+
+    The buffer and the workspace share one space, sized by
+    _block_rows((d + 1) * p) rows of p values and d planes of them; a
+    later block sums only the columns from its own first row on, so it
+    takes as many rows as fit the same space."""
     A = np.ascontiguousarray(A)
     p, d = A.shape
     AT = _columns(A)
-    out = np.empty((p, p))
-    rows = _block_rows(p * d)
-    work = np.empty(d * min(p, rows) * p)
-    for start in range(0, p, rows):
-        stop = start + rows
-        _sum_sq_diffs(AT[:, start:stop, None], AT[:, None, start:], out[start:stop, start:], work)
-        out[stop:, start:stop] = out[start:stop, stop:].T
+    out = np.empty((p, p - 1))
+    space = np.empty(min(p, _block_rows((d + 1) * p)) * (d + 1) * p)
+    start = 0
+    while start < p:
+        r = min(p - start, space.size // (d * (p - start) + p))
+        stop = start + r
+        block = space[:r * p].reshape(r, p)
+        if start:
+            block[:, :start] = out[:start, start - 1:stop - 1].T
+        _sum_sq_diffs(AT[:, start:stop, None], AT[:, None, start:], block[:, start:], space[r * p:])
+        cut = out[start:stop].reshape(-1)
+        last = start + (r - 1) * (p + 1)  # the block's last diagonal entry
+        cut[:start] = space[:start]
+        cut[start:last - r + 1].reshape(r - 1, p)[...] = \
+            space[start:last].reshape(r - 1, p + 1)[:, 1:]
+        cut[last - r + 1:] = space[last + 1:r * p]
+        start = stop
+    return np.sqrt(out, out=out)
+
+
+def _viewer_distances(A, viewers) -> np.ndarray:
+    """The Euclidean distances of each row A[v], v in ``viewers``, to the
+    other rows of A (p x d), as a len(viewers) x (p - 1) array: the
+    square roots of _sq_dists(A[viewers], A) without each viewer's own
+    column, equal to them bit for bit. Viewers go in blocks of
+    _block_rows(p * d) through one reused buffer, and each block's
+    squared distances, without the viewers' own, are square-rooted
+    straight into their rows of the result."""
+    A = np.ascontiguousarray(A)
+    p, d = A.shape
+    n = len(viewers)
+    V = A[viewers]
+    out = np.empty((n, p - 1))
+    bT = _columns(A)[:, None, :]
+    rows = min(n, _block_rows(p * d))
+    work = np.empty(d * rows * p)
+    buf = np.empty(rows * p)
+    keep = np.ones(rows * p, dtype=bool)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = buf[:(stop - start) * p]
+        _sum_sq_diffs(V[start:stop].T[:, :, None], bT, block.reshape(stop - start, p), work)
+        own = np.arange(stop - start) * p + viewers[start:stop]  # each viewer's distance to itself
+        keep[own] = False
+        np.sqrt(block[keep[:block.size]], out=out[start:stop].reshape(-1))
+        keep[own] = True
     return out
 
 
@@ -568,33 +619,21 @@ def gmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult:
     return _split_loop(data, criterion, seed, evaluate)
 
 
-def _off_diagonal(sq) -> np.ndarray:
-    """The rows of a C-contiguous m x m array without their diagonal
-    entries, as a new m x (m - 1) array: the diagonal entries are m + 1
-    apart in the flat array, so dropping the last value leaves m - 1 runs
-    of m + 1 values, each led by one of the others."""
-    m = len(sq)
-    return sq.reshape(-1)[:-1].reshape(m - 1, m + 1)[:, 1:].reshape(m, m - 1)
-
-
 def _viewer_fraction(criterion, members, rng, kept) -> float:
     """The fraction of a cluster's viewers whose distance vectors
     ``criterion.test_rows`` rejects (see dipmeans_family). ``kept`` maps
     the row bytes of an all-viewer cluster kept whole to its fraction; a
-    cluster found there is not tested again."""
+    cluster found there is not tested again. The distance rows are one
+    array, built once."""
     m = len(members)
     if m > 500:
         key = None
-        viewers = rng.choice(m, size=100, replace=False)
-        # a viewer's distance to itself sits at flat index i * m + viewers[i]
-        dist = np.delete(_sq_dists(members[viewers], members),
-                         np.arange(len(viewers)) * m + viewers).reshape(len(viewers), m - 1)
+        dist = _viewer_distances(members, rng.choice(m, size=100, replace=False))
     else:
         key = members.tobytes()
         if key in kept:
             return kept[key]
-        dist = _off_diagonal(_pair_sq_dists(members))
-    np.sqrt(dist, out=dist)
+        dist = _pair_distances(members)
     _, rejects = criterion.test_rows(dist)
     fraction = np.count_nonzero(rejects) / len(rejects)
     if key is not None and fraction <= criterion.viewer_fraction:
@@ -616,14 +655,16 @@ def dipmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult
     bits equal bisecting each on its own; a sampled-viewer cluster's rng
     has drawn its viewers by then, as when each cluster went in turn.
 
-    When all members are viewers, each unordered pair's distance is
-    computed once (the matrix is symmetric); the square roots are taken
-    in place on the copy without each viewer's own distance. Such a
-    cluster draws nothing from its rng until a split is decided, so its
-    verdict is a function of its member rows alone: within one call, a
-    cluster kept whole is remembered by the bytes of its rows, and when a
-    later round presents the same rows it gets the same statistic, and so
-    the same record, without a new test. A sampled-viewer cluster and a
+    The viewers' distance rows, without each viewer's distance to
+    itself, are built straight into one array, through buffers of a
+    bounded number of rows (when all members are viewers, each unordered
+    pair's distance is computed once, the distances being symmetric),
+    and ``test_rows`` decides them in row blocks. A cluster whose members
+    are all viewers draws nothing from its rng until a split is decided,
+    so its verdict is a function of its member rows alone: within one
+    call, a cluster kept whole is remembered by the bytes of its rows,
+    and when a later round presents the same rows it gets the same
+    statistic, and so the same record, without a new test. A sampled-viewer cluster and a
     vetoed split are always tested anew, since each draws from its
     round's rng. The remembered rows take at most one copy of the data
     per round.

@@ -33,6 +33,7 @@ from scipy.special import erfinv
 from .core import (
     _SQRT2,
     _add_reduce,
+    _block_rows,
     _check_size,
     _half_normal_cdf,
     _normalized_rows,
@@ -220,11 +221,13 @@ def _window(level: np.ndarray):
     return _SQRT2 * erfinv(level - m), _SQRT2 * erfinv(level + m)
 
 
-def _crossings(level: np.ndarray) -> np.ndarray:
-    """For each level T in (0, 1), the smallest double t >= 0 with
-    f(t) > T, f being _half_normal_cdf, where that t decides every double
-    x >= 0: f(x) > T exactly when x >= t. NaN where no such t was shown
-    to exist.
+def _crossings(level: np.ndarray):
+    """For each level T in (0, 1), (t, a, b): t the smallest double t >= 0
+    with f(t) > T, f being _half_normal_cdf, where that t decides every
+    double x >= 0: f(x) > T exactly when x >= t. NaN where no such t was
+    shown to exist. [a, b] is the window checked for T: every double
+    x < a maps below T and every x > b above it; [-inf, inf] where the
+    window could not be checked.
 
     f is not monotone across consecutive doubles, but no value falls
     below an earlier one by more than a third of the margin M of the
@@ -262,19 +265,23 @@ def _crossings(level: np.ndarray) -> np.ndarray:
         at = np.empty(len(cols), dtype=np.intp)
         at[window] = rise
         t[cols[once]] = (offset + at)[once].view(np.float64)
-    return t
+    return t, np.where(sure, a, -np.inf), np.where(sure, b, np.inf)
 
 
 @dataclass(frozen=True)
 class _Thresholds:
     """Signature 1's band as |z| thresholds: index n of a sorted |z| row
-    violates exactly when x_n < lo[n] or x_n >= hi[n], except in the
-    ``exceptions`` columns (lo 0, hi inf), which are mapped through erf
-    and compared with their ``lower`` and ``upper`` bounds."""
+    violates exactly when x_n < lo[n] or x_n >= hi[n], except for a value
+    inside the window [start[j], stop[j]] of its column exceptions[j]
+    (listed once for each of its bounds without a crossing), which is
+    mapped through erf and compared with the column's ``lower`` and
+    ``upper`` bounds."""
 
     lo: np.ndarray
     hi: np.ndarray
     exceptions: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
 
@@ -283,9 +290,13 @@ class _Thresholds:
         equal to the band compare of their erf map bit for bit."""
         flags = x < self.lo
         flags |= x >= self.hi
-        if self.exceptions.size:
-            s = _half_normal_cdf(x[:, self.exceptions])
-            flags[:, self.exceptions] = (s < self.lower) | (s > self.upper)
+        xe = x[:, self.exceptions]
+        inside = xe >= self.start
+        inside &= xe <= self.stop
+        if inside.any():
+            rows, j = np.nonzero(inside)
+            s = _half_normal_cdf(xe[rows, j])
+            flags[rows, self.exceptions[j]] = (s < self.lower[j]) | (s > self.upper[j])
         return flags
 
 
@@ -295,15 +306,20 @@ def _thresholds(bounds) -> _Thresholds:
     violated (lo = 0) and an upper bound of 1 never (hi = inf). Every
     other bound gets its _crossings in one call: hi where f rises above
     U, lo where it rises above the double below L (f >= L exactly when
-    f > that double). A column where either has none is an exception."""
-    lo = np.zeros(len(bounds.lower))
-    hi = np.full(len(bounds.upper), np.inf)
+    f > that double). A bound with no crossing makes its column an
+    exception with the bound's checked window [a, b]: outside it the side
+    decides (f < L below a lower bound's window, so lo = a; f > U above
+    an upper bound's, so hi is the double after b), and inside it erf
+    does."""
+    lo, hi = np.zeros(len(bounds.lower)), np.full(len(bounds.upper), np.inf)
     low, high = bounds.lower > 0.0, bounds.upper < 1.0
-    t = _crossings(np.concatenate([np.nextafter(bounds.lower[low], 0.0), bounds.upper[high]]))
-    lo[low], hi[high] = np.split(t, [np.count_nonzero(low)])
-    e = np.flatnonzero(np.isnan(lo) | np.isnan(hi))
-    lo[e], hi[e] = 0.0, np.inf
-    return _Thresholds(lo, hi, e, bounds.lower[e], bounds.upper[e])
+    n = np.count_nonzero(low)
+    t, a, b = _crossings(np.concatenate([np.nextafter(bounds.lower[low], 0.0), bounds.upper[high]]))
+    miss = np.isnan(t)
+    lo[low] = np.where(miss[:n], a[:n], t[:n])
+    hi[high] = np.where(miss[n:], np.nextafter(b[n:], np.inf), t[n:])
+    e = np.concatenate([np.flatnonzero(low), np.flatnonzero(high)])[miss]
+    return _Thresholds(lo, hi, e, a[miss], b[miss], bounds.lower[e], bounds.upper[e])
 
 
 class _Band:
@@ -345,30 +361,39 @@ def _frozen_bounds(N: int, gamma: float, variant: SignatureVariant) -> _Band:
     return _Band(b)
 
 
-def _signature_rows(Y: np.ndarray, config: SigtestConfig):
+def _batch_band(N: int, config: SigtestConfig):
+    """(band, thresholds) for one row batch at N: the cached _Band, with
+    the batch counted, and signature 1's _Thresholds once built (None
+    before the second batch, and for signature 2)."""
+    band = _frozen_bounds(N, config.gamma, config.variant)
+    return band, band.batch_thresholds() if config.variant is SignatureVariant.SIGNATURE1 else None
+
+
+def _signature_rows(Y: np.ndarray, config: SigtestConfig, band=None, t=None):
     """The signature test of each row (along the last axis) of a float64
     array with at least MIN_SAMPLES columns; a 1-d array is one row. One
-    normalize and one sort cover the whole array. A 2-d array under
-    signature 1 whose band has thresholds (from the second batch at its
-    N on) is then decided on the sorted |z| by two compares against
-    them, and only the threshold exception columns are mapped through
-    erf; a 1-d array, signature 2 and a first batch take one erf map and
-    one band compare. Both give the same flags bit for bit. The abs, the
-    sort, the /sqrt(2) scale, the erf and signature 2's running mean run
-    in place on the normalized copy, which the kernel owns, so the
-    signature map allocates no array of Y's size beyond
-    _normalized_rows'.
+    normalize and one sort cover the array given, so a caller bounds its
+    memory by the rows it passes: _sigtest_rows passes row blocks, with
+    the ``band`` and thresholds ``t`` of their batch from _batch_band. A
+    2-d array passed without a band is a batch of its own, counted before
+    its normalized copy exists, so a threshold build adds nothing to its
+    peak; a single sample meets the cache only once normalize accepts it.
+
+    Rows with thresholds are decided on the sorted |z| by two compares
+    against them, and only the values inside the threshold exception
+    windows are mapped through erf; a 1-d array, signature 2 and a first
+    batch take one erf map and one band compare. Both give the same flags
+    bit for bit. The abs, the sort, the /sqrt(2) scale, the erf and
+    signature 2's running mean run in place on the normalized copy, which
+    the kernel owns, so the signature map allocates no array of Y's size
+    beyond _normalized_rows'.
 
     Returns (C, flags, ok); a row with ok False (zero spread, or squared
     deviations that overflow) has no verdict, and its C and flags are
     meaningless. A 1-d array that normalize refuses raises its error.
     """
-    band = t = None
-    if Y.ndim == 2 and config.variant is SignatureVariant.SIGNATURE1:
-        # before the normalized copy exists, so a build adds nothing to its
-        # peak; a single sample meets the cache only once normalize accepts it
-        band = _frozen_bounds(Y.shape[-1], config.gamma, config.variant)
-        t = band.batch_thresholds()
+    if band is None and Y.ndim == 2:
+        band, t = _batch_band(Y.shape[-1], config)
     Z, ok = _normalized_rows(Y)
     x = _sorted_abs(Z, out=Z)
     if t is not None:
@@ -427,11 +452,16 @@ def _sigtest_rows(Y, config: SigtestConfig):
     (zero spread, or squared deviations that overflow) gets C = NaN and
     does not split.
 
-    Under signature 1 the first batch at an N maps every value through
-    erf; the second builds the band's |z| thresholds (see _frozen_bounds
-    for the cost), and from then on a batch costs the abs, the sort, two
-    compares and the count, plus erf on the few exception columns only.
-    Signature 2 keeps the erf map. Every way gives the same C bit for bit.
+    The band is looked up once and the call counts as one batch; the
+    rows are then decided in blocks of core._block_rows(N), so the
+    normalized copy, its squares and the flags exist one block at a
+    time, and Y is never written. Under signature 1 the first batch at
+    an N maps every value through erf; the second builds the band's |z|
+    thresholds (see _frozen_bounds for the cost) before any block is
+    normalized, and from then on a batch costs the abs, the sort, two
+    compares and the count, plus erf on the few values inside the
+    exception windows. Signature 2 keeps the erf map. Every way gives the
+    same C bit for bit.
 
     Raises
     ------
@@ -443,6 +473,11 @@ def _sigtest_rows(Y, config: SigtestConfig):
         If Y contains NaN or infinity.
     """
     Y = _test_rows(Y, MIN_SAMPLES, "signature test")  # each row summed in sigtest's order
-    C, _, ok = _signature_rows(Y, config)
-    C[~ok] = np.nan
+    band, t = _batch_band(Y.shape[1], config)
+    C = np.empty(len(Y))
+    rows = _block_rows(Y.shape[1])
+    for start in range(0, len(Y), rows):
+        c, _, ok = _signature_rows(Y[start:start + rows], config, band, t)
+        c[~ok] = np.nan
+        C[start:start + rows] = c
     return C, C > config.threshold

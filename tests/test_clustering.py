@@ -42,10 +42,10 @@ from sigcluster.clustering import (
     _kmeanspp_init,
     _lloyd,
     _lloyd_segments,
-    _off_diagonal,
-    _pair_sq_dists,
+    _pair_distances,
     _sq_dists,
     _sum_sq_diffs,
+    _viewer_distances,
     _viewer_fraction,
     configured,
 )
@@ -171,6 +171,11 @@ def _tensor_sq_dists(A, B):
     return ((A[:, None, :] - B[None]) ** 2).sum(axis=2)
 
 
+def _off_diagonal_cut(sq):
+    """The rows of a square array without their diagonal entries."""
+    return sq[~np.eye(len(sq), dtype=bool)].reshape(len(sq), len(sq) - 1)
+
+
 class TestSqDists:
     # _sq_dists sums each distance in numpy's own add.reduce order; if a
     # numpy release changes that order, these fail instead of letting k-means
@@ -197,7 +202,7 @@ class TestSqDists:
     @pytest.mark.parametrize("d", [*range(1, 10), 13, 16, 17, 32, 129, 300])
     def test_sum_into_strided_out_through_reused_work(self, d):
         # into the right of a wider result's rows, the strided slice
-        # _pair_sq_dists passes, block by block (more than two) through
+        # _pair_distances passes, block by block (more than two) through
         # one NaN-filled workspace that every block overwrites
         rng = np.random.default_rng([98, d])
         scale = rng.uniform(0.01, 100.0, d)
@@ -213,49 +218,76 @@ class TestSqDists:
         np.testing.assert_array_equal(wide[:, 3:], _tensor_sq_dists(A, B))
         assert (wide[:, :3] == -1.0).all()
 
-    # the viewer distances of an all-viewer cluster: each unordered pair
-    # once, mirrored, with the same bits as the full matrix
+    # the viewer rows of an all-viewer cluster: each unordered pair once,
+    # mirrored, each row without the viewer's own distance, with the bits
+    # of the full matrix's square roots
+    @staticmethod
+    def _block_heights(monkeypatch, build, *args):
+        """build(*args), and the rows of each block it summed."""
+        heights = []
+        summed = clustering._sum_sq_diffs
+        with monkeypatch.context() as patch:
+            patch.setattr(clustering, "_sum_sq_diffs", lambda aT, bT, out, work:
+                          heights.append(len(out)) or summed(aT, bT, out, work))
+            return build(*args), heights
+
     @pytest.mark.parametrize("d", [*range(1, 10), 13, 32])
-    def test_pairs_equal_tensor_formula(self, d):
+    def test_pairs_equal_tensor_formula(self, d, monkeypatch):
         rng = np.random.default_rng([96, d])
         scale = rng.uniform(0.01, 100.0, d)
         big = int(np.sqrt(3 * _BLOCK_VALUES / d)) + 2
-        assert big > 2 * (_BLOCK_VALUES // (big * d))  # more than two blocks
         for p in (1, 6, big):  # 6 rows are one block at any d here
             A = rng.normal(size=(p, d)) * scale + rng.normal(size=d)
-            expected = _tensor_sq_dists(A, A)
-            np.testing.assert_array_equal(_pair_sq_dists(A), expected)
-            np.testing.assert_array_equal(_pair_sq_dists(np.asfortranarray(A)), expected)
+            expected = np.sqrt(_off_diagonal_cut(_tensor_sq_dists(A, A)))
+            rows, heights = self._block_heights(monkeypatch, _pair_distances, A)
+            np.testing.assert_array_equal(rows, expected)
+            np.testing.assert_array_equal(_pair_distances(np.asfortranarray(A)), expected)
+            assert sum(heights) == p and (len(heights) > 2) == (p == big)
 
     @pytest.mark.parametrize("m", [16, 17, 500])
-    def test_off_diagonal_equals_mask(self, m):
-        # the viewer rows of an all-viewer cluster: each row of the pair
-        # distances without the viewer's own, cut with no boolean mask
-        sq = np.random.default_rng([97, m]).normal(size=(m, m))
-        cut = _off_diagonal(sq)
-        np.testing.assert_array_equal(cut, sq[~np.eye(m, dtype=bool)].reshape(m, m - 1))
-        assert cut.flags.c_contiguous and not np.shares_memory(cut, sq)
+    def test_off_diagonal_equals_mask(self, m, monkeypatch):
+        # the rows an all-viewer cluster tests: each row of the pair
+        # distances without the viewer's own; one block at m = 16, a last
+        # block of one row at m = 17 (16 rows of 17 and 239 planes of them
+        # fill the first block's space), blocks growing down the rows at 500
+        d = 239 if m == 17 else 8
+        members = np.random.default_rng([97, m]).normal(size=(m, d))
+        rows, heights = self._block_heights(monkeypatch, _pair_distances, members)
+        np.testing.assert_array_equal(
+            rows, np.sqrt(_off_diagonal_cut(_tensor_sq_dists(members, members))))
+        assert rows.shape == (m, m - 1) and rows.flags.c_contiguous
+        if m < 500:
+            assert heights == {16: [16], 17: [16, 1]}[m]
+        else:  # a later block sums fewer columns, so it takes more rows
+            assert heights[0] == 14 and heights[:-1] == sorted(heights[:-1]) and heights[-2] > 14
 
-    @pytest.mark.parametrize("m", [501, 1200])
-    def test_sampled_viewer_cut_equals_mask(self, m):
-        # the rows a sampled-viewer cluster tests: each viewer's distances
-        # without its own, cut by flat index, equal the boolean-mask cut
-        members = np.random.default_rng([99, m]).normal(size=(m, 3))
-        tested = []
+    @pytest.mark.parametrize("d", [*range(1, 10), 13, 32])
+    def test_sampled_viewer_cut_equals_mask(self, d):
+        # the rows a sampled-viewer cluster tests, in the order its rng
+        # draws the viewers: each viewer's distances without its own,
+        # block by block (more than two at the larger size), equal the
+        # boolean-mask cut
+        big = max(1200, 2 * _BLOCK_VALUES // (33 * d))
+        assert 100 > 2 * (_BLOCK_VALUES // (big * d))
+        for m in (501, big):
+            members = np.random.default_rng([99, m, d]).normal(size=(m, d))
+            tested = []
 
-        class Recording:
-            viewer_fraction = 0.5
+            class Recording:
+                viewer_fraction = 0.5
 
-            def test_rows(self, Y):
-                tested.append(Y.copy())
-                return np.zeros(len(Y)), np.zeros(len(Y), dtype=bool)
+                def test_rows(self, Y):
+                    tested.append(Y.copy())
+                    return np.zeros(len(Y)), np.zeros(len(Y), dtype=bool)
 
-        _viewer_fraction(Recording(), members, np.random.default_rng(7), {})
-        viewers = np.random.default_rng(7).choice(m, size=100, replace=False)
-        sq = _sq_dists(members[viewers], members)
-        others = np.ones(sq.shape, dtype=bool)
-        others[np.arange(100), viewers] = False
-        np.testing.assert_array_equal(tested[0], np.sqrt(sq[others].reshape(100, m - 1)))
+            _viewer_fraction(Recording(), members, np.random.default_rng(7), {})
+            viewers = np.random.default_rng(7).choice(m, size=100, replace=False)
+            sq = _tensor_sq_dists(members[viewers], members)
+            others = np.ones(sq.shape, dtype=bool)
+            others[np.arange(100), viewers] = False
+            expected = np.sqrt(sq[others].reshape(100, m - 1))
+            np.testing.assert_array_equal(_viewer_distances(members, viewers), expected)
+            np.testing.assert_array_equal(tested[0], expected)
 
     def test_empty_operands(self):
         A, B = np.ones((3, 4)), np.ones((2, 4))
@@ -640,34 +672,69 @@ class TestDipmeansFamily:
         assert res.k == 2
 
     @staticmethod
-    def _peak_bytes(data):
+    def _peak_bytes(data, k=1):
         tracemalloc.start()
         try:
             res = dipmeans_family(data, SigtestCriterion(), seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.k == 1
+        assert res.k == k
         return peak
+
+    # Each bound sits just above the peak measured with the viewer rows
+    # built straight into one array and decided in row blocks; the
+    # earlier builders (the full matrix or 100 x m block, its cut without
+    # each viewer's own distance, and one normalized copy of all rows)
+    # measured above each.
 
     def test_sampled_viewers_bound_memory(self):
         # 100 sampled viewers of 1200 points at d=8 keep their own distance
-        # rows (100 x 1200 floats, 0.96 MB), not all 1200^2 x 8 differences
-        # (92 MB), and take their square root and signature map in place;
-        # measured 3.2 MB (5.1 MB with a fresh array per step)
+        # rows (100 x 1199 floats, 0.96 MB), not all 1200^2 x 8 differences
+        # (92 MB): 2.12 MB, or 2.37 MB where this batch is the second at
+        # N = 1199 and builds the signature thresholds beside the rows
+        # (2.56 MB with the 100 x 1200 block and its cut)
         peak = self._peak_bytes(gen_gaussian(1200, dimension=8, seed=19))
-        assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+        assert peak < 2.4e6, f"peak {peak / 1e6:.2f} MB"
 
     def test_all_viewers_bound_memory(self):
-        # 500 members are all viewers: the distances go through _sq_dists in
-        # row blocks, never as the 500 x 500 x 8 difference tensor (16 MB,
-        # an 18.1 MB peak), each viewer's own distance is cut without a
-        # 500 x 500 boolean mask, and the 500 x 499 distance rows go
-        # through the signature test with no copy beyond the normalized
-        # one; measured 4.83 MB (5.08 MB with the mask, 10.3 MB with a
-        # fresh array per step)
+        # 500 members are all viewers: the distances go through _sum_sq_diffs
+        # in row blocks, never as the 500 x 500 x 8 difference tensor
+        # (16 MB, an 18.1 MB peak), into the 500 x 499 rows (2 MB), which
+        # the signature test decides in blocks of 131 rows; measured
+        # 3.20 MB (4.64 MB with the full matrix and its cut)
         peak = self._peak_bytes(gen_gaussian(500, dimension=8, seed=19))
-        assert peak < 5e6, f"peak {peak / 1e6:.2f} MB"
+        assert peak < 3.3e6, f"peak {peak / 1e6:.2f} MB"
+
+    def test_blob_scale_bounds_memory(self):
+        # five unit-variance blobs of 2000 points at d=8, their centres a
+        # rotated simplex of edge 23.2: the root cluster's 100 sampled
+        # viewers hold 100 x 9999 distances (8 MB); measured 10.3 MB, or
+        # 11.4 MB where that batch is the second at N = 9999 and builds the
+        # thresholds beside them (19.2 MB with the 100 x 10^4 block and
+        # its cut)
+        rng = np.random.default_rng(41)
+        rotation, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+        centres = 23.2 / np.sqrt(2.0) * rotation[:5]
+        rows = np.vstack([rng.normal(size=(2000, 8)) + c for c in centres])
+        peak = self._peak_bytes(Dataset(rows=rows), k=5)
+        assert peak < 11.6e6, f"peak {peak / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("criterion", [
+        SigtestCriterion(), SigtestCriterion(SigtestConfig(variant=SignatureVariant.SIGNATURE2)),
+        DipViewerCriterion()], ids=["sigtest1", "sigtest2", "dip"])
+    def test_test_rows_leave_their_input_alone(self, criterion):
+        # the viewer rows are the one array a cluster keeps, decided in row
+        # blocks: no criterion may write into them (a read-only array
+        # would raise), in the first batch at N or a later one
+        Y = np.random.default_rng(43).normal(size=(500, 499))
+        Y[:, :200] += 4.0
+        Y[7] = 1.0
+        kept = Y.copy()
+        Y.setflags(write=False)
+        for _ in range(2):
+            criterion.test_rows(Y)
+            np.testing.assert_array_equal(Y, kept)
 
 
 class TestRegistry:

@@ -20,6 +20,7 @@ import inspect
 import os
 import subprocess
 import sys
+import types
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -234,6 +235,20 @@ def test_perfbench_names_and_timed_criteria(perfbench_modules):
 def test_all_entries_resolve():
     missing = [name for name in sigcluster.__all__ if not hasattr(sigcluster, name)]
     assert not missing
+
+
+def test_sigtest_name_binds_the_function():
+    # the package re-exports the function sigtest under its submodule's
+    # name, so that attribute, and what `import sigcluster.sigtest as m`
+    # binds, is the function (package docstring, README); the module is
+    # reached by `from sigcluster.sigtest import ...` or import_module
+    import sigcluster.sigtest as bound
+    from sigcluster.sigtest import _frozen_bounds
+    module = importlib.import_module("sigcluster.sigtest")
+    assert bound is sigcluster.sigtest and not isinstance(bound, types.ModuleType)
+    assert bound(np.arange(10.0)).N == 10
+    assert isinstance(module, types.ModuleType) and module is sys.modules["sigcluster.sigtest"]
+    assert module.sigtest is bound and module._frozen_bounds is _frozen_bounds
 
 
 # the settable values this surface has; raise it only with a new option

@@ -1,3 +1,4 @@
+import importlib
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from sigcluster.errors import (
     LengthMismatchError,
     TooFewSamplesError,
 )
-from sigcluster.core import _half_normal_cdf, _normalized_rows, _sorted_abs
+from sigcluster.core import _block_rows, _half_normal_cdf, _normalized_rows, _sorted_abs
 from sigcluster.sigtest import (
     _WINDOW_CAP,
     MIN_SAMPLES,
@@ -459,3 +460,49 @@ def test_single_samples_never_build_thresholds():
     for _ in range(3):
         sigtest(y)
     assert _frozen_bounds(1237, 2.0, SIG1).thresholds is None
+
+
+@pytest.mark.parametrize("rows, N", [(400, 399), (100, 999)])
+@pytest.mark.parametrize("variant", [SIG1, SIG2])
+def test_row_blocks_decide_as_one_row_sigtest(rows, N, variant):
+    # a batch of several row blocks, with a constant row and a row whose
+    # squared deviations overflow on either side of a block boundary:
+    # every row gives the C and split of sigtest on that row, in the
+    # first batch at N (erf) and the second (thresholds under signature 1)
+    block = _block_rows(N)
+    assert rows > block  # three blocks at 399, two at 999
+    rng = np.random.default_rng([31, rows, N, variant.value])
+    Y = rng.normal(size=(rows, N)) * rng.uniform(0.1, 5.0, (rows, 1))
+    Y[::3, : N // 3] += rng.uniform(0.0, 6.0, (len(Y[::3]), 1))
+    Y[block - 1] = 2.5
+    Y[block] = rng.normal(size=N) * 1e200
+    cfg = SigtestConfig(variant=variant)
+    _frozen_bounds.cache_clear()
+    for _ in range(2):
+        C, split = _sigtest_rows(Y, cfg)
+        for i, y in enumerate(Y):
+            if i in (block - 1, block):
+                with pytest.raises(DegenerateInputError):
+                    sigtest(y, cfg)
+                assert np.isnan(C[i]) and not split[i]
+                continue
+            want = sigtest(y, cfg)
+            assert C[i] == want.C and split[i] == want.split
+    assert (_frozen_bounds(N, 2.0, variant).thresholds is not None) == (variant is SIG1)
+
+
+def test_row_blocks_build_thresholds_at_the_second_batch(monkeypatch):
+    # one call of several blocks is one batch: the first builds nothing,
+    # the second builds the thresholds once, before its first block
+    module = importlib.import_module("sigcluster.sigtest")
+    builds = []
+    build = module._thresholds
+    monkeypatch.setattr(module, "_thresholds", lambda band: builds.append(band) or build(band))
+    N = 577
+    Y = np.random.default_rng(37).normal(size=(3 * _block_rows(N) + 5, N))
+    _frozen_bounds.cache_clear()
+    first = _sigtest_rows(Y, SigtestConfig())
+    assert builds == [] and _frozen_bounds(N, 2.0, SIG1).thresholds is None
+    for _ in range(2):
+        np.testing.assert_array_equal(_sigtest_rows(Y, SigtestConfig())[0], first[0])
+    assert builds == [_frozen_bounds(N, 2.0, SIG1)]
