@@ -234,26 +234,11 @@ def _columns(A):
     return np.ascontiguousarray(A.T) if A.shape[1] <= 8 else A.T
 
 
-def _sq_dists(A, B) -> np.ndarray:
-    """Squared Euclidean distances between the rows of A (p x d) and of B
-    (q x d), equal bit for bit to ((A[:, None, :] - B[None]) ** 2).sum(axis=2)
-    on C-contiguous copies of A and B. Rows of A go in blocks of
-    _block_rows(q * d) through one workspace per call."""
-    A, B = np.ascontiguousarray(A), np.ascontiguousarray(B)
-    p, d = A.shape
-    out = np.empty((p, len(B)))
-    bT = _columns(B)[:, None, :]
-    rows = _block_rows(len(B) * d)
-    work = np.empty(d * min(p, rows) * len(B))
-    for start in range(0, p, rows):
-        _sum_sq_diffs(A[start:start + rows].T[:, :, None], bT, out[start:start + rows], work)
-    return out
-
-
 def _pair_distances(A) -> np.ndarray:
     """Each row's Euclidean distances to the other rows of A (p x d), as
-    a p x (p - 1) array: the square roots of _sq_dists(A, A) without its
-    diagonal, equal to them bit for bit. Each unordered pair is computed
+    a p x (p - 1) array: the square roots of the tensor formula
+    ((A[:, None, :] - A[None]) ** 2).sum(axis=2) without its diagonal,
+    equal to them bit for bit. Each unordered pair is computed
     once: rows go in blocks, and a block is assembled whole in a buffer,
     its distances to the earlier rows copied from their rows ((a - b)^2
     and (b - a)^2 are the same bits) and the rest summed there by
@@ -292,8 +277,9 @@ def _pair_distances(A) -> np.ndarray:
 def _viewer_distances(A, viewers) -> np.ndarray:
     """The Euclidean distances of each row A[v], v in ``viewers``, to the
     other rows of A (p x d), as a len(viewers) x (p - 1) array: the
-    square roots of _sq_dists(A[viewers], A) without each viewer's own
-    column, equal to them bit for bit. Viewers go in blocks of
+    square roots of the tensor formula ((V[:, None, :] - A[None]) **
+    2).sum(axis=2), V = A[viewers], without each viewer's own column,
+    equal to them bit for bit. Viewers go in blocks of
     _block_rows(p * d) through one reused buffer, and each block's
     squared distances, without the viewers' own, are square-rooted
     straight into their rows of the result."""
@@ -338,9 +324,10 @@ def _check_sq_dists(X) -> None:
 
 def _kmeanspp_init(X, k, rng):
     n = X.shape[0]
+    XT = X.T
     centroids = np.empty((k, X.shape[1]))
     centroids[0] = X[rng.integers(n)]
-    d2 = _sq_dists(X, centroids[:1])[:, 0]
+    d2 = _segment_sq_dists(XT, centroids[None, :1], None)[0]
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -352,7 +339,7 @@ def _kmeanspp_init(X, k, rng):
             idx = int(np.argmax(~_rows_in(X, centroids[:j])))
         centroids[j] = X[idx]
         if j + 1 < k:  # the last centre's distances would go unread
-            d2 = np.minimum(d2, _sq_dists(X, centroids[j:j + 1])[:, 0])
+            d2 = np.minimum(d2, _segment_sq_dists(XT, centroids[None, j:j + 1], None)[0])
     return centroids
 
 
@@ -366,8 +353,10 @@ def _rows_in(X, C):
 def _segment_sq_dists(XT, C, lengths) -> np.ndarray:
     """k x T squared distances of the columns of XT (d x T), which are the
     rows of consecutive segments of the given lengths, to their own
-    segment's k centroids (C is S x k x d): each entry with the bits of
-    _sq_dists. Columns go in blocks of _block_rows(k * d) through one
+    segment's k centroids (C is S x k x d), each entry equal bit for bit
+    to the tensor formula ((X[:, None, :] - c[None]) ** 2).sum(axis=2) of
+    its rows X and their segment's centroids c; ``lengths`` is unread
+    when S is 1. Columns go in blocks of _block_rows(k * d) through one
     workspace per call."""
     S, k, d = C.shape
     CT = C.transpose(2, 1, 0)  # d x k x S
@@ -411,10 +400,12 @@ def _lloyd_segments(segments, centroids, max_iter: int = 300):
 
     Returns one (assignment, centroids, cost) per segment, the cost the
     sum of each row's distance to its centroid. Each equals bit for bit
-    what Lloyd on that segment alone gives: the distances are _sq_dists',
-    and the centroid sums add each cluster's rows in order, as
-    X[assignment == j].sum(axis=0) does (bincount's running sum; for one
-    column numpy's pairwise sum, which that expression takes there).
+    what Lloyd on that segment alone gives: the distances are those of
+    the tensor formula ((X[:, None, :] - C[None]) ** 2).sum(axis=2)
+    (_segment_sq_dists), and the centroid sums add each cluster's rows in
+    order, as X[assignment == j].sum(axis=0) does (bincount's running
+    sum; for one column numpy's pairwise sum, which that expression takes
+    there).
     """
     S, k, d = centroids.shape
     lengths = np.array([len(rows) for rows in segments])
@@ -474,11 +465,11 @@ def _lloyd_segments(segments, centroids, max_iter: int = 300):
     return results
 
 
-def _lloyd(X, centroids, max_iter: int = 300):
+def _lloyd(X, centroids):
     """Lloyd iterations on the rows of X from ``centroids`` (k x d) until
     the assignment stops changing: the one-segment case of
     _lloyd_segments. Returns (assignment, centroids, total cost)."""
-    return _lloyd_segments([X], centroids[None], max_iter)[0]
+    return _lloyd_segments([X], centroids[None])[0]
 
 
 def kmeans(data: Dataset, k: int, seed: int = 0) -> ClusteringResult:

@@ -50,13 +50,16 @@ def _test_rows(Y, minimum: int, test: str) -> np.ndarray:
     """The rows of a batched ``test`` as a C-contiguous float64 2-d array:
     a shape with other than two axes, then rows of fewer than ``minimum``
     values (_check_size), then a NaN or infinity is refused, the order of
-    _test_sample's checks."""
+    _test_sample's checks. Finiteness is checked in blocks of
+    _block_rows(N) rows, so its mask is one block's."""
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2:
         raise ValueError(f"expected a 2-d array of rows, got shape {Y.shape}")
     _check_size(Y.shape[1], minimum, test)
-    if not np.isfinite(Y).all():
-        raise NonFiniteInputError("sample contains NaN or infinite values")
+    rows = _block_rows(Y.shape[1])
+    for start in range(0, len(Y), rows):
+        if not np.isfinite(Y[start:start + rows]).all():
+            raise NonFiniteInputError("sample contains NaN or infinite values")
     return np.ascontiguousarray(Y)
 
 
@@ -102,27 +105,16 @@ def _row_moments(Y: np.ndarray, out=None):
     """Mean, deviations and sum of squared deviations of each row (along the
     last axis) of a float64 array, a 1-d array being one row: the one place
     a sample's moments are formed. The deviations go into a new array, or
-    into ``out`` (which may be Y). The sum is add.reduce(D * D, -1), past
-    _BLOCK_VALUES values squared in row blocks into one reused buffer. An
-    overflow leaves a non-finite mean or sum, without a warning."""
-    N = Y.shape[-1]
+    into ``out`` (which may be Y). The sum is add.reduce(D * D, -1); its
+    squares are one array of Y's size, so a caller bounds them by the
+    rows it passes. An overflow leaves a non-finite mean or sum, without
+    a warning."""
     # Y.T puts the row axis last, so the per-row moments broadcast along
     # it; a 1-d Y is its own transpose and meets plain scalars
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = _add_reduce(Y, -1) / N
+        mean = _add_reduce(Y, -1) / Y.shape[-1]
         D = np.subtract(Y.T, mean, out=None if out is None else out.T).T
-        if D.size <= _BLOCK_VALUES:
-            return mean, D, _add_reduce(D * D, -1)
-        rows = D.reshape(-1, N)
-        block = _block_rows(N)
-        squares = np.empty((min(block, len(rows)), N))
-        ss = np.empty(len(rows))
-        for start in range(0, len(rows), block):
-            part = rows[start:start + block]
-            sq = squares[:len(part)]
-            np.multiply(part, part, out=sq)
-            _add_reduce(sq, -1, out=ss[start:start + block])
-    return mean, D, ss.reshape(D.shape[:-1])
+        return mean, D, _add_reduce(D * D, -1)
 
 
 def _spread_ok(mean, scale):

@@ -361,23 +361,14 @@ def _frozen_bounds(N: int, gamma: float, variant: SignatureVariant) -> _Band:
     return _Band(b)
 
 
-def _batch_band(N: int, config: SigtestConfig):
-    """(band, thresholds) for one row batch at N: the cached _Band, with
-    the batch counted, and signature 1's _Thresholds once built (None
-    before the second batch, and for signature 2)."""
-    band = _frozen_bounds(N, config.gamma, config.variant)
-    return band, band.batch_thresholds() if config.variant is SignatureVariant.SIGNATURE1 else None
-
-
 def _signature_rows(Y: np.ndarray, config: SigtestConfig, band=None, t=None):
     """The signature test of each row (along the last axis) of a float64
     array with at least MIN_SAMPLES columns; a 1-d array is one row. One
     normalize and one sort cover the array given, so a caller bounds its
-    memory by the rows it passes: _sigtest_rows passes row blocks, with
-    the ``band`` and thresholds ``t`` of their batch from _batch_band. A
-    2-d array passed without a band is a batch of its own, counted before
-    its normalized copy exists, so a threshold build adds nothing to its
-    peak; a single sample meets the cache only once normalize accepts it.
+    memory by the rows it passes. It is entered two ways: :func:`sigtest`
+    passes one sample, which meets the band cache only once normalize
+    accepts it, and _sigtest_rows passes each row block of a batch with
+    the batch's ``band`` and signature 1's thresholds ``t``.
 
     Rows with thresholds are decided on the sorted |z| by two compares
     against them, and only the values inside the threshold exception
@@ -392,8 +383,6 @@ def _signature_rows(Y: np.ndarray, config: SigtestConfig, band=None, t=None):
     deviations that overflow) has no verdict, and its C and flags are
     meaningless. A 1-d array that normalize refuses raises its error.
     """
-    if band is None and Y.ndim == 2:
-        band, t = _batch_band(Y.shape[-1], config)
     Z, ok = _normalized_rows(Y)
     x = _sorted_abs(Z, out=Z)
     if t is not None:
@@ -473,7 +462,8 @@ def _sigtest_rows(Y, config: SigtestConfig):
         If Y contains NaN or infinity.
     """
     Y = _test_rows(Y, MIN_SAMPLES, "signature test")  # each row summed in sigtest's order
-    band, t = _batch_band(Y.shape[1], config)
+    band = _frozen_bounds(Y.shape[1], config.gamma, config.variant)
+    t = band.batch_thresholds() if config.variant is SignatureVariant.SIGNATURE1 else None
     C = np.empty(len(Y))
     rows = _block_rows(Y.shape[1])
     for start in range(0, len(Y), rows):

@@ -43,7 +43,7 @@ from sigcluster.clustering import (
     _lloyd,
     _lloyd_segments,
     _pair_distances,
-    _sq_dists,
+    _segment_sq_dists,
     _sum_sq_diffs,
     _viewer_distances,
     _viewer_fraction,
@@ -171,33 +171,45 @@ def _tensor_sq_dists(A, B):
     return ((A[:, None, :] - B[None]) ** 2).sum(axis=2)
 
 
+def _one_segment_sq_dists(A, B):
+    """_segment_sq_dists of the rows of A to the rows of B as one
+    segment's centroids, laid out as the tensor formula's p x q."""
+    return _segment_sq_dists(A.T, B[None], None).T
+
+
 def _off_diagonal_cut(sq):
     """The rows of a square array without their diagonal entries."""
     return sq[~np.eye(len(sq), dtype=bool)].reshape(len(sq), len(sq) - 1)
 
 
 class TestSqDists:
-    # _sq_dists sums each distance in numpy's own add.reduce order; if a
-    # numpy release changes that order, these fail instead of letting k-means
+    # _segment_sq_dists, the k-means++ seeding's and Lloyd's distances,
+    # sums each distance in numpy's own add.reduce order; if a numpy
+    # release changes that order, these fail instead of letting k-means
     # and the viewer distances drift
     @pytest.mark.parametrize("d", [*range(1, 10), 13, 16, 17, 32, 129, 300])
     def test_equals_tensor_formula(self, d):
         rng = np.random.default_rng([95, d])
         scale = rng.uniform(0.01, 100.0, d)
         B = rng.normal(size=(7, d)) * scale + rng.normal(size=d)
-        big = max(2, _BLOCK_VALUES // (len(B) * d)) * 2 + 3  # more than two blocks
+        big = max(2, _BLOCK_VALUES // (len(B) * d)) * 2 + 3  # more than two column blocks
         for p in (1, 5, big):
             A = rng.normal(size=(p, d)) * scale
             expected = _tensor_sq_dists(A, B)
-            np.testing.assert_array_equal(_sq_dists(A, B), expected)
-            np.testing.assert_array_equal(_sq_dists(A, B[:1]), _tensor_sq_dists(A, B[:1]))
+            np.testing.assert_array_equal(_one_segment_sq_dists(A, B), expected)
+            np.testing.assert_array_equal(_one_segment_sq_dists(A, B[:1]),
+                                          _tensor_sq_dists(A, B[:1]))
         # a transposed or strided B (and a strided A) gives the distances of
         # its C-contiguous copy
         wide = rng.normal(size=(2 * len(B), 2 * d))
         for other in (np.asfortranarray(B), wide[::2, ::2], wide.T[::2, ::2].T):
             expected = _tensor_sq_dists(A, np.ascontiguousarray(other))
-            np.testing.assert_array_equal(_sq_dists(A, other), expected)
-            np.testing.assert_array_equal(_sq_dists(np.asfortranarray(A), other), expected)
+            np.testing.assert_array_equal(_one_segment_sq_dists(A, other), expected)
+            np.testing.assert_array_equal(
+                _one_segment_sq_dists(np.asfortranarray(A), other), expected)
+            np.testing.assert_array_equal(
+                _one_segment_sq_dists(wide[::2, ::2], other[:1]),
+                _tensor_sq_dists(np.ascontiguousarray(wide[::2, ::2]), other[:1]))
 
     @pytest.mark.parametrize("d", [*range(1, 10), 13, 16, 17, 32, 129, 300])
     def test_sum_into_strided_out_through_reused_work(self, d):
@@ -291,13 +303,13 @@ class TestSqDists:
 
     def test_empty_operands(self):
         A, B = np.ones((3, 4)), np.ones((2, 4))
-        assert _sq_dists(A[:0], B).shape == (0, 2)
-        assert _sq_dists(A, B[:0]).shape == (3, 0)
+        assert _one_segment_sq_dists(A[:0], B).shape == (0, 2)
+        assert _one_segment_sq_dists(A, B[:0]).shape == (3, 0)
 
 
 def _reference_kmeanspp_init(X, k, rng):
-    """k-means++ seeding as it was before _sq_dists: one (X - c)^2 row sum
-    per chosen centre."""
+    """k-means++ seeding by the plain formula: one (X - c)^2 row sum per
+    chosen centre."""
     n = X.shape[0]
     centroids = np.empty((k, X.shape[1]))
     centroids[0] = X[rng.integers(n)]
@@ -314,7 +326,7 @@ def _reference_kmeanspp_init(X, k, rng):
 
 
 def _reference_lloyd(X, centroids, max_iter=300):
-    """Lloyd as it was before _sq_dists: the n x k x d tensor every
+    """Lloyd by the plain tensor formula: the n x k x d tensor every
     iteration, an any() per cluster for empties, mean() per centroid and the
     cost from a fresh tensor."""
     k = centroids.shape[0]
@@ -377,7 +389,7 @@ class TestLloydEqualsReference:
         init = _kmeanspp_init(X, 6, rng)
         converged = _reference_lloyd(X, init.copy())
         for max_iter in (0, 1, 2, 3):
-            got = _lloyd(X, init.copy(), max_iter)
+            got = _lloyd_segments([X], init.copy()[None], max_iter)[0]
             ref = _reference_lloyd(X, init.copy(), max_iter)
             _assert_same_lloyd(got, ref)
             if max_iter:
@@ -396,7 +408,8 @@ class TestLloydEqualsReference:
             init = _kmeanspp_init(X, 3, np.random.default_rng(seed))
             np.testing.assert_array_equal(
                 init, _reference_kmeanspp_init(X, 3, np.random.default_rng(seed)))
-            assert np.bincount(_sq_dists(X, init).argmin(axis=1), minlength=3).min() == 0
+            assert np.bincount(_one_segment_sq_dists(X, init).argmin(axis=1),
+                               minlength=3).min() == 0
             got = _lloyd(X, init.copy())
             _assert_same_lloyd(got, _reference_lloyd(X, init.copy()))
             assert set(got[0].tolist()) == {0, 1, 2}
@@ -427,7 +440,7 @@ class TestLloydSegments:
         # its first assignment leaves a cluster empty and it steals
         if k == 2:
             seeds[-1] = segments[-1][0]
-        assert np.bincount(_sq_dists(segments[-1], seeds[-1]).argmin(axis=1),
+        assert np.bincount(_one_segment_sq_dists(segments[-1], seeds[-1]).argmin(axis=1),
                            minlength=k).min() == 0
         converged = [_reference_lloyd(rows, c.copy()) for rows, c in zip(segments, seeds)]
         for max_iter in (0, 1, 2, 300):

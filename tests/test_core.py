@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from sigcluster import (
     signature_moments,
     sorted_abs,
 )
-from sigcluster.core import _half_normal_cdf
+from sigcluster.core import _block_rows, _half_normal_cdf, _test_rows
 from sigcluster.errors import (
     DegenerateInputError,
     NegativeInputError,
@@ -205,3 +206,18 @@ def test_uniform_order_statistic_calibration():
     p = n / (N + 1.0)
     tol = 4.0 * np.sqrt(p * (1 - p) / N)
     assert np.mean(np.abs(mean - p) <= tol) >= 0.99
+
+
+class TestRows:
+    def test_finiteness_mask_is_one_block(self):
+        # 8 rows of 70000 values are 8 blocks of one row: the finiteness
+        # check holds one row's bool mask, not the batch's 560 kB one
+        Y = np.random.default_rng(43).normal(size=(8, 70_000))
+        assert _block_rows(Y.shape[1]) == 1
+        tracemalloc.start()
+        try:
+            assert _test_rows(Y, 8, "signature test") is Y
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * Y.shape[1]

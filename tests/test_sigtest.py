@@ -21,6 +21,7 @@ from sigcluster import (
 from sigcluster.errors import (
     DegenerateInputError,
     LengthMismatchError,
+    NonFiniteInputError,
     TooFewSamplesError,
 )
 from sigcluster.core import _block_rows, _half_normal_cdf, _normalized_rows, _sorted_abs
@@ -391,8 +392,11 @@ def test_rows_decide_as_the_erf_path(N, rows, seed, kind, constant, gamma):
         got_C, got_split = _sigtest_rows(Y, cfg)
         np.testing.assert_array_equal(got_C, C)
         np.testing.assert_array_equal(got_split, C > cfg.threshold)
-    assert _frozen_bounds(N, gamma, SIG1).thresholds is not None
-    np.testing.assert_array_equal(_signature_rows(Y, cfg)[1], flags)
+    band = _frozen_bounds(N, gamma, SIG1)
+    assert band.thresholds is not None
+    # the kernel's flags, on the thresholds and on the erf map of the band
+    np.testing.assert_array_equal(_signature_rows(Y, cfg, band, band.thresholds)[1], flags)
+    np.testing.assert_array_equal(_signature_rows(Y, cfg, band)[1], flags)
     for y, c in zip(Y[ok], C[ok]):
         assert sigtest(y, cfg).C == c
 
@@ -506,3 +510,22 @@ def test_row_blocks_build_thresholds_at_the_second_batch(monkeypatch):
     for _ in range(2):
         np.testing.assert_array_equal(_sigtest_rows(Y, SigtestConfig())[0], first[0])
     assert builds == [_frozen_bounds(N, 2.0, SIG1)]
+
+
+def test_non_finite_last_block_refused_before_the_batch_counts(monkeypatch):
+    # a NaN in the last row block is refused before the band is looked up
+    # or any block is normalized, so the refused call is no batch
+    module = importlib.import_module("sigcluster.sigtest")
+    normalized = []
+    monkeypatch.setattr(module, "_normalized_rows",
+                        lambda Y: normalized.append(len(Y)) or _normalized_rows(Y))
+    N = 200
+    Y = np.random.default_rng(41).normal(size=(2 * _block_rows(N) + 5, N))
+    Y[-1, N // 2] = np.nan
+    _frozen_bounds.cache_clear()
+    _sigtest_rows(Y[:-1], SigtestConfig())
+    band = _frozen_bounds(N, 2.0, SIG1)
+    assert band.batches == 1 and len(normalized) == 3
+    with pytest.raises(NonFiniteInputError):
+        _sigtest_rows(Y, SigtestConfig())
+    assert band.batches == 1 and band.thresholds is None and len(normalized) == 3
