@@ -142,6 +142,10 @@ class SplitRecord:
     ``decision`` is the criterion's verdict; ``accepted`` is whether the
     split actually happened (a verdict can be vetoed when a child would
     fall below MIN_SAMPLES). k at the end equals 1 + #accepted.
+    ``status`` is "tested" when the criterion decided in this round, and
+    "settled" when the cluster has the members of one the round before
+    kept whole, whose statistic and decision it repeats (see
+    _split_loop).
     """
 
     round: int
@@ -151,6 +155,7 @@ class SplitRecord:
     decision: bool
     accepted: bool
     n: int
+    status: str = "tested"
 
 
 @dataclass(frozen=True)
@@ -533,11 +538,21 @@ def _split_loop(data: Dataset, criterion, seed: int, evaluate):
     accepted ones, globally refine, repeat until a full round makes no
     split.
 
-    ``evaluate`` takes the (member rows, rng) of each cluster large enough
-    to test, in cluster-id order, and returns a (statistic, decision,
+    ``evaluate`` takes the (member rows, rng) of each cluster it is to
+    test, in cluster-id order, and returns a (statistic, decision,
     children) for each, children being a bisection or None. Splits are
     applied in cluster-id order; a split moves only its own cluster's
     members, so every cluster of a round can be evaluated first.
+
+    A cluster is tested when it has at least 2 * MIN_SAMPLES members,
+    unless it is settled: the round before kept a cluster with the same
+    member indices whole (its decision was False, which a vetoed split's
+    is not). A settled cluster is logged with that statistic and decision
+    False, status "settled"; it builds no rng and goes to no criterion
+    and no bisection, and the other clusters keep their own
+    [seed, round, cluster_id] streams. The memo is rebuilt each round
+    from that round's settled clusters, whose members are disjoint, so
+    it holds at most n indices.
     """
     X = data.rows
     if X.shape[0] < 2 * MIN_SAMPLES:
@@ -549,16 +564,19 @@ def _split_loop(data: Dataset, criterion, seed: int, evaluate):
     centroids = [X.mean(axis=0)]
     k = 1
     log = []
+    settled = {}  # member indices' bytes -> statistic of a cluster kept whole last round
     for round_no in range(X.shape[0]):  # k strictly grows; bound is generous
         k_round = k
-        tested = []
+        clusters = []
         for cid in range(k):
             members = np.flatnonzero(assignment == cid)
             if members.size >= 2 * MIN_SAMPLES:
-                tested.append((cid, members))
-        outcomes = evaluate([(X[members], np.random.default_rng([seed, round_no, cid]))
-                             for cid, members in tested])
-        for (cid, members), (stat, decision, children) in zip(tested, outcomes):
+                clusters.append((cid, members, settled.get(members.tobytes())))
+        settled = {}
+        outcomes = iter(evaluate([(X[members], np.random.default_rng([seed, round_no, cid]))
+                                  for cid, members, memo in clusters if memo is None]))
+        for cid, members, memo in clusters:
+            stat, decision, children = next(outcomes) if memo is None else (memo, False, None)
             accepted = bool(decision and
                             np.bincount(children[0], minlength=2).min() >= MIN_SAMPLES)
             if accepted:
@@ -567,10 +585,13 @@ def _split_loop(data: Dataset, criterion, seed: int, evaluate):
                 centroids[cid] = child_centroids[0]
                 centroids.append(child_centroids[1])
                 k += 1
+            elif not decision:
+                settled[members.tobytes()] = stat
             log.append(SplitRecord(
                 round=round_no, cluster_id=cid, criterion=criterion.name,
                 statistic=float(stat), decision=bool(decision),
                 accepted=accepted, n=int(members.size),
+                status="tested" if memo is None else "settled",
             ))
         if k == k_round:
             break
@@ -593,7 +614,12 @@ def gmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult:
     best cost kept), all of them in one segmented Lloyd call whose bits
     equal bisecting each cluster on its own; then, in cluster-id order,
     each cluster's members are projected onto the axis through its child
-    centroids, and ``criterion.test`` decides on that 1-d sample.
+    centroids, and ``criterion.test`` decides on that 1-d sample. A
+    cluster with no usable axis (its children coincide) is logged with
+    statistic 0.0 and decision False. A cluster whose members the round
+    before kept whole is settled by _split_loop: it is neither bisected
+    nor tested again, so it gets no new chance at a split from a new
+    bisection.
     """
 
     def evaluate(clusters):
@@ -610,26 +636,17 @@ def gmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult:
     return _split_loop(data, criterion, seed, evaluate)
 
 
-def _viewer_fraction(criterion, members, rng, kept) -> float:
+def _viewer_fraction(criterion, members, rng) -> float:
     """The fraction of a cluster's viewers whose distance vectors
-    ``criterion.test_rows`` rejects (see dipmeans_family). ``kept`` maps
-    the row bytes of an all-viewer cluster kept whole to its fraction; a
-    cluster found there is not tested again. The distance rows are one
-    array, built once."""
+    ``criterion.test_rows`` rejects (see dipmeans_family). The distance
+    rows are one array, built once."""
     m = len(members)
     if m > 500:
-        key = None
         dist = _viewer_distances(members, rng.choice(m, size=100, replace=False))
     else:
-        key = members.tobytes()
-        if key in kept:
-            return kept[key]
         dist = _pair_distances(members)
     _, rejects = criterion.test_rows(dist)
-    fraction = np.count_nonzero(rejects) / len(rejects)
-    if key is not None and fraction <= criterion.viewer_fraction:
-        kept[key] = fraction
-    return fraction
+    return np.count_nonzero(rejects) / len(rejects)
 
 
 def dipmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult:
@@ -651,14 +668,11 @@ def dipmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult
     bounded number of rows (when all members are viewers, each unordered
     pair's distance is computed once, the distances being symmetric),
     and ``test_rows`` decides them in row blocks. A cluster whose members
-    are all viewers draws nothing from its rng until a split is decided,
-    so its verdict is a function of its member rows alone: within one
-    call, a cluster kept whole is remembered by the bytes of its rows,
-    and when a later round presents the same rows it gets the same
-    statistic, and so the same record, without a new test. A sampled-viewer cluster and a
-    vetoed split are always tested anew, since each draws from its
-    round's rng. The remembered rows take at most one copy of the data
-    per round.
+    the round before kept whole is settled by _split_loop and builds no
+    viewer rows. For an all-viewer cluster that repeats the verdict a
+    new test would give, since it draws nothing from its rng until a
+    split is decided; a sampled-viewer cluster keeps the viewers of its
+    first test rather than drawing new ones.
 
     ``criterion`` needs ``test_rows`` and a ``viewer_fraction`` (else a
     TypeError naming each it lacks, before any clustering): CLUSTERERS
@@ -670,10 +684,8 @@ def dipmeans_family(data: Dataset, criterion, seed: int = 0) -> ClusteringResult
         raise TypeError(f"dipmeans_family needs test_rows and a viewer_fraction; "
                         f"{criterion!r} has no {' and no '.join(missing)}")
 
-    kept = {}  # member-row bytes -> viewer fraction of an all-viewer cluster kept whole
-
     def evaluate(clusters):
-        fractions = [_viewer_fraction(criterion, members, rng, kept) for members, rng in clusters]
+        fractions = [_viewer_fraction(criterion, members, rng) for members, rng in clusters]
         splits = [fraction > criterion.viewer_fraction for fraction in fractions]
         bisections = iter(_bisect([c for c, split in zip(clusters, splits) if split]))
         return [(fraction, split, next(bisections) if split else None)

@@ -205,6 +205,7 @@ def count_violations(signature, bounds: SignatureBounds):
 # _WINDOW_CAP consecutive doubles per level; see _crossings.
 _MARGIN_ULPS = 9
 _WINDOW_CAP = 4096
+_SPAN = 8  # doubles per row of a window (_crossings)
 
 
 def _margin(level: np.ndarray) -> np.ndarray:
@@ -234,10 +235,16 @@ def _crossings(level: np.ndarray):
     levels near it (_margin). So every x below a double a with
     f(a) < T - M maps below T, and every x above a double b with
     f(b) > T + M maps above it. a and b are seeded by erfinv and checked
-    through f; every double between them is mapped, in blocks of at most
-    core._BLOCK_VALUES values (_value_blocks), and t is where they rise
-    above T, if they rise once. A window wider than _WINDOW_CAP doubles (f nearly flat) is not
-    searched.
+    through f; every double between them is mapped, and t is where they
+    rise above T, if they rise once. A window wider than _WINDOW_CAP
+    doubles (f nearly flat) is not searched.
+
+    Each window is mapped in rows of _SPAN consecutive doubles, its last
+    row running past b (where every double maps above T, adding no
+    rise), and the rows go in blocks of about core._BLOCK_VALUES doubles
+    (_value_blocks). A block is one (rows x _SPAN) array, mapped in place
+    and compared with its rows' levels as a column, so no value is
+    repeated for every double.
     """
     a, b = _window(level)
     sure = (a > 0.0) & (b < np.inf)  # refuses NaN too
@@ -247,20 +254,22 @@ def _crossings(level: np.ndarray):
     start = a.view(np.int64)  # a nonnegative double's bits order it among the doubles
     width = b.view(np.int64) - start + 1
     todo = np.flatnonzero(sure & (width > 1) & (width <= _WINDOW_CAP))
+    rows = -(-width // _SPAN)
     t = np.full(level.shape, np.nan)
-    for begin, end in _value_blocks(width[todo]):
+    for begin, end in _value_blocks(rows[todo] * _SPAN):
         cols = todo[begin:end]
-        w = width[cols]
-        first = np.cumsum(w) - w  # where each window starts in the block
-        offset = start[cols] - first  # the bits of the double at block position p: offset + p
-        fx = np.repeat(offset, w)
-        fx += np.arange(len(fx))
+        r = rows[cols]
+        first = np.cumsum(r) - r  # each window's first row in the block
+        offset = start[cols] - _SPAN * first  # block position p: the double of bits offset + p
+        fx = np.repeat(offset, r)
+        fx += _SPAN * np.arange(len(fx))  # the first double of each row
+        fx = fx[:, None] + np.arange(_SPAN)
         fx = _half_normal_cdf(fx.view(np.float64), out=fx.view(np.float64))
-        above = fx > np.repeat(level[cols], w)
+        above = (fx > np.repeat(level[cols], r)[:, None]).ravel()
         # every window starts below T and ends above it, so it changes
         # side once exactly when it rises once
         rise = np.flatnonzero(above[1:] > above[:-1]) + 1
-        window = np.searchsorted(first, rise, side="right") - 1
+        window = np.searchsorted(first * _SPAN, rise, side="right") - 1
         once = np.bincount(window, minlength=len(cols)) == 1
         at = np.empty(len(cols), dtype=np.intp)
         at[window] = rise

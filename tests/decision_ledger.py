@@ -22,11 +22,18 @@ Regenerate the ledger only in a change that means to move decisions, and
 disclose the diff in CHANGES.md as that change's before/after report:
 
     PYTHONPATH=src python tests/decision_ledger.py
+
+``--diff`` writes nothing and prints that report: whether the sweep moved,
+and each run entry that moved, with its k, ARI and whether its digest
+moved.
+
+    PYTHONPATH=src python tests/decision_ledger.py --diff
 """
 
 import dataclasses
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +113,44 @@ def compute_ledger(sweep_records=None) -> dict:
     return {"numpy": np.__version__, "sweep": sweep, "runs": runs}
 
 
+def moved_runs(committed: dict, now: dict) -> list[str]:
+    """One line per run entry that differs between two ledgers: its k,
+    ARI and whether its digest moved (an entry only one holds reads
+    None on the other side)."""
+    lines = []
+    for key in sorted(committed["runs"].keys() | now["runs"].keys()):
+        old, new = committed["runs"].get(key), now["runs"].get(key)
+        if old == new:
+            continue
+        if old is None or new is None:
+            lines.append(f"{key}: {old} -> {new}")
+            continue
+        digest = "moved" if old.get("digest") != new.get("digest") else "kept"
+        lines.append(f"{key}: k {old['k']} -> {new['k']}, "
+                     f"ARI {old['ari']:.3f} -> {new['ari']:.3f}, digest {digest}")
+    return lines
+
+
+def main(argv) -> int:
+    if argv not in ([], ["--diff"]):
+        print("usage: decision_ledger.py [--diff]", file=sys.stderr)
+        return 2
+    now = json.loads(json.dumps(compute_ledger()))  # the floats as the file holds them
+    if not argv:
+        LEDGER.write_text(json.dumps(now, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {LEDGER}")
+        return 0
+    committed = json.loads(LEDGER.read_text(encoding="utf-8"))
+    if now["numpy"] != committed["numpy"]:
+        print(f"ledger written with numpy {committed['numpy']}, running {now['numpy']}: "
+              "digests may differ by rounding alone")
+    print("sweep: " + ("unchanged" if now["sweep"] == committed["sweep"] else "moved"))
+    moved = moved_runs(committed, now)
+    print(f"runs: {len(moved)} of {len(committed['runs'])} moved")
+    for line in moved:
+        print(line)
+    return 0
+
+
 if __name__ == "__main__":
-    LEDGER.write_text(json.dumps(compute_ledger(), indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {LEDGER}")
+    sys.exit(main(sys.argv[1:]))

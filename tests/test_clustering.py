@@ -292,7 +292,7 @@ class TestSqDists:
                     tested.append(Y.copy())
                     return np.zeros(len(Y)), np.zeros(len(Y), dtype=bool)
 
-            _viewer_fraction(Recording(), members, np.random.default_rng(7), {})
+            _viewer_fraction(Recording(), members, np.random.default_rng(7))
             viewers = np.random.default_rng(7).choice(m, size=100, replace=False)
             sq = _tensor_sq_dists(members[viewers], members)
             others = np.ones(sq.shape, dtype=bool)
@@ -704,11 +704,12 @@ class TestDipmeansFamily:
     def test_sampled_viewers_bound_memory(self):
         # 100 sampled viewers of 1200 points at d=8 keep their own distance
         # rows (100 x 1199 floats, 0.96 MB), not all 1200^2 x 8 differences
-        # (92 MB): 2.12 MB, or 2.37 MB where this batch is the second at
+        # (92 MB): 2.12 MB, also where this batch is the second at
         # N = 1199 and builds the signature thresholds beside the rows
-        # (2.56 MB with the 100 x 1200 block and its cut)
+        # (2.37 MB when each double of their windows had its offset and
+        # level repeated; 2.56 MB with the 100 x 1200 block and its cut)
         peak = self._peak_bytes(gen_gaussian(1200, dimension=8, seed=19))
-        assert peak < 2.4e6, f"peak {peak / 1e6:.2f} MB"
+        assert peak < 2.2e6, f"peak {peak / 1e6:.2f} MB"
 
     def test_all_viewers_bound_memory(self):
         # 500 members are all viewers: the distances go through _sum_sq_diffs
@@ -723,15 +724,16 @@ class TestDipmeansFamily:
         # five unit-variance blobs of 2000 points at d=8, their centres a
         # rotated simplex of edge 23.2: the root cluster's 100 sampled
         # viewers hold 100 x 9999 distances (8 MB); measured 10.3 MB, or
-        # 11.4 MB where that batch is the second at N = 9999 and builds the
-        # thresholds beside them (19.2 MB with the 100 x 10^4 block and
-        # its cut)
+        # 11.2 MB where that batch is the second at N = 9999 and builds the
+        # thresholds beside them (11.4 MB when each double of their
+        # windows had its offset and level repeated; 19.2 MB with the
+        # 100 x 10^4 block and its cut)
         rng = np.random.default_rng(41)
         rotation, _ = np.linalg.qr(rng.normal(size=(8, 8)))
         centres = 23.2 / np.sqrt(2.0) * rotation[:5]
         rows = np.vstack([rng.normal(size=(2000, 8)) + c for c in centres])
         peak = self._peak_bytes(Dataset(rows=rows), k=5)
-        assert peak < 11.6e6, f"peak {peak / 1e6:.2f} MB"
+        assert peak < 11.3e6, f"peak {peak / 1e6:.2f} MB"
 
     @pytest.mark.parametrize("criterion", [
         SigtestCriterion(), SigtestCriterion(SigtestConfig(variant=SignatureVariant.SIGNATURE2)),
@@ -838,20 +840,32 @@ class TestBenchmarkDatasets:
             assert ari(res.assignment, data.labels) > 0.5
 
 
-def _sequential_split_loop(data, criterion, seed, evaluate):
+def _sequential_split_loop(data, criterion, seed, evaluate, memo=True):
     """The split loop one cluster at a time: each cluster of a round is
     evaluated, with its own bisection, and split before the next one is
-    evaluated; the global refinement is _reference_lloyd."""
+    evaluated; the global refinement is _reference_lloyd. With ``memo``,
+    a cluster whose member set the round before kept whole (decision
+    False) repeats that statistic as a "settled" record and is not
+    evaluated; without it every cluster is evaluated in every round."""
     X = data.rows
     assignment = np.zeros(X.shape[0], dtype=np.int64)
     centroids = [X.mean(axis=0)]
     k = 1
     log = []
+    kept_last_round = {}
     for round_no in range(X.shape[0]):
         k_round = k
+        kept = {}
         for cid in range(k):
             members = np.flatnonzero(assignment == cid)
             if members.size < 2 * MIN_SAMPLES:
+                continue
+            member_set = frozenset(members.tolist())
+            if memo and member_set in kept_last_round:
+                stat = kept_last_round[member_set]
+                kept[member_set] = stat
+                log.append(SplitRecord(round_no, cid, criterion.name, stat, False, False,
+                                       int(members.size), "settled"))
                 continue
             stat, decision, children = evaluate(X[members],
                                                 np.random.default_rng([seed, round_no, cid]))
@@ -862,8 +876,11 @@ def _sequential_split_loop(data, criterion, seed, evaluate):
                 centroids[cid] = children[1][0]
                 centroids.append(children[1][1])
                 k += 1
+            if not decision:
+                kept[member_set] = float(stat)
             log.append(SplitRecord(round_no, cid, criterion.name, float(stat), bool(decision),
                                    accepted, int(members.size)))
+        kept_last_round = kept
         if k == k_round:
             break
         assignment, refined, _ = _reference_lloyd(X, np.array(centroids, dtype=np.float64))
@@ -871,7 +888,7 @@ def _sequential_split_loop(data, criterion, seed, evaluate):
     return ClusteringResult(assignment, np.array(centroids), k, tuple(log))
 
 
-def _looped_gmeans(data, criterion, seed):
+def _looped_gmeans(data, criterion, seed, memo=True):
     """Reference gmeans: each cluster bisected by _reference_two_means and
     tested in turn, where gmeans_family bisects a round in one call."""
     def evaluate(members, rng):
@@ -882,10 +899,10 @@ def _looped_gmeans(data, criterion, seed):
             return 0.0, False, None
         return stat, decision, children
 
-    return _sequential_split_loop(data, criterion, seed, evaluate)
+    return _sequential_split_loop(data, criterion, seed, evaluate, memo)
 
 
-def _looped_dipmeans(data, criterion, seed):
+def _looped_dipmeans(data, criterion, seed, memo=True):
     """Reference dipmeans with a viewer loop: one np.delete and one
     one-sample criterion test per viewer, where dipmeans_family makes one
     batched test_rows call per cluster, and each splitting cluster
@@ -907,7 +924,40 @@ def _looped_dipmeans(data, criterion, seed):
             return fraction, False, None
         return fraction, True, _reference_two_means(members, rng)
 
-    return _sequential_split_loop(data, criterion, seed, evaluate)
+    return _sequential_split_loop(data, criterion, seed, evaluate, memo)
+
+
+def _looped(family, criterion, data, seed, memo=True):
+    """The reference loop of a family with its criterion."""
+    looped = _looped_gmeans if family is gmeans_family else _looped_dipmeans
+    return looped(data, criterion, seed, memo)
+
+
+def _per_round(monkeypatch, criterion):
+    """A list that gets, for each round of the split loop as it runs, the
+    clusters it passed to evaluate, the criterion calls (``test`` and
+    ``test_rows``) and the _bisect segments made in that round."""
+    rounds, calls, segments = [], [], []
+    for name in ("test", "test_rows"):
+        if hasattr(type(criterion), name):
+            method = getattr(type(criterion), name)
+            monkeypatch.setattr(type(criterion), name,
+                                lambda self, y, method=method: calls.append(1) or method(self, y))
+    bisect, split_loop = clustering._bisect, clustering._split_loop
+    monkeypatch.setattr(clustering, "_bisect",
+                        lambda clusters: segments.append(len(clusters)) or bisect(clusters))
+
+    def recording_loop(data, criterion, seed, evaluate):
+        def recorded(clusters):
+            calls.clear()
+            segments.clear()
+            out = evaluate(clusters)
+            rounds.append((len(clusters), len(calls), sum(segments)))
+            return out
+        return split_loop(data, criterion, seed, recorded)
+
+    monkeypatch.setattr(clustering, "_split_loop", recording_loop)
+    return rounds
 
 
 def _round_sets():
@@ -1067,52 +1117,37 @@ class TestBatchedViewers:
         # classic dip-means keeps seeds whole: none of its viewers rejects
         assert splits == [True, True, variant is not None, variant is not None] + [True] * 4
 
-    @staticmethod
-    def _batches_per_evaluation(monkeypatch, criterion):
-        """The number of test_rows batches each viewer evaluation of the
-        split loop makes, in the order of its records, appended as the
-        loop runs."""
-        batches, per_evaluation = [], []
-        test_rows, viewer_fraction = type(criterion).test_rows, clustering._viewer_fraction
-        monkeypatch.setattr(type(criterion), "test_rows",
-                            lambda self, Y: batches.append(len(Y)) or test_rows(self, Y))
-
-        def counted(*args):
-            before = len(batches)
-            out = viewer_fraction(*args)
-            per_evaluation.append(len(batches) - before)
-            return out
-
-        monkeypatch.setattr(clustering, "_viewer_fraction", counted)
-        return per_evaluation
-
-    @pytest.mark.parametrize("variant", [*SignatureVariant, pytest.param(None, id="dip")])
-    def test_kept_verdicts_are_reused(self, variant, monkeypatch):
+    @pytest.mark.parametrize("family, criterion", [
+        *(pytest.param(*CLUSTERERS[method], id=method) for method in METHOD_NAMES),
+        pytest.param(dipmeans_family,
+                     SigtestCriterion(SigtestConfig(variant=SignatureVariant.SIGNATURE2)),
+                     id="dipmeans-sigtest2")])
+    def test_kept_verdicts_are_reused(self, family, criterion):
         # the five simplex blobs stay whole round after round once split
-        # off: their later records reuse the first verdict, with no batch
-        criterion = (DipViewerCriterion() if variant is None
-                     else SigtestCriterion(SigtestConfig(variant=variant)))
-        per_evaluation = self._batches_per_evaluation(monkeypatch, criterion)
+        # off: from the round after one is kept whole on, its records are
+        # settled and repeat that verdict, for every clusterer
         data = blobs(23.2 / np.sqrt(2.0) * np.eye(8)[:5], 200, 1.0, seed=21, d=8)
         for seed in (0, 1):
-            ref = _looped_dipmeans(data, criterion, seed)
-            per_evaluation.clear()
-            res = dipmeans_family(data, criterion, seed)
+            res = family(data, criterion, seed)
+            ref = _looped(family, criterion, data, seed)
             assert res.split_log == ref.split_log
             np.testing.assert_array_equal(res.assignment, ref.assignment)
-            assert len(per_evaluation) == len(res.split_log)
-            assert sum(per_evaluation) < len(res.split_log)
-            for rec, batches in zip(res.split_log, per_evaluation):
-                assert batches == 1 or (rec.n <= 500 and not rec.decision)
+            settled = [rec for rec in res.split_log if rec.status == "settled"]
+            assert settled and {rec.status for rec in res.split_log} == {"tested", "settled"}
+            for rec in settled:
+                assert not rec.decision and not rec.accepted
+                before = [(r.n, r.statistic, r.decision) for r in res.split_log
+                          if r.round == rec.round - 1]
+                assert (rec.n, rec.statistic, False) in before
 
-    def test_sampled_and_vetoed_clusters_are_tested_anew(self, monkeypatch):
+    def test_sampled_cluster_settles_and_vetoed_cluster_is_tested_anew(self, monkeypatch):
         # a 600-point Gaussian kept whole (sampled viewers), a pair of
         # blobs that splits a round later, and 20 points with 3 satellites
         # whose split is vetoed (a child of 3 < MIN_SAMPLES) every round:
-        # the big and the vetoed cluster draw from their round's rng, so
-        # each presentation makes its own batch
+        # the big cluster is settled from the round after its first test
+        # on, with the fraction its first 100 viewers gave, while the
+        # vetoed cluster is not settled and is tested in every round
         criterion = SigtestCriterion()
-        per_evaluation = self._batches_per_evaluation(monkeypatch, criterion)
         rng = np.random.default_rng([97, 0])
         rows = np.vstack([rng.normal(size=(600, 2)),
                           rng.normal(size=(100, 2)) + (40, 0),
@@ -1121,12 +1156,89 @@ class TestBatchedViewers:
                           rng.normal(size=(3, 2)) * 0.3 + (10, 200)])
         data = Dataset(rows=rows)
         ref = _looped_dipmeans(data, criterion, 0)
-        per_evaluation.clear()
+        rounds = _per_round(monkeypatch, criterion)
         res = dipmeans_family(data, criterion, 0)
         assert res.split_log == ref.split_log
         np.testing.assert_array_equal(res.assignment, ref.assignment)
-        log = list(zip(res.split_log, per_evaluation))
-        big = [batches for rec, batches in log if rec.n == 600]
-        vetoed = [batches for rec, batches in log if rec.decision and not rec.accepted]
+        for r, (clusters, calls, _) in enumerate(rounds):
+            tested = sum(rec.status == "tested" for rec in res.split_log if rec.round == r)
+            assert clusters == calls == tested  # one batch per tested cluster
+        big = [rec for rec in res.split_log if rec.n == 600]
+        vetoed = [rec for rec in res.split_log if rec.decision and not rec.accepted]
         assert len(big) >= 2 and len(vetoed) >= 2
-        assert big == [1] * len(big) and vetoed == [1] * len(vetoed)
+        assert [rec.status for rec in big] == ["tested"] + ["settled"] * (len(big) - 1)
+        assert {rec.statistic for rec in big} == {big[0].statistic}
+        assert {rec.status for rec in vetoed} == {"tested"}
+
+
+class TestSettledClusters:
+    # _split_loop settles a cluster whose member indices the round before
+    # kept whole: it logs that statistic with decision False and calls
+    # nothing for it
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_settled_cluster_calls_no_criterion_and_no_bisection(self, method, monkeypatch):
+        # per round, evaluate gets the tested clusters only, the criterion
+        # is called once for each, and _bisect gets a segment list for
+        # each tested gmeans cluster and each dipmeans split
+        family, criterion = CLUSTERERS[method]
+        data = blobs(23.2 / np.sqrt(2.0) * np.eye(8)[:5], 200, 1.0, seed=21, d=8)
+        rounds = _per_round(monkeypatch, criterion)
+        res = run_method(method, data, 0)
+        assert len(rounds) == res.split_log[-1].round + 1
+        for r, (clusters, calls, segments) in enumerate(rounds):
+            tested = [rec for rec in res.split_log if rec.round == r and rec.status == "tested"]
+            bisected = [rec for rec in tested if family is gmeans_family or rec.decision]
+            assert (clusters, calls, segments) == (len(tested), len(tested), len(bisected))
+        assert any(rec.status == "settled" for rec in res.split_log)
+
+    @pytest.mark.parametrize("moved", [False, True], ids=["same-members", "one-member-moved"])
+    def test_a_cluster_one_member_apart_is_tested_anew(self, moved, monkeypatch):
+        # 48 points, each row its index: round 0 halves them, round 1
+        # keeps {0..23} whole (statistic 0.24) and halves {24..47}, and
+        # the refinement after it leaves {0..23} as it is, or gives point
+        # 23 to the next cluster; round 2 settles {0..23}, or tests
+        # {0..22} anew
+        X = np.arange(48.0)[:, None]
+        refined = iter([np.repeat([0, 1], 24),
+                        np.repeat([0, 1, 2], [23, 13, 12] if moved else [24, 12, 12])])
+        monkeypatch.setattr(clustering, "_lloyd", lambda X, C: (next(refined), C, 0.0))
+        presented = []
+
+        def evaluate(clusters):
+            presented.append([rows[:, 0].astype(int).tolist() for rows, _ in clusters])
+            out = []
+            for rows, _ in clusters:
+                half = (np.arange(len(rows)) >= len(rows) // 2).astype(np.int64)
+                split = rows[0, 0] == 24 or len(rows) == 48
+                out.append((len(rows) / 100, split,
+                            (half, np.array([rows[half == 0].mean(axis=0),
+                                             rows[half == 1].mean(axis=0)]))))
+            return out
+
+        criterion = ADCriterion()
+        res = clustering._split_loop(Dataset(rows=X), criterion, 0, evaluate)
+        assert res.k == 3 and len(presented) == 3
+        assert presented[2] == ([list(range(23))] if moved else [])
+        assert [rec for rec in res.split_log if rec.round == 2] == [
+            SplitRecord(2, 0, criterion.name, 0.23, False, False, 23, "tested") if moved else
+            SplitRecord(2, 0, criterion.name, 0.24, False, False, 24, "settled")]
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_a_run_without_repeated_members_keeps_its_split_log(self, method):
+        # where no round presents the members of a cluster the round
+        # before kept whole, every record is tested, and the run equals
+        # the loop without the memo in every bit of its split log
+        unchanged = 0
+        for data in _round_sets()[:2]:
+            for seed in (0, 1, 2):
+                res = run_method(method, data, seed)
+                if any(rec.status == "settled" for rec in res.split_log):
+                    continue
+                ref = _looped(*CLUSTERERS[method], data, seed, memo=False)
+                assert res.split_log == ref.split_log
+                assert [rec.statistic.hex() for rec in res.split_log] == \
+                    [rec.statistic.hex() for rec in ref.split_log]
+                np.testing.assert_array_equal(res.assignment, ref.assignment)
+                unchanged += res.split_log[-1].round > 0
+        assert unchanged > 0  # some such run went past its first round

@@ -7,7 +7,7 @@ before/after report; any other change must leave every entry as it is.
 
 import json
 
-from decision_ledger import LEDGER, compute_ledger
+from decision_ledger import LEDGER, compute_ledger, moved_runs
 
 
 def without_digests(ledger: dict) -> dict:
@@ -26,7 +26,5 @@ def test_decisions_match_the_committed_ledger(table1_records):
               f"{now['numpy']}: digests skipped, sweep, k and ARI compared")
         committed, now = without_digests(committed), without_digests(now)
     assert now["sweep"] == committed["sweep"], "the Table-1 sweep records moved"
-    moved = [f"{key}: {committed['runs'].get(key)} -> {now['runs'].get(key)}"
-             for key in sorted(committed["runs"].keys() | now["runs"].keys())
-             if committed["runs"].get(key) != now["runs"].get(key)]
+    moved = moved_runs(committed, now)
     assert not moved, "clusterer decisions moved:\n" + "\n".join(moved)

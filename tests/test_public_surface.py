@@ -253,7 +253,7 @@ def test_sigtest_name_binds_the_function():
 
 # the settable values this surface has; raise it only with a new option
 # that is meant to be there
-SETTABLE_VALUES = 155
+SETTABLE_VALUES = 156
 
 
 def settable_values() -> int:
@@ -375,14 +375,14 @@ class RecordingDipViewer(_Recording, DipViewerCriterion):
 ])
 def test_criterion_subclass_reproduces_run_method(method, family, make, monkeypatch):
     # iris, and three blobs whose first split-off blob stays whole for a
-    # round more, so dipmeans_family reuses its kept verdict
+    # round more, so the split loop settles it
     rng = np.random.default_rng(99)
     blobs = Dataset(rows=np.vstack([rng.normal(size=(100, 2)) + c
                                     for c in ((0, 0), (30, 0), (0, 30))]))
     sets = (load_csv(bundled_manifest("iris")), blobs)
     refs = [run_method(method, data, seed=3) for data in sets]
     # the criterion calls of each round of the split loop, and those of
-    # each viewer evaluation, one list per dipmeans record
+    # each viewer evaluation
     per_round, per_evaluation = [], []
     split_loop, viewer_fraction = clustering._split_loop, clustering._viewer_fraction
 
@@ -402,7 +402,7 @@ def test_criterion_subclass_reproduces_run_method(method, family, make, monkeypa
 
     monkeypatch.setattr(clustering, "_split_loop", recording_loop)
     monkeypatch.setattr(clustering, "_viewer_fraction", recording_fraction)
-    reused = 0
+    settled = 0
     for data, ref in zip(sets, refs):
         criterion = make()
         per_round.clear()
@@ -413,27 +413,29 @@ def test_criterion_subclass_reproduces_run_method(method, family, make, monkeypa
         assert {name for _, name, _ in criterion.calls} == {ref.split_log[0].criterion}
         rounds = [[rec for rec in ref.split_log if rec.round == r] for r in range(len(per_round))]
         assert sum(map(len, rounds)) == len(ref.split_log)
+        # a record with no criterion call is settled: it repeats the
+        # verdict of a cluster the round before kept whole with the same
+        # members. A round makes no call outside its tested clusters.
+        tested = [rec for rec in ref.split_log if rec.status == "tested"]
+        for rec in ref.split_log:
+            assert rec.status == "tested" or (rec.status == "settled" and not rec.decision)
+        settled += len(ref.split_log) - len(tested)
         if family is not dipmeans_family:
-            # a round projects and tests each of its clusters in turn
+            # a round projects and tests each of its tested clusters in turn
             for calls, records in zip(per_round, rounds):
-                assert calls == [("test", rec.criterion, rec.decision) for rec in records]
+                assert calls == [("test", rec.criterion, rec.decision)
+                                 for rec in records if rec.status == "tested"]
             continue
         # an evaluation's viewers go through one batched call (every
-        # member is a viewer at these sizes), whose rejects make the logged
-        # viewer fraction; an evaluation with no call reused the verdict
-        # of a cluster kept whole with the same rows. A round makes no
-        # call outside its evaluations.
-        assert len(per_evaluation) == len(ref.split_log)
+        # member is a viewer at these sizes), whose rejects make the
+        # logged viewer fraction
+        assert len(per_evaluation) == len(tested)
         assert [call for calls in per_round for call in calls] == \
             [call for calls in per_evaluation for call in calls]
-        for calls, rec in zip(per_evaluation, ref.split_log):
-            if calls:
-                [(kind, _, rejects)] = calls
-                assert kind == "test_rows" and rejects / rec.n == rec.statistic
-            else:
-                assert not rec.decision and rec.n <= 500
-                reused += 1
-    assert reused > 0 or family is not dipmeans_family
+        for calls, rec in zip(per_evaluation, tested):
+            [(kind, _, rejects)] = calls
+            assert kind == "test_rows" and rejects / rec.n == rec.statistic
+    assert settled > 0
 
 
 def test_table_call_forms():

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -454,6 +455,23 @@ def test_thresholds_decide_the_doubles_at_the_band_as_erf(N, gamma):
         flagged += check(X)[:, t.exceptions].sum(axis=0)
     # the exception windows hold doubles on both sides of their bounds
     assert (flagged > 0).all() and (flagged < depth).all()
+
+
+def test_threshold_build_bounds_memory():
+    # the 19992 levels of the default band at N = 9999: each block of
+    # windows is one array of about 2^16 doubles, mapped in place and
+    # compared with one level per row of 8 doubles; measured 2.35 MB
+    # (2.61 MB with every double's offset and level repeated beside the
+    # mapped values)
+    band = _frozen_bounds(9999, 2.0, SIG1)
+    _thresholds(band)
+    tracemalloc.start()
+    try:
+        _thresholds(band)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.45e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_single_samples_never_build_thresholds():
