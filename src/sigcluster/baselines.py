@@ -462,23 +462,84 @@ def _chain_ends(k: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     return end
 
 
+# The coarse levels of _dip_rows: rows of at least _COARSE_MIN_N values
+# are first decided on every 8th, then every 4th order statistic. Below
+# the gate (iris's 149 and seeds' 209 viewer values) coarse rows of 52
+# values or fewer rarely decide, and screening them made a run slower.
+# _COARSE_ALLOWANCE covers the rounding of the coarse and the full dips,
+# which lies near 1e-15.
+_COARSE_MIN_N = 256
+_COARSE_LEVELS = (8, 4)
+_COARSE_ALLOWANCE = 1e-9
+
+
 def _dip_rows(X: np.ndarray, critical: float | None = None) -> np.ndarray:
     """_dip of each row of a 2-d float64 array, equal to it bit for bit
     except on nearly collinear points (an evenly spaced grid), where the
     two can differ in the last bits; NaN where _dip refuses the row (all
     values equal, or a range that overflows). Rows go in blocks of
-    core._block_rows, so the kernel's temporaries stay near a few
-    megabytes at any N.
+    core._block_rows, each sorted once for every level below, so the
+    kernel's temporaries stay near a few megabytes at any N.
 
-    With a ``critical`` dip, a row is settled at the first pass that
-    decides which side of it the dip lies on, and reports its running dip
-    there: a value never above its exact dip, and above ``critical``
-    exactly where the exact dip is. So ``_dip_rows(X, c) > c`` equals
-    ``_dip_rows(X) > c`` row by row; NaN rows are NaN either way.
+    With a ``critical`` dip, a row is settled as soon as it is known which
+    side of ``critical`` its dip lies on, and reports a dip never above
+    its exact dip and above ``critical`` exactly where the exact dip is.
+    So ``_dip_rows(X, c) > c`` equals ``_dip_rows(X) > c`` row by row;
+    NaN rows are NaN either way. The full-width kernel settles a row at
+    the AS 217 pass that decides it and reports its running dip there.
+
+    Rows of N >= _COARSE_MIN_N values are first decided on coarse copies,
+    level by level (_COARSE_LEVELS), and only the rows no level decides
+    reach the full-width kernel; rows _dip refuses go straight to it. The
+    copy at level c keeps n' = ceil(N / c) order statistics
+    x[floor(j N / n')], j < n'. If m values of the row lie at or below t,
+    the copy's values there are those with floor(j N / n') < m, that is
+    j < m n' / N: ceil(m n' / N) of them. So its ECDF F' satisfies
+    0 <= F' - F_N < 1/n' everywhere. The dip is the sup distance
+    to the unimodal distributions, D(F) = rho(F, U) (Hartigan & Hartigan
+    1985), so by the triangle inequality |D(F') - D(F_N)| < 1/n'. The
+    copy goes through the kernel with the bracket [critical - s,
+    critical + s], s = 1/n' + _COARSE_ALLOWANCE, and is settled there
+    with running dip r <= D(F') and stopping bound b >= D(F'):
+
+    - r - s > critical gives D(F_N) > D(F') - 1/n' > critical: a reject;
+    - b + s <= critical gives D(F_N) < D(F') + 1/n' < critical: an accept;
+    - otherwise (r and b both inside the bracket, or a copy the kernel
+      refuses) the row goes on to the next level.
+
+    A decided row reports max(r - s, 1/(2N)). That is never above its
+    exact dip, since r - s < D(F_N) and every dip is at least 1/(2N). It
+    is above ``critical`` exactly for a reject: an accepted row has
+    r - s <= b - s < critical, and 1/(2N) <= D(F_N) < critical. So the
+    contract above holds for coarse rows too.
     """
-    rows = _block_rows(X.shape[1])
-    return np.concatenate([_dip_block(X[start:start + rows], critical)
-                           for start in range(0, len(X), rows)] or [np.empty(0)])
+    N = X.shape[1]
+    rows = _block_rows(N)
+    out = np.empty(len(X))
+    for start in range(0, len(X), rows):
+        x = np.sort(X[start:start + rows], axis=1)
+        dips = out[start:start + rows]
+        rest = slice(None)
+        if critical is not None and N >= _COARSE_MIN_N:
+            with np.errstate(over="ignore", invalid="ignore"):
+                rest = (x[:, 0] == x[:, -1]) | ~np.isfinite((x[:, -1] - x[:, 0]) * N)
+            screen = np.flatnonzero(~rest)
+            for c in _COARSE_LEVELS:
+                if not screen.size:
+                    break
+                m = -(-N // c)
+                s = 1 / m + _COARSE_ALLOWANCE
+                run, top = _dip_block(x[np.ix_(screen, np.arange(m) * N // m)],
+                                      critical - s, critical + s)
+                dip = np.maximum(run - s, 1 / (2 * N))
+                hit = (dip > critical) | (top + s <= critical)
+                dips[screen[hit]] = dip[hit]
+                screen = screen[~hit]
+            rest[screen] = True
+        left = x[rest]
+        if len(left):
+            dips[rest] = _dip_block(left, critical, critical)[0]
+    return out
 
 
 def _span_max(start: np.ndarray, stop: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -493,9 +554,10 @@ def _span_max(start: np.ndarray, stop: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dip_block(X: np.ndarray, critical: float | None = None) -> np.ndarray:
-    """_dip_rows of one block: every unfinished row runs each AS 217 pass
-    together with the others.
+def _dip_block(x: np.ndarray, lo: float | None = None,
+               hi: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(dip, bound) of each ascending row of one block of _dip_rows: every
+    unfinished row runs each AS 217 pass together with the others.
 
     A pass needs the minorant and majorant of x[low..high] only: low and
     high are vertices of the previous pass's chains, so _dip's chain from
@@ -518,15 +580,19 @@ def _dip_block(X: np.ndarray, critical: float | None = None) -> np.ndarray:
     row leaves. So one pass of differences over the rows gives both chains
     their first mask, and each chain peels on from its own survivors.
 
-    With a ``critical`` dip, a row that a pass leaves going is settled
-    there when its running dip already exceeds it (the running dip never
-    falls), or when AS 217's stopping bound max(d, dip) on every later
-    pass, widened by a relative 1e-12 and an absolute 1e-9 for rounding,
-    does not exceed it.
+    Without ``lo`` and ``hi`` every row runs to its final dip, which is
+    also its bound. With them, a row that a pass leaves going is settled
+    there when its running dip already exceeds ``hi`` (the running dip
+    never falls), when its bound falls to ``lo``, or when the two lie
+    within [lo, hi], so no later pass can do either. The bound is AS
+    217's stopping bound max(d, dip) on every later pass, widened by a
+    relative 1e-12 and an absolute 1e-9 for rounding. A settled row
+    reports its running dip and that bound; _dip_rows' full-width rule is
+    lo = hi = critical. Both are NaN where _dip refuses the row.
     """
-    x = np.sort(X, axis=1)
     R, n = x.shape
     out = np.full(R, np.nan)
+    bound = np.full(R, np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
         ok = (x[:, 0] != x[:, -1]) & np.isfinite((x[:, -1] - x[:, 0]) * n)
     rows = np.flatnonzero(ok)
@@ -606,17 +672,19 @@ def _dip_block(X: np.ndarray, critical: float | None = None) -> np.ndarray:
         dip[r] = np.maximum(np.maximum(dip[r], dip_l), np.maximum(dip_u, 1.0))
 
         going &= (new_low != low) | (new_high != high)
-        if critical is not None:
-            bound = np.maximum(d[rows], dip[rows]) * (1 + 1e-12) + 1e-9
-            going &= (dip[rows] / (2 * n) <= critical) & (bound / (2 * n) > critical)
+        run = dip[rows] / (2 * n)
+        top = np.where(going, np.maximum(d[rows], dip[rows]) * (1 + 1e-12) + 1e-9,
+                       dip[rows]) / (2 * n)
+        if lo is not None:
+            going &= (run <= hi) & (top > lo) & ((run < lo) | (top > hi))
         # a fit can shrink to one point only through a shared vertex other
         # than high; _dip then reads stale chain entries, so the row is
         # left to _dip
         collapsed = going & (new_low >= new_high)
         odd.extend(rows[collapsed])
         going &= ~collapsed
-        done = rows[~going]
-        out[done] = dip[done] / (2 * n)
+        out[rows[~going]] = run[~going]
+        bound[rows[~going]] = top[~going]
         rows, low, high = rows[going], new_low[going], new_high[going]
         if not rows.size:
             break
@@ -629,8 +697,8 @@ def _dip_block(X: np.ndarray, critical: float | None = None) -> np.ndarray:
         gk, gv = _peel(gk.astype(np.float64), xf[gk], _chain_ends(gk, low, high), upper=False)
         lk, lv = _peel(lk.astype(np.float64), xf[lk], _chain_ends(lk, low, high), upper=True)
     for i in odd:
-        out[i] = _dip(X[i])
-    return out
+        out[i] = bound[i] = _dip(x[i])
+    return out, bound
 
 
 def dip_reference_dips(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
@@ -729,11 +797,14 @@ def _dip_test_rows(Y):
     blocks of bounded memory). A row rejects where its dip exceeds every
     reference dip, which is :func:`dip_test`'s p == 0, and each reject is
     dip_test's (see :func:`_dip_rows` for the one known difference in the
-    dips). The kernel settles a row at the pass that decides it against
-    that critical dip, so a row's dip is the running dip there: never
-    above dip_test's, and on the same side of the critical dip. A row
-    dip_test refuses as degenerate (all values equal, or a range times N
-    that overflows) gets dip NaN and does not reject.
+    dips). :func:`_dip_rows` gets that critical dip and settles each row
+    as soon as its side of it is known: rows of 256 values or more first
+    on coarse copies of every 8th, then every 4th order statistic, whose
+    dips lie within 1/n' of the row's (n' values in the copy), and the
+    rest at the AS 217 pass that decides them. So a row's dip is a lower
+    bound, never above dip_test's and on the same side of the critical
+    dip. A row dip_test refuses as degenerate (all values equal, or a
+    range times N that overflows) gets dip NaN and does not reject.
 
     Raises
     ------

@@ -121,7 +121,16 @@ class KSCriterion(_BaselineCriterion):
 
 @dataclass(frozen=True)
 class DipViewerCriterion(_BaselineCriterion):
-    """Viewer test for dipmeans_family: dip at bootstrap level zero."""
+    """Viewer test for dipmeans_family: dip at bootstrap level zero.
+
+    ``test_rows`` decides every viewer row against the critical dip, the
+    largest dip of the table at the rows' N, through
+    baselines._dip_test_rows: a row of 256 values or more is decided
+    first on coarse copies of its order statistics, whose dips lie within
+    1/n' of its own (n' values in the copy), and only a row no copy
+    decides runs the full AS 217 kernel, to the pass that decides it.
+    Each reported dip is never above the exact dip and lies on its side
+    of the critical dip, so every decision is dip_test's."""
 
     # Classic dip-means convention: dip viewers at bootstrap level zero
     # almost never reject under H0, so 1% of viewers is already a signal.
@@ -284,28 +293,40 @@ def _viewer_distances(A, viewers) -> np.ndarray:
     other rows of A (p x d), as a len(viewers) x (p - 1) array: the
     square roots of the tensor formula ((V[:, None, :] - A[None]) **
     2).sum(axis=2), V = A[viewers], without each viewer's own column,
-    equal to them bit for bit. Viewers go in blocks of
-    _block_rows(p * d) through one reused buffer, and each block's
-    squared distances, without the viewers' own, are square-rooted
-    straight into their rows of the result."""
+    equal to them bit for bit. The other rows go in column blocks of
+    _block_rows(d) (all p while p * d fits one block), and the viewers in
+    blocks of _block_rows(p * d) through one reused buffer, or one by one
+    beside a narrower column block, so the workspace and the columns'
+    copy stay near one block of values at any p. Each block's squared
+    distances, without the viewers' own, are square-rooted straight into
+    their places in the result: a block of all p columns fills whole
+    rows, and a narrower one, from column ``first`` on, takes one viewer
+    v, whose row it fills from column first - (v < first) on."""
     A = np.ascontiguousarray(A)
     p, d = A.shape
     n = len(viewers)
     V = A[viewers]
     out = np.empty((n, p - 1))
-    bT = _columns(A)[:, None, :]
-    rows = min(n, _block_rows(p * d))
-    work = np.empty(d * rows * p)
-    buf = np.empty(rows * p)
-    keep = np.ones(rows * p, dtype=bool)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        block = buf[:(stop - start) * p]
-        _sum_sq_diffs(V[start:stop].T[:, :, None], bT, block.reshape(stop - start, p), work)
-        own = np.arange(stop - start) * p + viewers[start:stop]  # each viewer's distance to itself
-        keep[own] = False
-        np.sqrt(block[keep[:block.size]], out=out[start:stop].reshape(-1))
-        keep[own] = True
+    cols = min(p, _block_rows(d))
+    rows = min(n, _block_rows(cols * d)) if cols == p else 1
+    work = np.empty(d * rows * cols)
+    buf = np.empty(rows * cols)
+    keep = np.ones(rows * cols, dtype=bool)
+    for first in range(0, p, cols):
+        last = min(first + cols, p)
+        bT = _columns(A[first:last])[:, None, :]
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            v = viewers[start:stop]
+            block = buf[:(stop - start) * (last - first)]
+            _sum_sq_diffs(V[start:stop].T[:, :, None], bT,
+                          block.reshape(stop - start, last - first), work)
+            mine = (first <= v) & (v < last)
+            own = np.flatnonzero(mine) * (last - first) + v[mine] - first  # a viewer's own distance
+            keep[own] = False
+            np.sqrt(block[keep[:block.size]], out=out[start:stop, first - (v[0] < first):
+                                                      last - (v[0] < last)].reshape(-1))
+            keep[own] = True
     return out
 
 

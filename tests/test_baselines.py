@@ -31,6 +31,7 @@ from sigcluster import (
 )
 from sigcluster import baselines
 from sigcluster.baselines import DIP_BOOTSTRAP_B, _dip, _dip_rows, _lilliefors_critical
+from sigcluster.clustering import _viewer_distances
 from sigcluster.errors import DegenerateInputError, NonFiniteInputError, TooFewSamplesError
 
 
@@ -412,6 +413,8 @@ def _dip_batch(N, rows, seed, kind):
         return np.round(rng.normal(size=(rows, N)), int(rng.integers(0, 3)))
     if kind == "tied":
         return rng.choice(rng.normal(size=3), size=(rows, N))
+    if kind == "gaussian":
+        return rng.normal(size=(rows, N))
     return rng.normal(size=(rows, N)) + rng.choice([-1.0, 1.0], size=(rows, N)) * rng.uniform(1, 6)
 
 
@@ -489,6 +492,60 @@ def test_dip_rows_settle_saves_passes(monkeypatch):
         assert settled < full
         assert passes(lambda: DipViewerCriterion().test_rows(Y)) == \
             passes(lambda: _dip_rows(Y, viewer_critical))
+
+
+@settings(max_examples=25, deadline=None)
+@given(N=st.integers(baselines._COARSE_MIN_N, 1300), rows=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["uniform", "integer", "rounded", "tied", "bimodal", "gaussian"]),
+       refused=REFUSED_ROW)
+def test_dip_rows_coarse_levels_decide_as_the_full_kernel(N, rows, seed, kind, refused):
+    # from _COARSE_MIN_N values on a row is first decided on coarse copies
+    # of its order statistics: tried at every exact dip, both its float
+    # neighbours and the dip +- 1/n' of each level, where a level's
+    # bracket is tightest, it is decided on the exact dip's side and
+    # reports a dip never above the exact one
+    Y = _refuse_row(_dip_batch(N, rows, seed, kind), refused)
+    exact = _dip_rows(Y)
+    finite = exact[~np.isnan(exact)]
+    tried = [np.nextafter(finite, -np.inf), finite, np.nextafter(finite, np.inf)]
+    for c in baselines._COARSE_LEVELS:
+        tried += [finite - 1 / -(-N // c), finite + 1 / -(-N // c)]
+    for c in np.concatenate(tried):
+        got = _dip_rows(Y, c)
+        np.testing.assert_array_equal(got > c, exact > c)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(exact))
+        assert (got[~np.isnan(got)] <= finite).all()
+
+
+def test_dip_rows_coarse_levels_save_full_rows(monkeypatch):
+    # 100 sampled viewers' distance rows (N = 599) of a two-blob cluster
+    # and of one Gaussian cluster in d = 8, at classic dip-means' critical
+    # dip, counted by the width each kernel call sees: every bimodal row
+    # is decided on its first coarse copy (75 values), 91 Gaussian rows
+    # there and the other 9 on the second (150), so none reaches the
+    # full-width kernel, which every row reached before the coarse levels
+    N, d = 599, 8
+    rng = np.random.default_rng(31)
+    two_blobs = rng.normal(size=(N + 1, d)) + np.where(np.arange(N + 1) < 300, 0.0, 4.0)[:, None]
+    one_blob = rng.normal(size=(N + 1, d))
+    dip_reference_table(N)
+    widths = []
+    block = baselines._dip_block
+    monkeypatch.setattr(baselines, "_dip_block",
+                        lambda x, *a: widths.append(x.shape) or block(x, *a))
+
+    def rows_by_width(members):
+        widths.clear()
+        DipViewerCriterion().test_rows(
+            _viewer_distances(members, rng.choice(N + 1, size=100, replace=False)))
+        counts = {}
+        for rows, width in widths:
+            counts[width] = counts.get(width, 0) + rows
+        return counts
+
+    assert rows_by_width(two_blobs) == {75: 100}
+    assert rows_by_width(one_blob) == {75: 100, 150: 9}
 
 
 def test_dip_rows_evenly_spaced_differs_in_last_bits():

@@ -301,6 +301,37 @@ class TestSqDists:
             np.testing.assert_array_equal(_viewer_distances(members, viewers), expected)
             np.testing.assert_array_equal(tested[0], expected)
 
+    @pytest.mark.parametrize("d", [1, 8, 9])
+    def test_viewer_distances_in_column_blocks(self, d):
+        # past one block of p * d values the other rows go in column
+        # blocks, one viewer at a time; viewers at, before and after each
+        # block edge keep the tensor formula's bits
+        cols = _BLOCK_VALUES // d
+        p = 2 * cols + 5
+        members = np.random.default_rng([96, d]).normal(size=(p, d))
+        viewers = np.array([0, cols - 1, cols, cols + 1, 2 * cols, p - 1, 17])
+        got = _viewer_distances(members, viewers)
+        for row, v in zip(got, viewers):
+            expected = np.sqrt(np.delete(_tensor_sq_dists(members[v:v + 1], members)[0], v))
+            np.testing.assert_array_equal(row, expected)
+
+    def test_viewer_distances_memory_in_column_blocks(self):
+        # 100 sampled viewers of 3 * 10^4 points: the workspace and the
+        # columns' copy are one block of values each (measured 1.66 MB
+        # above the 24 MB of rows, the next block's copy made beside the
+        # last), where one-row blocks over all the columns took d * p
+        # values for each (4.36 MB)
+        p, d = 30_000, 8
+        members = np.random.default_rng(97).normal(size=(p, d))
+        viewers = np.random.default_rng(7).choice(p, size=100, replace=False)
+        tracemalloc.start()
+        try:
+            rows = _viewer_distances(members, viewers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - rows.nbytes < 2e6, f"peak above the rows {(peak - rows.nbytes) / 1e6:.2f} MB"
+
     def test_empty_operands(self):
         A, B = np.ones((3, 4)), np.ones((2, 4))
         assert _one_segment_sq_dists(A[:0], B).shape == (0, 2)
