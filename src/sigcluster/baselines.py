@@ -739,14 +739,14 @@ def dip_reference_table(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
     a float N or B, or one below its minimum, is refused on every call.
     ``cache_info`` and ``cache_clear`` are the cache's own.
     """
-    return _dip_reference_table(*_dip_table_sizes(N, B))
+    return _dip_reference_table(*_dip_table_sizes(N, B))[0]
 
 
 @lru_cache(maxsize=64)
-def _dip_reference_table(N: int, B: int) -> np.ndarray:
+def _dip_reference_table(N: int, B: int):
     ref = dip_reference_dips(N, B)
     ref.setflags(write=False)
-    return ref
+    return ref, ref.max()
 
 
 dip_reference_table.cache_info = _dip_reference_table.cache_info
@@ -763,15 +763,23 @@ def _dip_table_sizes(N, B) -> tuple[int, int]:
     return N, B
 
 
+def _dip_null(N: int):
+    """(ref, critical): the seeded reference dips at N and the critical
+    dip, their largest, found once per table in its cache entry. A dip
+    rejects unimodality exactly when it exceeds the critical dip (p == 0,
+    "level zero"), in :func:`dip_test` and :func:`_dip_test_rows` alike."""
+    return _dip_reference_table(*_dip_table_sizes(N, DIP_BOOTSTRAP_B))
+
+
 def dip_test(y) -> BaselineDecision:
     """Dip test with a bootstrap p-value at "level zero".
 
     p-value = fraction of the DIP_BOOTSTRAP_B uniform samples of the same
     size whose dip is at least the observed dip; unimodality is rejected
-    only when the observed dip exceeds every reference dip (p == 0), so
-    the test's level is about 1/(DIP_BOOTSTRAP_B + 1). The reference dips
-    are the seeded :func:`dip_reference_table` at N, drawn once per N in
-    the process.
+    only when the observed dip exceeds every reference dip, the critical
+    dip (p == 0), so the test's level is about 1/(DIP_BOOTSTRAP_B + 1).
+    :func:`_dip_null` gives both, from the seeded table of
+    :func:`dip_reference_table` at N, drawn once per N in the process.
 
     Raises
     ------
@@ -782,20 +790,19 @@ def dip_test(y) -> BaselineDecision:
     """
     y = _test_sample(y, _DIP_MIN_SAMPLES, "dip test")
     d = _dip(y)
-    ref = dip_reference_table(y.size)
-    p = float(np.count_nonzero(ref >= d) / ref.size)
+    ref, critical = _dip_null(y.size)
     return BaselineDecision(
         statistic=d,
-        p_value=p,
-        reject_unimodal=bool(p == 0.0),
+        p_value=float(np.count_nonzero(ref >= d) / ref.size),
+        reject_unimodal=bool(d > critical),
     )
 
 
 def _dip_test_rows(Y):
-    """(dip, reject) of each row of a 2-d array: one lookup of the dip
-    table at the rows' N and one AS 217 kernel call over all rows (in
-    blocks of bounded memory). A row rejects where its dip exceeds every
-    reference dip, which is :func:`dip_test`'s p == 0, and each reject is
+    """(dip, reject) of each row of a 2-d array: one :func:`_dip_null` at
+    the rows' N and one AS 217 kernel call over all rows (in blocks of
+    bounded memory). A row rejects where its dip exceeds the critical dip,
+    as :func:`dip_test` rejects, and each reject is
     dip_test's (see :func:`_dip_rows` for the one known difference in the
     dips). :func:`_dip_rows` gets that critical dip and settles each row
     as soon as its side of it is known: rows of 256 values or more first
@@ -818,6 +825,6 @@ def _dip_test_rows(Y):
     Y = _test_rows(Y, _DIP_MIN_SAMPLES, "dip test")
     if not len(Y):
         return np.empty(0), np.zeros(0, dtype=bool)
-    critical = dip_reference_table(Y.shape[1]).max()
+    critical = _dip_null(Y.shape[1])[1]
     dips = _dip_rows(Y, critical)
     return dips, dips > critical

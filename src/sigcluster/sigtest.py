@@ -214,14 +214,6 @@ def _margin(level: np.ndarray) -> np.ndarray:
     return _MARGIN_ULPS * np.spacing(level * (1.0 + 1e-12))
 
 
-def _window(level: np.ndarray):
-    """(a, b): the erfinv seeds of the doubles _crossings searches for each
-    level, where f is about level -+ 1.5 margins. Unchecked: a < 0 or b
-    NaN near the ends of [0, 1]."""
-    m = 1.5 * _margin(level)
-    return _SQRT2 * erfinv(level - m), _SQRT2 * erfinv(level + m)
-
-
 def _crossings(level: np.ndarray):
     """For each level T in (0, 1), (t, a, b): t the smallest double t >= 0
     with f(t) > T, f being _half_normal_cdf, where that t decides every
@@ -234,31 +226,37 @@ def _crossings(level: np.ndarray):
     below an earlier one by more than a third of the margin M of the
     levels near it (_margin). So every x below a double a with
     f(a) < T - M maps below T, and every x above a double b with
-    f(b) > T + M maps above it. a and b are seeded by erfinv and checked
-    through f; every double between them is mapped, and t is where they
-    rise above T, if they rise once. A window wider than _WINDOW_CAP
-    doubles (f nearly flat) is not searched.
+    f(b) > T + M maps above it. a and b are seeded by erfinv at T -+ 1.5 M
+    (a < 0 or b NaN near the ends of [0, 1]) and checked through f; every
+    double between them is mapped, and t is where they rise above T, if
+    they rise once. A window wider than _WINDOW_CAP doubles (f nearly
+    flat) is not searched.
 
     Each window is mapped in rows of _SPAN consecutive doubles, its last
     row running past b (where every double maps above T, adding no
     rise), and the rows go in blocks of about core._BLOCK_VALUES doubles
     (_value_blocks). A block is one (rows x _SPAN) array, mapped in place
     and compared with its rows' levels as a column, so no value is
-    repeated for every double.
+    repeated for every double. Beside them the build keeps five arrays
+    of one value per level (the levels, a, b, t and a mask: the margins
+    and window lengths are dropped before the blocks) and fills the
+    unchecked windows in place.
     """
-    a, b = _window(level)
-    sure = (a > 0.0) & (b < np.inf)  # refuses NaN too
-    a, b = np.where(sure, a, 1.0), np.where(sure, b, 1.0)
     m = _margin(level)
+    a, b = _SQRT2 * erfinv(level - 1.5 * m), _SQRT2 * erfinv(level + 1.5 * m)
+    sure = (a > 0.0) & (b < np.inf)  # refuses NaN too
+    a[~sure], b[~sure] = 1.0, 1.0
     sure &= (_half_normal_cdf(a) < level - m) & (_half_normal_cdf(b) > level + m)
+    del m
     start = a.view(np.int64)  # a nonnegative double's bits order it among the doubles
-    width = b.view(np.int64) - start + 1
-    todo = np.flatnonzero(sure & (width > 1) & (width <= _WINDOW_CAP))
-    rows = -(-width // _SPAN)
+    last = b.view(np.int64) - start  # each window's last double, counted from its first
+    todo = np.flatnonzero(sure & (last > 0) & (last < _WINDOW_CAP))
+    rows = last[todo] // _SPAN + 1
+    del last
     t = np.full(level.shape, np.nan)
-    for begin, end in _value_blocks(rows[todo] * _SPAN):
+    for begin, end in _value_blocks(rows * _SPAN):
         cols = todo[begin:end]
-        r = rows[cols]
+        r = rows[begin:end]
         first = np.cumsum(r) - r  # each window's first row in the block
         offset = start[cols] - _SPAN * first  # block position p: the double of bits offset + p
         fx = np.repeat(offset, r)
@@ -274,88 +272,76 @@ def _crossings(level: np.ndarray):
         at = np.empty(len(cols), dtype=np.intp)
         at[window] = rise
         t[cols[once]] = (offset + at)[once].view(np.float64)
-    return t, np.where(sure, a, -np.inf), np.where(sure, b, np.inf)
-
-
-@dataclass(frozen=True)
-class _Thresholds:
-    """Signature 1's band as |z| thresholds: index n of a sorted |z| row
-    violates exactly when x_n < lo[n] or x_n >= hi[n], except for a value
-    inside the window [start[j], stop[j]] of its column exceptions[j]
-    (listed once for each of its bounds without a crossing), which is
-    mapped through erf and compared with the column's ``lower`` and
-    ``upper`` bounds."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    exceptions: np.ndarray
-    start: np.ndarray
-    stop: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def flags(self, x: np.ndarray) -> np.ndarray:
-        """The violation flags of each row of a 2-d array of sorted |z|,
-        equal to the band compare of their erf map bit for bit."""
-        flags = x < self.lo
-        flags |= x >= self.hi
-        xe = x[:, self.exceptions]
-        inside = xe >= self.start
-        inside &= xe <= self.stop
-        if inside.any():
-            rows, j = np.nonzero(inside)
-            s = _half_normal_cdf(xe[rows, j])
-            flags[rows, self.exceptions[j]] = (s < self.lower[j]) | (s > self.upper[j])
-        return flags
-
-
-def _thresholds(bounds) -> _Thresholds:
-    """The _Thresholds of a signature 1 band. f = _half_normal_cdf maps
-    every double x >= 0 into [0, 1], so a lower bound of 0 is never
-    violated (lo = 0) and an upper bound of 1 never (hi = inf). Every
-    other bound gets its _crossings in one call: hi where f rises above
-    U, lo where it rises above the double below L (f >= L exactly when
-    f > that double). A bound with no crossing makes its column an
-    exception with the bound's checked window [a, b]: outside it the side
-    decides (f < L below a lower bound's window, so lo = a; f > U above
-    an upper bound's, so hi is the double after b), and inside it erf
-    does."""
-    lo, hi = np.zeros(len(bounds.lower)), np.full(len(bounds.upper), np.inf)
-    low, high = bounds.lower > 0.0, bounds.upper < 1.0
-    n = np.count_nonzero(low)
-    t, a, b = _crossings(np.concatenate([np.nextafter(bounds.lower[low], 0.0), bounds.upper[high]]))
-    miss = np.isnan(t)
-    lo[low] = np.where(miss[:n], a[:n], t[:n])
-    hi[high] = np.where(miss[n:], np.nextafter(b[n:], np.inf), t[n:])
-    e = np.concatenate([np.flatnonzero(low), np.flatnonzero(high)])[miss]
-    return _Thresholds(lo, hi, e, a[miss], b[miss], bounds.lower[e], bounds.upper[e])
+    a[~sure], b[~sure] = -np.inf, np.inf
+    return t, a, b
 
 
 class _Band:
     """What _frozen_bounds caches per key: the band's read-only ``upper``
-    and ``lower``, and for signature 1 its _Thresholds, built at the
-    band's second use by a row batch (a run that meets an N once never
-    pays for them). Two threads may both build them; either result is
-    the same."""
+    and ``lower``, and under signature 1 its |z| thresholds, built at its
+    second row batch (a run that meets an N once never pays for them).
+    With them, index n of a sorted |z| row violates exactly when
+    x_n < lo[n] or x_n >= hi[n], except for a value inside the window
+    [start[j], stop[j]] of its column exceptions[j] (listed once for each
+    of its bounds without a crossing), which is mapped through erf and
+    compared with the band. Two threads may both build the thresholds;
+    either result is the same."""
 
     def __init__(self, bounds: SignatureBounds):
         self.upper, self.lower = bounds.upper, bounds.lower
         self.batches = 0
-        self.thresholds = None
+        self.thresholds = None  # (lo, hi, exceptions, start, stop)
 
-    def batch_thresholds(self):
-        """The _Thresholds, or None before the second row batch."""
+    def count_batch(self):
+        """Count a signature 1 row batch; the second builds the thresholds."""
         if self.thresholds is None:
             self.batches += 1
             if self.batches > 1:
-                self.thresholds = _thresholds(self)
-        return self.thresholds
+                self.thresholds = self._build()
+
+    def _build(self):
+        """The thresholds. f = _half_normal_cdf maps every double x >= 0
+        into [0, 1], so a lower bound of 0 is never violated (lo = 0) and
+        an upper bound of 1 never (hi = inf). Every other bound gets its
+        _crossings in one call: hi where f rises above U, lo where it
+        rises above the double below L (f >= L exactly when f > that
+        double). A bound with no crossing makes its column an exception
+        with the bound's checked window [a, b]: outside it the side
+        decides (f < L below a lower bound's window, so lo = a; f > U
+        above an upper bound's, so hi is the double after b), and inside
+        it erf does."""
+        lo, hi = np.zeros(len(self.lower)), np.full(len(self.upper), np.inf)
+        low, high = self.lower > 0.0, self.upper < 1.0
+        n = np.count_nonzero(low)
+        t, a, b = _crossings(np.concatenate([np.nextafter(self.lower[low], 0.0), self.upper[high]]))
+        miss = np.isnan(t)
+        lo[low] = np.where(miss[:n], a[:n], t[:n])
+        hi[high] = np.where(miss[n:], np.nextafter(b[n:], np.inf), t[n:])
+        e = np.concatenate([np.flatnonzero(low), np.flatnonzero(high)])[miss]
+        return lo, hi, e, a[miss], b[miss]
+
+    def flags(self, x: np.ndarray) -> np.ndarray:
+        """The violation flags of each row of a 2-d array of sorted |z|,
+        equal to the band compare of their erf map bit for bit."""
+        lo, hi, exceptions, start, stop = self.thresholds
+        flags = x < lo
+        flags |= x >= hi
+        xe = x[:, exceptions]
+        inside = xe >= start
+        inside &= xe <= stop
+        if inside.any():
+            rows, j = np.nonzero(inside)
+            n = exceptions[j]
+            s = _half_normal_cdf(xe[rows, j])
+            flags[rows, n] = (s < self.lower[n]) | (s > self.upper[n])
+        return flags
 
 
 @lru_cache(maxsize=128)
 def _frozen_bounds(N: int, gamma: float, variant: SignatureVariant) -> _Band:
-    """compute_bounds output cached per (N, gamma, variant), with signature
-    1's |z| thresholds once row batches have used it twice.
+    """compute_bounds output cached per (N, gamma, variant) as a _Band,
+    which under signature 1 builds its |z| thresholds at its second row
+    batch.
 
     The band is a pure formula of its key, so reusing it is invisible to
     callers; it just removes the dominant per-call cost of sigtest. The
@@ -370,20 +356,20 @@ def _frozen_bounds(N: int, gamma: float, variant: SignatureVariant) -> _Band:
     return _Band(b)
 
 
-def _signature_rows(Y: np.ndarray, config: SigtestConfig, band=None, t=None):
+def _signature_rows(Y: np.ndarray, config: SigtestConfig, band=None):
     """The signature test of each row (along the last axis) of a float64
     array with at least MIN_SAMPLES columns; a 1-d array is one row. One
     normalize and one sort cover the array given, so a caller bounds its
     memory by the rows it passes. It is entered two ways: :func:`sigtest`
-    passes one sample, which meets the band cache only once normalize
-    accepts it, and _sigtest_rows passes each row block of a batch with
-    the batch's ``band`` and signature 1's thresholds ``t``.
+    passes one sample and no band, and meets the band cache only once
+    normalize accepts it; _sigtest_rows passes each row block of a batch
+    with the batch's ``band``.
 
-    Rows with thresholds are decided on the sorted |z| by two compares
-    against them, and only the values inside the threshold exception
-    windows are mapped through erf; a 1-d array, signature 2 and a first
-    batch take one erf map and one band compare. Both give the same flags
-    bit for bit. The abs, the sort, the /sqrt(2) scale, the erf and
+    A band whose |z| thresholds are built decides the sorted |z| itself
+    (_Band.flags: two compares, and erf only on the values inside its
+    exception windows). Otherwise (sigtest, signature 2, a first batch)
+    the rows take one erf map and one band compare. Both give the same
+    flags bit for bit. The abs, the sort, the /sqrt(2) scale, the erf and
     signature 2's running mean run in place on the normalized copy, which
     the kernel owns, so the signature map allocates no array of Y's size
     beyond _normalized_rows'.
@@ -394,8 +380,8 @@ def _signature_rows(Y: np.ndarray, config: SigtestConfig, band=None, t=None):
     """
     Z, ok = _normalized_rows(Y)
     x = _sorted_abs(Z, out=Z)
-    if t is not None:
-        return (*_fraction(t.flags(x)), ok)
+    if band is not None and band.thresholds is not None:
+        return (*_fraction(band.flags(x)), ok)
     s = _half_normal_cdf(x, out=x)
     if config.variant is SignatureVariant.SIGNATURE2:
         s = _running_mean(s, out=s)
@@ -448,7 +434,7 @@ def _sigtest_rows(Y, config: SigtestConfig):
     sigtest on that row exactly. N, the number of columns, is checked
     before any moment is formed. A row sigtest would refuse as degenerate
     (zero spread, or squared deviations that overflow) gets C = NaN and
-    does not split.
+    does not split. No rows is no batch: it returns before the lookup.
 
     The band is looked up once and the call counts as one batch; the
     rows are then decided in blocks of core._block_rows(N), so the
@@ -471,12 +457,15 @@ def _sigtest_rows(Y, config: SigtestConfig):
         If Y contains NaN or infinity.
     """
     Y = _test_rows(Y, MIN_SAMPLES, "signature test")  # each row summed in sigtest's order
-    band = _frozen_bounds(Y.shape[1], config.gamma, config.variant)
-    t = band.batch_thresholds() if config.variant is SignatureVariant.SIGNATURE1 else None
     C = np.empty(len(Y))
+    if not len(Y):
+        return C, C > config.threshold
+    band = _frozen_bounds(Y.shape[1], config.gamma, config.variant)
+    if config.variant is SignatureVariant.SIGNATURE1:
+        band.count_batch()
     rows = _block_rows(Y.shape[1])
     for start in range(0, len(Y), rows):
-        c, _, ok = _signature_rows(Y[start:start + rows], config, band, t)
+        c, _, ok = _signature_rows(Y[start:start + rows], config, band)
         c[~ok] = np.nan
         C[start:start + rows] = c
     return C, C > config.threshold

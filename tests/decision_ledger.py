@@ -87,11 +87,12 @@ def datasets() -> dict[str, Dataset]:
 
 
 def digest(result) -> str:
-    """sha256 of the assignment (int64) and every split record."""
+    """sha256 of the assignment (int64) and every split record, its status
+    ("tested" or "settled") included."""
     h = hashlib.sha256(np.asarray(result.assignment, dtype=np.int64).tobytes())
     for rec in result.split_log:
         h.update(repr((rec.round, rec.cluster_id, rec.criterion, float(rec.statistic).hex(),
-                       bool(rec.decision), bool(rec.accepted), int(rec.n))).encode())
+                       bool(rec.decision), bool(rec.accepted), int(rec.n), rec.status)).encode())
     return h.hexdigest()
 
 

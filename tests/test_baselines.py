@@ -631,6 +631,23 @@ class TestDipTest:
         assert a.p_value == np.count_nonzero(dips >= a.statistic) / DIP_BOOTSTRAP_B
         assert a.reject_unimodal == (a.p_value == 0.0)
 
+    @pytest.mark.parametrize("N", [50, 200, 599])
+    def test_one_critical_dip_decides_both_paths(self, N):
+        # dip_test and the rows path reject exactly above the one critical
+        # dip, the largest reference dip. The replicate that drew it has
+        # that dip: p = 1/B, not rejected
+        ref, critical = baselines._dip_null(N)
+        assert critical == ref.max()
+        Y = np.vstack([np.random.default_rng([0, N, int(np.argmax(ref))]).uniform(size=N),
+                       *(two_clusters(sep, n=N // 2 + 1, seed=N)[:N] for sep in (2.0, 3.0, 4.0, 6.0)),
+                       np.random.default_rng([67, N]).uniform(size=N)])
+        decisions = [dip_test(y) for y in Y]
+        assert decisions[0].statistic == critical and decisions[0].p_value == 1 / DIP_BOOTSTRAP_B
+        assert not decisions[0].reject_unimodal and decisions[-2].reject_unimodal
+        _, rejects = baselines._dip_test_rows(Y)
+        for dec, reject in zip(decisions, rejects):
+            assert dec.reject_unimodal == (dec.statistic > critical) == (dec.p_value == 0.0) == reject
+
     def test_errors(self):
         with pytest.raises(TooFewSamplesError):
             dip_test(np.array([1.0, 2.0, 3.0]))

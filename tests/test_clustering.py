@@ -754,9 +754,9 @@ class TestDipmeansFamily:
     def test_blob_scale_bounds_memory(self):
         # five unit-variance blobs of 2000 points at d=8, their centres a
         # rotated simplex of edge 23.2: the root cluster's 100 sampled
-        # viewers hold 100 x 9999 distances (8 MB); measured 10.3 MB, or
-        # 11.2 MB where that batch is the second at N = 9999 and builds the
-        # thresholds beside them (11.4 MB when each double of their
+        # viewers hold 100 x 9999 distances (8 MB); measured 10.05 MB,
+        # whether or not that batch is the second at N = 9999 and builds
+        # the thresholds beside them (11.4 MB when each double of their
         # windows had its offset and level repeated; 19.2 MB with the
         # 100 x 10^4 block and its cut)
         rng = np.random.default_rng(41)

@@ -206,17 +206,21 @@ def test_size_rule_and_row_kernels_stay_in_their_modules():
 
 @pytest.fixture
 def perfbench_modules(monkeypatch):
-    """perfbench's workloads, execute and checks modules, imported from
-    its directory as its scripts import them, and forgotten afterwards."""
+    """perfbench's modules, imported from its directory as its scripts
+    import them, and forgotten afterwards. harness, which run.py imports,
+    imports the others, so a library name any of them reads is checked
+    here rather than when the benchmark starts."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    names = ("workloads", "execute", "checks")
+    names = ("workloads", "execute", "checks", "layers", "speed", "harness")
     yield [importlib.import_module(name) for name in names]
     for name in names:
         sys.modules.pop(name, None)
 
 
 def test_perfbench_names_and_timed_criteria(perfbench_modules):
-    workloads, execute, checks = perfbench_modules
+    workloads, execute, checks, *_ = perfbench_modules
+    checks.clear_caches()  # every cache it reads still clears and counts
+    assert checks.cache_counts() == {name: (0, 0) for name in checks.CACHES}
     assert set(workloads.CLUSTER_KINDS) == set(CLUSTERERS)
     assert set(checks.SWEEP_METHODS.values()) <= set(TEST_CRITERIA)
     iris = load_csv(bundled_manifest("iris"))

@@ -29,11 +29,11 @@ from sigcluster.core import _block_rows, _half_normal_cdf, _normalized_rows, _so
 from sigcluster.sigtest import (
     _WINDOW_CAP,
     MIN_SAMPLES,
+    _Band,
     _frozen_bounds,
+    _margin,
     _signature_rows,
     _sigtest_rows,
-    _thresholds,
-    _window,
 )
 
 SIG1 = SignatureVariant.SIGNATURE1
@@ -395,9 +395,10 @@ def test_rows_decide_as_the_erf_path(N, rows, seed, kind, constant, gamma):
         np.testing.assert_array_equal(got_split, C > cfg.threshold)
     band = _frozen_bounds(N, gamma, SIG1)
     assert band.thresholds is not None
-    # the kernel's flags, on the thresholds and on the erf map of the band
-    np.testing.assert_array_equal(_signature_rows(Y, cfg, band, band.thresholds)[1], flags)
+    # the kernel's flags, decided by the band on its thresholds, and on
+    # the erf map that sigtest's call (no band) takes
     np.testing.assert_array_equal(_signature_rows(Y, cfg, band)[1], flags)
+    np.testing.assert_array_equal(_signature_rows(Y, cfg)[1], flags)
     for y, c in zip(Y[ok], C[ok]):
         assert sigtest(y, cfg).C == c
 
@@ -411,7 +412,9 @@ def _search_window(level):
     """The doubles _crossings searches for one level: from its seed a to
     its seed b if that is at most _WINDOW_CAP doubles, else (too wide, or
     a seed off [0, inf)) the _WINDOW_CAP doubles centred on the crossing."""
-    a, b = _window(np.float64(level))
+    level = np.float64(level)
+    m = 1.5 * _margin(level)
+    a, b = np.sqrt(2.0) * erfinv(level - m), np.sqrt(2.0) * erfinv(level + m)
     if 0.0 < a and b < np.inf and b.view(np.int64) - a.view(np.int64) < _WINDOW_CAP:
         return _doubles(a, b)
     centre = np.sqrt(2.0) * erfinv(level)
@@ -427,32 +430,35 @@ def test_thresholds_decide_the_doubles_at_the_band_as_erf(N, gamma):
     # search. Where the float map is not monotone at a threshold (it flips
     # back within 2 doubles at 8 of the 394 default-band crossings at
     # N = 200), a plain first-crossing threshold gets some of these wrong
-    band = _frozen_bounds(N, gamma, SIG1)
-    t = _thresholds(band)
+    band = _Band(compute_bounds(N, SigtestConfig(gamma=gamma)))
+    for _ in range(2):  # the second batch builds the thresholds
+        band.count_batch()
+    lo, hi, exceptions, _, _ = band.thresholds
 
     def check(X):
         f = _half_normal_cdf(X)
         want = (f < band.lower) | (f > band.upper)
-        np.testing.assert_array_equal(t.flags(X), want)
+        np.testing.assert_array_equal(band.flags(X), want)
         return want
 
-    lo = t.lo.view(np.int64)
-    hi = np.where(np.isfinite(t.hi), t.hi, 8.5).view(np.int64)
+    lo_bits = lo.view(np.int64)
+    hi_bits = np.where(np.isfinite(hi), hi, 8.5).view(np.int64)
     near = np.arange(-3, 4)[:, None]
-    check(np.vstack([np.maximum(near + lo, 0).view(np.float64), (near + hi).view(np.float64)]))
-    # the levels _thresholds searches: f > U, and f > the double below L
+    check(np.vstack([np.maximum(near + lo_bits, 0).view(np.float64),
+                     (near + hi_bits).view(np.float64)]))
+    # the levels the threshold build searches: f > U, and f > the double below L
     windows = {e: np.concatenate([_search_window(level)
                                   for level in (np.nextafter(band.lower[e], 0.0), band.upper[e])
                                   if 0.0 < level < 1.0])
-               for e in t.exceptions}
+               for e in exceptions}
     depth = max((len(w) for w in windows.values()), default=0)
-    flagged = np.zeros(len(t.exceptions), dtype=np.intp)
+    flagged = np.zeros(len(exceptions), dtype=np.intp)
     for start in range(0, depth, 256):  # 256 rows at a time
-        X = np.tile(t.lo, (min(256, depth - start), 1))
+        X = np.tile(lo, (min(256, depth - start), 1))
         for e, w in windows.items():
             part = w[start:start + len(X)]
             X[:len(part), e] = part
-        flagged += check(X)[:, t.exceptions].sum(axis=0)
+        flagged += check(X)[:, exceptions].sum(axis=0)
     # the exception windows hold doubles on both sides of their bounds
     assert (flagged > 0).all() and (flagged < depth).all()
 
@@ -460,18 +466,20 @@ def test_thresholds_decide_the_doubles_at_the_band_as_erf(N, gamma):
 def test_threshold_build_bounds_memory():
     # the 19992 levels of the default band at N = 9999: each block of
     # windows is one array of about 2^16 doubles, mapped in place and
-    # compared with one level per row of 8 doubles; measured 2.35 MB
-    # (2.61 MB with every double's offset and level repeated beside the
-    # mapped values)
+    # compared with one level per row of 8 doubles, beside about five
+    # arrays of one value per level; measured 2.03 MB (2.37 MB with each
+    # level's margin and window width kept through the blocks, 2.61 MB
+    # with every double's offset and level repeated beside the mapped
+    # values)
     band = _frozen_bounds(9999, 2.0, SIG1)
-    _thresholds(band)
+    band._build()
     tracemalloc.start()
     try:
-        _thresholds(band)
+        band._build()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.45e6, f"peak {peak / 1e6:.2f} MB"
+    assert peak < 2.12e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_single_samples_never_build_thresholds():
@@ -518,8 +526,8 @@ def test_row_blocks_build_thresholds_at_the_second_batch(monkeypatch):
     # the second builds the thresholds once, before its first block
     module = importlib.import_module("sigcluster.sigtest")
     builds = []
-    build = module._thresholds
-    monkeypatch.setattr(module, "_thresholds", lambda band: builds.append(band) or build(band))
+    build = module._Band._build
+    monkeypatch.setattr(module._Band, "_build", lambda band: builds.append(band) or build(band))
     N = 577
     Y = np.random.default_rng(37).normal(size=(3 * _block_rows(N) + 5, N))
     _frozen_bounds.cache_clear()
@@ -547,3 +555,13 @@ def test_non_finite_last_block_refused_before_the_batch_counts(monkeypatch):
     with pytest.raises(NonFiniteInputError):
         _sigtest_rows(Y, SigtestConfig())
     assert band.batches == 1 and band.thresholds is None and len(normalized) == 3
+
+
+def test_no_rows_are_no_batch():
+    # an array of no rows returns before the band is looked up: two empty
+    # calls at an N neither cache its band nor build its thresholds
+    _frozen_bounds.cache_clear()
+    for _ in range(2):
+        C, split = _sigtest_rows(np.empty((0, 200)), SigtestConfig())
+        assert C.shape == split.shape == (0,) and split.dtype == bool
+    assert _frozen_bounds.cache_info().currsize == 0
