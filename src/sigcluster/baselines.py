@@ -462,15 +462,28 @@ def _chain_ends(k: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     return end
 
 
-# The coarse levels of _dip_rows: rows of at least _COARSE_MIN_N values
-# are first decided on every 8th, then every 4th order statistic. Below
-# the gate (iris's 149 and seeds' 209 viewer values) coarse rows of 52
-# values or fewer rarely decide, and screening them made a run slower.
-# _COARSE_ALLOWANCE covers the rounding of the coarse and the full dips,
-# which lies near 1e-15.
-_COARSE_MIN_N = 256
+# The coarse levels of _dip_rows: a row is first decided on a copy of
+# every 8th, then every 4th of its order statistics, at each level whose
+# copy keeps at least _COARSE_MIN_VALUES values, so from N = 393 and
+# N = 197 values on (seeds' 209 viewer values get the second level,
+# iris's 149 neither). Swept over row length on synthetic distance rows
+# (Gaussian and two-blob, d = 8) and uniform rows, a floor of 40 or 50
+# ran blob rows of N = 197-240 in 0.54-0.71x of the full-width time and
+# 64 lost that; copies of 40-49 values also ran uniform rows, whose dips
+# lie near the critical dip, in 1.3x at N = 160. _COARSE_ALLOWANCE covers
+# the rounding of the coarse and the full dips, which lies near 1e-15.
 _COARSE_LEVELS = (8, 4)
+_COARSE_MIN_VALUES = 50
 _COARSE_ALLOWANCE = 1e-9
+
+
+def _coarse_ranks(N: int) -> list[np.ndarray]:
+    """The ranks a row of N values keeps in its coarse copies, one array
+    per level of _COARSE_LEVELS whose copy keeps n' = ceil(N / c) >=
+    _COARSE_MIN_VALUES values: the midpoint ranks floor((2j + 1) N /
+    (2n')), j < n'."""
+    sizes = (-(-N // c) for c in _COARSE_LEVELS)
+    return [(2 * np.arange(m) + 1) * N // (2 * m) for m in sizes if m >= _COARSE_MIN_VALUES]
 
 
 def _dip_rows(X: np.ndarray, critical: float | None = None) -> np.ndarray:
@@ -488,22 +501,26 @@ def _dip_rows(X: np.ndarray, critical: float | None = None) -> np.ndarray:
     NaN rows are NaN either way. The full-width kernel settles a row at
     the AS 217 pass that decides it and reports its running dip there.
 
-    Rows of N >= _COARSE_MIN_N values are first decided on coarse copies,
-    level by level (_COARSE_LEVELS), and only the rows no level decides
-    reach the full-width kernel; rows _dip refuses go straight to it. The
-    copy at level c keeps n' = ceil(N / c) order statistics
-    x[floor(j N / n')], j < n'. If m values of the row lie at or below t,
-    the copy's values there are those with floor(j N / n') < m, that is
-    j < m n' / N: ceil(m n' / N) of them. So its ECDF F' satisfies
-    0 <= F' - F_N < 1/n' everywhere. The dip is the sup distance
-    to the unimodal distributions, D(F) = rho(F, U) (Hartigan & Hartigan
-    1985), so by the triangle inequality |D(F') - D(F_N)| < 1/n'. The
-    copy goes through the kernel with the bracket [critical - s,
-    critical + s], s = 1/n' + _COARSE_ALLOWANCE, and is settled there
-    with running dip r <= D(F') and stopping bound b >= D(F'):
+    Rows are first decided on coarse copies, level by level
+    (_COARSE_LEVELS), at each level whose copy keeps n' = ceil(N / c) >=
+    _COARSE_MIN_VALUES values; only the rows no level decides reach the
+    full-width kernel, and rows _dip refuses go straight to it. The copy
+    keeps the order statistics x[floor((2j + 1) N / (2n'))], j < n'
+    (_coarse_ranks). If m values of the row lie at or below t, the copy's
+    values there are those with floor((2j + 1) N / (2n')) < m, that is
+    j < q - 1/2 with q = m n' / N: ceil(q - 1/2) of them, which lies in
+    [q - 1/2, q + 1/2). So its ECDF F' satisfies |F' - F_N| <= 1/(2n')
+    everywhere. The dip is the sup distance to the unimodal
+    distributions, D(F) = rho(F, U) (Hartigan & Hartigan 1985), so by the
+    triangle inequality |D(F') - D(F_N)| <= 1/(2n'). The copy goes
+    through the kernel with the bracket [critical - s, critical + s],
+    s = 1/(2n') + _COARSE_ALLOWANCE, and is settled there with running
+    dip r <= D(F') and stopping bound b >= D(F'):
 
-    - r - s > critical gives D(F_N) > D(F') - 1/n' > critical: a reject;
-    - b + s <= critical gives D(F_N) < D(F') + 1/n' < critical: an accept;
+    - r - s > critical gives D(F_N) >= D(F') - 1/(2n') > critical: a
+      reject;
+    - b + s <= critical gives D(F_N) <= D(F') + 1/(2n') < critical: an
+      accept;
     - otherwise (r and b both inside the bracket, or a copy the kernel
       refuses) the row goes on to the next level.
 
@@ -515,22 +532,21 @@ def _dip_rows(X: np.ndarray, critical: float | None = None) -> np.ndarray:
     """
     N = X.shape[1]
     rows = _block_rows(N)
+    levels = [] if critical is None else _coarse_ranks(N)
     out = np.empty(len(X))
     for start in range(0, len(X), rows):
         x = np.sort(X[start:start + rows], axis=1)
         dips = out[start:start + rows]
         rest = slice(None)
-        if critical is not None and N >= _COARSE_MIN_N:
+        if levels:
             with np.errstate(over="ignore", invalid="ignore"):
                 rest = (x[:, 0] == x[:, -1]) | ~np.isfinite((x[:, -1] - x[:, 0]) * N)
             screen = np.flatnonzero(~rest)
-            for c in _COARSE_LEVELS:
+            for at in levels:
                 if not screen.size:
                     break
-                m = -(-N // c)
-                s = 1 / m + _COARSE_ALLOWANCE
-                run, top = _dip_block(x[np.ix_(screen, np.arange(m) * N // m)],
-                                      critical - s, critical + s)
+                s = 1 / (2 * at.size) + _COARSE_ALLOWANCE
+                run, top = _dip_block(x[np.ix_(screen, at)], critical - s, critical + s)
                 dip = np.maximum(run - s, 1 / (2 * N))
                 hit = (dip > critical) | (top + s <= critical)
                 dips[screen[hit]] = dip[hit]
@@ -805,10 +821,12 @@ def _dip_test_rows(Y):
     as :func:`dip_test` rejects, and each reject is
     dip_test's (see :func:`_dip_rows` for the one known difference in the
     dips). :func:`_dip_rows` gets that critical dip and settles each row
-    as soon as its side of it is known: rows of 256 values or more first
-    on coarse copies of every 8th, then every 4th order statistic, whose
-    dips lie within 1/n' of the row's (n' values in the copy), and the
-    rest at the AS 217 pass that decides them. So a row's dip is a lower
+    as soon as its side of it is known. It decides a row first on coarse
+    copies of every 8th, then every 4th order statistic, taken at
+    midpoint ranks, at each level whose copy keeps at least 50 values
+    (from 393 and from 197 values on). A copy's dip lies within 1/(2n')
+    of the row's (n' values in the copy). The rest are settled at the
+    AS 217 pass that decides them. So a row's dip is a lower
     bound, never above dip_test's and on the same side of the critical
     dip. A row dip_test refuses as degenerate (all values equal, or a
     range times N that overflows) gets dip NaN and does not reject.

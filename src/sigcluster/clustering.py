@@ -125,9 +125,10 @@ class DipViewerCriterion(_BaselineCriterion):
 
     ``test_rows`` decides every viewer row against the critical dip, the
     largest dip of the table at the rows' N, through
-    baselines._dip_test_rows: a row of 256 values or more is decided
-    first on coarse copies of its order statistics, whose dips lie within
-    1/n' of its own (n' values in the copy), and only a row no copy
+    baselines._dip_test_rows. A row is decided first on coarse copies of
+    its order statistics, taken at midpoint ranks wherever a copy keeps
+    at least 50 values (from 197 values on); a copy's dip lies within
+    1/(2n') of the row's (n' values in the copy). Only a row no copy
     decides runs the full AS 217 kernel, to the pass that decides it.
     Each reported dip is never above the exact dip and lies on its side
     of the critical dip, so every decision is dip_test's."""

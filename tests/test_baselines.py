@@ -471,8 +471,10 @@ def test_dip_rows_settle_saves_passes(monkeypatch):
     # each AS 217 pass peels two hulls; a critical dip ends both a batch
     # of strongly bimodal rows (rejected) and one of uniform rows
     # (accepted) passes before their dips are final, in _dip_rows and in
-    # the viewer criterion that passes the table's largest dip
-    N = 199
+    # the viewer criterion that passes the table's largest dip; at the
+    # largest N no coarse level screens, so only full-width passes count
+    N = min(baselines._COARSE_LEVELS) * (baselines._COARSE_MIN_VALUES - 1)
+    assert not baselines._coarse_ranks(N)
     critical = dip_reference_table(N, 100).max()
     viewer_critical = dip_reference_table(N).max()  # built before passes are counted
     peels = []
@@ -494,23 +496,61 @@ def test_dip_rows_settle_saves_passes(monkeypatch):
             passes(lambda: _dip_rows(Y, viewer_critical))
 
 
+# the smallest N whose rows _dip_rows screens on a coarse copy
+FIRST_SCREENED = next(N for N in range(4, 10**4) if baselines._coarse_ranks(N))
+
+
+def _few_atoms(N, rows, seed):
+    """Rows of 2-4 tied values drawn with uneven weights."""
+    rng = np.random.default_rng(seed)
+    atoms = rng.integers(2, 5)
+    return rng.choice(rng.normal(size=atoms), size=(rows, N), p=rng.dirichlet(np.ones(atoms) / 2))
+
+
+def test_coarse_copies_lie_within_half_a_step_of_the_row():
+    # the lemma the coarse levels rest on, in exact integers: at each
+    # value t of a sorted row of N, the k of its copy's n' values and the
+    # m of its own values at or below t satisfy |k/n' - m/N| <= 1/(2n'),
+    # that is |2(k N - m n')| <= N, for every level and every N the rule
+    # screens from the first up to 1300, on every kind of row
+    assert FIRST_SCREENED == 197 and not baselines._coarse_ranks(FIRST_SCREENED - 1)
+    kinds = ["uniform", "integer", "rounded", "tied", "bimodal", "gaussian"]
+    worst = 0.0
+    for N in range(FIRST_SCREENED, 1301):
+        levels = baselines._coarse_ranks(N)
+        assert [at.size for at in levels] == [
+            -(-N // c) for c in baselines._COARSE_LEVELS
+            if -(-N // c) >= baselines._COARSE_MIN_VALUES]
+        X = np.sort(np.vstack([_dip_batch(N, 1, N * 7 + i, kind) for i, kind in enumerate(kinds)]
+                              + [_few_atoms(N, 2, N)]), axis=1)
+        for x in X:
+            m = np.searchsorted(x, x, "right").astype(np.int64)
+            for at in levels:
+                n = at.size
+                k = np.searchsorted(x[at], x, "right").astype(np.int64)
+                gap = np.abs(2 * (k * N - m * n))
+                assert (gap <= N).all(), (N, n, int(gap.max()))
+                worst = max(worst, gap.max() / N)
+    assert worst > 0.9  # the bound is reached, not only held
+
+
 @settings(max_examples=25, deadline=None)
-@given(N=st.integers(baselines._COARSE_MIN_N, 1300), rows=st.integers(1, 4),
+@given(N=st.integers(FIRST_SCREENED, 1300), rows=st.integers(1, 4),
        seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["uniform", "integer", "rounded", "tied", "bimodal", "gaussian"]),
        refused=REFUSED_ROW)
 def test_dip_rows_coarse_levels_decide_as_the_full_kernel(N, rows, seed, kind, refused):
-    # from _COARSE_MIN_N values on a row is first decided on coarse copies
-    # of its order statistics: tried at every exact dip, both its float
-    # neighbours and the dip +- 1/n' of each level, where a level's
-    # bracket is tightest, it is decided on the exact dip's side and
-    # reports a dip never above the exact one
+    # from the first N the copy-length rule screens, a row is first
+    # decided on coarse copies of its order statistics: tried at every
+    # exact dip, both its float neighbours and the dip +- 1/(2n') of each
+    # level, where a level's bracket is tightest, it is decided on the
+    # exact dip's side and reports a dip never above the exact one
     Y = _refuse_row(_dip_batch(N, rows, seed, kind), refused)
     exact = _dip_rows(Y)
     finite = exact[~np.isnan(exact)]
     tried = [np.nextafter(finite, -np.inf), finite, np.nextafter(finite, np.inf)]
-    for c in baselines._COARSE_LEVELS:
-        tried += [finite - 1 / -(-N // c), finite + 1 / -(-N // c)]
+    for at in baselines._coarse_ranks(N):
+        tried += [finite - 1 / (2 * at.size), finite + 1 / (2 * at.size)]
     for c in np.concatenate(tried):
         got = _dip_rows(Y, c)
         np.testing.assert_array_equal(got > c, exact > c)
@@ -522,8 +562,8 @@ def test_dip_rows_coarse_levels_save_full_rows(monkeypatch):
     # 100 sampled viewers' distance rows (N = 599) of a two-blob cluster
     # and of one Gaussian cluster in d = 8, at classic dip-means' critical
     # dip, counted by the width each kernel call sees: every bimodal row
-    # is decided on its first coarse copy (75 values), 91 Gaussian rows
-    # there and the other 9 on the second (150), so none reaches the
+    # is decided on its first coarse copy (75 values), 99 Gaussian rows
+    # there and the other one on the second (150), so none reaches the
     # full-width kernel, which every row reached before the coarse levels
     N, d = 599, 8
     rng = np.random.default_rng(31)
@@ -545,7 +585,7 @@ def test_dip_rows_coarse_levels_save_full_rows(monkeypatch):
         return counts
 
     assert rows_by_width(two_blobs) == {75: 100}
-    assert rows_by_width(one_blob) == {75: 100, 150: 9}
+    assert rows_by_width(one_blob) == {75: 100, 150: 1}
 
 
 def test_dip_rows_evenly_spaced_differs_in_last_bits():
