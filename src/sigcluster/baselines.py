@@ -3,11 +3,14 @@ Kolmogorov-Smirnov, and Hartigan's dip.
 
 All three are shift/scale invariant (AD and KS estimate location/scale;
 the dip only depends on the shape of the empirical CDF). Each is a pure
-function of its input: the KS and dip calibrations draw from fixed seeds,
-so calls may run concurrently. Those calibrations are tabulated once per
-sample size (:func:`lilliefors_table`, :func:`dip_reference_table`), as
-Lilliefors (1967) and Hartigan & Hartigan (1985) tabulate critical
+function of its input, so calls may run concurrently. The KS calibration
+draws from a fixed seed and is tabulated once per sample size
+(:func:`lilliefors_table`), as Lilliefors (1967) tabulates critical
 values: the first test at an N builds its table, later ones look it up.
+The dip is calibrated as Hartigan & Hartigan (1985) calibrate it, on a
+grid of sample sizes interpolated in N: its uniform-null quantiles ship
+with the package (data/dip_grid.csv, written by scripts/dip_grid.py from
+:func:`dip_reference_dips`), so no dip table is drawn at run time.
 
 References
 ----------
@@ -19,6 +22,7 @@ Hartigan & Hartigan (1985), "The dip test of unimodality", Ann. Statist.
 13; Hartigan (1985), "Algorithm AS 217", Appl. Statist. 34.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,12 +36,14 @@ from .core import (
     _check_size,
     _degenerate_error,
     _integer,
+    _log_n_interp,
     _row_moments,
     _spread_ok,
     _test_rows,
     _test_sample,
     as_sample,
 )
+from .data_io import _bundled_grid
 from .errors import DegenerateInputError, TooFewSamplesError
 from .sigtest import MIN_SAMPLES
 
@@ -71,11 +77,12 @@ AD_CRITICAL_VALUES = {
 
 # The one statement of each test default, read by the clustering
 # criteria, the benchmark and the command line: the AD splitting level,
-# the Lilliefors KS level and the number of uniform dip bootstrap samples
-# (which sets the dip's level: it rejects at about 1/(B + 1) under H0).
+# the Lilliefors KS level and the dip's level, an upper-tail level of the
+# dip calibration grid (the nominal level of the earlier rule, which
+# rejected above the largest of 1000 uniform dips: 1/(1000 + 1)).
 AD_ALPHA = 0.0001
 KS_ALPHA = 0.05
-DIP_BOOTSTRAP_B = 1000
+DIP_ALPHA = 0.001
 
 # The smallest sample the dip test, its statistic and its tables take.
 _DIP_MIN_SAMPLES = 4
@@ -717,16 +724,17 @@ def _dip_block(x: np.ndarray, lo: float | None = None,
     return out, bound
 
 
-def dip_reference_dips(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
+def dip_reference_dips(N: int, B: int = 1000) -> np.ndarray:
     """Dip statistics of B uniform(0,1) samples of size N, fixed seed.
 
-    This is the bootstrap null distribution of :func:`dip_test`, which
-    reads it through :func:`dip_reference_table`; each call here draws
-    anew. Replicate b is drawn from the generator substream [0, N, b], so
-    the set is reproducible and does not depend on how it is split up:
-    the replicates are stacked in blocks of core._block_rows (bounded
-    memory) and each block goes through one :func:`_dip_rows`
-    call, equal to _dip on each replicate.
+    The uniform null of :func:`dip_test`: scripts/dip_grid.py takes the
+    calibration grid's quantiles from it at B = 10^4, and each call here
+    draws anew. Replicate b is drawn from the generator substream
+    [0, N, b], so the set is reproducible and does not depend on how it
+    is split up: the first 1000 of 10^4 replicates are the default B's.
+    The replicates are stacked in blocks of core._block_rows (bounded
+    memory) and each block goes through one :func:`_dip_rows` call, equal
+    to _dip on each replicate.
 
     Raises
     ------
@@ -745,24 +753,25 @@ def dip_reference_dips(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
     return dips
 
 
-def dip_reference_table(N: int, B: int = DIP_BOOTSTRAP_B) -> np.ndarray:
+def dip_reference_table(N: int, B: int = 1000) -> np.ndarray:
     """Memoized :func:`dip_reference_dips` (identical values; built once
-    per (N, B) in the process). At the default B it is the table every
-    :func:`dip_test` call at sample size N decides against.
+    per (N, B) in the process), for callers that read one null table
+    often. No decision of the package reads it: the dip decides on the
+    calibration grid (:func:`dip_test`).
 
     N and B are checked as dip_reference_dips checks them, before the
     lookup: an int and a numpy integer of equal value share one table, and
     a float N or B, or one below its minimum, is refused on every call.
     ``cache_info`` and ``cache_clear`` are the cache's own.
     """
-    return _dip_reference_table(*_dip_table_sizes(N, B))[0]
+    return _dip_reference_table(*_dip_table_sizes(N, B))
 
 
 @lru_cache(maxsize=64)
-def _dip_reference_table(N: int, B: int):
+def _dip_reference_table(N: int, B: int) -> np.ndarray:
     ref = dip_reference_dips(N, B)
     ref.setflags(write=False)
-    return ref, ref.max()
+    return ref
 
 
 dip_reference_table.cache_info = _dip_reference_table.cache_info
@@ -779,23 +788,58 @@ def _dip_table_sizes(N, B) -> tuple[int, int]:
     return N, B
 
 
+@lru_cache(maxsize=256)
 def _dip_null(N: int):
-    """(ref, critical): the seeded reference dips at N and the critical
-    dip, their largest, found once per table in its cache entry. A dip
-    rejects unimodality exactly when it exceeds the critical dip (p == 0,
-    "level zero"), in :func:`dip_test` and :func:`_dip_test_rows` alike."""
-    return _dip_reference_table(*_dip_table_sizes(N, DIP_BOOTSTRAP_B))
+    """(levels, dips, critical) of the uniform null at sample size N >= 4,
+    read from the calibration grid data/dip_grid.csv. ``levels`` are the
+    grid's upper-tail levels, descending from 1 to 0, and ``dips`` the
+    null dips at them, ascending: the dip exceeded with frequency p by
+    10^4 seeded uniform samples of size N, for each level p. Level 1
+    holds the least dip, 1/(2N), and level 0 the largest of the 10^4.
+    Between grid sizes sqrt(N) times each dip is interpolated linearly in
+    log N (core._log_n_interp); above the grid's last size, 21673, it is
+    held at that size's value. ``critical`` is the dip at DIP_ALPHA: a dip
+    rejects unimodality exactly when it exceeds it, in :func:`dip_test`
+    and :func:`_dip_test_rows` alike. Memoized per N, as tuples of floats,
+    so a test reads its N's 21 dips without a numpy call."""
+    sizes, levels, scaled = _bundled_grid("dip_grid")
+    dips = tuple((_log_n_interp(sizes, scaled, N) / math.sqrt(N)).tolist())
+    return levels, dips, dips[levels.index(DIP_ALPHA)]
+
+
+def _dip_decision(d: float, N: int) -> BaselineDecision:
+    """dip_test's decision on a dip d of N values (see :func:`dip_test`)."""
+    levels, dips, critical = _dip_null(N)
+    j = bisect.bisect_left(dips, d)  # a dip several levels share reads the largest
+    if j == len(dips):
+        p = 0.0
+    elif j == 0 or dips[j] == d:
+        p = levels[j]
+    else:
+        w = (d - dips[j - 1]) / (dips[j] - dips[j - 1])
+        p = levels[j - 1] + w * (levels[j] - levels[j - 1])
+    reject = bool(d > critical)
+    # a guard for p < DIP_ALPHA: one ulp above the critical dip, rounding
+    # could leave p at DIP_ALPHA only if the next stored dip lay more than
+    # half the critical dip above it (in the committed grid, at most 9%)
+    if reject:
+        p = min(p, math.nextafter(DIP_ALPHA, 0.0))
+    return BaselineDecision(statistic=d, p_value=p, reject_unimodal=reject)
 
 
 def dip_test(y) -> BaselineDecision:
-    """Dip test with a bootstrap p-value at "level zero".
+    """Dip test of unimodality at level DIP_ALPHA against the uniform null.
 
-    p-value = fraction of the DIP_BOOTSTRAP_B uniform samples of the same
-    size whose dip is at least the observed dip; unimodality is rejected
-    only when the observed dip exceeds every reference dip, the critical
-    dip (p == 0), so the test's level is about 1/(DIP_BOOTSTRAP_B + 1).
-    :func:`_dip_null` gives both, from the seeded table of
-    :func:`dip_reference_table` at N, drawn once per N in the process.
+    Unimodality is rejected when the dip exceeds the critical dip, the
+    uniform-null dip at upper-tail level DIP_ALPHA at the sample's N, as
+    :func:`_dip_null` reads it from the calibration grid. The p-value is
+    the null's survival function at the dip, interpolated linearly
+    between the grid's levels 1, 0.99, 0.95, 0.9, 0.8, ..., 0.1, 0.05,
+    0.02, 0.01, 0.005, 0.002, 0.001, 0.0005, 0.0002 and 0: so it resolves
+    the survival function to the spacing of the levels around it, on top
+    of the 10^4-draw Monte-Carlo error of each level's dip. It is 1 at
+    the least dip, 1/(2N), and 0 above the largest of the 10^4 dips, and
+    p < DIP_ALPHA exactly where the test rejects.
 
     Raises
     ------
@@ -805,20 +849,14 @@ def dip_test(y) -> BaselineDecision:
         If all values are equal, or the range times N overflows.
     """
     y = _test_sample(y, _DIP_MIN_SAMPLES, "dip test")
-    d = _dip(y)
-    ref, critical = _dip_null(y.size)
-    return BaselineDecision(
-        statistic=d,
-        p_value=float(np.count_nonzero(ref >= d) / ref.size),
-        reject_unimodal=bool(d > critical),
-    )
+    return _dip_decision(_dip(y), y.size)
 
 
 def _dip_test_rows(Y):
-    """(dip, reject) of each row of a 2-d array: one :func:`_dip_null` at
-    the rows' N and one AS 217 kernel call over all rows (in blocks of
-    bounded memory). A row rejects where its dip exceeds the critical dip,
-    as :func:`dip_test` rejects, and each reject is
+    """(dip, reject) of each row of a 2-d array: one critical dip at the
+    rows' N (:func:`_dip_null`) and one AS 217 kernel call over all rows
+    (in blocks of bounded memory). A row rejects where its dip exceeds the
+    critical dip, as :func:`dip_test` rejects, and each reject is
     dip_test's (see :func:`_dip_rows` for the one known difference in the
     dips). :func:`_dip_rows` gets that critical dip and settles each row
     as soon as its side of it is known. It decides a row first on coarse
@@ -843,6 +881,6 @@ def _dip_test_rows(Y):
     Y = _test_rows(Y, _DIP_MIN_SAMPLES, "dip test")
     if not len(Y):
         return np.empty(0), np.zeros(0, dtype=bool)
-    critical = _dip_null(Y.shape[1])[1]
+    critical = _dip_null(Y.shape[1])[2]
     dips = _dip_rows(Y, critical)
     return dips, dips > critical

@@ -7,12 +7,13 @@ are SeedSequence substreams of it). Timing fields are wall-clock and
 exempt.
 
 Timing semantics: each method is timed as the call a user makes, over
-``timing_runs`` fresh inputs with one excluded warm-up call. KS and the
-dip test decide against seed-fixed calibration tables that are built
-once per sample size in the process (the Lilliefors reference, the dip
-bootstrap); the success-rate loop at the same N builds them first, so the
-times are per-call costs with the table warm and leave out its one-off
-build.
+``timing_runs`` fresh inputs with one excluded warm-up call. KS decides
+against a seed-fixed calibration table that is built once per sample
+size in the process (the Lilliefors reference); the success-rate loop at
+the same N builds it first, so the times are per-call costs with the
+table warm and leave out its one-off build. The dip test reads its
+critical dip from the calibration grid that ships with the package and
+builds nothing.
 """
 
 import time
@@ -20,7 +21,7 @@ import time
 import numpy as np
 
 from .clustering import METHOD_NAMES, TEST_CRITERIA, configured, run_method
-from .core import _integer
+from .core import _integer, _seed
 from .data_io import BenchmarkRecord, bundled_manifest, load_csv
 from .metrics import ari, vi
 from .sigtest import SigtestConfig
@@ -53,18 +54,20 @@ def _time_method(func, inputs) -> float:
     return total / len(inputs)
 
 
-def _check_request(runs, methods, known, timing_runs=0, **cells) -> None:
+def _check_request(runs, seed, methods, known, timing_runs=0, **cells) -> None:
     """Refuse a bad request before any work: a run or timing-run count
-    that is not an integer (a bool included) or is too small, a method
-    name, with the messages BenchmarkRecord and run_method would give
-    later, a separation TwoClusterSpec refuses (negative or not finite),
-    or a repeated method or ``cells`` value (``cells`` maps a kind, such
-    as ``separation``, to its values), since each cell is named once.
+    that is not an integer (a bool included) or is too small, a seed
+    core._seed refuses, a method name, with the messages BenchmarkRecord
+    and run_method would give later, a separation TwoClusterSpec refuses
+    (negative or not finite), or a repeated method or ``cells`` value
+    (``cells`` maps a kind, such as ``separation``, to its values), since
+    each cell is named once.
     Values are compared, not their text: 2 and 2.0 repeat."""
     if _integer(runs, "runs") < 1:
         raise ValueError("runs must be at least 1")
     if _integer(timing_runs, "timing_runs") < 0:
         raise ValueError("timing_runs must be nonnegative")
+    _seed(seed)
     for method in methods:
         if method not in known:
             raise ValueError(f"unknown method {method!r}; expected one of {known}")
@@ -91,15 +94,15 @@ def run_test_benchmark(separations=DEFAULT_SEPARATIONS, runs: int = 100,
     success means the method's criterion in TEST_CRITERIA rejects
     unimodality. ``sigtest_config`` gives gamma and the threshold, and the
     method name the signature variant, as in run_method; AD, KS and the
-    dip test run at their criteria's defaults (AD_ALPHA, KS_ALPHA, a
-    DIP_BOOTSTRAP_B bootstrap). Timing uses ``timing_runs`` additional
-    samples per cell and times the criterion's ``decide``, the public
-    test call, with its calibration table warm (see module docstring).
+    dip test run at their defaults (AD_ALPHA, KS_ALPHA, DIP_ALPHA).
+    Timing uses ``timing_runs`` additional samples per cell and times the
+    criterion's ``decide``, the public test call, with its calibration
+    table warm (see module docstring).
     Each separation and each method is named once, so a repeated one is
     refused; every argument is checked before the first sample is drawn.
     """
     separations, methods = tuple(separations), tuple(methods)
-    _check_request(runs, methods, TEST_METHODS, timing_runs, separation=separations)
+    _check_request(runs, seed, methods, TEST_METHODS, timing_runs, separation=separations)
     data, timing_inputs = {}, {}
     for si, sep in enumerate(separations):
         data[sep] = [_sweep_sample(sep, _substream_seed(seed, si, r)) for r in range(runs)]
@@ -146,7 +149,7 @@ def run_cluster_benchmark(manifests, methods=METHOD_NAMES, runs: int = 20,
     """
     manifests = [bundled_manifest(m) if isinstance(m, str) else m for m in manifests]
     methods = tuple(methods)
-    _check_request(runs, methods, METHOD_NAMES, dataset=[m.name for m in manifests])
+    _check_request(runs, seed, methods, METHOD_NAMES, dataset=[m.name for m in manifests])
     records = []
     for di, manifest in enumerate(manifests):
         data = load_csv(manifest)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import AD_ALPHA, DIP_BOOTSTRAP_B, KS_ALPHA, dip_reference_table, lilliefors_table
+from .baselines import AD_ALPHA, DIP_ALPHA, KS_ALPHA, lilliefors_table
 from .benchmark import (
     DEFAULT_SEPARATIONS,
     TEST_METHODS,
@@ -31,6 +31,7 @@ from .benchmark import (
     run_test_benchmark,
 )
 from .clustering import METHOD_NAMES, TEST_CRITERIA, configured, project_split, run_method
+from .core import _seed
 from .data_io import _BUNDLED, DatasetManifest, _is_csv, bundled_manifest, load_csv, write_results
 from .errors import SigclusterError
 from .metrics import ari, vi
@@ -73,7 +74,7 @@ def cmd_test(args) -> int:
         "N": int(y.size),
         "defaults": {
             "gamma": args.gamma, "threshold": args.threshold,
-            "alpha": getattr(criterion, "alpha", None), "bootstrap_B": DIP_BOOTSTRAP_B,
+            "alpha": getattr(criterion, "alpha", None), "dip_alpha": DIP_ALPHA,
         },
     }
     outcome = criterion.decide(y)
@@ -101,11 +102,10 @@ def _manifest_from_args(token: str, args) -> DatasetManifest:
 
 
 # The memoized per-N calibrations a clustering run reads: the signature
-# band, the Lilliefors table and the dip bootstrap table.
+# band and the Lilliefors table (the dip reads its calibration grid).
 _CACHES = {
     "frozen_bounds": _frozen_bounds,
     "lilliefors_table": lilliefors_table,
-    "dip_reference_table": dip_reference_table,
 }
 
 
@@ -195,6 +195,16 @@ def cmd_bench_cluster(args) -> int:
     return _write_records(records, args.output or "bench_cluster.json")
 
 
+def _seed_arg(text: str) -> int:
+    """--seed as an int of at least 0; argparse reports anything else as a
+    usage error."""
+    try:
+        return _seed(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 0, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sigcluster",
@@ -213,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def seeded_opts(p, delimiter=True):
         common_test_opts(p, delimiter)
-        p.add_argument("--seed", type=int, default=7)
+        p.add_argument("--seed", type=_seed_arg, default=7, help="master seed, at least 0")
 
     p = sub.add_parser("test", help="unimodality test on a file of observations")
     p.add_argument("input", help="CSV of observations (single numeric column, "

@@ -42,7 +42,7 @@ from .baselines import (
     dip_test,
     ks_lilliefors,
 )
-from .core import _block_rows, _integer
+from .core import _block_rows, _integer, _seed
 from .dataset import Dataset
 from .errors import (
     DegenerateInputError,
@@ -121,10 +121,10 @@ class KSCriterion(_BaselineCriterion):
 
 @dataclass(frozen=True)
 class DipViewerCriterion(_BaselineCriterion):
-    """Viewer test for dipmeans_family: dip at bootstrap level zero.
+    """Viewer test for dipmeans_family: the dip at level DIP_ALPHA.
 
     ``test_rows`` decides every viewer row against the critical dip, the
-    largest dip of the table at the rows' N, through
+    calibration grid's uniform-null dip at DIP_ALPHA at the rows' N, through
     baselines._dip_test_rows. A row is decided first on coarse copies of
     its order statistics, taken at midpoint ranks wherever a copy keeps
     at least 50 values (from 197 values on); a copy's dip lies within
@@ -133,7 +133,7 @@ class DipViewerCriterion(_BaselineCriterion):
     Each reported dip is never above the exact dip and lies on its side
     of the critical dip, so every decision is dip_test's."""
 
-    # Classic dip-means convention: dip viewers at bootstrap level zero
+    # Classic dip-means convention: dip viewers at level DIP_ALPHA = 0.001
     # almost never reject under H0, so 1% of viewers is already a signal.
     viewer_fraction: ClassVar[float] = 0.01
     name: ClassVar[str] = "dip-viewer"
@@ -509,9 +509,9 @@ def kmeans(data: Dataset, k: int, seed: int = 0) -> ClusteringResult:
     Raises
     ------
     TypeError
-        If k is not an integer.
+        If k or seed is not an integer.
     ValueError
-        If k is below 1.
+        If k is below 1 or seed below 0.
     KTooLargeError
         If k exceeds the number of points.
     DegenerateInputError
@@ -520,6 +520,7 @@ def kmeans(data: Dataset, k: int, seed: int = 0) -> ClusteringResult:
         sums can (n times the largest |x| of a column is not finite).
     """
     k = _integer(k, "k")
+    seed = _seed(seed)
     X = data.rows
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -574,8 +575,10 @@ def _split_loop(data: Dataset, criterion, seed: int, evaluate):
     and no bisection, and the other clusters keep their own
     [seed, round, cluster_id] streams. The memo is rebuilt each round
     from that round's settled clusters, whose members are disjoint, so
-    it holds at most n indices.
+    it holds at most n indices. ``seed`` is checked by core._seed before
+    anything else.
     """
+    seed = _seed(seed)
     X = data.rows
     if X.shape[0] < 2 * MIN_SAMPLES:
         raise TooFewSamplesError(

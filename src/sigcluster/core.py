@@ -5,6 +5,7 @@ from any number of threads. Samples are plain 1-d float arrays; the
 helpers validate shape and finiteness on entry.
 """
 
+import bisect
 import math
 import operator
 
@@ -72,6 +73,30 @@ def _integer(value, name: str) -> int:
         except TypeError:
             pass
     raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _seed(value) -> int:
+    """A seed as an int: an integer (a bool is not one, see _integer) of at
+    least 0, else a TypeError or ValueError naming ``seed``. Every public
+    entry that takes a seed checks it here once, before any draw."""
+    seed = _integer(value, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
+    return seed
+
+
+def _log_n_interp(sizes, values: np.ndarray, N: int) -> np.ndarray:
+    """The row of a calibration grid at sample size N. ``values`` holds one
+    row per size of ``sizes``, ascending from at most N: a grid size gets
+    its own row, a size between two grid sizes the rows' mix linear in
+    log N, and a size above the grid the last row, held constant. Each
+    entry of the mix is (1 - w) a + w b, which rounds monotonically in a
+    and b, so columns ordered in both rows stay ordered."""
+    i = bisect.bisect_right(sizes, N) - 1
+    if sizes[i] == N or i == len(sizes) - 1:
+        return values[i]
+    w = math.log(N / sizes[i]) / math.log(sizes[i + 1] / sizes[i])
+    return (1.0 - w) * values[i] + w * values[i + 1]
 
 
 def _check_size(N: int, minimum: int, test: str) -> None:

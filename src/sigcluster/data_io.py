@@ -11,6 +11,7 @@ exactly.
 
 import csv
 import dataclasses
+import functools
 import json
 import typing
 from dataclasses import dataclass
@@ -206,6 +207,24 @@ def bundled_manifest(name: str) -> DatasetManifest:
     path = resources.files("sigcluster").joinpath("data") / f"{name}.csv"
     return DatasetManifest(name=name, path=str(path), label_column=label_column,
                            standardize=standardize)
+
+
+@functools.cache
+def _bundled_grid(name: str):
+    """(sizes, levels, values) of the calibration grid data/<name>.csv that
+    ships with the package, in the layout its generator script writes:
+    lines that start with '#' are comments, then a header 'N,<level>,...'
+    and one row per grid size, ascending. ``sizes`` is a tuple of ints,
+    ``levels`` the header's levels as a tuple of floats and ``values`` a
+    read-only (sizes x levels) float64 array. Read once per process."""
+    path = resources.files("sigcluster").joinpath("data") / f"{name}.csv"
+    lines = [line for line in path.read_text(encoding="utf-8").splitlines()
+             if line and not line.startswith("#")]
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    values = np.ascontiguousarray(rows[:, 1:])
+    values.setflags(write=False)
+    levels = tuple(float(p) for p in lines[0].split(",")[1:])
+    return tuple(int(n) for n in rows[:, 0]), levels, values
 
 
 def _record_to_dict(record) -> dict:

@@ -30,8 +30,9 @@ from sigcluster import (
     sigtest,
 )
 from sigcluster import baselines
-from sigcluster.baselines import DIP_BOOTSTRAP_B, _dip, _dip_rows, _lilliefors_critical
+from sigcluster.baselines import DIP_ALPHA, _dip, _dip_rows, _lilliefors_critical
 from sigcluster.clustering import _viewer_distances
+from sigcluster.data_io import _bundled_grid
 from sigcluster.errors import DegenerateInputError, NonFiniteInputError, TooFewSamplesError
 
 
@@ -471,12 +472,12 @@ def test_dip_rows_settle_saves_passes(monkeypatch):
     # each AS 217 pass peels two hulls; a critical dip ends both a batch
     # of strongly bimodal rows (rejected) and one of uniform rows
     # (accepted) passes before their dips are final, in _dip_rows and in
-    # the viewer criterion that passes the table's largest dip; at the
+    # the viewer criterion that passes the grid's critical dip; at the
     # largest N no coarse level screens, so only full-width passes count
     N = min(baselines._COARSE_LEVELS) * (baselines._COARSE_MIN_VALUES - 1)
     assert not baselines._coarse_ranks(N)
     critical = dip_reference_table(N, 100).max()
-    viewer_critical = dip_reference_table(N).max()  # built before passes are counted
+    viewer_critical = baselines._dip_null(N)[2]
     peels = []
     peel = baselines._peel
     monkeypatch.setattr(baselines, "_peel", lambda *a, **k: peels.append(1) or peel(*a, **k))
@@ -569,7 +570,6 @@ def test_dip_rows_coarse_levels_save_full_rows(monkeypatch):
     rng = np.random.default_rng(31)
     two_blobs = rng.normal(size=(N + 1, d)) + np.where(np.arange(N + 1) < 300, 0.0, 4.0)[:, None]
     one_blob = rng.normal(size=(N + 1, d))
-    dip_reference_table(N)
     widths = []
     block = baselines._dip_block
     monkeypatch.setattr(baselines, "_dip_block",
@@ -611,13 +611,13 @@ def test_reference_dips_bits_pinned(N, digest):
 ])
 def test_dip_rows_bits_pinned(critical, digest):
     # the viewer distances of iris's root cluster: each row's exact dip,
-    # and with the critical dip of classic dip-means its settled one
+    # and with the grid's critical dip of classic dip-means its settled one
     X = load_csv(bundled_manifest("iris")).rows
     m = len(X)
     dist = np.sqrt(((X[:, None] - X) ** 2).sum(axis=2))[~np.eye(m, dtype=bool)].reshape(m, m - 1)
     assert hashlib.sha256(dist.tobytes()).hexdigest() == (
         "587c7a105e26361005f7eaa81d75f774a8c4275398dd601f1c8df031428bf5e7")
-    dips = _dip_rows(dist, dip_reference_table(m - 1, 1000).max() if critical else None)
+    dips = _dip_rows(dist, baselines._dip_null(m - 1)[2] if critical else None)
     assert hashlib.sha256(dips.tobytes()).hexdigest() == digest
 
 
@@ -645,7 +645,7 @@ def test_overflow_is_typed_error(test):
 
 class TestDipTest:
     def test_uniform_calibration(self):
-        # level-zero rule: essentially never rejects a true uniform
+        # at DIP_ALPHA = 0.001 it essentially never rejects a true uniform
         rejections = sum(
             dip_test(np.random.default_rng([62, r]).uniform(size=200)).reject_unimodal
             for r in range(100))
@@ -658,35 +658,38 @@ class TestDipTest:
         assert dec.p_value == 0.0
         assert type(dec.p_value) is float  # as KS reports it, not np.float64
 
-    def test_reference_reuse_matches_self_contained(self):
-        # the default call reads the memoized table; freshly drawn bootstrap
-        # dips are the same bits and give the same decision
+    def test_repeated_calls_read_one_grid(self):
+        # the same sample gives the same decision, and its dip is
+        # dip_statistic's; the grid file is read once in the process
         y = two_clusters(3.0, seed=4)[:60]
         a = dip_test(y)
-        b = dip_test(y)
-        dips = dip_reference_dips(len(y))
-        assert np.array_equal(dip_reference_table(len(y)), dips)
-        assert a == b
+        assert a == dip_test(y)
         assert a.statistic == dip_statistic(y)
-        assert a.p_value == np.count_nonzero(dips >= a.statistic) / DIP_BOOTSTRAP_B
-        assert a.reject_unimodal == (a.p_value == 0.0)
+        assert a == baselines._dip_decision(a.statistic, y.size)
+        assert _bundled_grid("dip_grid") is _bundled_grid("dip_grid")
 
     @pytest.mark.parametrize("N", [50, 200, 599])
     def test_one_critical_dip_decides_both_paths(self, N):
         # dip_test and the rows path reject exactly above the one critical
-        # dip, the largest reference dip. The replicate that drew it has
-        # that dip: p = 1/B, not rejected
-        ref, critical = baselines._dip_null(N)
-        assert critical == ref.max()
-        Y = np.vstack([np.random.default_rng([0, N, int(np.argmax(ref))]).uniform(size=N),
-                       *(two_clusters(sep, n=N // 2 + 1, seed=N)[:N] for sep in (2.0, 3.0, 4.0, 6.0)),
+        # dip, the grid's dip at DIP_ALPHA, which is also where the
+        # p-value falls below DIP_ALPHA; tried on samples and at the
+        # critical dip and both its float neighbours
+        levels, dips, critical = baselines._dip_null(N)
+        assert critical == dips[levels.index(DIP_ALPHA)]
+        Y = np.vstack([*(two_clusters(sep, n=N // 2 + 1, seed=N)[:N]
+                         for sep in (2.0, 3.0, 4.0, 6.0)),
                        np.random.default_rng([67, N]).uniform(size=N)])
         decisions = [dip_test(y) for y in Y]
-        assert decisions[0].statistic == critical and decisions[0].p_value == 1 / DIP_BOOTSTRAP_B
-        assert not decisions[0].reject_unimodal and decisions[-2].reject_unimodal
+        assert decisions[-2].reject_unimodal and not decisions[-1].reject_unimodal
         _, rejects = baselines._dip_test_rows(Y)
         for dec, reject in zip(decisions, rejects):
-            assert dec.reject_unimodal == (dec.statistic > critical) == (dec.p_value == 0.0) == reject
+            assert dec.reject_unimodal == (dec.statistic > critical) == reject
+            assert dec.reject_unimodal == (dec.p_value < DIP_ALPHA)
+        for d, reject in ((np.nextafter(critical, 0), False), (critical, False),
+                          (np.nextafter(critical, 1), True)):
+            dec = baselines._dip_decision(d, N)
+            assert dec.reject_unimodal == reject == (dec.p_value < DIP_ALPHA)
+        assert baselines._dip_decision(critical, N).p_value == DIP_ALPHA
 
     def test_errors(self):
         with pytest.raises(TooFewSamplesError):
@@ -696,8 +699,9 @@ class TestDipTest:
 # ------------------------------------------------------- calibration tables
 
 def test_decisions_match_fresh_tables():
-    # KS and dip decide against the memoized seeded tables; by hand from
-    # freshly drawn (uncached) ones every field comes out bit-identical
+    # KS decides against the memoized seeded table; by hand from a freshly
+    # drawn (uncached) one every field comes out bit-identical. The dip
+    # rejects above the calibration grid's critical dip at the same N
     for N in (8, 9, 50, 200, 999):
         y = two_clusters(2.5, n=N // 2, seed=N)
         if N % 2:
@@ -712,16 +716,15 @@ def test_decisions_match_fresh_tables():
             assert dec.p_value == float((ref.size - np.searchsorted(ref, D, side="left")) / ref.size)
             assert dec.reject_unimodal == (D > critical)
         d = dip_statistic(y)
-        dips = dip_reference_dips(N)
         dec = dip_test(y)
         assert dec.statistic == d
-        assert dec.p_value == np.count_nonzero(dips >= d) / DIP_BOOTSTRAP_B
-        assert dec.reject_unimodal == (dec.p_value == 0.0)
+        assert dec.reject_unimodal == (d > baselines._dip_null(N)[2])
 
 
 def test_one_table_per_sample_size():
-    # the first test at an N builds its tables; a second test at that N,
-    # and a dip test at an N a clusterer has calibrated, build none
+    # the first KS test at an N builds its table and a second test at that
+    # N builds none; no dip test and no classic dip-means run builds a dip
+    # table, since the dip reads the calibration grid
     lilliefors_table.cache_clear()
     dip_reference_table.cache_clear()
     rng = np.random.default_rng(64)
@@ -731,20 +734,16 @@ def test_one_table_per_sample_size():
 
     ks_lilliefors(rng.normal(size=30))
     dip_test(rng.normal(size=30))
-    assert misses() == (1, 1)
+    assert misses() == (1, 0)
     ks_lilliefors(rng.normal(size=30))
     dip_test(rng.normal(size=30))
-    assert misses() == (1, 1)
+    assert misses() == (1, 0)
 
     # classic dip-means on one 41-point cloud: 41 viewers of 40 distances
     res = dipmeans_family(Dataset(rng.normal(size=(41, 2))), DipViewerCriterion(), 0)
     assert res.split_log[0].n == 41
-    built = dip_reference_table.cache_info().misses
-    assert built == 2
-    hits = dip_reference_table.cache_info().hits
-    dip_test(rng.normal(size=40))
-    assert dip_reference_table.cache_info().misses == built
-    assert dip_reference_table.cache_info().hits == hits + 1
+    info = dip_reference_table.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
 
 
 @pytest.mark.parametrize("table", [lilliefors_reference, lilliefors_table])

@@ -142,12 +142,12 @@ class TestRunTestBenchmark:
         swapped = SigtestConfig(variant=SignatureVariant.SIGNATURE2)
         assert run_test_benchmark(sigtest_config=swapped, **kwargs) == default
 
-    def test_dip_table_shared_with_positional_callers(self):
-        # the sweep looks the table up as (N, B), the key other callers use
+    def test_dip_sweep_builds_no_table(self):
+        # the dip decides on the calibration grid: the sweep, timing
+        # included, builds no dip table
         dip_reference_table.cache_clear()
-        run_test_benchmark(separations=(2.0,), runs=2, methods=("dip",), timing_runs=0)
-        dip_reference_table(200, 1000)
-        assert dip_reference_table.cache_info().misses == 1
+        run_test_benchmark(separations=(2.0,), runs=2, methods=("dip",), timing_runs=1)
+        assert dip_reference_table.cache_info().misses == 0
 
     def test_format_table(self):
         recs = run_test_benchmark(separations=(2.0, 3.0), runs=4, seed=1,

@@ -19,7 +19,7 @@ from sigcluster import (
     run_test_benchmark,
 )
 from sigcluster import benchmark, cli, data_io
-from sigcluster.baselines import AD_ALPHA, KS_ALPHA
+from sigcluster.baselines import AD_ALPHA, DIP_ALPHA, KS_ALPHA
 from sigcluster.cli import main
 from sigcluster.sigtest import MIN_SAMPLES
 
@@ -69,17 +69,20 @@ class TestTestCommand:
             assert code == 3, method
             capsys.readouterr()
 
-    def test_dip_bootstrap_is_the_benchmark_one(self, tmp_path, capsys):
-        # a sample whose dip exceeds every seed-0 bootstrap dip; the
-        # benchmark's table rejects it, and so must the command
+    def test_dip_decision_is_the_benchmark_one(self, tmp_path, capsys):
+        # a sample whose dip exceeds the critical dip at DIP_ALPHA; the
+        # benchmark's dip test rejects it, and so must the command, with
+        # the same p-value and the level it decided at
         y = gen_two_clusters(TwoClusterSpec(separation=3.5, seed=10056)).rows[:, 0]
-        assert dip_test(y).reject_unimodal
+        dec = dip_test(y)
+        assert dec.reject_unimodal and dec.p_value < DIP_ALPHA
         p = tmp_path / "sep35.csv"
         p.write_text("\n".join(f"{v}" for v in y) + "\n")
         code = main(["test", "--method", "dip", str(p)])
         report = json.loads(capsys.readouterr().out)
-        assert code == 3 and report["p_value"] == 0.0
-        assert "seed" not in report["defaults"]
+        assert code == 3 and report["p_value"] == dec.p_value
+        assert report["defaults"]["dip_alpha"] == DIP_ALPHA
+        assert "seed" not in report["defaults"] and "bootstrap_B" not in report["defaults"]
 
     def test_seed_is_not_a_test_option(self, unimodal_csv, capsys):
         assert main(["test", "--seed", "1", unimodal_csv]) == 2
@@ -253,9 +256,8 @@ class TestClusterCommand:
         assert (summary["d"], summary["k"], summary["ari"]) == (2, 2, 1.0)
 
     def test_caches_count_the_tables_built(self, tmp_path, capsys, monkeypatch):
-        # classic dip-means: each tested n-point cluster looks up the dip
-        # table at n - 1 once for all its viewers, built on the first
-        # lookup at that size
+        # classic dip-means reads the dip calibration grid, so no report
+        # names a dip table and the run builds none
         monkeypatch.setenv("SIGCLUSTER_OUT_DIR", str(tmp_path))
         rng = np.random.default_rng(25)
         rows = np.vstack([rng.normal(size=(50, 2)), rng.normal(size=(50, 2)) + 15])
@@ -267,16 +269,18 @@ class TestClusterCommand:
         summary = json.loads(out[:out.rindex("}") + 1])
         full = json.loads((tmp_path / "plain_dipmeans.json").read_text())
         assert summary["caches"] == full["caches"]
-        assert set(full["caches"]) == {"frozen_bounds", "lilliefors_table", "dip_reference_table"}
-        sizes = [rec["n"] - 1 for rec in full["split_log"]]
-        assert full["caches"]["dip_reference_table"] == {
-            "hits": len(sizes) - len(set(sizes)),
-            "misses": len(set(sizes)),
-            "currsize": len(set(sizes)),
-        }
+        assert set(full["caches"]) == {"frozen_bounds", "lilliefors_table"}
+        assert full["split_log"] and dip_reference_table.cache_info().misses == 0
 
     def test_unknown_method_exit_2(self, capsys):
         assert main(["cluster", "iris", "--method", "zmeans"]) == 2
+
+    @pytest.mark.parametrize("command", [["cluster", "iris"], ["bench-tests"], ["bench-cluster"]])
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_bad_seed_is_a_usage_error(self, capsys, command, seed):
+        # refused while parsing, before any data is read
+        assert main([*command, "--seed", seed]) == 2
+        assert f"--seed: must be an integer of at least 0, got '{seed}'" in capsys.readouterr().err
 
     def test_threshold_reaches_the_criterion(self, tmp_path, capsys, monkeypatch):
         # no projection's violation fraction exceeds 1, so nothing splits
@@ -491,8 +495,8 @@ def test_csv_path_read_once(tmp_path, capsys, monkeypatch, argv):
     pytest.param(["bench-tests", "--alpha", "0.01"], id="bench-tests-alpha"),
 ])
 def test_removed_options_are_unknown(unimodal_csv, capsys, argv):
-    # the signature variant comes from the method name, the dip table is
-    # the DIP_BOOTSTRAP_B one and the sweep runs KS at KS_ALPHA
+    # the signature variant comes from the method name, the dip reads its
+    # calibration grid at DIP_ALPHA and the sweep runs KS at KS_ALPHA
     argv = [*argv, unimodal_csv] if argv[0] == "test" else argv
     assert main(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err

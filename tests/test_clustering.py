@@ -17,7 +17,6 @@ from sigcluster import (
     SigtestCriterion,
     anderson_darling,
     ari,
-    dip_reference_table,
     dip_test,
     dipmeans_family,
     gen_gaussian,
@@ -30,7 +29,7 @@ from sigcluster import (
     sigtest,
 )
 from sigcluster import clustering
-from sigcluster.baselines import AD_ALPHA, KS_ALPHA
+from sigcluster.baselines import AD_ALPHA, KS_ALPHA, _dip_null
 from sigcluster.benchmark import TEST_METHODS
 from sigcluster.clustering import (
     CLUSTERERS,
@@ -555,7 +554,7 @@ class TestCriteria:
         Y = np.vstack([rng.normal(size=60), np.full(60, 2.5),
                        np.concatenate([rng.normal(-4, 1, 30), rng.normal(4, 1, 30)])])
         criterion = DipViewerCriterion()
-        critical = dip_reference_table(60).max()
+        critical = _dip_null(60)[2]
         stats, rejects = criterion.test_rows(Y)
         with pytest.raises(DegenerateInputError):
             criterion.test(Y[1])

@@ -1,7 +1,52 @@
+import re
+
 import numpy as np
 import pytest
 
-from sigcluster import TwoClusterSpec, gen_gaussian, gen_two_clusters
+from sigcluster import (
+    Dataset,
+    TwoClusterSpec,
+    bundled_manifest,
+    gen_gaussian,
+    gen_two_clusters,
+    kmeans,
+    run_cluster_benchmark,
+    run_method,
+    run_test_benchmark,
+)
+
+# every public entry that takes a seed, called with one
+SEEDED = {
+    "gen_gaussian": lambda seed: gen_gaussian(10, seed=seed).rows,
+    "TwoClusterSpec": lambda seed: gen_two_clusters(
+        TwoClusterSpec(n_per_cluster=5, seed=seed)).rows,
+    "kmeans": lambda seed: kmeans(Dataset(np.arange(20.0).reshape(10, 2)), 2, seed=seed).assignment,
+    "run_method": lambda seed: run_method(
+        "gmeans", Dataset(np.random.default_rng(3).normal(size=(40, 2))), seed=seed).assignment,
+    "run_test_benchmark": lambda seed: [r.success_rate for r in run_test_benchmark(
+        separations=(3.0,), runs=2, seed=seed, methods=("ad",), timing_runs=0)],
+    "run_cluster_benchmark": lambda seed: [r.k_mean for r in run_cluster_benchmark(
+        [bundled_manifest("iris")], methods=("gmeans",), runs=1, seed=seed)],
+}
+
+
+@pytest.mark.parametrize("entry", SEEDED.values(), ids=SEEDED)
+@pytest.mark.parametrize("seed, error, match", [
+    (-1, ValueError, "seed must be at least 0, got -1"),
+    (1.5, TypeError, r"seed must be an integer, got 1\.5"),
+    (True, TypeError, "seed must be an integer, got True"),
+], ids=["negative", "float", "bool"])
+def test_one_seed_rule_with_named_errors(entry, seed, error, match):
+    # every seed is checked once, by one rule, in words that name it,
+    # before numpy's seeding could refuse it in its own
+    with pytest.raises(error, match=match):
+        entry(seed)
+
+
+@pytest.mark.parametrize("entry", SEEDED.values(), ids=SEEDED)
+def test_valid_seeds_draw_the_same_bits(entry):
+    # an int and a numpy integer of equal value seed the same draws
+    np.testing.assert_array_equal(entry(5), entry(np.int64(5)))
 
 
 class TestGenGaussian:
@@ -27,6 +72,21 @@ class TestGenGaussian:
     def test_n_zero_rejected(self):
         with pytest.raises(ValueError):
             gen_gaussian(0)
+
+    @pytest.mark.parametrize("kwargs, name, value", [
+        ({"n": 3.0}, "n", "3.0"), ({"n": True}, "n", "True"),
+        ({"n": 5, "dimension": 2.0}, "dimension", "2.0")])
+    def test_counts_are_integers(self, kwargs, name, value):
+        with pytest.raises(TypeError, match=f"{name} must be an integer, got {value}"):
+            gen_gaussian(**kwargs)
+
+    @pytest.mark.parametrize("mean", [[1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]]])
+    def test_mean_shape_checked(self, mean):
+        # a scalar or one value per dimension; numpy would broadcast [1.0]
+        # and refuse the rest in its own words
+        message = f"mean must be a scalar or have shape (2,), got shape {np.shape(mean)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gen_gaussian(5, mean=mean, dimension=2)
 
 
 class TestGenTwoClusters:
@@ -67,3 +127,12 @@ class TestGenTwoClusters:
                 TwoClusterSpec(separation=separation)
         with pytest.raises(ValueError, match="dimension must be at least 1"):
             TwoClusterSpec(dimension=0)
+
+    @pytest.mark.parametrize("kwargs, name, value", [
+        ({"n_per_cluster": 2.5}, "n_per_cluster", "2.5"),
+        ({"n_per_cluster": True}, "n_per_cluster", "True"),
+        ({"dimension": 2.0}, "dimension", "2.0")])
+    def test_counts_are_integers(self, kwargs, name, value):
+        # refused when the spec is made, not when it is drawn
+        with pytest.raises(TypeError, match=f"{name} must be an integer, got {value}"):
+            TwoClusterSpec(**kwargs)
